@@ -19,10 +19,8 @@ from .core import (
     PositiveReduction,
     WmpResult,
     equivalent_domain_weights,
-    l_operator,
     matched_projection,
     positive_reduction,
-    r_operator,
     require_wmp_inverse,
     rho_embed,
     verify_weighted_penrose,

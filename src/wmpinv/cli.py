@@ -14,6 +14,7 @@ import numpy as np
 
 from .continuity import PerturbationSequence, perturb_weights_only, run_diagnostics
 from .core import (
+    _singular_factor,
     matched_projection,
     positive_reduction,
     require_wmp_inverse,
@@ -196,12 +197,15 @@ def _emit(args, report: dict, lines: list, out_matrices: dict | None = None) -> 
         write_bundle(args.out, out_matrices)
 
 
-def _worse_factor(r_cond: float, l_cond: float, tol: ToleranceConfig):
-    r_bad = not (r_cond <= tol.inv_cond_max)
-    l_bad = not (l_cond <= tol.inv_cond_max)
-    if r_bad and (r_cond >= l_cond or not l_bad):
-        return "R_{A,N}", r_cond
-    return "L_{A,M^-1}", l_cond
+def _no_inverse(args, report: dict, lines: list, res) -> int:
+    """Report that the weighted inverse does not exist; exit code 2."""
+    factor, cond = _singular_factor(res.r_cond, res.l_cond)
+    report["singular_factor"] = factor
+    msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
+    _emit(args, report, lines + [msg])
+    if not args.json:
+        print(msg, file=sys.stderr)
+    return 2
 
 
 def _trace_report(trace) -> dict:
@@ -238,13 +242,7 @@ def cmd_wmp(args) -> int:
         "l_cond": res.l_cond,
     }
     if not res.exists:
-        factor, cond = _worse_factor(res.r_cond, res.l_cond, ctx.tol)
-        report["singular_factor"] = factor
-        msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
-        _emit(args, report, [_tol_line(ctx), msg])
-        if not args.json:
-            print(msg, file=sys.stderr)
-        return 2
+        return _no_inverse(args, report, [_tol_line(ctx)], res)
     report["penrose_residuals"] = [float(x) for x in res.penrose_residuals]
     report["inverse"] = matrix_to_obj(res.inverse)
     lines = [
@@ -277,14 +275,7 @@ def cmd_exists(args) -> int:
         f"exists: {rep.exists}",
     ]
     if not rep.exists:
-        factor, cond = _worse_factor(rep.r_cond, rep.l_cond, ctx.tol)
-        report["singular_factor"] = factor
-        msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
-        lines.append(msg)
-        _emit(args, report, lines)
-        if not args.json:
-            print(msg, file=sys.stderr)
-        return 2
+        return _no_inverse(args, report, lines, rep)
     _emit(args, report, lines)
     return 0
 
@@ -498,14 +489,7 @@ def cmd_rho(args) -> int:
         f"base exists: {base.exists}, embedded exists: {embedded.exists}",
     ]
     if not base.exists:
-        factor, cond = _worse_factor(base.r_cond, base.l_cond, ctx.tol)
-        msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
-        report["singular_factor"] = factor
-        lines.append(msg)
-        _emit(args, report, lines)
-        if not args.json:
-            print(msg, file=sys.stderr)
-        return 2
+        return _no_inverse(args, report, lines, base)
     k = as_matrix(a).shape[0]
     block = embedded.inverse[k:, :k]
     block_resid = operator_norm(block - base.inverse)

@@ -168,15 +168,10 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     weights or singular factors) are recorded as non-existence rather
     than raised.
     """
-    from .core import require_wmp_inverse, wmp_inverse
+    from .core import _projections, require_wmp_inverse, wmp_inverse
 
     base = require_wmp_inverse(seq.base_a, seq.base_m, seq.base_n, tol)
-    f0 = svd_factor(seq.base_a, tol)
-    r0 = f0.rank
-    v0 = f0.vh[:r0].conj().T
-    u0 = f0.u[:, :r0]
-    p_dom0 = v0 @ v0.conj().T
-    p_cod0 = u0 @ u0.conj().T
+    _, p_dom0, p_cod0 = _projections(svd_factor(seq.base_a, tol))
 
     count = len(seq.terms)
     cols = {
@@ -185,20 +180,7 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     }
     exists = []
     for i, (an, mn, nn) in enumerate(seq.terms):
-        fn = svd_factor(an, tol)
-        rn = fn.rank
-        if rn == 0:
-            mpn = np.zeros((an.shape[1], an.shape[0]), dtype=np.complex128)
-            p_dom = np.zeros((an.shape[1], an.shape[1]), dtype=np.complex128)
-            p_cod = np.zeros((an.shape[0], an.shape[0]), dtype=np.complex128)
-        else:
-            inv_s = np.zeros_like(fn.sigma)
-            inv_s[:rn] = 1.0 / fn.sigma[:rn]
-            mpn = (fn.vh.conj().T * inv_s) @ fn.u.conj().T
-            vn = fn.vh[:rn].conj().T
-            un = fn.u[:, :rn]
-            p_dom = vn @ vn.conj().T
-            p_cod = un @ un.conj().T
+        mpn, p_dom, p_cod = _projections(svd_factor(an, tol))
         cols["mp_norm"][i] = operator_norm(mpn)
         cols["mp_diff"][i] = operator_norm(mpn - base.mp)
         cols["proj_domain_diff"][i] = operator_norm(p_dom - p_dom0)

@@ -31,6 +31,8 @@ from .linalg import (
     DEFAULT_TOL,
     SvdFactorization,
     ToleranceConfig,
+    _rank_cutoff,
+    _row_null_split,
     as_matrix,
     condition_number,
     mp_inverse,
@@ -46,8 +48,6 @@ __all__ = [
     "PositiveReduction",
     "EquivalentWeightFamily",
     "weighted_adjoint",
-    "r_operator",
-    "l_operator",
     "wmp_exists",
     "wmp_inverse",
     "require_wmp_inverse",
@@ -64,20 +64,32 @@ __all__ = [
 
 def _projections(f: SvdFactorization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A+, A+A, AA+) from one factorization."""
-    r = f.rank
-    if r == 0:
-        k, h = f.shape
-        return (
-            np.zeros((h, k), dtype=np.complex128),
-            np.zeros((h, h), dtype=np.complex128),
-            np.zeros((k, k), dtype=np.complex128),
+    vr = f.row_basis
+    ur = f.range_basis
+    return f.pinv(), vr @ vr.conj().T, ur @ ur.conj().T
+
+
+def _problem(a, m, n, tol):
+    """Coerce a weighted problem and check that the weights fit the matrix."""
+    am = as_matrix(a)
+    mw = as_weight(m, tol)
+    nw = as_weight(n, tol)
+    if mw.dim != am.shape[0] or nw.dim != am.shape[1]:
+        raise ValueError(
+            f"weight dimensions {mw.dim}, {nw.dim} do not match matrix shape {am.shape}"
         )
-    inv_s = np.zeros_like(f.sigma)
-    inv_s[:r] = 1.0 / f.sigma[:r]
-    mp = (f.vh.conj().T * inv_s) @ f.u.conj().T
-    vr = f.vh[:r].conj().T
-    ur = f.u[:, :r]
-    return mp, vr @ vr.conj().T, ur @ ur.conj().T
+    return am, mw, nw
+
+
+def _singular_factor(r_cond: float, l_cond: float) -> tuple[str, float]:
+    """Name and condition number of the factor that rules out an inverse.
+
+    Called only when the inverse does not exist: the worse-conditioned
+    factor is named, R on a tie.
+    """
+    if r_cond >= l_cond:
+        return "R_{A,N}", r_cond
+    return "L_{A,M^-1}", l_cond
 
 
 def weighted_adjoint(t, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -86,36 +98,8 @@ def weighted_adjoint(t, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     ``m`` weighs the codomain (rows of ``t``), ``n`` the domain.  The
     result is ``N^{-1} T* M`` and satisfies ``<Tx, y>_M = <x, T#y>_N``.
     """
-    tm = as_matrix(t)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
-    if mw.dim != tm.shape[0] or nw.dim != tm.shape[1]:
-        raise ValueError(
-            f"weight dimensions {mw.dim}, {nw.dim} do not match matrix shape {tm.shape}"
-        )
+    tm, mw, nw = _problem(t, m, n, tol)
     return nw.inverse @ tm.conj().T @ mw.matrix
-
-
-def r_operator(a, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Domain-side factor ``A+ A + (I - A+ A) X`` for square ``x``."""
-    am = as_matrix(a)
-    xm = as_matrix(x)
-    if xm.shape != (am.shape[1], am.shape[1]):
-        raise ValueError(f"x must be {am.shape[1]} x {am.shape[1]}, got {xm.shape}")
-    _, p_dom, _ = _projections(svd_factor(am, tol))
-    eye = np.eye(am.shape[1], dtype=np.complex128)
-    return p_dom + (eye - p_dom) @ xm
-
-
-def l_operator(a, y, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Codomain-side factor ``A A+ + Y (I - A A+)`` for square ``y``."""
-    am = as_matrix(a)
-    ym = as_matrix(y)
-    if ym.shape != (am.shape[0], am.shape[0]):
-        raise ValueError(f"y must be {am.shape[0]} x {am.shape[0]}, got {ym.shape}")
-    _, _, p_cod = _projections(svd_factor(am, tol))
-    eye = np.eye(am.shape[0], dtype=np.complex128)
-    return p_cod + ym @ (eye - p_cod)
 
 
 @dataclass(frozen=True)
@@ -163,13 +147,7 @@ def _factors(am, mw, nw, tol):
 
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
     """Decide existence of ``A+_MN`` from the two factor condition numbers."""
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
-    if mw.dim != am.shape[0] or nw.dim != am.shape[1]:
-        raise ValueError(
-            f"weight dimensions {mw.dim}, {nw.dim} do not match matrix shape {am.shape}"
-        )
+    am, mw, nw = _problem(a, m, n, tol)
     _, r, l = _factors(am, mw, nw, tol)
     r_cond = condition_number(r)
     l_cond = condition_number(l)
@@ -206,22 +184,18 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
         operations that cannot proceed without the inverse raise
         ``NonExistentError`` instead.
     """
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
-    if mw.dim != am.shape[0] or nw.dim != am.shape[1]:
-        raise ValueError(
-            f"weight dimensions {mw.dim}, {nw.dim} do not match matrix shape {am.shape}"
-        )
+    am, mw, nw = _problem(a, m, n, tol)
     mp, r, l = _factors(am, mw, nw, tol)
-    r_cond = condition_number(r)
-    l_cond = condition_number(l)
+    fr = svd_factor(r, tol)
+    fl = svd_factor(l, tol)
+    r_cond = fr.cond
+    l_cond = fl.cond
     exists = r_cond <= tol.inv_cond_max and l_cond <= tol.inv_cond_max
     inverse = None
     residuals = None
     if exists:
-        x = solve_linear(r, mp)
-        inverse = solve_linear(l.T, x.T).T
+        # X = R^-1 A+ L^-1, the right solve by L done as a left solve by L^T
+        inverse = fl.transpose().solve(fr.solve(mp).T).T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
     return WmpResult(
         exists=exists,
@@ -239,9 +213,7 @@ def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResul
     """Like ``wmp_inverse`` but raises ``NonExistentError`` on failure."""
     res = wmp_inverse(a, m, n, tol)
     if not res.exists:
-        if res.r_cond > res.l_cond:
-            raise NonExistentError("R_{A,N}", res.r_cond)
-        raise NonExistentError("L_{A,M^-1}", res.l_cond)
+        raise NonExistentError(*_singular_factor(res.r_cond, res.l_cond))
     return res
 
 
@@ -321,9 +293,7 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
     nw = as_weight(n, tol)
     report = wmp_exists(am, mw, nw, tol)
     if not report.exists:
-        if report.r_cond > report.l_cond:
-            raise NonExistentError("R_{A,N}", report.r_cond)
-        raise NonExistentError("L_{A,M^-1}", report.l_cond)
+        raise NonExistentError(*_singular_factor(report.r_cond, report.l_cond))
     _, p_dom, p_cod = _projections(svd_factor(am, tol))
     eye_h = np.eye(am.shape[1], dtype=np.complex128)
     eye_k = np.eye(am.shape[0], dtype=np.complex128)
@@ -383,10 +353,8 @@ def equivalent_domain_weights(
         raise ValueError("samples must be at least 1")
     gen = rng_from(rng)
 
-    if am.size == 0:
-        rank = 0
-    else:
-        rank = svd_factor(am, tol).rank
+    v_range, v_null = _row_null_split(am, tol)
+    rank = v_range.shape[1]
     if rank == 0 or rank == h:
         ws = [Weight(random_spd(gen, h), tol) for _ in range(samples)]
         return EquivalentWeightFamily(
@@ -397,18 +365,14 @@ def equivalent_domain_weights(
             coupling=None,
         )
 
-    _, s, vh = np.linalg.svd(am, full_matrices=True)
-    v_range = vh[:rank].conj().T
-    v_null = vh[rank:].conj().T
     n21 = v_null.conj().T @ nw.matrix @ v_range
     n22 = v_null.conj().T @ nw.matrix @ v_null
-    n22 = 0.5 * (n22 + n22.conj().T)
-    if condition_number(n22) > tol.inv_cond_max:
-        eye_h = np.eye(h, dtype=np.complex128)
-        _, p_dom, _ = _projections(svd_factor(am, tol))
-        r = p_dom + (eye_h - p_dom) @ nw.matrix
+    f22 = svd_factor(0.5 * (n22 + n22.conj().T), tol)
+    if f22.cond > tol.inv_cond_max:
+        p_dom = v_range @ v_range.conj().T
+        r = p_dom + (np.eye(h, dtype=np.complex128) - p_dom) @ nw.matrix
         raise NonExistentError("R_{A,N}", condition_number(r))
-    coupling = solve_linear(n22, n21)
+    coupling = f22.solve(n21)
 
     basis = np.hstack([v_range, v_null])
     ws = []
@@ -485,14 +449,8 @@ def rho_embed(a, m, n, tol: ToleranceConfig = DEFAULT_TOL):
     codomain weight T and domain weight ``T^{-1}`` exists exactly when
     ``A+_MN`` does, and its lower-left block equals ``A+_MN``.
     """
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
+    am, mw, nw = _problem(a, m, n, tol)
     k, h = am.shape
-    if mw.dim != k or nw.dim != h:
-        raise ValueError(
-            f"weight dimensions {mw.dim}, {nw.dim} do not match matrix shape {am.shape}"
-        )
     rho = np.zeros((k + h, k + h), dtype=np.complex128)
     rho[:k, k:] = am
     rho[k:, :k] = am.conj().T
@@ -525,7 +483,7 @@ def matched_projection(q, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     roots = np.sqrt(w)
     absq = (v * roots) @ v.conj().T
-    cutoff = tol.rank_rtol_for(qm.shape) * (roots[-1] if roots.size else 0.0)
+    cutoff = _rank_cutoff(roots[-1] if roots.size else 0.0, qm.shape, tol)
     inv_roots = np.where(roots > cutoff, 1.0 / np.where(roots > cutoff, roots, 1.0), 0.0)
     absq_pinv = (v * inv_roots) @ v.conj().T
     eye = np.eye(qm.shape[0], dtype=np.complex128)

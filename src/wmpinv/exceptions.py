@@ -23,7 +23,11 @@ __all__ = [
 
 
 class RankFlipWarning(UserWarning):
-    """The natural numerical rank of a schedule iterate left the pinned rank."""
+    """A limit trace solved a scaled system whose condition number exceeds ``inv_cond_max``.
+
+    The schedule points concerned are listed in ``LimitTrace.rank_flips``;
+    the iterates there are unreliable.
+    """
 
 
 class WmpError(Exception):

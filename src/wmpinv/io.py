@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .linalg import as_matrix
 
 __all__ = [
     "BundleFormatError",
@@ -48,19 +48,6 @@ class ProblemBundle:
     tolerances: dict = field(default_factory=dict)
     schedule: np.ndarray | None = None
     seed: int | None = None
-
-    def tolerance_config(self, base: ToleranceConfig = DEFAULT_TOL) -> ToleranceConfig:
-        """Apply the bundle's overrides on top of a base configuration."""
-        if not self.tolerances:
-            return base
-        fields = {
-            "rank_rtol": base.rank_rtol,
-            "inv_cond_max": base.inv_cond_max,
-            "verify_atol": base.verify_atol,
-            "verify_rtol": base.verify_rtol,
-        }
-        fields.update(self.tolerances)
-        return ToleranceConfig(**fields)
 
 
 def matrix_to_obj(a) -> dict:

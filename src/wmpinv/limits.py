@@ -37,8 +37,9 @@ from .linalg import (
     DEFAULT_TOL,
     LimitTrace,
     ToleranceConfig,
+    _check_schedule,
+    _row_null_split,
     as_matrix,
-    condition_number,
     is_hermitian,
     limit_atol_for,
     mp_inverse,
@@ -93,18 +94,6 @@ class OmegaWeight:
     restricted_min_eig: float
 
 
-def _joint_bases(am, bm, tol):
-    """Orthonormal bases of the joint row space and joint null space."""
-    stacked = np.vstack([am, bm])
-    h = stacked.shape[1]
-    if stacked.size == 0:
-        return np.zeros((h, 0), dtype=np.complex128), np.eye(h, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = tol.rank_rtol_for(stacked.shape) * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    return vh[:r].conj().T, vh[r:].conj().T
-
-
 def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) -> OmegaWeight:
     """Build an admissible domain weight for the t -> 0 limit.
 
@@ -150,7 +139,7 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
     core = 0.5 * (core + core.conj().T)
 
-    v_row, v_null = _joint_bases(am, bm, tol)
+    v_row, v_null = _row_null_split(np.vstack([am, bm]), tol)
     restricted_min = np.inf
     if v_row.shape[1] > 0:
         comp = v_row.conj().T @ core @ v_row
@@ -216,34 +205,17 @@ class _GradedPencilSolver:
     """
 
     def __init__(self, am, bm, vmat, wmat, tol: ToleranceConfig):
-        stacked = np.vstack([am, bm])
-        if stacked.size == 0:
-            r0 = 0
-            v0 = np.zeros((stacked.shape[1], 0), dtype=np.complex128)
-        else:
-            _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-            cutoff = tol.rank_rtol_for(stacked.shape) * (s[0] if s.size else 0.0)
-            r0 = int(np.count_nonzero(s > cutoff))
-            v0 = vh[:r0].conj().T
+        v0, _ = _row_null_split(np.vstack([am, bm]), tol)
         at = am @ v0
         bt = bm @ v0
-        if at.size == 0:
-            ra = 0
-            q1 = np.zeros((r0, 0), dtype=np.complex128)
-            q2 = np.eye(r0, dtype=np.complex128)
-        else:
-            _, sa, vha = np.linalg.svd(at, full_matrices=True)
-            cutoff_a = tol.rank_rtol_for(at.shape) * (sa[0] if sa.size else 0.0)
-            ra = int(np.count_nonzero(sa > cutoff_a))
-            q1 = vha[:ra].conj().T
-            q2 = vha[ra:].conj().T
+        q1, q2 = _row_null_split(at, tol)
         a1 = at @ q1
         b1 = bt @ q1
         b2 = bt @ q2
         self.rows = am.shape[0]
         self.cols = am.shape[1]
-        self.rank = r0
-        self.a_rank = ra
+        self.rank = v0.shape[1]
+        self.a_rank = q1.shape[1]
         self.v0 = v0
         self.q1 = q1
         self.q2 = q2
@@ -263,20 +235,17 @@ class _GradedPencilSolver:
             ]
         )
 
-    def iterate(self, t: float) -> np.ndarray:
+    def iterate(self, t: float) -> tuple[np.ndarray, float]:
+        """The iterate at ``t`` and the condition number of the system solved for it."""
         if self.rank == 0:
-            return np.zeros((self.cols, self.rows), dtype=np.complex128)
+            return np.zeros((self.cols, self.rows), dtype=np.complex128), 1.0
         rhs = np.vstack(
             [self.rhs1, np.zeros((self.rank - self.a_rank, self.rows), dtype=np.complex128)]
         )
-        y = solve_linear(self.system(t), rhs)
+        f = svd_factor(self.system(t))
+        y = f.solve(rhs)
         out = self.q1 @ y[: self.a_rank] + self.q2 @ y[self.a_rank :]
-        return self.v0 @ out
-
-    def system_cond(self, t: float) -> float:
-        if self.rank == 0:
-            return 1.0
-        return condition_number(self.system(t))
+        return self.v0 @ out, f.cond
 
 
 class _GradedPairSolver:
@@ -293,33 +262,15 @@ class _GradedPairSolver:
     """
 
     def __init__(self, a_sym, b_sym, tol: ToleranceConfig):
-        n = a_sym.shape[0]
-        total = a_sym + b_sym
-        if total.size == 0:
-            r0 = 0
-            v0 = np.zeros((n, 0), dtype=np.complex128)
-        else:
-            _, s, vh = np.linalg.svd(total, full_matrices=True)
-            cutoff = tol.rank_rtol_for(total.shape) * (s[0] if s.size else 0.0)
-            r0 = int(np.count_nonzero(s > cutoff))
-            v0 = vh[:r0].conj().T
+        v0, _ = _row_null_split(a_sym + b_sym, tol)
         at = v0.conj().T @ a_sym @ v0
         at = 0.5 * (at + at.conj().T)
         bt = v0.conj().T @ b_sym @ v0
         bt = 0.5 * (bt + bt.conj().T)
-        if at.size == 0:
-            ra = 0
-            q1 = np.zeros((r0, 0), dtype=np.complex128)
-            q2 = np.eye(r0, dtype=np.complex128)
-        else:
-            _, sa, vha = np.linalg.svd(at, full_matrices=True)
-            cutoff_a = tol.rank_rtol_for(at.shape) * (sa[0] if sa.size else 0.0)
-            ra = int(np.count_nonzero(sa > cutoff_a))
-            q1 = vha[:ra].conj().T
-            q2 = vha[ra:].conj().T
-        self.n = n
-        self.rank = r0
-        self.a_rank = ra
+        q1, q2 = _row_null_split(at, tol)
+        self.n = a_sym.shape[0]
+        self.rank = v0.shape[1]
+        self.a_rank = q1.shape[1]
         self.v0 = v0
         self.q1 = q1
         self.q2 = q2
@@ -339,20 +290,17 @@ class _GradedPairSolver:
             ]
         )
 
-    def iterate(self, lam: float) -> np.ndarray:
+    def iterate(self, lam: float) -> tuple[np.ndarray, float]:
+        """The iterate at ``lam`` and the condition number of the system solved for it."""
         if self.rank == 0:
-            return np.zeros((self.n, self.n), dtype=np.complex128)
+            return np.zeros((self.n, self.n), dtype=np.complex128), 1.0
         rhs = np.vstack([self.rhs1, self.rhs2])
-        y = solve_linear(self.system(lam), rhs)
+        f = svd_factor(self.system(lam))
+        y = f.solve(rhs)
         # gamma / lambda is tiny by design; the division shrinks its
         # absolute error along with it
         out = self.q1 @ (y[: self.a_rank] / lam) + self.q2 @ y[self.a_rank :]
-        return self.v0 @ out
-
-    def system_cond(self, lam: float) -> float:
-        if self.rank == 0:
-            return 1.0
-        return condition_number(self.system(lam))
+        return self.v0 @ out, f.cond
 
 
 def _trace_over(solver, schedule, target, tol, atol=None) -> LimitTrace:
@@ -360,10 +308,10 @@ def _trace_over(solver, schedule, target, tol, atol=None) -> LimitTrace:
     errors = np.empty(len(schedule))
     flips = []
     for i, t in enumerate(schedule):
-        it = solver.iterate(float(t))
+        it, cond = solver.iterate(float(t))
         iterates.append(it)
         errors[i] = operator_norm(it - target)
-        if solver.system_cond(float(t)) > tol.inv_cond_max:
+        if cond > tol.inv_cond_max:
             flips.append(i)
     if flips:
         warnings.warn(
@@ -424,11 +372,7 @@ def limit_t_to_zero(
         u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
 
-    if schedule is None:
-        schedule = DEFAULT_T_SCHEDULE
-    s = np.asarray(schedule, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0 or not np.all(s > 0) or not np.all(np.diff(s) < 0):
-        raise ValueError("schedule must be positive and strictly decreasing")
+    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
     from .core import require_wmp_inverse
 
@@ -470,16 +414,11 @@ def limit_lambda_to_inf(
             if w_min < -tol.verify_atol:
                 raise NotPositiveSemidefiniteError(name, w_min)
 
-    if schedule is None:
-        schedule = DEFAULT_LAMBDA_SCHEDULE
-    s = np.asarray(schedule, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0 or not np.all(s > 0) or not np.all(np.diff(s) > 0):
-        raise ValueError("schedule must be positive and strictly increasing")
+    s = _check_schedule(DEFAULT_LAMBDA_SCHEDULE if schedule is None else schedule, decreasing=False)
 
     n = a_sym.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    f = svd_factor(a_sym, tol)
-    ur = f.u[:, : f.rank]
+    ur = svd_factor(a_sym, tol).range_basis
     p = ur @ ur.conj().T
     mid = (eye - p) @ b_sym @ (eye - p)
     mid = 0.5 * (mid + mid.conj().T)
@@ -517,8 +456,11 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     bm = as_matrix(b)
     if am.shape[1] != bm.shape[1]:
         raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
-    p = projector_rowspace(am, tol)
-    q = projector_rowspace(bm, tol)
+    fa = svd_factor(am, tol)
+    fb = svd_factor(bm, tol)
+    va, vb = fa.row_basis, fb.row_basis
+    p = va @ va.conj().T
+    q = vb @ vb.conj().T
     pq_norm = operator_norm(p @ q)
     eye = np.eye(am.shape[1], dtype=np.complex128)
     two = 2.0 * eye - p - q
@@ -536,14 +478,12 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     by_inverse = cond <= tol.inv_cond_max
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
-    ra = numerical_rank(am, tol)
-    rb = numerical_rank(bm, tol)
     rs = numerical_rank(np.vstack([am, bm]), tol)
     return SeparatedPairReport(
         is_separated=by_norm,
         pq_norm=pq_norm,
         two_minus_sum_cond=cond,
-        intersection_dim=ra + rb - rs,
+        intersection_dim=fa.rank + fb.rank - rs,
         sum_rank=rs,
     )
 
@@ -593,7 +533,7 @@ def closed_form_separated(
         ("given W", ww.matrix),
         ("replacement W", random_spd(gen, bm.shape[0])),
     ):
-        lhs = _GradedPencilSolver(am, bm, vw.matrix, wmat, tol).iterate(1.0)
+        lhs, _ = _GradedPencilSolver(am, bm, vw.matrix, wmat, tol).iterate(1.0)
         resid = operator_norm(lhs - d)
         if resid > tol.verify_atol * scale:
             raise VerificationError(
@@ -731,7 +671,7 @@ def general_limit_via_decomposition(
         ("w_prime", w_prime.matrix),
         ("independent draw", random_spd(gen, bm.shape[0])),
     ):
-        lhs = _GradedPencilSolver(am, dec.b2, vw.matrix, wmat, tol).iterate(1.0)
+        lhs, _ = _GradedPencilSolver(am, dec.b2, vw.matrix, wmat, tol).iterate(1.0)
         resid = operator_norm(lhs - d)
         if resid > tol.verify_atol * scale:
             raise VerificationError(
@@ -740,11 +680,7 @@ def general_limit_via_decomposition(
                 tol.verify_atol * scale,
             )
 
-    if schedule is None:
-        schedule = DEFAULT_T_SCHEDULE
-    s = np.asarray(schedule, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0 or not np.all(s > 0) or not np.all(np.diff(s) < 0):
-        raise ValueError("schedule must be positive and strictly decreasing")
+    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
     solver = _GradedPencilSolver(am, bm, vw.matrix, ww.matrix, tol)
     trace = _trace_over(solver, s, d, tol)

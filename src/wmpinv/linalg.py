@@ -91,14 +91,33 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _rank_cutoff(sigma_max: float, shape: tuple[int, int], tol: ToleranceConfig) -> float:
+    """Absolute singular-value cutoff of every rank decision in the package."""
+    return tol.rank_rtol_for(shape) * sigma_max
+
+
+def _cond(sigma: np.ndarray) -> float:
+    if sigma.size == 0:
+        return 1.0
+    if sigma[-1] == 0.0:
+        return float("inf")
+    return float(sigma[0] / sigma[-1])
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
     """Economy SVD together with the numerical rank decision.
 
     ``u`` is rows x k, ``sigma`` is the nonincreasing singular value vector
-    of length k = min(rows, cols), ``vh`` is k x cols.  ``rank`` counts the
-    singular values above the relative cutoff actually used, stored in
-    ``cutoff`` (an absolute threshold).
+    of length k = min(rows, cols), ``vh`` is k x cols.  One factorization
+    answers every question asked of the matrix, under two cutoffs:
+
+    - ``rank``, ``pinv`` and the bases count the singular values above
+      ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets;
+    - ``solve`` drops singular values at or below
+      ``eps * max(rows, cols) * sigma_max``, the cutoff of
+      ``numpy.linalg.lstsq(rcond=None)``, whatever ``tol`` says, so a
+      coarse user ``rank_rtol`` never truncates an invertible system.
     """
 
     u: np.ndarray
@@ -110,6 +129,38 @@ class SvdFactorization:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.vh.shape[1])
+
+    @property
+    def cond(self) -> float:
+        """2-norm condition number, ``inf`` when the smallest singular value is 0."""
+        return _cond(self.sigma)
+
+    @property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of the numerical range (rows x rank)."""
+        return self.u[:, : self.rank]
+
+    @property
+    def row_basis(self) -> np.ndarray:
+        """Orthonormal basis of the numerical row space (cols x rank)."""
+        return self.vh[: self.rank].conj().T
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse with the singular values at or below ``cutoff`` dropped."""
+        return (self.row_basis / self.sigma[: self.rank]) @ self.range_basis.conj().T
+
+    def transpose(self) -> SvdFactorization:
+        """Factorization of ``a.T``, read off this one without a new SVD."""
+        return SvdFactorization(
+            u=self.vh.T, sigma=self.sigma, vh=self.u.T, rank=self.rank, cutoff=self.cutoff
+        )
+
+    def solve(self, b) -> np.ndarray:
+        """Minimum-norm least-squares solution of ``a x = b``."""
+        bm = as_matrix(b)
+        s = self.sigma
+        keep = s > _EPS * max(self.shape) * (s[0] if s.size else 0.0)
+        return (self.vh[keep].conj().T / s[keep]) @ (self.u[:, keep].conj().T @ bm)
 
 
 def svd_factor(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.0) -> SvdFactorization:
@@ -132,9 +183,24 @@ def svd_factor(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.
             cutoff=0.0,
         )
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = max(tol.rank_rtol_for(m.shape) * (s[0] if s.size else 0.0), sigma_floor)
+    cutoff = max(_rank_cutoff(s[0], m.shape, tol), sigma_floor)
     rank = int(np.count_nonzero(s > cutoff))
     return SvdFactorization(u=u, sigma=s, vh=vh, rank=rank, cutoff=cutoff)
+
+
+def _row_null_split(a, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the row space and the null space of ``a``.
+
+    One full SVD, with the rank decided by the same cutoff as
+    :func:`svd_factor`; the two bases together span the whole domain.
+    """
+    m = as_matrix(a)
+    n = m.shape[1]
+    if m.size == 0:
+        return np.zeros((n, 0), dtype=np.complex128), np.eye(n, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    r = int(np.count_nonzero(s > _rank_cutoff(s[0], m.shape, tol)))
+    return vh[:r].conj().T, vh[r:].conj().T
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -142,13 +208,7 @@ def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return svd_factor(a, tol).rank
 
 
-def mp_inverse(
-    a,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    *,
-    rank: int | None = None,
-    sigma_floor: float = 0.0,
-) -> np.ndarray:
+def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse via truncated SVD.
 
     Parameters
@@ -157,9 +217,6 @@ def mp_inverse(
         Matrix to invert, any shape including rank deficient.
     tol : ToleranceConfig
         Supplies the relative singular-value cutoff.
-    rank : int, optional
-        Pin the truncation rank instead of deciding it from the cutoff.
-        Used by limit evaluations where the mathematical rank is known.
     sigma_floor : float, optional
         Absolute cutoff floor, forwarded to :func:`svd_factor`.  Use it
         when ``a`` was produced by a cancellation-prone computation whose
@@ -171,28 +228,18 @@ def mp_inverse(
         The unique matrix satisfying the four Penrose identities, computed
         by inverting the retained singular values.
     """
-    f = svd_factor(a, tol, sigma_floor=sigma_floor)
-    r = f.rank if rank is None else int(rank)
-    if r < 0 or r > f.sigma.size:
-        raise ValueError(f"pinned rank {r} is out of range for shape {f.shape}")
-    if r == 0:
-        return np.zeros((f.shape[1], f.shape[0]), dtype=np.complex128)
-    inv_s = np.zeros_like(f.sigma)
-    inv_s[:r] = 1.0 / f.sigma[:r]
-    return (f.vh.conj().T * inv_s) @ f.u.conj().T
+    return svd_factor(a, tol, sigma_floor=sigma_floor).pinv()
 
 
 def projector_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of ``a`` (equals ``A A^+``)."""
-    f = svd_factor(a, tol)
-    ur = f.u[:, : f.rank]
+    ur = svd_factor(a, tol).range_basis
     return ur @ ur.conj().T
 
 
 def projector_rowspace(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of ``a*`` (equals ``A^+ A``)."""
-    f = svd_factor(a, tol)
-    vr = f.vh[: f.rank].conj().T
+    vr = svd_factor(a, tol).row_basis
     return vr @ vr.conj().T
 
 
@@ -209,14 +256,7 @@ def projector_nullspace_pair(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
         raise ValueError(
             f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
         )
-    stacked = np.vstack([am, bm])
-    n = stacked.shape[1]
-    if stacked.size == 0:
-        return np.eye(n, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    cutoff = tol.rank_rtol_for(stacked.shape) * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
-    vn = vh[r:].conj().T
+    _, vn = _row_null_split(np.vstack([am, bm]), tol)
     return vn @ vn.conj().T
 
 
@@ -235,10 +275,7 @@ def condition_number(a) -> float:
         raise ValueError("condition number is defined here for square matrices")
     if m.size == 0:
         return 1.0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+    return _cond(np.linalg.svd(m, compute_uv=False))
 
 
 def is_invertible(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -290,12 +327,13 @@ def hermitian_power(a, power: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Least-squares solve of ``a x = b`` on the SVD path.
+    """Minimum-norm least-squares solve of ``a x = b`` on the SVD path.
 
     Callers are responsible for checking that ``a`` is well conditioned;
-    this helper never forms an explicit inverse.
+    this helper never forms an explicit inverse.  Callers that also need
+    the condition number of ``a`` keep ``svd_factor(a)`` instead.
     """
-    return np.linalg.lstsq(as_matrix(a), as_matrix(b), rcond=None)[0]
+    return svd_factor(a).solve(b)
 
 
 @dataclass
@@ -307,8 +345,8 @@ class LimitTrace:
     ``params[i]``, and ``errors[i]`` its operator-norm distance to
     ``target``.  ``converged`` is true exactly when the final error is at
     most ``limit_atol``.  ``rank_flips`` lists schedule indices where the
-    natural numerical rank of the shifted matrix deviated from the pinned
-    rank used for its pseudoinverse.
+    condition number of the scaled system solved for the iterate exceeded
+    ``inv_cond_max``, so the iterate there is unreliable.
     """
 
     params: np.ndarray
@@ -361,10 +399,10 @@ def regularized_pinv_limit(t_mat, schedule, tol: ToleranceConfig = DEFAULT_TOL) 
     m = as_matrix(t_mat)
     s = _check_schedule(schedule, decreasing=True)
     f = svd_factor(m, tol)
-    ur = f.u[:, : f.rank]
+    ur = f.range_basis
     sr = f.sigma[: f.rank]
-    vr = f.vh[: f.rank].conj().T
-    target = (vr / sr) @ ur.conj().T if f.rank else np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+    vr = f.row_basis
+    target = f.pinv()
     iterates = []
     errors = np.empty(s.size)
     for i, t in enumerate(s):

@@ -21,7 +21,7 @@ from wmpinv import (
     wmp_inverse,
     wmp_inverse_positive,
 )
-from wmpinv.linalg import DEFAULT_TOL, mp_inverse, operator_norm
+from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, mp_inverse, operator_norm
 from wmpinv.sampling import random_matrix_with_rank, random_spd, random_weight
 
 
@@ -61,6 +61,34 @@ class TestNonExistence:
         with pytest.raises(NonExistentError) as exc:
             require_wmp_inverse(golden_data.NOEXIST_A, np.eye(2), golden_data.NOEXIST_N)
         assert "R_{A,N}" in str(exc.value)
+
+
+class TestNearSingularDomainFactor:
+    """R = [[I3, 0], [e0*, delta]]: cond(R) is about 2 / delta."""
+
+    A = np.hstack([np.diag([1.0, 2.0, 1.0]), np.zeros((3, 1))])
+    TOL = ToleranceConfig(rank_rtol=1e-4)
+
+    @staticmethod
+    def domain_weight(delta):
+        n = np.diag([1.0, -1.0, 1.0, delta])
+        n[0, 3] = n[3, 0] = 1.0
+        return n
+
+    def test_solve_ignores_rank_rtol(self):
+        # a solve cut at rank_rtol = 1e-4 would drop sigma_min(R) ~ 7e-7
+        res = wmp_inverse(self.A, np.eye(3), self.domain_weight(1e-6), self.TOL)
+        assert res.exists
+        assert res.r_cond == pytest.approx(2e6, rel=1e-3)
+        assert max(res.penrose_residuals) <= 1e-9
+
+    def test_verdict_changes_once_across_the_boundary(self):
+        verdicts = [
+            wmp_inverse(self.A, np.eye(3), self.domain_weight(d), self.TOL).exists
+            for d in np.logspace(-4, -16, 49)
+        ]
+        assert verdicts[0] and not verdicts[-1]
+        assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
 
 
 def test_identity_weights_give_ordinary_pinv(rng):

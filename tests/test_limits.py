@@ -11,6 +11,7 @@ from wmpinv import (
     NotPositiveOnRangeError,
     NotPositiveSemidefiniteError,
     NotSeparatedError,
+    RankFlipWarning,
     Weight,
     WeightError,
     closed_form_separated,
@@ -129,6 +130,19 @@ class TestLimitLambda:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             limit_lambda_to_inf(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("offset, flips", [(1e-6, (0, 1, 2, 3, 4, 5)), (1e-5, ())])
+    def test_rank_flips_on_nearly_nested_ranges(self, offset, flips):
+        # B = b b* with b leaning off the range of A by `offset`; at 1e-6 the
+        # scaled system exceeds inv_cond_max on the first six schedule points
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
+        b = q[:, 0] + offset * q[:, 2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = limit_lambda_to_inf(a, np.outer(b, b.conj()))
+        assert trace.rank_flips == flips
+        assert sum(issubclass(w.category, RankFlipWarning) for w in caught) == (1 if flips else 0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPositiveSemidefiniteError):
