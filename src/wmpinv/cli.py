@@ -37,13 +37,12 @@ from .io import (
 from .limits import (
     closed_form_separated,
     decompose_b,
-    general_limit_via_decomposition,
     limit_lambda_to_inf,
     limit_t_to_zero,
     omega_weight,
     separated_pair_check,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm, projector_range, projector_rowspace
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm, projector_rowspace, svd_factor
 from .sampling import random_complex, rng_from
 from .weights import Weight, as_weight
 
@@ -527,8 +526,9 @@ def cmd_perturb(args) -> int:
         if e is None:
             scale = 0.1 * max(operator_norm(am), 1.0)
             e = scale * random_complex(gen, am.shape[0], am.shape[1])
-        p_cod = projector_range(am, ctx.tol)
-        p_dom = projector_rowspace(am, ctx.tol)
+        f = svd_factor(am, ctx.tol)
+        p_cod = f.range_basis @ f.range_basis.conj().T
+        p_dom = f.row_basis @ f.row_basis.conj().T
         direction = p_cod @ as_matrix(e) @ p_dom
         seq = PerturbationSequence.full(
             am,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import WeightError
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm, svd_factor
+from .linalg import DEFAULT_TOL, SplitBasis, ToleranceConfig, _split_basis, as_matrix, operator_norm
 from .weights import Weight, as_weight
 
 __all__ = [
@@ -47,6 +47,22 @@ def _validate_hermitian(name: str, mat: np.ndarray, tol: ToleranceConfig) -> np.
     return 0.5 * (m + m.conj().T)
 
 
+def _term_weights(i: int, mn, nn, shape: tuple[int, int], tol: ToleranceConfig):
+    """Validated weights of term ``i`` for a matrix of the given shape."""
+    mnm = _validate_hermitian(f"term {i} codomain weight", mn, tol)
+    nnm = _validate_hermitian(f"term {i} domain weight", nn, tol)
+    if mnm.shape[0] != shape[0]:
+        raise ValueError(f"term {i}: codomain weight dimension {mnm.shape[0]} != {shape[0]}")
+    if nnm.shape[0] != shape[1]:
+        raise ValueError(f"term {i}: domain weight dimension {nnm.shape[0]} != {shape[1]}")
+    return mnm, nnm
+
+
+def _projections(sp: SplitBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A+, A+A, AA+) from one split of A."""
+    return sp.pinv(), sp.v_r @ sp.v_r.conj().T, sp.u_r @ sp.u_r.conj().T
+
+
 @dataclass(frozen=True)
 class PerturbationSequence:
     """Base problem plus a list of perturbed terms.
@@ -74,13 +90,7 @@ class PerturbationSequence:
             anm = as_matrix(an)
             if anm.shape != am.shape:
                 raise ValueError(f"term {i}: matrix shape {anm.shape} differs from base {am.shape}")
-            mnm = _validate_hermitian(f"term {i} codomain weight", mn, tol)
-            nnm = _validate_hermitian(f"term {i} domain weight", nn, tol)
-            if mnm.shape[0] != am.shape[0]:
-                raise ValueError(f"term {i}: codomain weight dimension {mnm.shape[0]} != {am.shape[0]}")
-            if nnm.shape[0] != am.shape[1]:
-                raise ValueError(f"term {i}: domain weight dimension {nnm.shape[0]} != {am.shape[1]}")
-            checked.append((anm, mnm, nnm))
+            checked.append((anm, *_term_weights(i, mn, nn, am.shape, tol)))
         if not checked:
             raise ValueError("a perturbation sequence needs at least one term")
         return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind="full")
@@ -93,13 +103,7 @@ class PerturbationSequence:
         nw = as_weight(n, tol)
         checked = []
         for i, (mn, nn) in enumerate(weight_pairs):
-            mnm = _validate_hermitian(f"term {i} codomain weight", mn, tol)
-            nnm = _validate_hermitian(f"term {i} domain weight", nn, tol)
-            if mnm.shape[0] != am.shape[0]:
-                raise ValueError(f"term {i}: codomain weight dimension {mnm.shape[0]} != {am.shape[0]}")
-            if nnm.shape[0] != am.shape[1]:
-                raise ValueError(f"term {i}: domain weight dimension {nnm.shape[0]} != {am.shape[1]}")
-            checked.append((am, mnm, nnm))
+            checked.append((am, *_term_weights(i, mn, nn, am.shape, tol)))
         if not checked:
             raise ValueError("a perturbation sequence needs at least one term")
         return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind="weights-only")
@@ -168,10 +172,10 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     weights or singular factors) are recorded as non-existence rather
     than raised.
     """
-    from .core import _projections, require_wmp_inverse, wmp_inverse
+    from .core import require_wmp_inverse, wmp_inverse
 
     base = require_wmp_inverse(seq.base_a, seq.base_m, seq.base_n, tol)
-    _, p_dom0, p_cod0 = _projections(svd_factor(seq.base_a, tol))
+    _, p_dom0, p_cod0 = _projections(_split_basis(seq.base_a, tol))
 
     count = len(seq.terms)
     cols = {
@@ -180,7 +184,7 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     }
     exists = []
     for i, (an, mn, nn) in enumerate(seq.terms):
-        mpn, p_dom, p_cod = _projections(svd_factor(an, tol))
+        mpn, p_dom, p_cod = _projections(_split_basis(an, tol))
         cols["mp_norm"][i] = operator_norm(mpn)
         cols["mp_diff"][i] = operator_norm(mpn - base.mp)
         cols["proj_domain_diff"][i] = operator_norm(p_dom - p_dom0)

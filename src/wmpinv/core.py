@@ -11,8 +11,12 @@ whenever it exists.  It is computed here from the factored form
     A+_MN = R^{-1} A+ L^{-1},
     R = A+ A + (I - A+ A) N,      L = A A+ + M^{-1} (I - A A+),
 
-and it exists exactly when both factors are invertible.  R and L are
-built from one SVD of A; the factor solves stay on the SVD path.
+and it exists exactly when both factors are invertible.  In the bases
+``[V_r V_0]``, ``[U_r U_0]`` of one full SVD of A (rank r) the factors
+are ``R = [[I, 0], [N_0r, N_00]]`` and ``L = [[I, Mi_r0], [0, Mi_00]]``
+with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
+
+    A+_MN = (V_r - V_0 N_00^{-1} N_0r) Sigma_r^{-1} (U_r - U_0 Mi_00^{-1} Mi_0r)*
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from .exceptions import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SvdFactorization,
+    SplitBasis,
     ToleranceConfig,
     _rank_cutoff,
-    _row_null_split,
+    _split_basis,
     as_matrix,
     condition_number,
     mp_inverse,
@@ -60,13 +64,6 @@ __all__ = [
     "rho_embed",
     "matched_projection",
 ]
-
-
-def _projections(f: SvdFactorization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A+, A+A, AA+) from one factorization."""
-    vr = f.row_basis
-    ur = f.range_basis
-    return f.pinv(), vr @ vr.conj().T, ur @ ur.conj().T
 
 
 def _problem(a, m, n, tol):
@@ -135,25 +132,20 @@ class WmpResult:
     penrose_residuals: np.ndarray | None
 
 
-def _factors(am, mw, nw, tol):
-    f = svd_factor(am, tol)
-    mp, p_dom, p_cod = _projections(f)
-    eye_h = np.eye(am.shape[1], dtype=np.complex128)
-    eye_k = np.eye(am.shape[0], dtype=np.complex128)
-    r = p_dom + (eye_h - p_dom) @ nw.matrix
-    l = p_cod + mw.inverse @ (eye_k - p_cod)
-    return mp, r, l
+def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport]:
+    """Split A once, build R and L in its bases and decide existence.
 
-
-def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
-    """Decide existence of ``A+_MN`` from the two factor condition numbers."""
-    am, mw, nw = _problem(a, m, n, tol)
-    _, r, l = _factors(am, mw, nw, tol)
+    ``R = V_r V_r* + V_0 (V_0* N)`` and ``L = U_r U_r* + (M^{-1} U_0) U_0*``;
+    the verdict compares their 2-norm condition numbers to ``inv_cond_max``.
+    """
+    sp = _split_basis(am, tol)
+    r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ (sp.v_0.conj().T @ n)
+    l = sp.u_r @ sp.u_r.conj().T + (m_inverse @ sp.u_0) @ sp.u_0.conj().T
     r_cond = condition_number(r)
     l_cond = condition_number(l)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
-    return ExistenceReport(
+    return sp, ExistenceReport(
         exists=r_ok and l_ok,
         r_invertible=r_ok,
         l_invertible=l_ok,
@@ -162,6 +154,12 @@ def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
         r_factor=r,
         l_factor=l,
     )
+
+
+def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
+    """Decide existence of ``A+_MN`` from the two factor condition numbers."""
+    am, mw, nw = _problem(a, m, n, tol)
+    return _decide(am, mw.inverse, nw.matrix, tol)[1]
 
 
 def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -185,26 +183,25 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
         ``NonExistentError`` instead.
     """
     am, mw, nw = _problem(a, m, n, tol)
-    mp, r, l = _factors(am, mw, nw, tol)
-    fr = svd_factor(r, tol)
-    fl = svd_factor(l, tol)
-    r_cond = fr.cond
-    l_cond = fl.cond
-    exists = r_cond <= tol.inv_cond_max and l_cond <= tol.inv_cond_max
+    sp, rep = _decide(am, mw.inverse, nw.matrix, tol)
     inverse = None
     residuals = None
-    if exists:
-        # X = R^-1 A+ L^-1, the right solve by L done as a left solve by L^T
-        inverse = fl.transpose().solve(fr.solve(mp).T).T
+    if rep.exists:
+        # the block formula of the module docstring
+        n_0 = sp.v_0.conj().T @ nw.matrix
+        right = sp.v_r - sp.v_0 @ svd_factor(n_0 @ sp.v_0).solve(n_0 @ sp.v_r)
+        mi_0 = sp.u_0.conj().T @ mw.inverse
+        left = sp.u_r - sp.u_0 @ svd_factor(mi_0 @ sp.u_0).solve(mi_0 @ sp.u_r)
+        inverse = (right / sp.sigma_r) @ left.conj().T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
     return WmpResult(
-        exists=exists,
+        exists=rep.exists,
         inverse=inverse,
-        mp=mp,
-        r_factor=r,
-        l_factor=l,
-        r_cond=r_cond,
-        l_cond=l_cond,
+        mp=sp.pinv(),
+        r_factor=rep.r_factor,
+        l_factor=rep.l_factor,
+        r_cond=rep.r_cond,
+        l_cond=rep.l_cond,
         penrose_residuals=residuals,
     )
 
@@ -288,18 +285,13 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
 
     Raises ``NonExistentError`` when ``A+_MN`` does not exist.
     """
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
-    report = wmp_exists(am, mw, nw, tol)
+    report = wmp_exists(a, m, n, tol)
     if not report.exists:
         raise NonExistentError(*_singular_factor(report.r_cond, report.l_cond))
-    _, p_dom, p_cod = _projections(svd_factor(am, tol))
-    eye_h = np.eye(am.shape[1], dtype=np.complex128)
-    eye_k = np.eye(am.shape[0], dtype=np.complex128)
-    t_mat = p_dom + nw.matrix @ (eye_h - p_dom) @ nw.matrix
+    r, l = report.r_factor, report.l_factor
+    t_mat = r.conj().T @ r
     t_mat = 0.5 * (t_mat + t_mat.conj().T)
-    s_base = p_cod + mw.inverse @ (eye_k - p_cod) @ mw.inverse
+    s_base = l @ l.conj().T
     s_mat = np.linalg.inv(0.5 * (s_base + s_base.conj().T))
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
     return PositiveReduction(s=Weight(s_mat, tol), t=Weight(t_mat, tol))
@@ -353,7 +345,9 @@ def equivalent_domain_weights(
         raise ValueError("samples must be at least 1")
     gen = rng_from(rng)
 
-    v_range, v_null = _row_null_split(am, tol)
+    # with M = I the factor L is the identity, so the verdict is R's alone
+    sp, rep = _decide(am, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
+    v_range, v_null = sp.v_r, sp.v_0
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
         ws = [Weight(random_spd(gen, h), tol) for _ in range(samples)]
@@ -364,15 +358,12 @@ def equivalent_domain_weights(
             null_basis=None,
             coupling=None,
         )
+    if not rep.exists:
+        raise NonExistentError("R_{A,N}", rep.r_cond)
 
-    n21 = v_null.conj().T @ nw.matrix @ v_range
-    n22 = v_null.conj().T @ nw.matrix @ v_null
-    f22 = svd_factor(0.5 * (n22 + n22.conj().T), tol)
-    if f22.cond > tol.inv_cond_max:
-        p_dom = v_range @ v_range.conj().T
-        r = p_dom + (np.eye(h, dtype=np.complex128) - p_dom) @ nw.matrix
-        raise NonExistentError("R_{A,N}", condition_number(r))
-    coupling = f22.solve(n21)
+    n_0 = v_null.conj().T @ nw.matrix
+    n22 = n_0 @ v_null
+    coupling = svd_factor(0.5 * (n22 + n22.conj().T)).solve(n_0 @ v_range)
 
     basis = np.hstack([v_range, v_null])
     ws = []

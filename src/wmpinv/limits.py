@@ -38,7 +38,7 @@ from .linalg import (
     LimitTrace,
     ToleranceConfig,
     _check_schedule,
-    _row_null_split,
+    _split_basis,
     as_matrix,
     is_hermitian,
     limit_atol_for,
@@ -139,7 +139,7 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
     core = 0.5 * (core + core.conj().T)
 
-    v_row, v_null = _row_null_split(np.vstack([am, bm]), tol)
+    *_, v_row, v_null = _split_basis(np.vstack([am, bm]), tol)
     restricted_min = np.inf
     if v_row.shape[1] > 0:
         comp = v_row.conj().T @ core @ v_row
@@ -205,10 +205,10 @@ class _GradedPencilSolver:
     """
 
     def __init__(self, am, bm, vmat, wmat, tol: ToleranceConfig):
-        v0, _ = _row_null_split(np.vstack([am, bm]), tol)
+        v0 = _split_basis(np.vstack([am, bm]), tol).v_r
         at = am @ v0
         bt = bm @ v0
-        q1, q2 = _row_null_split(at, tol)
+        *_, q1, q2 = _split_basis(at, tol)
         a1 = at @ q1
         b1 = bt @ q1
         b2 = bt @ q2
@@ -262,12 +262,12 @@ class _GradedPairSolver:
     """
 
     def __init__(self, a_sym, b_sym, tol: ToleranceConfig):
-        v0, _ = _row_null_split(a_sym + b_sym, tol)
+        v0 = _split_basis(a_sym + b_sym, tol).v_r
         at = v0.conj().T @ a_sym @ v0
         at = 0.5 * (at + at.conj().T)
         bt = v0.conj().T @ b_sym @ v0
         bt = 0.5 * (bt + bt.conj().T)
-        q1, q2 = _row_null_split(at, tol)
+        *_, q1, q2 = _split_basis(at, tol)
         self.n = a_sym.shape[0]
         self.rank = v0.shape[1]
         self.a_rank = q1.shape[1]
@@ -517,7 +517,18 @@ def closed_form_separated(
     report = separated_pair_check(am, bm, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
+    gen = rng_from(rng)
+    draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
+    return _separated_closed_form(am, bm, vw, draws, "separated closed form against the pencil", tol)
 
+
+def _separated_closed_form(am, bm, vw, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
+    """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
+
+    ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
+    must equal D for each of them, else ``VerificationError`` names
+    ``what`` and the label.
+    """
     p = projector_rowspace(am, tol)
     q = projector_rowspace(bm, tol)
     eye = np.eye(am.shape[1], dtype=np.complex128)
@@ -528,19 +539,11 @@ def closed_form_separated(
     d = base - (eye - p) @ pi
 
     scale = 1.0 + operator_norm(d)
-    gen = rng_from(rng)
-    for label, wmat in (
-        ("given W", ww.matrix),
-        ("replacement W", random_spd(gen, bm.shape[0])),
-    ):
+    for label, wmat in draws:
         lhs, _ = _GradedPencilSolver(am, bm, vw.matrix, wmat, tol).iterate(1.0)
         resid = operator_norm(lhs - d)
         if resid > tol.verify_atol * scale:
-            raise VerificationError(
-                f"separated closed form against the pencil ({label})",
-                resid,
-                tol.verify_atol * scale,
-            )
+            raise VerificationError(f"{what} ({label})", resid, tol.verify_atol * scale)
     return pi, d
 
 
@@ -650,15 +653,6 @@ def general_limit_via_decomposition(
     ww = as_weight(w, tol)
     dec = decompose_b(am, bm, vw, ww, tol)
 
-    p = projector_rowspace(am, tol)
-    q2 = projector_rowspace(dec.b2, tol)
-    eye = np.eye(am.shape[1], dtype=np.complex128)
-    core_a = am.conj().T @ vw.matrix @ am
-    core_a = 0.5 * (core_a + core_a.conj().T)
-    base = mp_inverse(core_a, tol) @ am.conj().T @ vw.matrix
-    pi = solve_linear(2.0 * eye - p - q2, base)
-    d = base - (eye - p) @ pi
-
     gen = rng_from(rng)
     if w_prime is None:
         w_prime = Weight(random_spd(gen, bm.shape[0]), tol)
@@ -666,19 +660,8 @@ def general_limit_via_decomposition(
         w_prime = as_weight(w_prime, tol)
         if not w_prime.positive_definite:
             raise WeightError("w_prime must be positive definite")
-    scale = 1.0 + operator_norm(d)
-    for label, wmat in (
-        ("w_prime", w_prime.matrix),
-        ("independent draw", random_spd(gen, bm.shape[0])),
-    ):
-        lhs, _ = _GradedPencilSolver(am, dec.b2, vw.matrix, wmat, tol).iterate(1.0)
-        resid = operator_norm(lhs - d)
-        if resid > tol.verify_atol * scale:
-            raise VerificationError(
-                f"separated reduction of the pencil limit ({label})",
-                resid,
-                tol.verify_atol * scale,
-            )
+    draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
+    pi, d = _separated_closed_form(am, dec.b2, vw, draws, "separated reduction of the pencil limit", tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 

@@ -8,6 +8,7 @@ All computation is done in complex128.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +110,9 @@ class SvdFactorization:
     """Economy SVD together with the numerical rank decision.
 
     ``u`` is rows x k, ``sigma`` is the nonincreasing singular value vector
-    of length k = min(rows, cols), ``vh`` is k x cols.  One factorization
-    answers every question asked of the matrix, under two cutoffs:
+    of length k = min(rows, cols), ``vh`` is k x cols.  It answers rank,
+    condition number, pseudoinverse, range and row bases and solves,
+    under two cutoffs:
 
     - ``rank``, ``pinv`` and the bases count the singular values above
       ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets;
@@ -118,6 +120,8 @@ class SvdFactorization:
       ``eps * max(rows, cols) * sigma_max``, the cutoff of
       ``numpy.linalg.lstsq(rcond=None)``, whatever ``tol`` says, so a
       coarse user ``rank_rtol`` never truncates an invertible system.
+
+    Null-space bases need the full SVD; :func:`_split_basis` makes it.
     """
 
     u: np.ndarray
@@ -148,12 +152,6 @@ class SvdFactorization:
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse with the singular values at or below ``cutoff`` dropped."""
         return (self.row_basis / self.sigma[: self.rank]) @ self.range_basis.conj().T
-
-    def transpose(self) -> SvdFactorization:
-        """Factorization of ``a.T``, read off this one without a new SVD."""
-        return SvdFactorization(
-            u=self.vh.T, sigma=self.sigma, vh=self.u.T, rank=self.rank, cutoff=self.cutoff
-        )
 
     def solve(self, b) -> np.ndarray:
         """Minimum-norm least-squares solution of ``a x = b``."""
@@ -188,19 +186,38 @@ def svd_factor(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.
     return SvdFactorization(u=u, sigma=s, vh=vh, rank=rank, cutoff=cutoff)
 
 
-def _row_null_split(a, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the row space and the null space of ``a``.
+class SplitBasis(NamedTuple):
+    """Full SVD of a matrix cut at the rank cutoff: ``a = u_r diag(sigma_r) v_r*``.
 
-    One full SVD, with the rank decided by the same cutoff as
-    :func:`svd_factor`; the two bases together span the whole domain.
+    ``[u_r u_0]`` and ``[v_r v_0]`` are unitary, so ``u_0`` spans the
+    orthogonal complement of the range and ``v_0`` the null space.
+    """
+
+    u_r: np.ndarray
+    u_0: np.ndarray
+    sigma_r: np.ndarray
+    v_r: np.ndarray
+    v_0: np.ndarray
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse ``v_r diag(1 / sigma_r) u_r*``."""
+        return (self.v_r / self.sigma_r) @ self.u_r.conj().T
+
+
+def _split_basis(a, tol: ToleranceConfig) -> SplitBasis:
+    """Range and null-space bases of both sides of ``a`` from one full SVD.
+
+    The rank is decided by the same cutoff as :func:`svd_factor`.
     """
     m = as_matrix(a)
-    n = m.shape[1]
-    if m.size == 0:
-        return np.zeros((n, 0), dtype=np.complex128), np.eye(n, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = int(np.count_nonzero(s > _rank_cutoff(s[0], m.shape, tol)))
-    return vh[:r].conj().T, vh[r:].conj().T
+    if m.size:
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
+    else:
+        u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
+        s = np.zeros(0)
+    r = int(np.count_nonzero(s > _rank_cutoff(s[0] if s.size else 0.0, m.shape, tol)))
+    v = vh.conj().T
+    return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:])
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -256,7 +273,7 @@ def projector_nullspace_pair(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
         raise ValueError(
             f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
         )
-    _, vn = _row_null_split(np.vstack([am, bm]), tol)
+    vn = _split_basis(np.vstack([am, bm]), tol).v_0
     return vn @ vn.conj().T
 
 

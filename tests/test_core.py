@@ -83,10 +83,12 @@ class TestNearSingularDomainFactor:
         assert max(res.penrose_residuals) <= 1e-9
 
     def test_verdict_changes_once_across_the_boundary(self):
-        verdicts = [
-            wmp_inverse(self.A, np.eye(3), self.domain_weight(d), self.TOL).exists
-            for d in np.logspace(-4, -16, 49)
-        ]
+        verdicts = []
+        for d in np.logspace(-4, -16, 49):
+            n = self.domain_weight(d)
+            exists = wmp_inverse(self.A, np.eye(3), n, self.TOL).exists
+            assert wmp_exists(self.A, np.eye(3), n, self.TOL).exists == exists
+            verdicts.append(exists)
         assert verdicts[0] and not verdicts[-1]
         assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
 
@@ -180,6 +182,15 @@ class TestEquivalentDomainWeights:
     def test_blocked_coupling_raises(self):
         with pytest.raises(NonExistentError):
             equivalent_domain_weights(golden_data.NOEXIST_A, golden_data.NOEXIST_N)
+
+    def test_near_singular_domain_factor_raises_nonexistence(self):
+        # N_00 = 1e-13 is a perfectly conditioned 1 x 1 block, yet cond(R) ~ 2e13
+        a = TestNearSingularDomainFactor.A
+        n = TestNearSingularDomainFactor.domain_weight(1e-13)
+        assert not wmp_exists(a, np.eye(3), n).exists
+        with pytest.raises(NonExistentError) as exc:
+            equivalent_domain_weights(a, n)
+        assert "R_{A,N}" in str(exc.value)
 
 
 class TestWeightTransfer:
