@@ -196,9 +196,9 @@ def _emit(args, report: dict, lines: list, out_matrices: dict | None = None) -> 
         write_bundle(args.out, out_matrices)
 
 
-def _no_inverse(args, report: dict, lines: list, res) -> int:
+def _no_inverse(args, ctx, report: dict, lines: list, res) -> int:
     """Report that the weighted inverse does not exist; exit code 2."""
-    factor, cond = _singular_factor(res.r_cond, res.l_cond)
+    factor, cond = _singular_factor(res.r_cond, res.l_cond, ctx.tol)
     report["singular_factor"] = factor
     msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
     _emit(args, report, lines + [msg])
@@ -241,7 +241,7 @@ def cmd_wmp(args) -> int:
         "l_cond": res.l_cond,
     }
     if not res.exists:
-        return _no_inverse(args, report, [_tol_line(ctx)], res)
+        return _no_inverse(args, ctx, report, [_tol_line(ctx)], res)
     report["penrose_residuals"] = [float(x) for x in res.penrose_residuals]
     report["inverse"] = matrix_to_obj(res.inverse)
     lines = [
@@ -274,7 +274,7 @@ def cmd_exists(args) -> int:
         f"exists: {rep.exists}",
     ]
     if not rep.exists:
-        return _no_inverse(args, report, lines, rep)
+        return _no_inverse(args, ctx, report, lines, rep)
     _emit(args, report, lines)
     return 0
 
@@ -488,7 +488,7 @@ def cmd_rho(args) -> int:
         f"base exists: {base.exists}, embedded exists: {embedded.exists}",
     ]
     if not base.exists:
-        return _no_inverse(args, report, lines, base)
+        return _no_inverse(args, ctx, report, lines, base)
     k = as_matrix(a).shape[0]
     block = embedded.inverse[k:, :k]
     block_resid = operator_norm(block - base.inverse)

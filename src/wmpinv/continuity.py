@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import WeightError
-from .linalg import DEFAULT_TOL, SplitBasis, ToleranceConfig, _split_basis, as_matrix, operator_norm
+from .linalg import (
+    DEFAULT_TOL,
+    SplitBasis,
+    ToleranceConfig,
+    _self_adjointness,
+    _split_basis,
+    as_matrix,
+    operator_norm,
+)
 from .weights import Weight, as_weight
 
 __all__ = [
@@ -41,8 +49,8 @@ def _validate_hermitian(name: str, mat: np.ndarray, tol: ToleranceConfig) -> np.
     m = as_matrix(mat)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    asym = operator_norm(m - m.conj().T)
-    if asym > tol.verify_atol:
+    ok, asym = _self_adjointness(m, tol)
+    if not ok:
         raise ValueError(f"{name} must be self-adjoint, asymmetry {asym:.3e}")
     return 0.5 * (m + m.conj().T)
 

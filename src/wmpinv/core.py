@@ -78,13 +78,15 @@ def _problem(a, m, n, tol):
     return am, mw, nw
 
 
-def _singular_factor(r_cond: float, l_cond: float) -> tuple[str, float]:
+def _singular_factor(r_cond: float, l_cond: float, tol: ToleranceConfig) -> tuple[str, float]:
     """Name and condition number of the factor that rules out an inverse.
 
-    Called only when the inverse does not exist: the worse-conditioned
-    factor is named, R on a tie.
+    Called only when the inverse does not exist: R is named whenever it
+    is not invertible, L only when R is.  When both are exactly singular
+    their condition numbers are rounding noise, so comparing them would
+    name a factor at random.
     """
-    if r_cond >= l_cond:
+    if r_cond > tol.inv_cond_max:
         return "R_{A,N}", r_cond
     return "L_{A,M^-1}", l_cond
 
@@ -210,7 +212,7 @@ def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResul
     """Like ``wmp_inverse`` but raises ``NonExistentError`` on failure."""
     res = wmp_inverse(a, m, n, tol)
     if not res.exists:
-        raise NonExistentError(*_singular_factor(res.r_cond, res.l_cond))
+        raise NonExistentError(*_singular_factor(res.r_cond, res.l_cond, tol))
     return res
 
 
@@ -287,7 +289,7 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
     """
     report = wmp_exists(a, m, n, tol)
     if not report.exists:
-        raise NonExistentError(*_singular_factor(report.r_cond, report.l_cond))
+        raise NonExistentError(*_singular_factor(report.r_cond, report.l_cond, tol))
     r, l = report.r_factor, report.l_factor
     t_mat = r.conj().T @ r
     t_mat = 0.5 * (t_mat + t_mat.conj().T)

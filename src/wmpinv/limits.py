@@ -6,20 +6,20 @@ weighted inverse ``A+_{V,U}`` for any admissible domain weight U drawn
 from the family built by :func:`omega_weight`.  When the row spaces of A
 and B are separated the limit collapses to a closed form that is reached
 at every t, not just in the limit; the general case reduces to the
-separated one by splitting B against the weighted inverse.
+separated one by splitting B against the weighted inverse.  The second
+limit, ``(lambda A + B)^+ B`` for positive semidefinite A and B, is the
+same kind of pencil: it equals ``(A + t B)^+ (t B)`` with t = 1 / lambda.
 
-Pencil iterates are not computed by inverting ``C_t`` directly: at small
-t the O(t) eigenvalue block would be resolved only to ``eps / t``
-relative accuracy, drowning the limit in rounding.  Instead the row
-space is split into the part where A dominates and its complement, the
-t-grading is scaled out exactly, and a uniformly well-conditioned system
-is solved, so the iterate error stays at the truncation level O(t) down
-the whole schedule.
+Neither pencil is inverted directly: at small t the O(t) eigenvalue
+block would be resolved only to ``eps / t`` relative accuracy, drowning
+the limit in rounding.  One graded solver serves both: it splits off the
+part of the joint space where the t-free term acts, divides the
+t-grading out exactly and solves a uniformly well-conditioned system, so
+the iterate error stays at the truncation level down the whole schedule.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +29,6 @@ from .exceptions import (
     NotPositiveOnRangeError,
     NotPositiveSemidefiniteError,
     NotSeparatedError,
-    RankFlipWarning,
     VerificationError,
     WeightError,
 )
@@ -38,10 +37,12 @@ from .linalg import (
     LimitTrace,
     ToleranceConfig,
     _check_schedule,
+    _clears_positive_floor,
+    _self_adjointness,
     _split_basis,
+    _trace_over,
     as_matrix,
     is_hermitian,
-    limit_atol_for,
     mp_inverse,
     numerical_rank,
     operator_norm,
@@ -94,6 +95,23 @@ class OmegaWeight:
     restricted_min_eig: float
 
 
+def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
+    """``basis* mat basis`` (Hermitian part) and its smallest eigenvalue.
+
+    Raises ``NotPositiveOnRangeError`` naming ``what`` unless the
+    compression is positive definite by the rule of
+    :func:`is_positive_definite`; an empty basis passes with ``inf``.
+    """
+    comp = basis.conj().T @ mat @ basis
+    comp = 0.5 * (comp + comp.conj().T)
+    if not comp.size:
+        return comp, np.inf
+    eigs = np.linalg.eigvalsh(comp)
+    if not _clears_positive_floor(eigs, tol):
+        raise NotPositiveOnRangeError(what, float(eigs[0]))
+    return comp, float(eigs[0])
+
+
 def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) -> OmegaWeight:
     """Build an admissible domain weight for the t -> 0 limit.
 
@@ -140,18 +158,9 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     core = 0.5 * (core + core.conj().T)
 
     *_, v_row, v_null = _split_basis(np.vstack([am, bm]), tol)
-    restricted_min = np.inf
-    if v_row.shape[1] > 0:
-        comp = v_row.conj().T @ core @ v_row
-        comp = 0.5 * (comp + comp.conj().T)
-        eigs = np.linalg.eigvalsh(comp)
-        restricted_min = float(eigs[0])
-        scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-        if scale == 0.0 or eigs[0] <= scale / tol.inv_cond_max:
-            raise NotPositiveOnRangeError(
-                "A*XA + B*WB restricted to the joint row space", restricted_min
-            )
-
+    _, restricted_min = _positive_compression(
+        core, v_row, "A*XA + B*WB restricted to the joint row space", tol
+    )
     p_null = v_null @ v_null.conj().T
     if y is None:
         y_eff = p_null
@@ -161,18 +170,8 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
             raise ValueError(f"y must be {h} x {h}, got {ym.shape}")
         if not is_hermitian(ym, tol):
             raise ValueError("y must be self-adjoint")
-        if v_null.shape[1] > 0:
-            comp = v_null.conj().T @ ym @ v_null
-            comp = 0.5 * (comp + comp.conj().T)
-            eigs = np.linalg.eigvalsh(comp)
-            scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-            if scale == 0.0 or eigs[0] <= scale / tol.inv_cond_max:
-                raise NotPositiveOnRangeError(
-                    "Y restricted to the joint null space", float(eigs[0])
-                )
-            y_eff = v_null @ comp @ v_null.conj().T
-        else:
-            y_eff = np.zeros((h, h), dtype=np.complex128)
+        comp, _ = _positive_compression(ym, v_null, "Y restricted to the joint null space", tol)
+        y_eff = v_null @ comp @ v_null.conj().T
 
     u_mat = core + y_eff
     u_mat = 0.5 * (u_mat + u_mat.conj().T)
@@ -189,148 +188,64 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     )
 
 
-class _GradedPencilSolver:
-    """Evaluates ``(A* V A + t B* W B)^+ A* V`` stably for tiny t.
+class _GradedSolver:
+    """Evaluates a pencil iterate ``x(t) = (G + t K)^+ r(t)`` stably for tiny t.
 
-    In an orthonormal basis of the joint row space, split off the
-    subspace where A acts (columns of q1) from its complement (q2).  The
-    q2 block row of the normal equations carries an overall factor t
+    In an orthonormal basis ``v0`` of the joint space of G and K, split
+    off the subspace where G acts (columns of q1) from its complement
+    (q2).  The q2 block row of the system carries an overall factor t
     that divides out exactly, leaving
 
         [[H11 + t K11, t K12], [K21, K22]],
 
-    whose condition number is bounded uniformly as t -> 0, so neither
-    the solve nor the recovery of the iterate loses accuracy to the
-    t-grading.
+    whose condition number is bounded uniformly as t -> 0.  ``K = S* k_mid S``
+    enters through the column blocks ``k1 = S q1`` and ``k2 = S q2``, and
+    ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
+    limits differ only in how they build these pieces.
     """
 
-    def __init__(self, am, bm, vmat, wmat, tol: ToleranceConfig):
+    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs):
+        self.basis = v0 @ np.hstack([q1, q2])
+        self.h11 = h11
+        self.k11 = k1.conj().T @ k_mid @ k1
+        self.k12 = k1.conj().T @ k_mid @ k2
+        self.k22 = k2.conj().T @ k_mid @ k2
+        self.rhs = rhs
+
+    @classmethod
+    def pencil(cls, am, bm, vmat, wmat, tol: ToleranceConfig) -> "_GradedSolver":
+        """``(A* V A + t B* W B)^+ A* V``, split on the row space of ``A v0``."""
         v0 = _split_basis(np.vstack([am, bm]), tol).v_r
-        at = am @ v0
-        bt = bm @ v0
+        at, bt = am @ v0, bm @ v0
         *_, q1, q2 = _split_basis(at, tol)
         a1 = at @ q1
-        b1 = bt @ q1
-        b2 = bt @ q2
-        self.rows = am.shape[0]
-        self.cols = am.shape[1]
-        self.rank = v0.shape[1]
-        self.a_rank = q1.shape[1]
-        self.v0 = v0
-        self.q1 = q1
-        self.q2 = q2
-        self.h11 = a1.conj().T @ vmat @ a1
-        self.k11 = b1.conj().T @ wmat @ b1
-        self.k12 = b1.conj().T @ wmat @ b2
-        self.k22 = b2.conj().T @ wmat @ b2
         # q2 spans the null space of A compressed to the row space, so the
-        # second block of the scaled right-hand side vanishes identically
-        self.rhs1 = a1.conj().T @ vmat
+        # second block of the right-hand side vanishes identically
+        rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
+        return cls(v0, q1, q2, a1.conj().T @ vmat @ a1, bt @ q1, bt @ q2, wmat, lambda t: rhs)
 
-    def system(self, t: float) -> np.ndarray:
-        return np.block(
-            [
-                [self.h11 + t * self.k11, t * self.k12],
-                [self.k12.conj().T, self.k22],
-            ]
-        )
+    @classmethod
+    def pair(cls, a_sym, b_sym, tol: ToleranceConfig) -> "_GradedSolver":
+        """``(A + t B)^+ (t B)``, which is ``(lambda A + B)^+ B`` at t = 1 / lambda.
 
-    def iterate(self, t: float) -> tuple[np.ndarray, float]:
-        """The iterate at ``t`` and the condition number of the system solved for it."""
-        if self.rank == 0:
-            return np.zeros((self.cols, self.rows), dtype=np.complex128), 1.0
-        rhs = np.vstack(
-            [self.rhs1, np.zeros((self.rank - self.a_rank, self.rows), dtype=np.complex128)]
-        )
-        f = svd_factor(self.system(t))
-        y = f.solve(rhs)
-        out = self.q1 @ y[: self.a_rank] + self.q2 @ y[self.a_rank :]
-        return self.v0 @ out, f.cond
-
-
-class _GradedPairSolver:
-    """Evaluates ``(lambda A + B)^+ B`` stably for large lambda.
-
-    Same two-scale idea on the split of the joint range into the range
-    of A and its complement; A and B must be Hermitian positive
-    semidefinite.  Substituting ``y1 = gamma / lambda`` for the block
-    that lives on the range of A rescales the system to
-
-        [[H11 + B11 / lambda, B12], [B21 / lambda, B22]],
-
-    which stays uniformly conditioned as lambda grows.
-    """
-
-    def __init__(self, a_sym, b_sym, tol: ToleranceConfig):
+        A and B are Hermitian positive semidefinite; the split is on the
+        range of ``v0* A v0``.
+        """
         v0 = _split_basis(a_sym + b_sym, tol).v_r
         at = v0.conj().T @ a_sym @ v0
         at = 0.5 * (at + at.conj().T)
         bt = v0.conj().T @ b_sym @ v0
         bt = 0.5 * (bt + bt.conj().T)
         *_, q1, q2 = _split_basis(at, tol)
-        self.n = a_sym.shape[0]
-        self.rank = v0.shape[1]
-        self.a_rank = q1.shape[1]
-        self.v0 = v0
-        self.q1 = q1
-        self.q2 = q2
-        self.h11 = q1.conj().T @ at @ q1
-        self.b11 = q1.conj().T @ bt @ q1
-        self.b12 = q1.conj().T @ bt @ q2
-        self.b22 = q2.conj().T @ bt @ q2
         vb = v0.conj().T @ b_sym
-        self.rhs1 = q1.conj().T @ vb
-        self.rhs2 = q2.conj().T @ vb
+        g1, g2 = q1.conj().T @ vb, q2.conj().T @ vb
+        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, lambda t: np.vstack([t * g1, g2]))
 
-    def system(self, lam: float) -> np.ndarray:
-        return np.block(
-            [
-                [self.h11 + self.b11 / lam, self.b12],
-                [self.b12.conj().T / lam, self.b22],
-            ]
-        )
-
-    def iterate(self, lam: float) -> tuple[np.ndarray, float]:
-        """The iterate at ``lam`` and the condition number of the system solved for it."""
-        if self.rank == 0:
-            return np.zeros((self.n, self.n), dtype=np.complex128), 1.0
-        rhs = np.vstack([self.rhs1, self.rhs2])
-        f = svd_factor(self.system(lam))
-        y = f.solve(rhs)
-        # gamma / lambda is tiny by design; the division shrinks its
-        # absolute error along with it
-        out = self.q1 @ (y[: self.a_rank] / lam) + self.q2 @ y[self.a_rank :]
-        return self.v0 @ out, f.cond
-
-
-def _trace_over(solver, schedule, target, tol, atol=None) -> LimitTrace:
-    iterates = []
-    errors = np.empty(len(schedule))
-    flips = []
-    for i, t in enumerate(schedule):
-        it, cond = solver.iterate(float(t))
-        iterates.append(it)
-        errors[i] = operator_norm(it - target)
-        if cond > tol.inv_cond_max:
-            flips.append(i)
-    if flips:
-        warnings.warn(
-            f"the scaled pencil system degenerated at schedule indices {flips}; "
-            f"iterates there are unreliable",
-            RankFlipWarning,
-            stacklevel=3,
-        )
-    if atol is None:
-        atol = limit_atol_for(target)
-    return LimitTrace(
-        params=np.asarray(schedule, dtype=np.float64),
-        iterates=iterates,
-        errors=errors,
-        target=target,
-        limit_atol=atol,
-        converged=bool(errors[-1] <= atol),
-        rank_flips=tuple(flips),
-    )
+    def iterate(self, t: float) -> tuple[np.ndarray, float]:
+        """The iterate at ``t`` and the condition number of the system solved for it."""
+        system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
+        f = svd_factor(system)
+        return self.basis @ f.solve(self.rhs(t)), f.cond
 
 
 def limit_t_to_zero(
@@ -377,8 +292,8 @@ def limit_t_to_zero(
     from .core import require_wmp_inverse
 
     target = require_wmp_inverse(am, vw, u_weight, tol).inverse
-    solver = _GradedPencilSolver(am, bm, vw.matrix, ww.matrix, tol)
-    return _trace_over(solver, s, target, tol, atol)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol)
+    return _trace_over(s, solver.iterate, target, tol, atol)
 
 
 def limit_lambda_to_inf(
@@ -403,8 +318,8 @@ def limit_lambda_to_inf(
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise ValueError("a and b must be square with equal shapes")
     for name, mat in (("a", am), ("b", bm)):
-        asym = operator_norm(mat - mat.conj().T)
-        if asym > tol.verify_atol:
+        ok, asym = _self_adjointness(mat, tol)
+        if not ok:
             raise NotPositiveSemidefiniteError(f"{name} (not self-adjoint)", -asym)
     a_sym = 0.5 * (am + am.conj().T)
     b_sym = 0.5 * (bm + bm.conj().T)
@@ -427,10 +342,10 @@ def limit_lambda_to_inf(
     # cutoff to the scale of B so that noise is not inverted
     floor = tol.rank_rtol_for(mid.shape) * operator_norm(b_sym)
     target = mp_inverse(mid, tol, sigma_floor=floor) @ b_sym
-    solver = _GradedPairSolver(a_sym, b_sym, tol)
+    solver = _GradedSolver.pair(a_sym, b_sym, tol)
     if atol is None:
         atol = 1e-6 * (1.0 + operator_norm(target))
-    return _trace_over(solver, s, target, tol, atol)
+    return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
 
 
 @dataclass(frozen=True)
@@ -540,7 +455,7 @@ def _separated_closed_form(am, bm, vw, draws, what: str, tol) -> tuple[np.ndarra
 
     scale = 1.0 + operator_norm(d)
     for label, wmat in draws:
-        lhs, _ = _GradedPencilSolver(am, bm, vw.matrix, wmat, tol).iterate(1.0)
+        lhs, _ = _GradedSolver.pencil(am, bm, vw.matrix, wmat, tol).iterate(1.0)
         resid = operator_norm(lhs - d)
         if resid > tol.verify_atol * scale:
             raise VerificationError(f"{what} ({label})", resid, tol.verify_atol * scale)
@@ -665,6 +580,6 @@ def general_limit_via_decomposition(
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
-    solver = _GradedPencilSolver(am, bm, vw.matrix, ww.matrix, tol)
-    trace = _trace_over(solver, s, d, tol)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol)
+    trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

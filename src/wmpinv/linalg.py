@@ -7,12 +7,13 @@ All computation is done in complex128.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import WmpError
+from .exceptions import RankFlipWarning, WmpError
 
 __all__ = [
     "ToleranceConfig",
@@ -303,12 +304,29 @@ def is_invertible(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return condition_number(m) <= tol.inv_cond_max
 
 
+def _self_adjointness(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
+    """The package's one self-adjointness rule for a square matrix.
+
+    Returns the verdict ``||m - m*|| <= verify_atol`` (operator norm) and
+    the asymmetry itself, which callers quote when they reject ``m``.
+    """
+    asym = operator_norm(m - m.conj().T)
+    return asym <= tol.verify_atol, asym
+
+
+def _clears_positive_floor(w: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The positive-definiteness rule on nonempty ascending eigenvalues ``w``.
+
+    The smallest eigenvalue must exceed ``max |w| / inv_cond_max``, so the
+    zero matrix is not positive definite.
+    """
+    return bool(w[0] > np.max(np.abs(w)) / tol.inv_cond_max)
+
+
 def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Self-adjoint within ``verify_atol`` in operator norm."""
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return operator_norm(m - m.conj().T) <= tol.verify_atol
+    return m.shape[0] == m.shape[1] and _self_adjointness(m, tol)[0]
 
 
 def is_positive_definite(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -318,11 +336,7 @@ def is_positive_definite(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         return False
     if m.size == 0:
         return True
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    scale = float(np.max(np.abs(w)))
-    if scale == 0.0:
-        return False
-    return bool(w[0] > scale / tol.inv_cond_max)
+    return _clears_positive_floor(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), tol)
 
 
 def hermitian_power(a, power: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -399,6 +413,43 @@ def limit_atol_for(target: np.ndarray) -> float:
     return 1e-8 * (1.0 + operator_norm(target))
 
 
+def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=None) -> LimitTrace:
+    """The one loop that evaluates a limit along a checked schedule.
+
+    ``step(p)`` returns the iterate at parameter ``p`` and the condition
+    number of the system solved for it; points where that exceeds
+    ``inv_cond_max`` are recorded as rank flips and reported through one
+    ``RankFlipWarning``.  ``atol`` defaults to :func:`limit_atol_for`.
+    """
+    iterates = []
+    errors = np.empty(schedule.size)
+    flips = []
+    for i, p in enumerate(schedule):
+        it, cond = step(float(p))
+        iterates.append(it)
+        errors[i] = operator_norm(it - target)
+        if cond > tol.inv_cond_max:
+            flips.append(i)
+    if flips:
+        warnings.warn(
+            f"the scaled pencil system degenerated at schedule indices {flips}; "
+            f"iterates there are unreliable",
+            RankFlipWarning,
+            stacklevel=3,
+        )
+    if atol is None:
+        atol = limit_atol_for(target)
+    return LimitTrace(
+        params=schedule,
+        iterates=iterates,
+        errors=errors,
+        target=target,
+        limit_atol=atol,
+        converged=bool(errors[-1] <= atol),
+        rank_flips=tuple(flips),
+    )
+
+
 def regularized_pinv_limit(t_mat, schedule, tol: ToleranceConfig = DEFAULT_TOL) -> LimitTrace:
     """Trace of ``(T* T + t I)^{-1} T*`` along a decreasing schedule.
 
@@ -411,7 +462,7 @@ def regularized_pinv_limit(t_mat, schedule, tol: ToleranceConfig = DEFAULT_TOL) 
     carries no t-dependent rounding, so the error column decays like O(t)
     all the way to the floor of the final-step comparison.  Singular
     values below the rank cutoff are treated as exact zeros, consistent
-    with :func:`mp_inverse`.
+    with :func:`mp_inverse`.  No system is solved, so no point flips.
     """
     m = as_matrix(t_mat)
     s = _check_schedule(schedule, decreasing=True)
@@ -419,22 +470,4 @@ def regularized_pinv_limit(t_mat, schedule, tol: ToleranceConfig = DEFAULT_TOL) 
     ur = f.range_basis
     sr = f.sigma[: f.rank]
     vr = f.row_basis
-    target = f.pinv()
-    iterates = []
-    errors = np.empty(s.size)
-    for i, t in enumerate(s):
-        if f.rank:
-            it = (vr * (sr / (sr**2 + t))) @ ur.conj().T
-        else:
-            it = target
-        iterates.append(it)
-        errors[i] = operator_norm(it - target)
-    atol = limit_atol_for(target)
-    return LimitTrace(
-        params=s,
-        iterates=iterates,
-        errors=errors,
-        target=target,
-        limit_atol=atol,
-        converged=bool(errors[-1] <= atol),
-    )
+    return _trace_over(s, lambda t: ((vr * (sr / (sr**2 + t))) @ ur.conj().T, 1.0), f.pinv(), tol)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import WeightError
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm
+from .linalg import DEFAULT_TOL, ToleranceConfig, _self_adjointness, as_matrix
 
 __all__ = ["Weight", "as_weight"]
 
@@ -42,8 +42,8 @@ class Weight:
         w = as_matrix(matrix)
         if w.shape[0] != w.shape[1]:
             raise WeightError(f"weight must be square, got shape {w.shape}")
-        asym = operator_norm(w - w.conj().T)
-        if asym > tol.verify_atol:
+        ok, asym = _self_adjointness(w, tol)
+        if not ok:
             raise WeightError(
                 f"weight is not self-adjoint: ||W - W*|| = {asym:.6e} "
                 f"exceeds {tol.verify_atol:.1e}"

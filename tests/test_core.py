@@ -63,6 +63,27 @@ class TestNonExistence:
         assert "R_{A,N}" in str(exc.value)
 
 
+class TestSingularFactorName:
+    """R and L both exactly singular: R is named, whatever the rounding says."""
+
+    H = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_doubly_singular_names_r(self, seed):
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+        p, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+        a = q @ np.diag([1.0, 2.0, 0.0]) @ p.conj().T
+        m = q @ self.H @ q.conj().T
+        n = p @ self.H @ p.conj().T
+        rep = wmp_exists(a, m, n)
+        assert not rep.r_invertible and not rep.l_invertible
+        for call in (require_wmp_inverse, positive_reduction):
+            with pytest.raises(NonExistentError) as exc:
+                call(a, m, n)
+            assert exc.value.factor == "R_{A,N}"
+
+
 class TestNearSingularDomainFactor:
     """R = [[I3, 0], [e0*, delta]]: cond(R) is about 2 / delta."""
 

@@ -149,6 +149,51 @@ class TestLimitLambda:
             limit_lambda_to_inf(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
 
 
+class TestGradedSolverGuards:
+    """Both traces against the direct pseudoinverse forms, and on zero-rank inputs."""
+
+    def test_iterates_match_direct_pinv(self):
+        # away from the tiny-t end the direct forms are accurate to ~1e-11
+        worst = 0.0
+        for seed in range(50):
+            gen = np.random.default_rng(seed)
+            a, b = overlapping_pair(gen)
+            v, w = random_spd(gen, 4), random_spd(gen, 3)
+            trace = limit_t_to_zero(a, b, v, w)
+            for t, it, _ in trace.rows():
+                if t >= 1e-3:
+                    core = a.conj().T @ v @ a + t * b.conj().T @ w @ b
+                    direct = np.linalg.pinv(core) @ a.conj().T @ v
+                    worst = max(worst, operator_norm(it - direct) / operator_norm(direct))
+            pa, pb = a.conj().T @ a, b.conj().T @ b
+            trace = limit_lambda_to_inf(pa, pb)
+            for lam, it, _ in trace.rows():
+                if lam <= 1e3:
+                    direct = np.linalg.pinv(lam * pa + pb) @ pb
+                    worst = max(worst, operator_norm(it - direct) / operator_norm(direct))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize(
+        "a_scale, b_scale, expected", [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0)]
+    )
+    def test_zero_rank_pair(self, a_scale, b_scale, expected):
+        eye = np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = limit_lambda_to_inf(a_scale * eye, b_scale * eye)
+        assert trace.converged and trace.rank_flips == ()
+        for it in trace.iterates:
+            assert np.allclose(it, expected * eye, rtol=0, atol=1e-12)
+
+    def test_zero_pencil(self, rng):
+        a, b = np.zeros((4, 5)), np.zeros((3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = limit_t_to_zero(a, b, Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3)))
+        assert trace.converged and trace.rank_flips == ()
+        assert all(np.array_equal(it, np.zeros((5, 4))) for it in trace.iterates)
+
+
 class TestSeparationCriteria:
     def test_generated_pair_is_separated(self, rng):
         a, b = random_separated_pair(rng, 6, 3, 2, 3, 2)
