@@ -134,20 +134,24 @@ class WmpResult:
     penrose_residuals: np.ndarray | None
 
 
-def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport]:
+def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport, np.ndarray, np.ndarray]:
     """Split A once, build R and L in its bases and decide existence.
 
     ``R = V_r V_r* + V_0 (V_0* N)`` and ``L = U_r U_r* + (M^{-1} U_0) U_0*``;
     the verdict compares their 2-norm condition numbers to ``inv_cond_max``.
+    The products ``V_0* N`` and ``M^{-1} U_0`` are returned too, since the
+    block solves of the inverse start from them.
     """
     sp = _split_basis(am, tol)
-    r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ (sp.v_0.conj().T @ n)
-    l = sp.u_r @ sp.u_r.conj().T + (m_inverse @ sp.u_0) @ sp.u_0.conj().T
+    n_0 = sp.v_0.conj().T @ n
+    mi_u0 = m_inverse @ sp.u_0
+    r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ n_0
+    l = sp.u_r @ sp.u_r.conj().T + mi_u0 @ sp.u_0.conj().T
     r_cond = condition_number(r)
     l_cond = condition_number(l)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
-    return sp, ExistenceReport(
+    report = ExistenceReport(
         exists=r_ok and l_ok,
         r_invertible=r_ok,
         l_invertible=l_ok,
@@ -156,6 +160,7 @@ def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport]:
         r_factor=r,
         l_factor=l,
     )
+    return sp, report, n_0, mi_u0
 
 
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
@@ -185,14 +190,14 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
         ``NonExistentError`` instead.
     """
     am, mw, nw = _problem(a, m, n, tol)
-    sp, rep = _decide(am, mw.inverse, nw.matrix, tol)
+    sp, rep, n_0, mi_u0 = _decide(am, mw.inverse, nw.matrix, tol)
     inverse = None
     residuals = None
     if rep.exists:
-        # the block formula of the module docstring
-        n_0 = sp.v_0.conj().T @ nw.matrix
+        # the block formula of the module docstring; M^{-1} is Hermitian,
+        # so U_0* M^{-1} is the adjoint of the product _decide formed
         right = sp.v_r - sp.v_0 @ svd_factor(n_0 @ sp.v_0).solve(n_0 @ sp.v_r)
-        mi_0 = sp.u_0.conj().T @ mw.inverse
+        mi_0 = mi_u0.conj().T
         left = sp.u_r - sp.u_0 @ svd_factor(mi_0 @ sp.u_0).solve(mi_0 @ sp.u_r)
         inverse = (right / sp.sigma_r) @ left.conj().T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
@@ -348,7 +353,7 @@ def equivalent_domain_weights(
     gen = rng_from(rng)
 
     # with M = I the factor L is the identity, so the verdict is R's alone
-    sp, rep = _decide(am, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
+    sp, rep, n_0, _ = _decide(am, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
     v_range, v_null = sp.v_r, sp.v_0
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
@@ -363,7 +368,6 @@ def equivalent_domain_weights(
     if not rep.exists:
         raise NonExistentError("R_{A,N}", rep.r_cond)
 
-    n_0 = v_null.conj().T @ nw.matrix
     n22 = n_0 @ v_null
     coupling = svd_factor(0.5 * (n22 + n22.conj().T)).solve(n_0 @ v_range)
 

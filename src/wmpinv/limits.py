@@ -16,6 +16,13 @@ the limit in rounding.  One graded solver serves both: it splits off the
 part of the joint space where the t-free term acts, divides the
 t-grading out exactly and solves a uniformly well-conditioned system, so
 the iterate error stays at the truncation level down the whole schedule.
+
+Each schedule point takes the singular values of that system alone, for
+the condition number that decides a rank flip, and solves it by LU; the
+truncated SVD solve is kept only for a system whose smallest singular
+value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.  The splits
+are made once per trace: ``limit_t_to_zero`` splits ``[A; B]`` once and
+hands that split to both the default domain weight and the solver.
 """
 
 from __future__ import annotations
@@ -35,10 +42,13 @@ from .exceptions import (
 from .linalg import (
     DEFAULT_TOL,
     LimitTrace,
+    SplitBasis,
     ToleranceConfig,
     _check_schedule,
     _clears_positive_floor,
+    _cond,
     _self_adjointness,
+    _solve_cutoff,
     _split_basis,
     _trace_over,
     as_matrix,
@@ -112,7 +122,9 @@ def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[
     return comp, float(eigs[0])
 
 
-def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) -> OmegaWeight:
+def omega_weight(
+    a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL, *, _joint: SplitBasis | None = None
+) -> OmegaWeight:
     """Build an admissible domain weight for the t -> 0 limit.
 
     Parameters
@@ -157,7 +169,10 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
     core = 0.5 * (core + core.conj().T)
 
-    *_, v_row, v_null = _split_basis(np.vstack([am, bm]), tol)
+    # ``_joint`` is the split of [A; B] when the caller has made it already
+    if _joint is None:
+        _joint = _split_basis(np.vstack([am, bm]), tol)
+    *_, v_row, v_null = _joint
     _, restricted_min = _positive_compression(
         core, v_row, "A*XA + B*WB restricted to the joint row space", tol
     )
@@ -201,7 +216,9 @@ class _GradedSolver:
     whose condition number is bounded uniformly as t -> 0.  ``K = S* k_mid S``
     enters through the column blocks ``k1 = S q1`` and ``k2 = S q2``, and
     ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
-    limits differ only in how they build these pieces.
+    limits differ only in how they build these pieces.  The constructors
+    make the solver's full SVDs; :meth:`iterate` adds one values-only SVD
+    and one LU solve per point.
     """
 
     def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs):
@@ -213,9 +230,16 @@ class _GradedSolver:
         self.rhs = rhs
 
     @classmethod
-    def pencil(cls, am, bm, vmat, wmat, tol: ToleranceConfig) -> "_GradedSolver":
-        """``(A* V A + t B* W B)^+ A* V``, split on the row space of ``A v0``."""
-        v0 = _split_basis(np.vstack([am, bm]), tol).v_r
+    def pencil(
+        cls, am, bm, vmat, wmat, tol: ToleranceConfig, joint: SplitBasis | None = None
+    ) -> "_GradedSolver":
+        """``(A* V A + t B* W B)^+ A* V``, split on the row space of ``A v0``.
+
+        ``joint`` is the split of ``[A; B]``, made here when not given.
+        """
+        if joint is None:
+            joint = _split_basis(np.vstack([am, bm]), tol)
+        v0 = joint.v_r
         at, bt = am @ v0, bm @ v0
         *_, q1, q2 = _split_basis(at, tol)
         a1 = at @ q1
@@ -242,10 +266,25 @@ class _GradedSolver:
         return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, lambda t: np.vstack([t * g1, g2]))
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
-        """The iterate at ``t`` and the condition number of the system solved for it."""
+        """The iterate at ``t`` and the condition number of the system solved for it.
+
+        The condition number comes from the singular values alone.  When
+        none of them falls to the cutoff of :meth:`SvdFactorization.solve`
+        the system is solved by LU, the same solve without the factors;
+        otherwise (only far beyond ``inv_cond_max`` at its default) the
+        truncated SVD solve is kept.  The empty system gives a zero
+        iterate and condition number 1.
+        """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
-        f = svd_factor(system)
-        return self.basis @ f.solve(self.rhs(t)), f.cond
+        rhs = self.rhs(t)
+        if not system.size:
+            return self.basis @ rhs, 1.0
+        sigma = np.linalg.svd(system, compute_uv=False)
+        if sigma[-1] > _solve_cutoff(sigma, system.shape):
+            y = np.linalg.solve(system, rhs)
+        else:
+            y = svd_factor(system).solve(rhs)
+        return self.basis @ y, _cond(sigma)
 
 
 def limit_t_to_zero(
@@ -283,8 +322,9 @@ def limit_t_to_zero(
     if not ww.positive_definite:
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
+    joint = _split_basis(np.vstack([am, bm]), tol)
     if u is None:
-        u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol)
+        u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
@@ -292,7 +332,7 @@ def limit_t_to_zero(
     from .core import require_wmp_inverse
 
     target = require_wmp_inverse(am, vw, u_weight, tol).inverse
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol, joint)
     return _trace_over(s, solver.iterate, target, tol, atol)
 
 
@@ -323,11 +363,11 @@ def limit_lambda_to_inf(
             raise NotPositiveSemidefiniteError(f"{name} (not self-adjoint)", -asym)
     a_sym = 0.5 * (am + am.conj().T)
     b_sym = 0.5 * (bm + bm.conj().T)
-    for name, mat in (("a", a_sym), ("b", b_sym)):
-        if mat.size:
-            w_min = float(np.linalg.eigvalsh(mat)[0])
-            if w_min < -tol.verify_atol:
-                raise NotPositiveSemidefiniteError(name, w_min)
+    # an empty matrix passes with the one eigenvalue 0
+    a_eigs, b_eigs = (np.linalg.eigvalsh(m) if m.size else np.zeros(1) for m in (a_sym, b_sym))
+    for name, eigs in (("a", a_eigs), ("b", b_eigs)):
+        if eigs[0] < -tol.verify_atol:
+            raise NotPositiveSemidefiniteError(name, float(eigs[0]))
 
     s = _check_schedule(DEFAULT_LAMBDA_SCHEDULE if schedule is None else schedule, decreasing=False)
 
@@ -339,8 +379,9 @@ def limit_lambda_to_inf(
     mid = 0.5 * (mid + mid.conj().T)
     # when the range of A covers the range of B the compression is an
     # exact zero and anything left in mid is rounding; anchor the rank
-    # cutoff to the scale of B so that noise is not inverted
-    floor = tol.rank_rtol_for(mid.shape) * operator_norm(b_sym)
+    # cutoff to the scale of B so that noise is not inverted; B is
+    # Hermitian, so its largest |eigenvalue| is ||B||
+    floor = tol.rank_rtol_for(mid.shape) * float(np.max(np.abs(b_eigs)))
     target = mp_inverse(mid, tol, sigma_floor=floor) @ b_sym
     solver = _GradedSolver.pair(a_sym, b_sym, tol)
     if atol is None:

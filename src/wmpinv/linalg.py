@@ -98,6 +98,15 @@ def _rank_cutoff(sigma_max: float, shape: tuple[int, int], tol: ToleranceConfig)
     return tol.rank_rtol_for(shape) * sigma_max
 
 
+def _solve_cutoff(sigma: np.ndarray, shape: tuple[int, int]) -> float:
+    """Singular values at or below this are dropped by :meth:`SvdFactorization.solve`.
+
+    It is the cutoff of ``numpy.linalg.lstsq(rcond=None)``,
+    ``eps * max(rows, cols) * sigma_max``, for nonincreasing ``sigma``.
+    """
+    return _EPS * max(shape) * (sigma[0] if sigma.size else 0.0)
+
+
 def _cond(sigma: np.ndarray) -> float:
     if sigma.size == 0:
         return 1.0
@@ -158,7 +167,7 @@ class SvdFactorization:
         """Minimum-norm least-squares solution of ``a x = b``."""
         bm = as_matrix(b)
         s = self.sigma
-        keep = s > _EPS * max(self.shape) * (s[0] if s.size else 0.0)
+        keep = s > _solve_cutoff(s, self.shape)
         return (self.vh[keep].conj().T / s[keep]) @ (self.u[:, keep].conj().T @ bm)
 
 

@@ -23,7 +23,7 @@ from wmpinv import (
     require_wmp_inverse,
     separated_pair_check,
 )
-from wmpinv.linalg import DEFAULT_TOL, operator_norm, projector_rowspace
+from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, operator_norm, projector_rowspace
 from wmpinv.sampling import (
     random_matrix_with_rank,
     random_separated_pair,
@@ -144,6 +144,24 @@ class TestLimitLambda:
         assert trace.rank_flips == flips
         assert sum(issubclass(w.category, RankFlipWarning) for w in caught) == (1 if flips else 0)
 
+    def test_truncated_solve_below_the_lstsq_cutoff(self):
+        # offset 0 nests the range of B in that of A; with rank_rtol = 1e-18
+        # the rounding directions count as rank, so every scaled system is
+        # singular to working precision and solved by the truncated SVD
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = limit_lambda_to_inf(
+                a, np.outer(q[:, 0], q[:, 0].conj()), tol=ToleranceConfig(rank_rtol=1e-18)
+            )
+        assert trace.rank_flips == tuple(range(9))
+        assert trace.converged
+        assert sum(issubclass(w.category, RankFlipWarning) for w in caught) == 1
+        # the iterate is q0 q0* / (1 + lambda) and the target is 0
+        assert np.allclose(trace.errors * (1.0 + trace.params), 1.0, rtol=1e-6, atol=0)
+        assert trace.errors[-1] <= 2e-8
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             limit_lambda_to_inf(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
@@ -172,6 +190,40 @@ class TestGradedSolverGuards:
                     direct = np.linalg.pinv(lam * pa + pb) @ pb
                     worst = max(worst, operator_norm(it - direct) / operator_norm(direct))
         assert worst <= 1e-9
+
+    def test_full_svds_per_trace_do_not_grow_with_the_schedule(self, monkeypatch):
+        # each point takes singular values only, so the full SVDs (factors
+        # computed) are those of the set-up; the stacked [A; B] is split once
+        gen = np.random.default_rng(3)
+        a, b = overlapping_pair(gen)
+        v, w = random_spd(gen, 4), random_spd(gen, 3)
+        pa, pb = a.conj().T @ a, b.conj().T @ b
+        stacked = np.vstack([a, b])
+        full = []
+        svd = np.linalg.svd
+
+        def counting_svd(m, *args, **kwargs):
+            if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+                full.append(np.array(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        counts = {"t": [], "lambda": [], "stacked": []}
+        for points in (10, 20):
+            full.clear()
+            trace = limit_t_to_zero(a, b, v, w, schedule=np.geomspace(1e-1, 1e-10, points))
+            assert trace.rank_flips == ()
+            counts["t"].append(len(full))
+            counts["stacked"].append(
+                sum(m.shape == stacked.shape and np.array_equal(m, stacked) for m in full)
+            )
+            full.clear()
+            trace = limit_lambda_to_inf(pa, pb, schedule=np.geomspace(1.0, 1e8, points))
+            assert trace.rank_flips == ()
+            counts["lambda"].append(len(full))
+        assert counts["t"][0] == counts["t"][1]
+        assert counts["lambda"][0] == counts["lambda"][1]
+        assert counts["stacked"] == [1, 1]
 
     @pytest.mark.parametrize(
         "a_scale, b_scale, expected", [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0)]
