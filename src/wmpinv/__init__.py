@@ -65,15 +65,11 @@ from .linalg import (
     condition_number,
     hermitian_power,
     is_hermitian,
-    is_invertible,
     is_positive_definite,
     mp_inverse,
     numerical_rank,
     operator_norm,
-    projector_nullspace_pair,
-    projector_range,
     projector_rowspace,
-    regularized_pinv_limit,
     svd_factor,
 )
 from .weights import Weight, as_weight

@@ -14,10 +14,11 @@ import numpy as np
 
 from .continuity import PerturbationSequence, perturb_weights_only, run_diagnostics
 from .core import (
+    _positive_weights,
+    _problem,
+    _required_on_split,
     _singular_factor,
     matched_projection,
-    positive_reduction,
-    require_wmp_inverse,
     rho_embed,
     verify_weighted_penrose,
     wmp_exists,
@@ -42,7 +43,7 @@ from .limits import (
     omega_weight,
     separated_pair_check,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, operator_norm, projector_rowspace, svd_factor
+from .linalg import DEFAULT_TOL, ToleranceConfig, _split_basis, as_matrix, operator_norm, svd_factor
 from .sampling import random_complex, rng_from
 from .weights import Weight, as_weight
 
@@ -303,11 +304,13 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     ctx = _gather(args)
     a, m, n = _need(ctx, "A", "M", "N")
-    mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
-    red = positive_reduction(a, mw, nw, ctx.tol)
-    x_orig = require_wmp_inverse(a, mw, nw, ctx.tol).inverse
-    x_red = require_wmp_inverse(a, red.s, red.t, ctx.tol).inverse
-    agreement = operator_norm(x_orig - x_red)
+    am, mw, nw = _problem(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
+    # S, T, X_MN and X_ST all come from one split of A
+    sp = _split_basis(am, ctx.tol)
+    orig = _required_on_split(sp, am, mw, nw, ctx.tol)
+    red = _positive_weights(orig, ctx.tol)
+    x_red = _required_on_split(sp, am, red.s, red.t, ctx.tol).inverse
+    agreement = operator_norm(orig.inverse - x_red)
     report = {
         "command": "reduce",
         "tolerances": _tol_report(ctx),
@@ -412,12 +415,7 @@ def cmd_decompose(args) -> int:
     a, b, v, w = _need(ctx, "A", "B", "V", "W")
     vw, ww = as_weight(v, ctx.tol), as_weight(w, ctx.tol)
     dec = decompose_b(a, b, vw, ww, ctx.tol)
-    am = as_matrix(a)
-    eye = np.eye(am.shape[1], dtype=np.complex128)
-    p = projector_rowspace(am, ctx.tol)
-    w_cross = operator_norm(dec.b2.conj().T @ ww.matrix @ dec.b1)
-    containment = operator_norm((eye - p) @ dec.b1.conj().T)
-    pair = separated_pair_check(am, dec.b2, ctx.tol)
+    w_cross, containment, pair = dec.w_orthogonality, dec.containment, dec.separation
     report = {
         "command": "decompose",
         "tolerances": _tol_report(ctx),

@@ -180,10 +180,13 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     weights or singular factors) are recorded as non-existence rather
     than raised.
     """
-    from .core import require_wmp_inverse, wmp_inverse
+    from .core import _problem, _required_on_split, _wmp_on_split
 
-    base = require_wmp_inverse(seq.base_a, seq.base_m, seq.base_n, tol)
-    _, p_dom0, p_cod0 = _projections(_split_basis(seq.base_a, tol))
+    # one split per distinct matrix: every term of a weights-only run reuses A's
+    a_prev = as_matrix(seq.base_a)
+    sp = _split_basis(a_prev, tol)
+    base = _required_on_split(sp, a_prev, seq.base_m, seq.base_n, tol)
+    _, p_dom0, p_cod0 = _projections(sp)
 
     count = len(seq.terms)
     cols = {
@@ -192,13 +195,16 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     }
     exists = []
     for i, (an, mn, nn) in enumerate(seq.terms):
-        mpn, p_dom, p_cod = _projections(_split_basis(an, tol))
+        an = as_matrix(an)
+        if not np.array_equal(an, a_prev):
+            a_prev, sp = an, _split_basis(an, tol)
+        mpn, p_dom, p_cod = _projections(sp)
         cols["mp_norm"][i] = operator_norm(mpn)
         cols["mp_diff"][i] = operator_norm(mpn - base.mp)
         cols["proj_domain_diff"][i] = operator_norm(p_dom - p_dom0)
         cols["proj_codomain_diff"][i] = operator_norm(p_cod - p_cod0)
         try:
-            res = wmp_inverse(an, Weight(mn, tol), Weight(nn, tol), tol)
+            res = _wmp_on_split(sp, *_problem(an, Weight(mn, tol), Weight(nn, tol), tol), tol)
         except WeightError:
             res = None
         ok = res is not None and res.exists

@@ -17,6 +17,9 @@ are ``R = [[I, 0], [N_0r, N_00]]`` and ``L = [[I, Mi_r0], [0, Mi_00]]``
 with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
 
     A+_MN = (V_r - V_0 N_00^{-1} N_0r) Sigma_r^{-1} (U_r - U_0 Mi_00^{-1} Mi_0r)*
+
+A enters only through that split, so a caller holding A fixed while the
+weights move splits it once and hands the split to ``_wmp_on_split``.
 """
 
 from __future__ import annotations
@@ -134,15 +137,14 @@ class WmpResult:
     penrose_residuals: np.ndarray | None
 
 
-def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport, np.ndarray, np.ndarray]:
-    """Split A once, build R and L in its bases and decide existence.
+def _decide(sp: SplitBasis, m_inverse, n, tol) -> tuple[ExistenceReport, np.ndarray, np.ndarray]:
+    """Build R and L in the bases of the split ``sp`` of A and decide existence.
 
     ``R = V_r V_r* + V_0 (V_0* N)`` and ``L = U_r U_r* + (M^{-1} U_0) U_0*``;
     the verdict compares their 2-norm condition numbers to ``inv_cond_max``.
     The products ``V_0* N`` and ``M^{-1} U_0`` are returned too, since the
     block solves of the inverse start from them.
     """
-    sp = _split_basis(am, tol)
     n_0 = sp.v_0.conj().T @ n
     mi_u0 = m_inverse @ sp.u_0
     r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ n_0
@@ -160,13 +162,13 @@ def _decide(am, m_inverse, n, tol) -> tuple[SplitBasis, ExistenceReport, np.ndar
         r_factor=r,
         l_factor=l,
     )
-    return sp, report, n_0, mi_u0
+    return report, n_0, mi_u0
 
 
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
     """Decide existence of ``A+_MN`` from the two factor condition numbers."""
     am, mw, nw = _problem(a, m, n, tol)
-    return _decide(am, mw.inverse, nw.matrix, tol)[1]
+    return _decide(_split_basis(am, tol), mw.inverse, nw.matrix, tol)[0]
 
 
 def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -190,7 +192,12 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
         ``NonExistentError`` instead.
     """
     am, mw, nw = _problem(a, m, n, tol)
-    sp, rep, n_0, mi_u0 = _decide(am, mw.inverse, nw.matrix, tol)
+    return _wmp_on_split(_split_basis(am, tol), am, mw, nw, tol)
+
+
+def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
+    """``wmp_inverse`` of a checked problem whose A has the split ``sp``."""
+    rep, n_0, mi_u0 = _decide(sp, mw.inverse, nw.matrix, tol)
     inverse = None
     residuals = None
     if rep.exists:
@@ -213,12 +220,24 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     )
 
 
-def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
-    """Like ``wmp_inverse`` but raises ``NonExistentError`` on failure."""
-    res = wmp_inverse(a, m, n, tol)
+def _required(res, tol: ToleranceConfig):
+    """``res``, a ``WmpResult`` or ``ExistenceReport``, when the inverse exists.
+
+    Otherwise raises ``NonExistentError`` naming the singular factor.
+    """
     if not res.exists:
         raise NonExistentError(*_singular_factor(res.r_cond, res.l_cond, tol))
     return res
+
+
+def _required_on_split(sp: SplitBasis, a, m, n, tol) -> WmpResult:
+    """``require_wmp_inverse(a, m, n)`` for an A whose split ``sp`` is made already."""
+    return _required(_wmp_on_split(sp, *_problem(a, m, n, tol), tol), tol)
+
+
+def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
+    """Like ``wmp_inverse`` but raises ``NonExistentError`` on failure."""
+    return _required(wmp_inverse(a, m, n, tol), tol)
 
 
 def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -292,10 +311,12 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
 
     Raises ``NonExistentError`` when ``A+_MN`` does not exist.
     """
-    report = wmp_exists(a, m, n, tol)
-    if not report.exists:
-        raise NonExistentError(*_singular_factor(report.r_cond, report.l_cond, tol))
-    r, l = report.r_factor, report.l_factor
+    return _positive_weights(_required(wmp_exists(a, m, n, tol), tol), tol)
+
+
+def _positive_weights(factors, tol: ToleranceConfig) -> PositiveReduction:
+    """S and T from the R and L that ``factors`` (a report or a result) carries."""
+    r, l = factors.r_factor, factors.l_factor
     t_mat = r.conj().T @ r
     t_mat = 0.5 * (t_mat + t_mat.conj().T)
     s_base = l @ l.conj().T
@@ -353,7 +374,8 @@ def equivalent_domain_weights(
     gen = rng_from(rng)
 
     # with M = I the factor L is the identity, so the verdict is R's alone
-    sp, rep, n_0, _ = _decide(am, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
+    sp = _split_basis(am, tol)
+    rep, n_0, _ = _decide(sp, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
     v_range, v_null = sp.v_r, sp.v_0
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
@@ -404,8 +426,8 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     mw = as_weight(m, tol)
     n1w = as_weight(n1, tol)
     n2w = as_weight(n2, tol)
-    x1 = require_wmp_inverse(am, mw, n1w, tol).inverse
-    x2 = require_wmp_inverse(am, mw, n2w, tol).inverse
+    sp = _split_basis(am, tol)
+    x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for nw in (n1w, n2w))
     eye = np.eye(am.shape[1], dtype=np.complex128)
     x1a = x1 @ am
     r = x1a + (eye - x1a) @ n1w.inverse @ n2w.matrix
@@ -426,8 +448,8 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     m1w = as_weight(m1, tol)
     m2w = as_weight(m2, tol)
     nw = as_weight(n, tol)
-    x1 = require_wmp_inverse(am, m1w, nw, tol).inverse
-    x2 = require_wmp_inverse(am, m2w, nw, tol).inverse
+    sp = _split_basis(am, tol)
+    x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for mw in (m1w, m2w))
     eye = np.eye(am.shape[0], dtype=np.complex128)
     ax1 = am @ x1
     l = ax1 + m2w.inverse @ m1w.matrix @ (eye - ax1)

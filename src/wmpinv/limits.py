@@ -21,8 +21,10 @@ Each schedule point takes the singular values of that system alone, for
 the condition number that decides a rank flip, and solves it by LU; the
 truncated SVD solve is kept only for a system whose smallest singular
 value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.  The splits
-are made once per trace: ``limit_t_to_zero`` splits ``[A; B]`` once and
-hands that split to both the default domain weight and the solver.
+are made once per call: ``limit_t_to_zero`` and
+``general_limit_via_decomposition`` split ``[A; B]`` once for the domain
+weight and the solver, and the pencil solver's splits, which do not
+depend on W, serve every W the closed form is checked against.
 """
 
 from __future__ import annotations
@@ -105,6 +107,13 @@ class OmegaWeight:
     restricted_min_eig: float
 
 
+def _stacked(am, bm) -> np.ndarray:
+    """``[A; B]``, once A and B are checked to share a column count."""
+    if am.shape[1] != bm.shape[1]:
+        raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
+    return np.vstack([am, bm])
+
+
 def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
     """``basis* mat basis`` (Hermitian part) and its smallest eigenvalue.
 
@@ -149,8 +158,7 @@ def omega_weight(
     """
     am = as_matrix(a)
     bm = as_matrix(b)
-    if am.shape[1] != bm.shape[1]:
-        raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
+    stacked = _stacked(am, bm)
     ww = as_weight(w, tol)
     if ww.dim != bm.shape[0]:
         raise ValueError(f"weight dimension {ww.dim} does not match rows of b {bm.shape[0]}")
@@ -171,7 +179,7 @@ def omega_weight(
 
     # ``_joint`` is the split of [A; B] when the caller has made it already
     if _joint is None:
-        _joint = _split_basis(np.vstack([am, bm]), tol)
+        _joint = _split_basis(stacked, tol)
     *_, v_row, v_null = _joint
     _, restricted_min = _positive_compression(
         core, v_row, "A*XA + B*WB restricted to the joint row space", tol
@@ -230,12 +238,11 @@ class _GradedSolver:
         self.rhs = rhs
 
     @classmethod
-    def pencil(
-        cls, am, bm, vmat, wmat, tol: ToleranceConfig, joint: SplitBasis | None = None
-    ) -> "_GradedSolver":
-        """``(A* V A + t B* W B)^+ A* V``, split on the row space of ``A v0``.
+    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis | None = None):
+        """``(A* V A + t B* W B)^+ A* V`` as a map from W to its solver.
 
-        ``joint`` is the split of ``[A; B]``, made here when not given.
+        The splits, of ``[A; B]`` (``joint``, made here when not given) and
+        of the row space of ``A v0``, do not depend on W; every W shares them.
         """
         if joint is None:
             joint = _split_basis(np.vstack([am, bm]), tol)
@@ -243,10 +250,11 @@ class _GradedSolver:
         at, bt = am @ v0, bm @ v0
         *_, q1, q2 = _split_basis(at, tol)
         a1 = at @ q1
+        h11, k1, k2 = a1.conj().T @ vmat @ a1, bt @ q1, bt @ q2
         # q2 spans the null space of A compressed to the row space, so the
         # second block of the right-hand side vanishes identically
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
-        return cls(v0, q1, q2, a1.conj().T @ vmat @ a1, bt @ q1, bt @ q2, wmat, lambda t: rhs)
+        return lambda wmat: cls(v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs)
 
     @classmethod
     def pair(cls, a_sym, b_sym, tol: ToleranceConfig) -> "_GradedSolver":
@@ -309,8 +317,7 @@ def limit_t_to_zero(
     """
     am = as_matrix(a)
     bm = as_matrix(b)
-    if am.shape[1] != bm.shape[1]:
-        raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
+    stacked = _stacked(am, bm)
     vw = as_weight(v, tol)
     ww = as_weight(w, tol)
     if vw.dim != am.shape[0]:
@@ -322,7 +329,7 @@ def limit_t_to_zero(
     if not ww.positive_definite:
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
-    joint = _split_basis(np.vstack([am, bm]), tol)
+    joint = _split_basis(stacked, tol)
     if u is None:
         u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
@@ -332,7 +339,7 @@ def limit_t_to_zero(
     from .core import require_wmp_inverse
 
     target = require_wmp_inverse(am, vw, u_weight, tol).inverse
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol, joint)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix)
     return _trace_over(s, solver.iterate, target, tol, atol)
 
 
@@ -410,8 +417,7 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     """Decide whether the row spaces of ``a`` and ``b`` are separated."""
     am = as_matrix(a)
     bm = as_matrix(b)
-    if am.shape[1] != bm.shape[1]:
-        raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
+    stacked = _stacked(am, bm)
     fa = svd_factor(am, tol)
     fb = svd_factor(bm, tol)
     va, vb = fa.row_basis, fb.row_basis
@@ -434,7 +440,7 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     by_inverse = cond <= tol.inv_cond_max
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
-    rs = numerical_rank(np.vstack([am, bm]), tol)
+    rs = numerical_rank(stacked, tol)
     return SeparatedPairReport(
         is_separated=by_norm,
         pq_norm=pq_norm,
@@ -495,8 +501,9 @@ def _separated_closed_form(am, bm, vw, draws, what: str, tol) -> tuple[np.ndarra
     d = base - (eye - p) @ pi
 
     scale = 1.0 + operator_norm(d)
+    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol)
     for label, wmat in draws:
-        lhs, _ = _GradedSolver.pencil(am, bm, vw.matrix, wmat, tol).iterate(1.0)
+        lhs, _ = solver_for(wmat).iterate(1.0)
         resid = operator_norm(lhs - d)
         if resid > tol.verify_atol * scale:
             raise VerificationError(f"{what} ({label})", resid, tol.verify_atol * scale)
@@ -508,12 +515,18 @@ class BDecomposition:
     """Split of B against the weighted inverse ``Z = A+_{V,U}``.
 
     ``b1 = B Z A`` has row space inside that of A, ``b2 = B - b1`` has row
-    space separated from it, and ``b2* W b1 = 0``.
+    space separated from it, and ``b2* W b1 = 0``.  The three checks are
+    carried as measured: ``w_orthogonality`` is ``||b2* W b1||``,
+    ``containment`` is ``||(I - P) b1*||`` with P the projector onto the
+    row space of A, and ``separation`` is the verdict on (A, ``b2``).
     """
 
     b1: np.ndarray
     b2: np.ndarray
     z: np.ndarray
+    w_orthogonality: float
+    containment: float
+    separation: SeparatedPairReport
 
 
 def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecomposition:
@@ -529,6 +542,11 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     W-orthogonality of the parts, containment of the rows of ``b1`` in
     the row space of A, and separation of ``b2`` from A.
     """
+    return _decompose_b(a, b, v, w, tol)[0]
+
+
+def _decompose_b(a, b, v, w, tol) -> tuple[BDecomposition, SplitBasis]:
+    """:func:`decompose_b` and the split of ``[A; B]`` its weight U was built on."""
     am = as_matrix(a)
     bm = as_matrix(b)
     vw = as_weight(v, tol)
@@ -536,36 +554,36 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
 
-    from .core import require_wmp_inverse
+    from .core import _required_on_split
 
-    u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol)
-    z = require_wmp_inverse(am, vw, u.u, tol).inverse
+    joint = _split_basis(_stacked(am, bm), tol)
+    u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
+    sp = _split_basis(am, tol)
+    z = _required_on_split(sp, am, vw, u.u, tol).inverse
     b2_raw = bm - bm @ z @ am
+    b_scale = 1.0 + operator_norm(bm)
     if b2_raw.size:
         bu, bs, bvh = np.linalg.svd(b2_raw, full_matrices=False)
-        keep = bs > tol.verify_atol * (1.0 + operator_norm(bm))
+        keep = bs > tol.verify_atol * b_scale
         b2 = (bu[:, keep] * bs[keep]) @ bvh[keep]
     else:
         b2 = b2_raw
     b1 = bm - b2
 
     w_cross = operator_norm(b2.conj().T @ ww.matrix @ b1)
-    scale = (1.0 + operator_norm(bm)) ** 2 * (1.0 + operator_norm(ww.matrix))
+    scale = b_scale**2 * (1.0 + operator_norm(ww.matrix))
     if w_cross > tol.verify_atol * scale:
         raise VerificationError("W-orthogonality of the B split", w_cross, tol.verify_atol * scale)
 
-    p = projector_rowspace(am, tol)
-    eye = np.eye(am.shape[1], dtype=np.complex128)
-    containment = operator_norm((eye - p) @ b1.conj().T)
-    if containment > tol.verify_atol * (1.0 + operator_norm(bm)):
-        raise VerificationError(
-            "row-space containment of b1", containment, tol.verify_atol * (1.0 + operator_norm(bm))
-        )
+    # ||(I - P) b1*|| = ||V_0* b1*||, read off the split Z was computed on
+    containment = operator_norm(b1 @ sp.v_0)
+    if containment > tol.verify_atol * b_scale:
+        raise VerificationError("row-space containment of b1", containment, tol.verify_atol * b_scale)
 
     report = separated_pair_check(am, b2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1=b1, b2=b2, z=z)
+    return BDecomposition(b1, b2, z, w_cross, containment, report), joint
 
 
 @dataclass(frozen=True)
@@ -607,7 +625,7 @@ def general_limit_via_decomposition(
     bm = as_matrix(b)
     vw = as_weight(v, tol)
     ww = as_weight(w, tol)
-    dec = decompose_b(am, bm, vw, ww, tol)
+    dec, joint = _decompose_b(am, bm, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -621,6 +639,6 @@ def general_limit_via_decomposition(
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, tol)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix)
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -24,17 +24,13 @@ __all__ = [
     "svd_factor",
     "numerical_rank",
     "mp_inverse",
-    "projector_range",
     "projector_rowspace",
-    "projector_nullspace_pair",
     "operator_norm",
     "condition_number",
-    "is_invertible",
     "is_hermitian",
     "is_positive_definite",
     "hermitian_power",
     "solve_linear",
-    "regularized_pinv_limit",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -258,33 +254,10 @@ def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.
     return svd_factor(a, tol, sigma_floor=sigma_floor).pinv()
 
 
-def projector_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the range of ``a`` (equals ``A A^+``)."""
-    ur = svd_factor(a, tol).range_basis
-    return ur @ ur.conj().T
-
-
 def projector_rowspace(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the range of ``a*`` (equals ``A^+ A``)."""
     vr = svd_factor(a, tol).row_basis
     return vr @ vr.conj().T
-
-
-def projector_nullspace_pair(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the intersection of the two null spaces.
-
-    Both matrices must have the same column count; the projector is computed
-    from the full SVD of the stacked matrix, so the two null spaces are never
-    intersected by chained projections.
-    """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape[1] != bm.shape[1]:
-        raise ValueError(
-            f"column counts differ: {am.shape[1]} vs {bm.shape[1]}"
-        )
-    vn = _split_basis(np.vstack([am, bm]), tol).v_0
-    return vn @ vn.conj().T
 
 
 def operator_norm(a) -> float:
@@ -303,14 +276,6 @@ def condition_number(a) -> float:
     if m.size == 0:
         return 1.0
     return _cond(np.linalg.svd(m, compute_uv=False))
-
-
-def is_invertible(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Square and condition number within ``inv_cond_max``."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("invertibility is defined for square matrices")
-    return condition_number(m) <= tol.inv_cond_max
 
 
 def _self_adjointness(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
@@ -457,26 +422,3 @@ def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=N
         converged=bool(errors[-1] <= atol),
         rank_flips=tuple(flips),
     )
-
-
-def regularized_pinv_limit(t_mat, schedule, tol: ToleranceConfig = DEFAULT_TOL) -> LimitTrace:
-    """Trace of ``(T* T + t I)^{-1} T*`` along a decreasing schedule.
-
-    The iterates converge to the Moore-Penrose inverse of ``T`` as t drops
-    to zero; the returned trace carries the per-step operator-norm error
-    against ``mp_inverse(T)`` and a convergence flag at the final step.
-
-    Each iterate is evaluated through the singular value decomposition as
-    ``V_r diag(sigma / (sigma^2 + t)) U_r*``, which is the same map but
-    carries no t-dependent rounding, so the error column decays like O(t)
-    all the way to the floor of the final-step comparison.  Singular
-    values below the rank cutoff are treated as exact zeros, consistent
-    with :func:`mp_inverse`.  No system is solved, so no point flips.
-    """
-    m = as_matrix(t_mat)
-    s = _check_schedule(schedule, decreasing=True)
-    f = svd_factor(m, tol)
-    ur = f.range_basis
-    sr = f.sigma[: f.rank]
-    vr = f.row_basis
-    return _trace_over(s, lambda t: ((vr * (sr / (sr**2 + t))) @ ur.conj().T, 1.0), f.pinv(), tol)

@@ -109,6 +109,26 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record ``numpy.linalg.svd`` calls that compute factors.
+
+    Each entry is ``(matrix, full_matrices)``; values-only calls
+    (``compute_uv=False``) are not recorded.  Clear the list between the
+    calls being counted.
+    """
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(m, *args, **kwargs):
+        if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+            calls.append((np.array(m), kwargs.get("full_matrices", args[0] if args else True)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 def make_instance(gen, rows, cols, rank, positive=False):
     """One random weighted problem: a matrix and a weight per side."""
     from wmpinv.sampling import random_matrix_with_rank, random_weight

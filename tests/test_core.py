@@ -270,3 +270,48 @@ class TestMatchedProjection:
     def test_rejects_non_idempotent(self):
         with pytest.raises(NotIdempotentError):
             matched_projection(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+def test_one_split_per_problem(svd_calls, tmp_path, capsys):
+    # A enters the weighted inverse only through its split, so a call that
+    # holds A fixed while the weights move makes one full SVD of it
+    from wmpinv import closed_form_separated, general_limit_via_decomposition, perturb_weights_only
+    from wmpinv.cli import main
+    from wmpinv.io import write_bundle
+    from wmpinv.sampling import random_separated_pair
+
+    def svds(call, *args, full=True, **kwargs):
+        svd_calls.clear()
+        call(*args, **kwargs)
+        return sum(f == full for _, f in svd_calls)
+
+    def cli(*argv):
+        assert main([*argv, "--json"]) == 0
+
+    gen = np.random.default_rng(6)
+    a = random_matrix_with_rank(gen, 40, 30, 20)
+    m, n = random_weight(gen, 40), random_weight(gen, 30)
+    pairs = [(m.matrix + np.eye(40) / (i + 1), n.matrix + np.eye(30) / (i + 1)) for i in range(50)]
+    assert svds(perturb_weights_only, a, m, n, pairs) == 1
+
+    a, m1, m2 = random_matrix_with_rank(gen, 6, 5, 3), random_weight(gen, 6), random_weight(gen, 6)
+    n1, n2 = random_weight(gen, 5), random_weight(gen, 5)
+    assert svds(weight_transfer_domain, a, m1, n1, n2) == 1
+    assert svds(weight_transfer_codomain, a, m1, m2, n1) == 1
+
+    a, b = random_matrix_with_rank(gen, 4, 5, 3), random_matrix_with_rank(gen, 3, 5, 3)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert svds(general_limit_via_decomposition, a, b, v, w, rng=gen) <= 6
+    bundle = tmp_path / "pencil.json"
+    write_bundle(bundle, {"A": a, "B": b, "V": v.matrix, "W": w.matrix})
+    assert svds(cli, "decompose", "--bundle", str(bundle), full=False) <= 7
+
+    a, b = random_separated_pair(gen, 6, 4, 3, 2, 2)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert svds(closed_form_separated, a, b, v, w, rng=gen) <= 3
+
+    a, m, n = random_matrix_with_rank(gen, 6, 5, 3), random_weight(gen, 6), random_weight(gen, 5)
+    bundle = tmp_path / "problem.json"
+    write_bundle(bundle, {"A": a, "M": m.matrix, "N": n.matrix})
+    assert svds(cli, "reduce", "--bundle", str(bundle)) == 1
+    capsys.readouterr()

@@ -191,7 +191,7 @@ class TestGradedSolverGuards:
                     worst = max(worst, operator_norm(it - direct) / operator_norm(direct))
         assert worst <= 1e-9
 
-    def test_full_svds_per_trace_do_not_grow_with_the_schedule(self, monkeypatch):
+    def test_full_svds_per_trace_do_not_grow_with_the_schedule(self, svd_calls):
         # each point takes singular values only, so the full SVDs (factors
         # computed) are those of the set-up; the stacked [A; B] is split once
         gen = np.random.default_rng(3)
@@ -199,15 +199,7 @@ class TestGradedSolverGuards:
         v, w = random_spd(gen, 4), random_spd(gen, 3)
         pa, pb = a.conj().T @ a, b.conj().T @ b
         stacked = np.vstack([a, b])
-        full = []
-        svd = np.linalg.svd
-
-        def counting_svd(m, *args, **kwargs):
-            if kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-                full.append(np.array(m))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        full = svd_calls
         counts = {"t": [], "lambda": [], "stacked": []}
         for points in (10, 20):
             full.clear()
@@ -215,7 +207,7 @@ class TestGradedSolverGuards:
             assert trace.rank_flips == ()
             counts["t"].append(len(full))
             counts["stacked"].append(
-                sum(m.shape == stacked.shape and np.array_equal(m, stacked) for m in full)
+                sum(m.shape == stacked.shape and np.array_equal(m, stacked) for m, _ in full)
             )
             full.clear()
             trace = limit_lambda_to_inf(pa, pb, schedule=np.geomspace(1.0, 1e8, points))
@@ -308,6 +300,16 @@ class TestDecomposeB:
         eye = np.eye(a.shape[1])
         assert operator_norm((eye - p) @ dec.b1.conj().T) <= 1e-9 * (1.0 + operator_norm(b))
         assert separated_pair_check(a, dec.b2).is_separated
+
+    def test_carries_its_checks(self, rng):
+        a, b = overlapping_pair(rng)
+        w = Weight(random_spd(rng, 3))
+        dec = decompose_b(a, b, Weight(random_spd(rng, 4)), w)
+        assert dec.w_orthogonality == operator_norm(dec.b2.conj().T @ w.matrix @ dec.b1)
+        p = projector_rowspace(a, DEFAULT_TOL)
+        outside = operator_norm((np.eye(a.shape[1]) - p) @ dec.b1.conj().T)
+        assert abs(dec.containment - outside) <= 1e-12 * (1.0 + operator_norm(b))
+        assert dec.separation == separated_pair_check(a, dec.b2)
 
     def test_orthogonal_rows_keep_b_whole(self, rng):
         # B A* = 0 leaves the weighted inverse blind to B, so b1 vanishes

@@ -10,16 +10,12 @@ from wmpinv.linalg import (
     condition_number,
     hermitian_power,
     is_hermitian,
-    is_invertible,
     is_positive_definite,
     limit_atol_for,
     mp_inverse,
     numerical_rank,
     operator_norm,
-    projector_nullspace_pair,
-    projector_range,
     projector_rowspace,
-    regularized_pinv_limit,
     solve_linear,
     svd_factor,
 )
@@ -70,30 +66,15 @@ def test_mp_inverse_penrose_equations(rng):
 
 def test_projectors(rng):
     a = random_matrix_with_rank(rng, 6, 4, 2)
-    p = projector_range(a, DEFAULT_TOL)
     q = projector_rowspace(a, DEFAULT_TOL)
-    for proj in (p, q):
-        assert np.allclose(proj @ proj, proj, atol=1e-12)
-        assert np.allclose(proj.conj().T, proj, atol=1e-12)
-    assert np.allclose(p @ a, a, atol=1e-12)
+    assert np.allclose(q @ q, q, atol=1e-12)
+    assert np.allclose(q.conj().T, q, atol=1e-12)
     assert np.allclose(a @ q, a, atol=1e-12)
-
-
-def test_projector_nullspace_pair(rng):
-    a = random_matrix_with_rank(rng, 3, 6, 2)
-    b = random_matrix_with_rank(rng, 2, 6, 2)
-    pn = projector_nullspace_pair(a, b, DEFAULT_TOL)
-    assert np.allclose(a @ pn, 0.0, atol=1e-12)
-    assert np.allclose(b @ pn, 0.0, atol=1e-12)
-    assert np.allclose(pn @ pn, pn, atol=1e-12)
-    assert int(round(np.trace(pn).real)) == 6 - numerical_rank(np.vstack([a, b]), DEFAULT_TOL)
 
 
 def test_condition_number_and_invertibility():
     assert condition_number(np.eye(3)) == pytest.approx(1.0)
     assert np.isinf(condition_number(np.diag([1.0, 0.0])))
-    assert is_invertible(np.eye(2), DEFAULT_TOL)
-    assert not is_invertible(np.diag([1.0, 1e-15]), DEFAULT_TOL)
 
 
 def test_hermitian_checks(rng):
@@ -127,18 +108,3 @@ def test_limit_atol_scaling():
     big = limit_atol_for(np.diag([1e6, 1e6]))
     assert big > 1e-3
 
-
-def test_regularized_pinv_limit(rng):
-    t_mat = random_matrix_with_rank(rng, 6, 4, 4)
-    schedule = tuple(10.0 ** (-k) for k in range(1, 13))
-    trace = regularized_pinv_limit(t_mat, schedule, DEFAULT_TOL)
-    assert trace.converged
-    assert np.allclose(trace.target, mp_inverse(t_mat, DEFAULT_TOL), atol=1e-12)
-    # full column rank: error is O(t), one decade of t buys a decade of error
-    ratios = trace.errors[:-2] / trace.errors[1:-1]
-    assert np.all(ratios >= 1.5)
-    # rank-deficient input stays monotone too
-    low = random_matrix_with_rank(rng, 5, 5, 3)
-    trace2 = regularized_pinv_limit(low, schedule, DEFAULT_TOL)
-    assert trace2.converged
-    assert np.all(np.diff(trace2.errors) <= 1e-15)
