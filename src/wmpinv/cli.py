@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,23 +115,19 @@ def _gather(args) -> _Context:
     for name, path in args.role:
         matrices[name] = load_matrix(path)
 
-    fields = {
-        "rank_rtol": DEFAULT_TOL.rank_rtol,
-        "inv_cond_max": DEFAULT_TOL.inv_cond_max,
-        "verify_atol": DEFAULT_TOL.verify_atol,
-        "verify_rtol": DEFAULT_TOL.verify_rtol,
-    }
-    sources = {k: "default" for k in fields}
-    for k, v in bundle.tolerances.items():
-        fields[k] = v
-        sources[k] = "bundle"
-    if args.rank_rtol is not None:
-        fields["rank_rtol"] = args.rank_rtol
-        sources["rank_rtol"] = "flag"
-    if args.verify_atol is not None:
-        fields["verify_atol"] = args.verify_atol
-        sources["verify_atol"] = "flag"
-    tol = ToleranceConfig(**fields)
+    values = asdict(DEFAULT_TOL)
+    sources = dict.fromkeys(values, "default")
+    flags = {"rank_rtol": args.rank_rtol, "verify_atol": args.verify_atol}
+    for source, given in (("bundle", bundle.tolerances), ("flag", flags)):
+        for k, v in given.items():
+            if v is not None:
+                values[k] = v
+                sources[k] = source
+    # parse_bundle has checked the bundle's values, so a rejection here is a flag's
+    try:
+        tol = ToleranceConfig(**values)
+    except ValueError as e:
+        raise _UsageError(str(e)) from e
 
     schedule = None
     if args.schedule is not None:
@@ -169,99 +165,84 @@ def _matrix_lines(name: str, a: np.ndarray) -> list:
 
 
 def _tol_line(ctx: _Context) -> str:
-    rt = ctx.tol.rank_rtol
     parts = [
-        f"rank_rtol={'adaptive' if rt is None else f'{rt:g}'} ({ctx.tol_sources['rank_rtol']})",
-        f"inv_cond_max={ctx.tol.inv_cond_max:g} ({ctx.tol_sources['inv_cond_max']})",
-        f"verify_atol={ctx.tol.verify_atol:g} ({ctx.tol_sources['verify_atol']})",
+        f"{k}={'adaptive' if v is None else f'{v:g}'} ({ctx.tol_sources[k]})"
+        for k, v in asdict(ctx.tol).items()
+        if k != "verify_rtol"
     ]
     return "tolerances: " + ", ".join(parts)
 
 
-def _tol_report(ctx: _Context) -> dict:
-    return {
-        "rank_rtol": ctx.tol.rank_rtol,
-        "inv_cond_max": ctx.tol.inv_cond_max,
-        "verify_atol": ctx.tol.verify_atol,
-        "verify_rtol": ctx.tol.verify_rtol,
-        "sources": ctx.tol_sources,
-    }
+def _emit(args, ctx: _Context, report: dict, lines: list, matrices: dict | None = None) -> None:
+    """Write one report: JSON or text on stdout, and ``matrices`` to ``--out``.
 
-
-def _emit(args, report: dict, lines: list, out_matrices: dict | None = None) -> None:
+    The JSON opens with the command and the tolerances with their
+    sources, and the text with the tolerance line; every entry of
+    ``matrices`` appears in all three outputs.
+    """
+    matrices = matrices or {}
     if args.json:
-        sys.stdout.write(dump_json(report))
+        head = {"command": args.command, "tolerances": {**asdict(ctx.tol), "sources": ctx.tol_sources}}
+        body = {name: matrix_to_obj(mat) for name, mat in matrices.items()}
+        sys.stdout.write(dump_json({**head, **report, **body}))
     else:
+        lines = [_tol_line(ctx), *lines]
+        for name, mat in matrices.items():
+            lines += _matrix_lines(name, mat)
         print("\n".join(lines))
-    if args.out and out_matrices:
-        write_bundle(args.out, out_matrices)
+    if args.out and matrices:
+        write_bundle(args.out, matrices)
 
 
-def _no_inverse(args, ctx, report: dict, lines: list, res) -> int:
+def _no_inverse(args, ctx, report: dict, lines: list, res, matrices: dict | None = None) -> int:
     """Report that the weighted inverse does not exist; exit code 2."""
     factor, cond = _singular_factor(res.r_cond, res.l_cond, ctx.tol)
     report["singular_factor"] = factor
     msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
-    _emit(args, report, lines + [msg])
+    _emit(args, ctx, report, lines + [msg], matrices)
     if not args.json:
         print(msg, file=sys.stderr)
     return 2
 
 
-def _trace_report(trace) -> dict:
-    return {
+def _emit_trace(args, ctx, trace, param_name: str) -> int:
+    """Report a limit trace: schedule, errors, verdict, target and final iterate."""
+    report = {
         "schedule": [float(t) for t in trace.params],
         "errors": [float(e) for e in trace.errors],
         "limit_atol": trace.limit_atol,
         "converged": bool(trace.converged),
         "rank_flips": list(trace.rank_flips),
-        "target": matrix_to_obj(trace.target),
-        "final_iterate": matrix_to_obj(trace.iterates[-1]),
     }
-
-
-def _trace_lines(trace, param_name: str) -> list:
     lines = [f"{param_name:>12}  {'error':>14}"]
     for t, _, e in trace.rows():
         lines.append(f"{t:>12.6g}  {e:>14.6e}")
     lines.append(f"converged: {trace.converged} (final error vs tolerance {trace.limit_atol:.3e})")
     if trace.rank_flips:
         lines.append(f"rank flips at schedule indices: {list(trace.rank_flips)}")
-    return lines
-
-
-def cmd_wmp(args) -> int:
-    ctx = _gather(args)
-    a, m, n = _need(ctx, "A", "M", "N")
-    res = wmp_inverse(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
-    report = {
-        "command": "wmp",
-        "tolerances": _tol_report(ctx),
-        "exists": res.exists,
-        "r_cond": res.r_cond,
-        "l_cond": res.l_cond,
-    }
-    if not res.exists:
-        return _no_inverse(args, ctx, report, [_tol_line(ctx)], res)
-    report["penrose_residuals"] = [float(x) for x in res.penrose_residuals]
-    report["inverse"] = matrix_to_obj(res.inverse)
-    lines = [
-        _tol_line(ctx),
-        f"exists: true (cond R = {res.r_cond:.6e}, cond L = {res.l_cond:.6e})",
-        "penrose residuals: " + ", ".join(f"{x:.3e}" for x in res.penrose_residuals),
-    ]
-    lines += _matrix_lines("inverse", res.inverse)
-    _emit(args, report, lines, {"inverse": res.inverse})
+    _emit(args, ctx, report, lines, {"target": trace.target, "final_iterate": trace.iterates[-1]})
     return 0
 
 
-def cmd_exists(args) -> int:
-    ctx = _gather(args)
+def cmd_wmp(args, ctx) -> int:
+    a, m, n = _need(ctx, "A", "M", "N")
+    res = wmp_inverse(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
+    report = {"exists": res.exists, "r_cond": res.r_cond, "l_cond": res.l_cond}
+    if not res.exists:
+        return _no_inverse(args, ctx, report, [], res)
+    report["penrose_residuals"] = [float(x) for x in res.penrose_residuals]
+    lines = [
+        f"exists: true (cond R = {res.r_cond:.6e}, cond L = {res.l_cond:.6e})",
+        "penrose residuals: " + ", ".join(f"{x:.3e}" for x in res.penrose_residuals),
+    ]
+    _emit(args, ctx, report, lines, {"inverse": res.inverse})
+    return 0
+
+
+def cmd_exists(args, ctx) -> int:
     a, m, n = _need(ctx, "A", "M", "N")
     rep = wmp_exists(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
     report = {
-        "command": "exists",
-        "tolerances": _tol_report(ctx),
         "exists": rep.exists,
         "r_invertible": rep.r_invertible,
         "l_invertible": rep.l_invertible,
@@ -269,40 +250,33 @@ def cmd_exists(args) -> int:
         "l_cond": rep.l_cond,
     }
     lines = [
-        _tol_line(ctx),
         f"R factor invertible: {rep.r_invertible} (condition number {rep.r_cond:.6e})",
         f"L factor invertible: {rep.l_invertible} (condition number {rep.l_cond:.6e})",
         f"exists: {rep.exists}",
     ]
     if not rep.exists:
         return _no_inverse(args, ctx, report, lines, rep)
-    _emit(args, report, lines)
+    _emit(args, ctx, report, lines)
     return 0
 
 
-def cmd_verify(args) -> int:
-    ctx = _gather(args)
+def cmd_verify(args, ctx) -> int:
     a, m, n, x = _need(ctx, "A", "M", "N", "X")
     resid = verify_weighted_penrose(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), x, ctx.tol)
     names = ["AXA - A", "XAX - X", "hermitian M A X", "hermitian N X A"]
     passes = [bool(r <= ctx.tol.verify_atol) for r in resid]
     report = {
-        "command": "verify",
-        "tolerances": _tol_report(ctx),
         "residuals": {nm: float(r) for nm, r in zip(names, resid)},
         "passes": {nm: p for nm, p in zip(names, passes)},
         "all_pass": all(passes),
     }
-    lines = [_tol_line(ctx)]
-    for nm, r, p in zip(names, resid, passes):
-        lines.append(f"{nm}: residual {r:.6e} {'pass' if p else 'FAIL'}")
+    lines = [f"{nm}: residual {r:.6e} {'pass' if p else 'FAIL'}" for nm, r, p in zip(names, resid, passes)]
     lines.append(f"all identities pass: {all(passes)}")
-    _emit(args, report, lines)
+    _emit(args, ctx, report, lines)
     return 0 if all(passes) else 2
 
 
-def cmd_reduce(args) -> int:
-    ctx = _gather(args)
+def cmd_reduce(args, ctx) -> int:
     a, m, n = _need(ctx, "A", "M", "N")
     am, mw, nw = _problem(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
     # S, T, X_MN and X_ST all come from one split of A
@@ -311,28 +285,16 @@ def cmd_reduce(args) -> int:
     red = _positive_weights(orig, ctx.tol)
     x_red = _required_on_split(sp, am, red.s, red.t, ctx.tol).inverse
     agreement = operator_norm(orig.inverse - x_red)
-    report = {
-        "command": "reduce",
-        "tolerances": _tol_report(ctx),
-        "agreement": float(agreement),
-        "s_cond": red.s.cond,
-        "t_cond": red.t.cond,
-        "S": matrix_to_obj(red.s.matrix),
-        "T": matrix_to_obj(red.t.matrix),
-    }
+    report = {"agreement": float(agreement), "s_cond": red.s.cond, "t_cond": red.t.cond}
     lines = [
-        _tol_line(ctx),
         f"positive definite replacements found (cond S = {red.s.cond:.3e}, cond T = {red.t.cond:.3e})",
         f"inverse agreement ||X_MN - X_ST|| = {agreement:.6e}",
     ]
-    lines += _matrix_lines("S", red.s.matrix)
-    lines += _matrix_lines("T", red.t.matrix)
-    _emit(args, report, lines, {"S": red.s.matrix, "T": red.t.matrix})
+    _emit(args, ctx, report, lines, {"S": red.s.matrix, "T": red.t.matrix})
     return 0
 
 
-def cmd_limit_t0(args) -> int:
-    ctx = _gather(args)
+def cmd_limit_t0(args, ctx) -> int:
     a, b, v, w = _need(ctx, "A", "B", "V", "W")
     vw, ww = as_weight(v, ctx.tol), as_weight(w, ctx.tol)
     if "U" in ctx.matrices:
@@ -349,31 +311,19 @@ def cmd_limit_t0(args) -> int:
     else:
         u = None
     trace = limit_t_to_zero(a, b, vw, ww, u, schedule=ctx.schedule, tol=ctx.tol)
-    report = {"command": "limit-t0", "tolerances": _tol_report(ctx), **_trace_report(trace)}
-    lines = [_tol_line(ctx)] + _trace_lines(trace, "t")
-    lines += _matrix_lines("target", trace.target)
-    _emit(args, report, lines, {"target": trace.target, "final_iterate": trace.iterates[-1]})
-    return 0
+    return _emit_trace(args, ctx, trace, "t")
 
 
-def cmd_limit_lambda(args) -> int:
-    ctx = _gather(args)
+def cmd_limit_lambda(args, ctx) -> int:
     a, b = _need(ctx, "A", "B")
     trace = limit_lambda_to_inf(a, b, schedule=ctx.schedule, tol=ctx.tol)
-    report = {"command": "limit-lambda", "tolerances": _tol_report(ctx), **_trace_report(trace)}
-    lines = [_tol_line(ctx)] + _trace_lines(trace, "lambda")
-    lines += _matrix_lines("target", trace.target)
-    _emit(args, report, lines, {"target": trace.target, "final_iterate": trace.iterates[-1]})
-    return 0
+    return _emit_trace(args, ctx, trace, "lambda")
 
 
-def cmd_separated(args) -> int:
-    ctx = _gather(args)
+def cmd_separated(args, ctx) -> int:
     a, b = _need(ctx, "A", "B")
     rep = separated_pair_check(a, b, ctx.tol)
     report = {
-        "command": "separated",
-        "tolerances": _tol_report(ctx),
         "is_separated": rep.is_separated,
         "pq_norm": rep.pq_norm,
         "two_minus_sum_cond": rep.two_minus_sum_cond,
@@ -381,67 +331,46 @@ def cmd_separated(args) -> int:
         "sum_rank": rep.sum_rank,
     }
     lines = [
-        _tol_line(ctx),
         f"||P Q|| = {rep.pq_norm:.12f}",
         f"cond(2I - P - Q) = {rep.two_minus_sum_cond:.6e}",
         f"row-space intersection dimension: {rep.intersection_dim}",
         f"separated: {rep.is_separated}",
     ]
-    _emit(args, report, lines)
+    _emit(args, ctx, report, lines)
     return 0
 
 
-def cmd_closed_form(args) -> int:
-    ctx = _gather(args)
+def cmd_closed_form(args, ctx) -> int:
     a, b, v, w = _need(ctx, "A", "B", "V", "W")
     pi, d = closed_form_separated(
         a, b, as_weight(v, ctx.tol), as_weight(w, ctx.tol), ctx.tol, rng=rng_from(ctx.seed)
     )
-    report = {
-        "command": "closed-form",
-        "tolerances": _tol_report(ctx),
-        "pi": matrix_to_obj(pi),
-        "closed_form": matrix_to_obj(d),
-    }
-    lines = [_tol_line(ctx), "closed form verified against the pencil for two weight choices"]
-    lines += _matrix_lines("pi", pi)
-    lines += _matrix_lines("closed_form", d)
-    _emit(args, report, lines, {"pi": pi, "closed_form": d})
+    lines = ["closed form verified against the pencil for two weight choices"]
+    _emit(args, ctx, {}, lines, {"pi": pi, "closed_form": d})
     return 0
 
 
-def cmd_decompose(args) -> int:
-    ctx = _gather(args)
+def cmd_decompose(args, ctx) -> int:
     a, b, v, w = _need(ctx, "A", "B", "V", "W")
     vw, ww = as_weight(v, ctx.tol), as_weight(w, ctx.tol)
     dec = decompose_b(a, b, vw, ww, ctx.tol)
     w_cross, containment, pair = dec.w_orthogonality, dec.containment, dec.separation
     report = {
-        "command": "decompose",
-        "tolerances": _tol_report(ctx),
         "w_orthogonality": float(w_cross),
         "containment": float(containment),
         "b2_separated": pair.is_separated,
         "b2_pq_norm": pair.pq_norm,
-        "B1": matrix_to_obj(dec.b1),
-        "B2": matrix_to_obj(dec.b2),
-        "Z": matrix_to_obj(dec.z),
     }
     lines = [
-        _tol_line(ctx),
         f"||B2* W B1|| = {w_cross:.6e}",
         f"row-space containment residual = {containment:.6e}",
         f"(A, B2) separated: {pair.is_separated} (||P Q|| = {pair.pq_norm:.6f})",
     ]
-    lines += _matrix_lines("B1", dec.b1)
-    lines += _matrix_lines("B2", dec.b2)
-    lines += _matrix_lines("Z", dec.z)
-    _emit(args, report, lines, {"B1": dec.b1, "B2": dec.b2, "Z": dec.z})
+    _emit(args, ctx, report, lines, {"B1": dec.b1, "B2": dec.b2, "Z": dec.z})
     return 0
 
 
-def cmd_matched_projection(args) -> int:
-    ctx = _gather(args)
+def cmd_matched_projection(args, ctx) -> int:
     (q,) = _need(ctx, "Q")
     m = matched_projection(q, ctx.tol)
     qm = as_matrix(q)
@@ -449,58 +378,39 @@ def cmd_matched_projection(args) -> int:
     idem = operator_norm(m @ m - m)
     dist = operator_norm(m - qm)
     report = {
-        "command": "matched-projection",
-        "tolerances": _tol_report(ctx),
         "hermitian_residual": float(herm),
         "idempotent_residual": float(idem),
         "distance_to_input": float(dist),
-        "projection": matrix_to_obj(m),
     }
     lines = [
-        _tol_line(ctx),
         f"hermitian residual {herm:.3e}, idempotent residual {idem:.3e}",
         f"distance to input ||m(Q) - Q|| = {dist:.6e}",
     ]
-    lines += _matrix_lines("projection", m)
-    _emit(args, report, lines, {"projection": m})
+    _emit(args, ctx, report, lines, {"projection": m})
     return 0
 
 
-def cmd_rho(args) -> int:
-    ctx = _gather(args)
+def cmd_rho(args, ctx) -> int:
     a, m, n = _need(ctx, "A", "M", "N")
     mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
     rho, t_weight = rho_embed(a, mw, nw, ctx.tol)
     base = wmp_inverse(a, mw, nw, ctx.tol)
     embedded = wmp_inverse(rho, t_weight, Weight(t_weight.inverse, ctx.tol), ctx.tol)
-    report = {
-        "command": "rho",
-        "tolerances": _tol_report(ctx),
-        "base_exists": base.exists,
-        "embedded_exists": embedded.exists,
-        "rho": matrix_to_obj(rho),
-        "T": matrix_to_obj(t_weight.matrix),
-    }
-    lines = [
-        _tol_line(ctx),
-        f"base exists: {base.exists}, embedded exists: {embedded.exists}",
-    ]
+    report = {"base_exists": base.exists, "embedded_exists": embedded.exists}
+    lines = [f"base exists: {base.exists}, embedded exists: {embedded.exists}"]
+    matrices = {"rho": rho, "T": t_weight.matrix}
     if not base.exists:
-        return _no_inverse(args, ctx, report, lines, base)
+        return _no_inverse(args, ctx, report, lines, base, matrices)
     k = as_matrix(a).shape[0]
     block = embedded.inverse[k:, :k]
     block_resid = operator_norm(block - base.inverse)
     report["block_residual"] = float(block_resid)
-    report["inverse_block"] = matrix_to_obj(block)
     lines.append(f"lower-left block residual against the direct inverse: {block_resid:.6e}")
-    lines += _matrix_lines("rho", rho)
-    lines += _matrix_lines("inverse_block", block)
-    _emit(args, report, lines, {"rho": rho, "T": t_weight.matrix, "inverse_block": block})
+    _emit(args, ctx, report, lines, {**matrices, "inverse_block": block})
     return 0
 
 
-def cmd_perturb(args) -> int:
-    ctx = _gather(args)
+def cmd_perturb(args, ctx) -> int:
     a, m, n = _need(ctx, "A", "M", "N")
     am = as_matrix(a)
     mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
@@ -538,8 +448,6 @@ def cmd_perturb(args) -> int:
         diag = run_diagnostics(seq, ctx.tol)
     finals = {k: (float(v[-1]) if np.isfinite(v[-1]) else None) for k, v in diag.columns.items()}
     report = {
-        "command": "perturb",
-        "tolerances": _tol_report(ctx),
         "kind": args.kind,
         "terms": terms,
         "trends": diag.trends,
@@ -548,14 +456,14 @@ def cmd_perturb(args) -> int:
         "n0": diag.n0,
         "exists": [bool(x) for x in diag.exists],
     }
-    lines = [_tol_line(ctx), f"kind: {args.kind}, terms: {terms}"]
+    lines = [f"kind: {args.kind}, terms: {terms}"]
     for name, trend in diag.trends.items():
         final = finals[name]
         shown = "nan" if final is None else f"{final:.6e}"
         lines.append(f"{name}: trend {trend}, final {shown}")
     lines.append(f"equivalence proxies consistent: {diag.equivalences_consistent}")
     lines.append(f"first index with stable existence: {diag.n0}")
-    _emit(args, report, lines)
+    _emit(args, ctx, report, lines)
     return 0
 
 
@@ -600,7 +508,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:
-        return args.handler(args)
+        return args.handler(args, _gather(args))
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 64

@@ -11,12 +11,12 @@ a write/read cycle is bit identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import ToleranceConfig, as_matrix
 
 __all__ = [
     "BundleFormatError",
@@ -31,9 +31,6 @@ __all__ = [
     "write_bundle",
     "geometric_schedule",
 ]
-
-_RESERVED = {"tolerances", "schedule", "seed"}
-_TOLERANCE_KEYS = {"rank_rtol", "inv_cond_max", "verify_atol", "verify_rtol"}
 
 
 class BundleFormatError(ValueError):
@@ -110,14 +107,17 @@ def parse_bundle(text: str) -> ProblemBundle:
     bundle = ProblemBundle()
     for key, value in raw.items():
         if key == "tolerances":
-            if not isinstance(value, dict) or not set(value) <= _TOLERANCE_KEYS:
-                raise BundleFormatError(
-                    f"tolerances must be an object with keys from {sorted(_TOLERANCE_KEYS)}"
-                )
+            names = sorted(f.name for f in fields(ToleranceConfig))
+            if not isinstance(value, dict) or not set(value) <= set(names):
+                raise BundleFormatError(f"tolerances must be an object with keys from {names}")
             try:
                 bundle.tolerances = {k: float(v) for k, v in value.items()}
             except (TypeError, ValueError) as e:
                 raise BundleFormatError("tolerance values must be numbers") from e
+            try:
+                ToleranceConfig(**bundle.tolerances)
+            except ValueError as e:
+                raise BundleFormatError(str(e)) from e
         elif key == "schedule":
             sched = _as_float_vector(value, "schedule")
             if sched.size == 0:

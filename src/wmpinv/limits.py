@@ -58,7 +58,6 @@ from .linalg import (
     mp_inverse,
     numerical_rank,
     operator_norm,
-    projector_rowspace,
     solve_linear,
     svd_factor,
 )
@@ -112,6 +111,24 @@ def _stacked(am, bm) -> np.ndarray:
     if am.shape[1] != bm.shape[1]:
         raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
     return np.vstack([am, bm])
+
+
+def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
+    """A, B, ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
+
+    Checks only that the dimensions fit; each caller keeps its own rule
+    on the definiteness of V and W.
+    """
+    am = as_matrix(a)
+    bm = as_matrix(b)
+    stacked = _stacked(am, bm)
+    vw = as_weight(v, tol)
+    ww = as_weight(w, tol)
+    if vw.dim != am.shape[0]:
+        raise ValueError(f"v must weigh the rows of a (dimension {am.shape[0]})")
+    if ww.dim != bm.shape[0]:
+        raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
+    return am, bm, stacked, vw, ww
 
 
 def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
@@ -315,15 +332,7 @@ def limit_t_to_zero(
     ``atol`` overrides the convergence threshold recorded on the trace;
     the default is ``1e-8 * (1 + ||target||)``.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    stacked = _stacked(am, bm)
-    vw = as_weight(v, tol)
-    ww = as_weight(w, tol)
-    if vw.dim != am.shape[0]:
-        raise ValueError(f"v must weigh the rows of a (dimension {am.shape[0]})")
-    if ww.dim != bm.shape[0]:
-        raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
+    am, bm, stacked, vw, ww = _pencil_inputs(a, b, v, w, tol)
     if not vw.positive_definite:
         raise WeightError("v must be positive definite for the t -> 0 limit")
     if not ww.positive_definite:
@@ -415,8 +424,11 @@ class SeparatedPairReport:
 
 def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedPairReport:
     """Decide whether the row spaces of ``a`` and ``b`` are separated."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    return _separation(as_matrix(a), as_matrix(b), tol)[0]
+
+
+def _separation(am, bm, tol) -> tuple[SeparatedPairReport, np.ndarray, np.ndarray]:
+    """:func:`separated_pair_check` and the row-space projectors P, Q it was decided on."""
     stacked = _stacked(am, bm)
     fa = svd_factor(am, tol)
     fb = svd_factor(bm, tol)
@@ -441,13 +453,8 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
     rs = numerical_rank(stacked, tol)
-    return SeparatedPairReport(
-        is_separated=by_norm,
-        pq_norm=pq_norm,
-        two_minus_sum_cond=cond,
-        intersection_dim=fa.rank + fb.rank - rs,
-        sum_rank=rs,
-    )
+    report = SeparatedPairReport(by_norm, pq_norm, cond, fa.rank + fb.rank - rs, rs)
+    return report, p, q
 
 
 def closed_form_separated(
@@ -472,27 +479,22 @@ def closed_form_separated(
     """
     from .sampling import random_spd, rng_from
 
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    vw = as_weight(v, tol)
-    ww = as_weight(w, tol)
-    report = separated_pair_check(am, bm, tol)
+    am, bm, _, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    report, p, q = _separation(am, bm, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
     gen = rng_from(rng)
     draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
-    return _separated_closed_form(am, bm, vw, draws, "separated closed form against the pencil", tol)
+    return _separated_closed_form(am, bm, vw, p, q, draws, "separated closed form against the pencil", tol)
 
 
-def _separated_closed_form(am, bm, vw, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
+def _separated_closed_form(am, bm, vw, p, q, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
     """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
 
-    ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
-    must equal D for each of them, else ``VerificationError`` names
-    ``what`` and the label.
+    P and Q are the row-space projectors of A and B.  ``draws`` holds
+    ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V`` must equal D for
+    each of them, else ``VerificationError`` names ``what`` and the label.
     """
-    p = projector_rowspace(am, tol)
-    q = projector_rowspace(bm, tol)
     eye = np.eye(am.shape[1], dtype=np.complex128)
     core_a = am.conj().T @ vw.matrix @ am
     core_a = 0.5 * (core_a + core_a.conj().T)
@@ -542,21 +544,20 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     W-orthogonality of the parts, containment of the rows of ``b1`` in
     the row space of A, and separation of ``b2`` from A.
     """
-    return _decompose_b(a, b, v, w, tol)[0]
+    return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(a, b, v, w, tol) -> tuple[BDecomposition, SplitBasis]:
-    """:func:`decompose_b` and the split of ``[A; B]`` its weight U was built on."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    vw = as_weight(v, tol)
-    ww = as_weight(w, tol)
+def _decompose_b(am, bm, stacked, vw, ww, tol) -> tuple[BDecomposition, SplitBasis, np.ndarray, np.ndarray]:
+    """:func:`decompose_b` on checked inputs, with the split of ``[A; B]``
+    its weight U was built on and the row-space projectors P, Q2 of A and
+    ``b2`` its separation verdict was decided on.
+    """
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
 
     from .core import _required_on_split
 
-    joint = _split_basis(_stacked(am, bm), tol)
+    joint = _split_basis(stacked, tol)
     u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
     sp = _split_basis(am, tol)
     z = _required_on_split(sp, am, vw, u.u, tol).inverse
@@ -580,10 +581,10 @@ def _decompose_b(a, b, v, w, tol) -> tuple[BDecomposition, SplitBasis]:
     if containment > tol.verify_atol * b_scale:
         raise VerificationError("row-space containment of b1", containment, tol.verify_atol * b_scale)
 
-    report = separated_pair_check(am, b2, tol)
+    report, p, q2 = _separation(am, b2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1, b2, z, w_cross, containment, report), joint
+    return BDecomposition(b1, b2, z, w_cross, containment, report), joint, p, q2
 
 
 @dataclass(frozen=True)
@@ -621,11 +622,8 @@ def general_limit_via_decomposition(
     """
     from .sampling import random_spd, rng_from
 
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    vw = as_weight(v, tol)
-    ww = as_weight(w, tol)
-    dec, joint = _decompose_b(am, bm, vw, ww, tol)
+    am, bm, stacked, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    dec, joint, p, q2 = _decompose_b(am, bm, stacked, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -635,7 +633,7 @@ def general_limit_via_decomposition(
         if not w_prime.positive_definite:
             raise WeightError("w_prime must be positive definite")
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
-    pi, d = _separated_closed_form(am, dec.b2, vw, draws, "separated reduction of the pencil limit", tol)
+    pi, d = _separated_closed_form(am, dec.b2, vw, p, q2, draws, "separated reduction of the pencil limit", tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 

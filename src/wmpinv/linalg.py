@@ -63,9 +63,10 @@ class ToleranceConfig:
     def __post_init__(self):
         if self.rank_rtol is not None and not (0.0 < self.rank_rtol < 1.0):
             raise ValueError("rank_rtol must lie strictly between 0 and 1")
-        if self.inv_cond_max <= 1.0:
+        # written so that NaN fails each test
+        if not self.inv_cond_max > 1.0:
             raise ValueError("inv_cond_max must exceed 1")
-        if self.verify_atol <= 0.0 or self.verify_rtol <= 0.0:
+        if not (self.verify_atol > 0.0 and self.verify_rtol > 0.0):
             raise ValueError("verification tolerances must be positive")
 
     def rank_rtol_for(self, shape: tuple[int, int]) -> float:

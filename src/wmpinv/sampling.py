@@ -11,7 +11,6 @@ __all__ = [
     "rng_from",
     "random_complex",
     "random_matrix_with_rank",
-    "random_hermitian",
     "random_spd",
     "random_psd",
     "random_weight",
@@ -41,11 +40,6 @@ def random_matrix_with_rank(rng, rows: int, cols: int, rank: int) -> np.ndarray:
     if rank == 0:
         return np.zeros((rows, cols), dtype=np.complex128)
     return random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
-
-
-def random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
-    g = random_complex(rng, n, n, scale)
-    return 0.5 * (g + g.conj().T)
 
 
 def random_spd(rng, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bundle serialization and the command-line front end."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -250,3 +251,78 @@ class TestCliCommands:
         )
         assert proc.returncode == 0
         assert "0.142857142857" in proc.stdout
+
+    def test_invalid_tolerances_exit_with_documented_codes(self, tmp_path, capsys, golden_bundle, golden):
+        # a flag value ToleranceConfig rejects is a usage error
+        assert main(["wmp", "--bundle", golden_bundle, "--rank-rtol", "5"]) == 64
+        assert main(["exists", "--bundle", golden_bundle, "--verify-atol", "0", "--json"]) == 64
+        assert main(["verify", "--bundle", golden_bundle, "--verify-atol", "nan"]) == 64
+        assert "verification tolerances must be positive" in capsys.readouterr().err
+        # a bundle value is a format error of the bundle
+        with pytest.raises(BundleFormatError, match="must be positive"):
+            parse_bundle(json.dumps({"tolerances": {"verify_atol": -1}}))
+        with pytest.raises(BundleFormatError, match="must exceed 1"):
+            parse_bundle('{"tolerances": {"inv_cond_max": NaN}}')
+        path = tmp_path / "bad_tol.json"
+        write_bundle(
+            path,
+            {"A": golden["a"], "M": golden["m"], "N": golden["n"]},
+            scalars={"tolerances": {"verify_atol": -1.0}},
+        )
+        assert main(["wmp", "--bundle", str(path)]) == 1
+        assert "verification tolerances must be positive" in capsys.readouterr().err
+
+
+_PENCIL = {
+    "A": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    "B": np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "V": np.eye(2),
+    "W": np.eye(2),
+}
+_SEPARATED = {"A": np.array([[1.0, 0.0, 0.0]]), "B": np.array([[1.0, 1.0, 0.0]]), "V": np.eye(1), "W": np.eye(1)}
+_ROLES = {
+    "limit-t0": _PENCIL,
+    "limit-lambda": {"A": golden_data.LAMBDA_A, "B": golden_data.LAMBDA_B},
+    "separated": _SEPARATED,
+    "closed-form": _SEPARATED,
+    "decompose": _PENCIL,
+    "matched-projection": {"Q": golden_data.MATCHED_Q},
+}
+_MATRIX_BLOCK = re.compile(r"^(\S+) \(\d+ x \d+\):$", re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "wmp",
+        "exists",
+        "reduce",
+        "limit-t0",
+        "limit-lambda",
+        "separated",
+        "closed-form",
+        "decompose",
+        "verify",
+        "perturb",
+        "matched-projection",
+        "rho",
+    ],
+)
+def test_report_carries_each_matrix_in_every_output(command, tmp_path, capsys, golden):
+    roles = {"A": golden["a"], "M": golden["m"], "N": golden["n"]}
+    if command == "verify":
+        roles["X"] = require_wmp_inverse(golden["a"], golden["m"], golden["n"]).inverse
+    bundle = tmp_path / "in.json"
+    write_bundle(bundle, _ROLES.get(command, roles))
+    argv = [command, "--bundle", str(bundle), *(["--terms", "4"] if command == "perturb" else [])]
+    out = tmp_path / "out.json"
+
+    assert main([*argv, "--json", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == command
+    assert set(report["tolerances"]["sources"]) == {"rank_rtol", "inv_cond_max", "verify_atol", "verify_rtol"}
+    in_json = {k for k, v in report.items() if isinstance(v, dict) and {"rows", "cols", "re"} <= set(v)}
+    in_out = set(load_bundle(out).matrices) if out.exists() else set()
+    assert main(argv) == 0
+    in_text = set(_MATRIX_BLOCK.findall(capsys.readouterr().out))
+    assert in_json == in_out == in_text

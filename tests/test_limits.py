@@ -345,3 +345,15 @@ class TestGeneralLimit:
             general_limit_via_decomposition(
                 a, b, v, w, w_prime=Weight(np.diag([1.0, 1, -1])), rng=rng
             )
+
+
+@pytest.mark.parametrize(
+    "call", [limit_t_to_zero, closed_form_separated, decompose_b, general_limit_via_decomposition]
+)
+def test_pencil_weights_must_fit_the_rows(call, rng):
+    a, b = random_separated_pair(rng, 6, 4, 3, 2, 2)
+    v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+    with pytest.raises(ValueError, match=r"v must weigh the rows of a \(dimension 4\)"):
+        call(a, b, w, w)
+    with pytest.raises(ValueError, match=r"w must weigh the rows of b \(dimension 3\)"):
+        call(a, b, v, v)
