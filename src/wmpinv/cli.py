@@ -168,7 +168,6 @@ def _tol_line(ctx: _Context) -> str:
     parts = [
         f"{k}={'adaptive' if v is None else f'{v:g}'} ({ctx.tol_sources[k]})"
         for k, v in asdict(ctx.tol).items()
-        if k != "verify_rtol"
     ]
     return "tolerances: " + ", ".join(parts)
 
@@ -411,12 +410,12 @@ def cmd_rho(args, ctx) -> int:
 
 
 def cmd_perturb(args, ctx) -> int:
+    terms = args.terms
+    if terms < 2:
+        raise _UsageError("--terms must be at least 2")
     a, m, n = _need(ctx, "A", "M", "N")
     am = as_matrix(a)
     mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
-    terms = args.terms
-    if terms < 2:
-        raise ValueError("--terms must be at least 2")
     if args.kind == "weights-only":
         dm = ctx.matrices.get("DM")
         dn = ctx.matrices.get("DN")

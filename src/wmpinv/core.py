@@ -137,16 +137,19 @@ class WmpResult:
     penrose_residuals: np.ndarray | None
 
 
-def _decide(sp: SplitBasis, m_inverse, n, tol) -> tuple[ExistenceReport, np.ndarray, np.ndarray]:
+def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, np.ndarray, np.ndarray]:
     """Build R and L in the bases of the split ``sp`` of A and decide existence.
 
     ``R = V_r V_r* + V_0 (V_0* N)`` and ``L = U_r U_r* + (M^{-1} U_0) U_0*``;
     the verdict compares their 2-norm condition numbers to ``inv_cond_max``.
-    The products ``V_0* N`` and ``M^{-1} U_0`` are returned too, since the
-    block solves of the inverse start from them.
+    M enters only through ``M^{-1} U_0``, which one LU solve with m - r
+    right-hand sides gives (a ``Weight`` has ``cond(M) <= inv_cond_max``),
+    so no inverse of M is formed.  The products ``V_0* N`` and
+    ``M^{-1} U_0`` are returned too, since the block solves of the inverse
+    start from them.
     """
     n_0 = sp.v_0.conj().T @ n
-    mi_u0 = m_inverse @ sp.u_0
+    mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
     r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ n_0
     l = sp.u_r @ sp.u_r.conj().T + mi_u0 @ sp.u_0.conj().T
     r_cond = condition_number(r)
@@ -168,7 +171,7 @@ def _decide(sp: SplitBasis, m_inverse, n, tol) -> tuple[ExistenceReport, np.ndar
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
     """Decide existence of ``A+_MN`` from the two factor condition numbers."""
     am, mw, nw = _problem(a, m, n, tol)
-    return _decide(_split_basis(am, tol), mw.inverse, nw.matrix, tol)[0]
+    return _decide(_split_basis(am, tol), mw.matrix, nw.matrix, tol)[0]
 
 
 def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -195,17 +198,29 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     return _wmp_on_split(_split_basis(am, tol), am, mw, nw, tol)
 
 
+def _eliminate(b_r: np.ndarray, b_0: np.ndarray, rows_0: np.ndarray) -> np.ndarray:
+    """``b_r - b_0 (rows_0 b_0)^{-1} (rows_0 b_r)``, or ``b_r`` when ``b_0`` has no columns."""
+    if not b_0.shape[1]:
+        return b_r
+    return b_r - b_0 @ np.linalg.solve(rows_0 @ b_0, rows_0 @ b_r)
+
+
 def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
-    """``wmp_inverse`` of a checked problem whose A has the split ``sp``."""
-    rep, n_0, mi_u0 = _decide(sp, mw.inverse, nw.matrix, tol)
+    """``wmp_inverse`` of a checked problem whose A has the split ``sp``.
+
+    The block solves of the module docstring run by LU, which is safe once
+    the verdict holds: in the V basis ``N_00`` is a diagonal block of R and
+    ``N_00^{-1}`` one of ``R^{-1}``, so ``cond(N_00) <= cond(R) <=
+    inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
+    """
+    rep, n_0, mi_u0 = _decide(sp, mw.matrix, nw.matrix, tol)
     inverse = None
     residuals = None
     if rep.exists:
-        # the block formula of the module docstring; M^{-1} is Hermitian,
-        # so U_0* M^{-1} is the adjoint of the product _decide formed
-        right = sp.v_r - sp.v_0 @ svd_factor(n_0 @ sp.v_0).solve(n_0 @ sp.v_r)
-        mi_0 = mi_u0.conj().T
-        left = sp.u_r - sp.u_0 @ svd_factor(mi_0 @ sp.u_0).solve(mi_0 @ sp.u_r)
+        # M^{-1} is Hermitian, so U_0* M^{-1} is the adjoint of the
+        # product _decide formed
+        right = _eliminate(sp.v_r, sp.v_0, n_0)
+        left = _eliminate(sp.u_r, sp.u_0, mi_u0.conj().T)
         inverse = (right / sp.sigma_r) @ left.conj().T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
     return WmpResult(

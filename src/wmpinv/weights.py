@@ -16,27 +16,30 @@ __all__ = ["Weight", "as_weight"]
 
 
 class Weight:
-    """Self-adjoint numerically invertible matrix with a cached inverse.
+    """Self-adjoint numerically invertible matrix with a lazily cached inverse.
 
     Construction symmetrizes inputs whose asymmetry is within
     ``verify_atol`` and rejects anything further from self-adjoint, or
-    whose condition number exceeds ``inv_cond_max``.  The inverse is
-    computed once through the eigendecomposition (the one place an
-    explicit inverse is a deliverable) and is exactly Hermitian.
+    whose condition number exceeds ``inv_cond_max``.  It makes one
+    ``eigvalsh``: the eigenvalues alone decide singularity, ``cond`` and
+    ``positive_definite``.  The inverse is built only when first read,
+    through the eigendecomposition (the one place an explicit inverse is
+    a deliverable), then cached; it is exactly Hermitian.  The core
+    formula never reads it: it needs M only through a solve.
 
     Attributes
     ----------
     matrix : numpy.ndarray
         The symmetrized weight.
     inverse : numpy.ndarray
-        Cached Hermitian inverse.
+        Hermitian inverse, computed on first access and cached.
     positive_definite : bool
         True when the smallest eigenvalue clears the invertibility floor.
     cond : float
         2-norm condition number.
     """
 
-    __slots__ = ("matrix", "inverse", "positive_definite", "cond")
+    __slots__ = ("matrix", "positive_definite", "cond", "_inverse")
 
     def __init__(self, matrix, tol: ToleranceConfig = DEFAULT_TOL):
         w = as_matrix(matrix)
@@ -51,7 +54,7 @@ class Weight:
         h = 0.5 * (w + w.conj().T)
         if h.size == 0:
             raise WeightError("weight must be nonempty")
-        eigvals, eigvecs = np.linalg.eigh(h)
+        eigvals = np.linalg.eigvalsh(h)
         absvals = np.abs(eigvals)
         smax = float(absvals.max())
         smin = float(absvals.min())
@@ -61,11 +64,19 @@ class Weight:
                 f"weight is numerically singular: condition number {cond:.6e} "
                 f"exceeds {tol.inv_cond_max:.1e}"
             )
-        inv = (eigvecs / eigvals) @ eigvecs.conj().T
         self.matrix = h
-        self.inverse = 0.5 * (inv + inv.conj().T)
         self.positive_definite = bool(eigvals[0] > smax / tol.inv_cond_max)
         self.cond = smax / smin
+        self._inverse = None
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """Hermitian inverse ``V diag(1 / w) V*`` from ``eigh``, built on first read."""
+        if self._inverse is None:
+            eigvals, eigvecs = np.linalg.eigh(self.matrix)
+            inv = (eigvecs / eigvals) @ eigvecs.conj().T
+            self._inverse = 0.5 * (inv + inv.conj().T)
+        return self._inverse
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 """Shared fixtures: golden worked examples with exact rational entries."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,31 @@ def svd_calls(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count ``numpy.linalg`` decompositions and solves by entry point.
+
+    ``svd`` counts the calls that compute factors and ``svdvals`` the
+    values-only ones; ``norm2`` counts ``numpy.linalg.norm(., 2)``.
+    Clear the counter between the calls being counted.
+    """
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            if name == "svd" and not kwargs.get("compute_uv", args[2] if len(args) > 2 else True):
+                calls["svdvals"] += 1
+            elif name != "norm" or (args[1] if len(args) > 1 else kwargs.get("ord")) == 2:
+                calls["norm2" if name == "norm" else name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("svd", "eigh", "eigvalsh", "solve", "inv", "lstsq", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
 
 

@@ -318,3 +318,21 @@ def test_one_split_per_problem(svd_calls, tmp_path, capsys):
     write_bundle(bundle, {"A": a, "M": m.matrix, "N": n.matrix})
     assert svds(cli, "reduce", "--bundle", str(bundle)) == 1
     capsys.readouterr()
+
+
+def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
+    # the verdict reads M only through a solve and the Weight only its
+    # eigenvalues, so exactly Hermitian raw weights cost one eigvalsh each
+    a = random_matrix_with_rank(rng, 7, 6, 4)
+    m, n = random_weight(rng, 7).matrix, random_weight(rng, 6).matrix
+    lapack_calls.clear()
+    res = wmp_inverse(a, m, n)
+    assert res.exists
+    assert lapack_calls["eigh"] == 0
+    assert lapack_calls["eigvalsh"] == 2
+    # the split of A; cond(R), cond(L) and four Penrose residuals are values only
+    assert lapack_calls["svd"] == 1
+    assert lapack_calls["svdvals"] == 6
+    # M^-1 U_0 and the two block solves
+    assert lapack_calls["solve"] == 3
+    assert lapack_calls["inv"] == lapack_calls["lstsq"] == lapack_calls["norm2"] == 0

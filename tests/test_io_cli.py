@@ -222,6 +222,25 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "wmp_diff" in out
 
+    def test_perturb_short_sequence_is_usage_error(self, capsys, golden_bundle):
+        assert main(["perturb", "--bundle", golden_bundle, "--terms", "1"]) == 64
+        assert "--terms must be at least 2" in capsys.readouterr().err
+
+    def test_text_tolerance_line_names_every_json_tolerance(self, tmp_path, capsys, golden):
+        path = tmp_path / "tol.json"
+        write_bundle(
+            path,
+            {"A": golden["a"], "M": golden["m"], "N": golden["n"]},
+            scalars={"tolerances": {"verify_rtol": 1e-7}},
+        )
+        assert main(["wmp", "--bundle", str(path), "--json"]) == 0
+        in_json = json.loads(capsys.readouterr().out)["tolerances"]
+        assert main(["wmp", "--bundle", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        in_text = {k: (v, src) for k, v, src in re.findall(r"(\w+)=(\S+) \((\w+)\)", line)}
+        assert set(in_text) == set(in_json) - {"sources"} == set(in_json["sources"])
+        assert in_text["verify_rtol"] == ("1e-07", "bundle")
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["no-such-command"]) == 64
         capsys.readouterr()

@@ -77,6 +77,16 @@ def test_condition_number_and_invertibility():
     assert np.isinf(condition_number(np.diag([1.0, 0.0])))
 
 
+def test_operator_norm_is_numpy_2_norm(rng):
+    shapes = [(1, 1), (1, 7), (7, 1), (3, 5), (6, 4), (12, 10), (0, 3), (3, 0), (0, 0)]
+    for rows, cols in shapes:
+        for x in (
+            rng.standard_normal((rows, cols)),
+            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)),
+        ):
+            assert operator_norm(x) == np.linalg.norm(as_matrix(x), 2)
+
+
 def test_hermitian_checks(rng):
     h = random_spd(rng, 4)
     assert is_hermitian(h, DEFAULT_TOL)

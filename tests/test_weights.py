@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wmpinv import Weight, WeightError, as_weight
-from wmpinv.linalg import DEFAULT_TOL
+from wmpinv.linalg import DEFAULT_TOL, is_hermitian
 from wmpinv.sampling import random_spd, random_weight
 
 
@@ -56,3 +56,42 @@ def test_as_weight_passthrough(rng):
 def test_weight_requires_square():
     with pytest.raises(WeightError):
         Weight(np.ones((2, 3)))
+
+
+def test_weight_inverse_is_built_on_first_read(rng, monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+    w = Weight(random_weight(rng, 5).matrix)
+    assert calls == []
+    inv = w.inverse
+    assert len(calls) == 1
+    assert w.inverse is inv and len(calls) == 1
+    vals, vecs = eigh(w.matrix)
+    ref = (vecs / vals) @ vecs.conj().T
+    assert np.array_equal(inv, 0.5 * (ref + ref.conj().T))
+
+
+def _skew_pair(a):
+    """I + D / 2 with ``D = W - W*`` of four singular values ``a``, so ``||D||_F = 2a``."""
+    d = np.zeros((4, 4))
+    d[0, 1] = d[2, 3] = a
+    d -= d.T
+    return np.eye(4) + 0.5 * d
+
+
+def test_self_adjointness_boundary():
+    atol = DEFAULT_TOL.verify_atol
+    # the Frobenius norm exceeds verify_atol, the operator norm does not
+    inside = _skew_pair(0.8 * atol)
+    diff = inside - inside.T
+    assert np.linalg.norm(diff, 2) <= atol < np.linalg.norm(diff)
+    assert is_hermitian(inside)
+    assert np.array_equal(Weight(inside).matrix, np.eye(4))
+
+    outside = _skew_pair(1.5 * atol)
+    asym = np.linalg.norm(outside - outside.T, 2)
+    assert asym > atol
+    assert not is_hermitian(outside)
+    with pytest.raises(WeightError, match=f"= {asym:.6e} exceeds"):
+        Weight(outside)
