@@ -135,17 +135,20 @@ def lapack_calls(monkeypatch):
     """Count ``numpy.linalg`` decompositions and solves by entry point.
 
     ``svd`` counts the calls that compute factors and ``svdvals`` the
-    values-only ones; ``norm2`` counts ``numpy.linalg.norm(., 2)``.
+    values-only ones (``compute_uv=False``, passed by keyword);
+    ``norm2`` counts ``numpy.linalg.norm(., 2)``.
     Clear the counter between the calls being counted.
     """
     calls = Counter()
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            if name == "svd" and not kwargs.get("compute_uv", args[2] if len(args) > 2 else True):
+            if name == "norm":
+                calls["norm2"] += kwargs.get("ord", args[1] if len(args) > 1 else None) == 2
+            elif name == "svd" and not kwargs.get("compute_uv", True):
                 calls["svdvals"] += 1
-            elif name != "norm" or (args[1] if len(args) > 1 else kwargs.get("ord")) == 2:
-                calls["norm2" if name == "norm" else name] += 1
+            else:
+                calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapped
