@@ -43,7 +43,7 @@ from .limits import (
     omega_weight,
     separated_pair_check,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, _split_basis, as_matrix, operator_norm, svd_factor
+from .linalg import DEFAULT_TOL, ToleranceConfig, _split_basis, as_matrix, operator_norm
 from .sampling import random_complex, rng_from
 from .weights import Weight, as_weight
 
@@ -433,9 +433,9 @@ def cmd_perturb(args, ctx) -> int:
         if e is None:
             scale = 0.1 * max(operator_norm(am), 1.0)
             e = scale * random_complex(gen, am.shape[0], am.shape[1])
-        f = svd_factor(am, ctx.tol)
-        p_cod = f.range_basis @ f.range_basis.conj().T
-        p_dom = f.row_basis @ f.row_basis.conj().T
+        sp = _split_basis(am, ctx.tol)
+        p_cod = sp.u_r @ sp.u_r.conj().T
+        p_dom = sp.v_r @ sp.v_r.conj().T
         direction = p_cod @ as_matrix(e) @ p_dom
         seq = PerturbationSequence.full(
             am,
@@ -444,7 +444,7 @@ def cmd_perturb(args, ctx) -> int:
             [(am + direction / (i + 1), mw.matrix, nw.matrix) for i in range(terms)],
             ctx.tol,
         )
-        diag = run_diagnostics(seq, ctx.tol)
+        diag = run_diagnostics(seq, ctx.tol, _split=sp)
     finals = {k: (float(v[-1]) if np.isfinite(v[-1]) else None) for k, v in diag.columns.items()}
     report = {
         "kind": args.kind,

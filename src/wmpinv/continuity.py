@@ -173,7 +173,9 @@ def _classify(values: np.ndarray, start: int, atol: float) -> str:
     return "bounded"
 
 
-def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ContinuityDiagnostics:
+def run_diagnostics(
+    seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TOL, *, _split: SplitBasis | None = None
+) -> ContinuityDiagnostics:
     """Evaluate all continuity proxies over a perturbation sequence.
 
     The base weighted inverse must exist; per-term failures (singular
@@ -182,9 +184,10 @@ def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TO
     """
     from .core import _problem, _required_on_split, _wmp_on_split
 
-    # one split per distinct matrix: every term of a weights-only run reuses A's
+    # one split per distinct matrix: every term of a weights-only run reuses A's;
+    # ``_split`` is the split of the base matrix when the caller has made it already
     a_prev = as_matrix(seq.base_a)
-    sp = _split_basis(a_prev, tol)
+    sp = _split if _split is not None else _split_basis(a_prev, tol)
     base = _required_on_split(sp, a_prev, seq.base_m, seq.base_n, tol)
     _, p_dom0, p_cod0 = _projections(sp)
 

@@ -20,6 +20,14 @@ with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
 
 A enters only through that split, so a caller holding A fixed while the
 weights move splits it once and hands the split to ``_wmp_on_split``.
+
+The verdict compares the 2-norm condition numbers of the dense R and L to
+``inv_cond_max``.  R differs from the identity only in its n - r
+null-space rows and L in its m - r null-space columns, so both condition
+numbers come from values-only SVDs of order at most 2(n - r) and
+2(m - r) (``_factor_cond``).  The Penrose residuals of a computed
+inverse are exact 2-norms taken from Hermitian eigenvalues
+(``_residual_norm``).
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .linalg import (
     _rank_cutoff,
     _split_basis,
     as_matrix,
-    condition_number,
     mp_inverse,
     operator_norm,
     solve_linear,
@@ -106,7 +113,13 @@ def weighted_adjoint(t, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExistenceReport:
-    """Invertibility verdict for the two factors of the factored formula."""
+    """Invertibility verdict for the two factors of the factored formula.
+
+    ``r_cond`` and ``l_cond`` are the 2-norm condition numbers of the dense
+    ``r_factor`` and ``l_factor``, read off SVDs of order at most
+    2(n - r) and 2(m - r) of their null-space blocks; ``r_invertible`` and
+    ``l_invertible`` compare them to ``inv_cond_max``.
+    """
 
     exists: bool
     r_invertible: bool
@@ -137,23 +150,55 @@ class WmpResult:
     penrose_residuals: np.ndarray | None
 
 
-def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, np.ndarray, np.ndarray]:
+def _factor_cond(b: np.ndarray, c: np.ndarray) -> float:
+    """2-norm condition number of ``[[I_r, 0], [b, c]]``, ``b`` k x r and ``c`` k x k.
+
+    When r > k, ``b`` is replaced by ``T*`` with ``b* = Q T`` (thin QR):
+    a unitary change of the first r coordinates then splits the matrix
+    into ``[[I_k, 0], [T*, c]]`` and an identity of order r - k, so an SVD
+    of order 2k gives every singular value but those r - k ones.  For
+    r <= k the matrix itself has order at most 2k, and a QR there costs
+    about what it saves.
+    """
+    k, r = b.shape
+    if not k:
+        return 1.0
+    if r > k:
+        b = np.linalg.qr(b.conj().T, mode="r").conj().T
+    j = b.shape[1]
+    g = np.eye(j + k, dtype=np.complex128)
+    g[j:, :j] = b
+    g[j:, j:] = c
+    s = np.linalg.svd(g, compute_uv=False)
+    hi, lo = s[0], s[-1]
+    if r > k:
+        hi, lo = max(hi, 1.0), min(lo, 1.0)
+    return float("inf") if lo == 0.0 else float(hi / lo)
+
+
+def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
     """Build R and L in the bases of the split ``sp`` of A and decide existence.
 
-    ``R = V_r V_r* + V_0 (V_0* N)`` and ``L = U_r U_r* + (M^{-1} U_0) U_0*``;
-    the verdict compares their 2-norm condition numbers to ``inv_cond_max``.
-    M enters only through ``M^{-1} U_0``, which one LU solve with m - r
-    right-hand sides gives (a ``Weight`` has ``cond(M) <= inv_cond_max``),
-    so no inverse of M is formed.  The products ``V_0* N`` and
-    ``M^{-1} U_0`` are returned too, since the block solves of the inverse
-    start from them.
+    ``R = I + V_0 (V_0* N - V_0*)`` and ``L = I + (M^{-1} U_0 - U_0) U_0*``,
+    the dense forms of ``[[I, 0], [N_0r, N_00]]`` and
+    ``[[I, Mi_r0], [0, Mi_00]]``.  The verdict compares their 2-norm
+    condition numbers to ``inv_cond_max``; both are read off the blocks by
+    :func:`_factor_cond`, L through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]``
+    with ``Mi_0 = (M^{-1} U_0)*``.  M enters only through ``M^{-1} U_0``,
+    which one LU solve with m - r right-hand sides gives (a ``Weight`` has
+    ``cond(M) <= inv_cond_max``), so no inverse of M is formed.  Returns
+    the report and the block pairs ``(N_0r, N_00)`` and ``(Mi_0r, Mi_00)``,
+    which the block solves of the inverse start from.
     """
     n_0 = sp.v_0.conj().T @ n
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
-    r = sp.v_r @ sp.v_r.conj().T + sp.v_0 @ n_0
-    l = sp.u_r @ sp.u_r.conj().T + mi_u0 @ sp.u_0.conj().T
-    r_cond = condition_number(r)
-    l_cond = condition_number(l)
+    mi_0 = mi_u0.conj().T
+    n_blocks = (n_0 @ sp.v_r, n_0 @ sp.v_0)
+    mi_blocks = (mi_0 @ sp.u_r, mi_0 @ sp.u_0)
+    r = np.eye(n.shape[0], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
+    l = np.eye(m.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
+    r_cond = _factor_cond(*n_blocks)
+    l_cond = _factor_cond(*mi_blocks)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
     report = ExistenceReport(
@@ -165,7 +210,7 @@ def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, np.ndarray, np.
         r_factor=r,
         l_factor=l,
     )
-    return report, n_0, mi_u0
+    return report, n_blocks, mi_blocks
 
 
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
@@ -198,11 +243,12 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     return _wmp_on_split(_split_basis(am, tol), am, mw, nw, tol)
 
 
-def _eliminate(b_r: np.ndarray, b_0: np.ndarray, rows_0: np.ndarray) -> np.ndarray:
-    """``b_r - b_0 (rows_0 b_0)^{-1} (rows_0 b_r)``, or ``b_r`` when ``b_0`` has no columns."""
+def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
+    """``b_r - b_0 C^{-1} B`` for the blocks ``(B, C)``, or ``b_r`` when ``b_0`` has no columns."""
     if not b_0.shape[1]:
         return b_r
-    return b_r - b_0 @ np.linalg.solve(rows_0 @ b_0, rows_0 @ b_r)
+    c_r, c_0 = blocks
+    return b_r - b_0 @ np.linalg.solve(c_0, c_r)
 
 
 def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
@@ -213,14 +259,14 @@ def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
     ``N_00^{-1}`` one of ``R^{-1}``, so ``cond(N_00) <= cond(R) <=
     inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
     """
-    rep, n_0, mi_u0 = _decide(sp, mw.matrix, nw.matrix, tol)
+    rep, n_blocks, mi_blocks = _decide(sp, mw.matrix, nw.matrix, tol)
     inverse = None
     residuals = None
     if rep.exists:
-        # M^{-1} is Hermitian, so U_0* M^{-1} is the adjoint of the
-        # product _decide formed
-        right = _eliminate(sp.v_r, sp.v_0, n_0)
-        left = _eliminate(sp.u_r, sp.u_0, mi_u0.conj().T)
+        # M^{-1} is Hermitian, so (M^{-1} U_0)* = U_0* M^{-1} and the blocks
+        # _decide formed from it are the Mi_0r and Mi_00 of the formula
+        right = _eliminate(sp.v_r, sp.v_0, n_blocks)
+        left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
         inverse = (right / sp.sigma_r) @ left.conj().T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
     return WmpResult(
@@ -255,11 +301,40 @@ def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResul
     return _required(wmp_inverse(a, m, n, tol), tol)
 
 
+# Below this squared Frobenius norm of a residual, products of its entries
+# may lose precision to underflow
+_GRAM_FLOOR = 1e-280
+
+
+def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
+    """Exact 2-norm of ``d`` from Hermitian eigenvalues instead of an SVD.
+
+    An anti-Hermitian ``d`` makes ``1j * d`` exactly Hermitian, whose
+    largest eigenvalue magnitude is the norm.  Otherwise the norm is the
+    root of the largest eigenvalue of the Gram matrix of the smaller side.
+    ``||d||_F^2`` bounds every entry of that Gram matrix, so when it
+    overflows, or falls to ``_GRAM_FLOOR`` while ``d`` is not exactly
+    zero, the norm is left to the SVD.
+    """
+    if d.size == 0:
+        return 0.0
+    if anti_hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(1j * d))))
+    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
+        return operator_norm(d) if d.any() else 0.0
+    dh = d.conj().T
+    gram = d @ dh if d.shape[0] <= d.shape[1] else dh @ d
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Operator-norm residuals of the four weighted Penrose identities.
 
     Order: ``AXA - A``, ``XAX - X``, anti-Hermitian part of ``MAX``,
-    anti-Hermitian part of ``NXA``.
+    anti-Hermitian part of ``NXA``.  Each is the exact 2-norm, computed
+    from Hermitian eigenvalues (:func:`_residual_norm`): those of
+    ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and those of the
+    Gram matrices of the first two residuals.
     """
     am = as_matrix(a)
     xm = as_matrix(x)
@@ -275,10 +350,10 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
     nxa = nw.matrix @ xa
     return np.array(
         [
-            operator_norm(ax @ am - am),
-            operator_norm(xa @ xm - xm),
-            operator_norm(max_ - max_.conj().T),
-            operator_norm(nxa - nxa.conj().T),
+            _residual_norm(ax @ am - am),
+            _residual_norm(xa @ xm - xm),
+            _residual_norm(max_ - max_.conj().T, anti_hermitian=True),
+            _residual_norm(nxa - nxa.conj().T, anti_hermitian=True),
         ]
     )
 
@@ -390,7 +465,7 @@ def equivalent_domain_weights(
 
     # with M = I the factor L is the identity, so the verdict is R's alone
     sp = _split_basis(am, tol)
-    rep, n_0, _ = _decide(sp, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
+    rep, (n21, n22), _ = _decide(sp, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
     v_range, v_null = sp.v_r, sp.v_0
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
@@ -405,8 +480,7 @@ def equivalent_domain_weights(
     if not rep.exists:
         raise NonExistentError("R_{A,N}", rep.r_cond)
 
-    n22 = n_0 @ v_null
-    coupling = svd_factor(0.5 * (n22 + n22.conj().T)).solve(n_0 @ v_range)
+    coupling = svd_factor(0.5 * (n22 + n22.conj().T)).solve(n21)
 
     basis = np.hstack([v_range, v_null])
     ws = []

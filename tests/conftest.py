@@ -132,7 +132,7 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Count ``numpy.linalg`` decompositions and solves by entry point.
+    """Count ``numpy.linalg`` decompositions (``qr`` included) and solves by entry point.
 
     ``svd`` counts the calls that compute factors and ``svdvals`` the
     values-only ones (``compute_uv=False``, passed by keyword);
@@ -153,9 +153,27 @@ def lapack_calls(monkeypatch):
 
         return wrapped
 
-    for name in ("svd", "eigh", "eigvalsh", "solve", "inv", "lstsq", "norm"):
+    for name in ("svd", "eigh", "eigvalsh", "solve", "inv", "lstsq", "norm", "qr"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return calls
+
+
+@pytest.fixture
+def svdvals_shapes(monkeypatch):
+    """Shapes of the values-only ``numpy.linalg.svd`` calls, in call order.
+
+    Clear the list between the calls being measured.
+    """
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            shapes.append(np.shape(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
 
 
 def make_instance(gen, rows, cols, rank, positive=False):

@@ -21,8 +21,8 @@ from wmpinv import (
     wmp_inverse,
     wmp_inverse_positive,
 )
-from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, mp_inverse, operator_norm
-from wmpinv.sampling import random_matrix_with_rank, random_spd, random_weight
+from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, condition_number, mp_inverse, operator_norm
+from wmpinv.sampling import random_complex, random_matrix_with_rank, random_spd, random_weight
 
 
 class TestGoldenExample:
@@ -112,6 +112,86 @@ class TestNearSingularDomainFactor:
             verdicts.append(exists)
         assert verdicts[0] and not verdicts[-1]
         assert sum(a != b for a, b in zip(verdicts, verdicts[1:])) == 1
+
+
+class TestExactAgainstDenseDefinitions:
+    """``r_cond``, ``l_cond`` and the residuals are the 2-norm quantities of the dense matrices."""
+
+    @staticmethod
+    def dense_residuals(a, m, n, x):
+        # the four residual matrices, formed as verify_weighted_penrose forms them
+        am, xm = (np.ascontiguousarray(t, dtype=np.complex128) for t in (a, x))
+        ax, xa = am @ xm, xm @ am
+        max_, nxa = m.matrix @ ax, n.matrix @ xa
+        return [ax @ am - am, xa @ xm - xm, max_ - max_.conj().T, nxa - nxa.conj().T]
+
+    # rank 0, full rank, r <= n - r, r > n - r, and both rectangular orientations
+    @pytest.mark.parametrize(
+        "rows,cols,rank",
+        [(6, 6, 0), (6, 6, 6), (8, 8, 3), (8, 8, 6), (9, 5, 2), (9, 5, 4), (5, 9, 2), (5, 9, 4)],
+    )
+    def test_seeded_problems(self, rows, cols, rank):
+        gen = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        for _ in range(5):
+            a = random_matrix_with_rank(gen, rows, cols, rank)
+            m, n = random_weight(gen, rows), random_weight(gen, cols)
+            res = wmp_inverse(a, m, n)
+            for cond, factor in ((res.r_cond, res.r_factor), (res.l_cond, res.l_factor)):
+                if cond <= 1e10:
+                    assert cond == pytest.approx(condition_number(factor), rel=1e-10)
+            if res.exists:
+                dense = [operator_norm(d) for d in self.dense_residuals(a, m, n, res.inverse)]
+                for got, want in zip(res.penrose_residuals, dense):
+                    assert abs(got - want) <= 1e-12 * want + 1e-30
+
+    @pytest.mark.parametrize("a_scale,x_scale", [(1.0, 1e150), (1e-170, 1.0), (0.0, 1.0)])
+    def test_residuals_at_extreme_scales(self, a_scale, x_scale):
+        # the Gram matrices of these residuals over- or underflow
+        gen = np.random.default_rng(3)
+        a = a_scale * random_matrix_with_rank(gen, 4, 3, 2)
+        x = x_scale * random_complex(gen, 3, 4)
+        m, n = random_weight(gen, 4), random_weight(gen, 3)
+        dense = [operator_norm(d) for d in self.dense_residuals(a, m, n, x)]
+        for got, want in zip(verify_weighted_penrose(a, m, n, x), dense):
+            assert abs(got - want) <= 1e-12 * want + 1e-300
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    def test_boundary_sweep_matches_dense_verdict(self, rank):
+        # cond(N_00) from 1e8 to 1e16 on a 5 x 6 A; rank 2 leaves r <= n - r,
+        # rank 4 the QR-compressed r > n - r.  R is not normalised, so at
+        # weight scales 1e-6 and 1e6 it is past inv_cond_max over the whole
+        # sweep; the verdict must still be the dense one point by point
+        gen = np.random.default_rng(rank)
+        q_cod, _ = np.linalg.qr(random_complex(gen, 5, 5))
+        q_dom, _ = np.linalg.qr(random_complex(gen, 6, 6))
+        a = (q_cod[:, :rank] * np.linspace(2.0, 1.0, rank)) @ q_dom[:, :rank].conj().T
+        base = random_weight(gen, 6).matrix
+        k = 6 - rank
+        q_null, _ = np.linalg.qr(random_complex(gen, k, k))
+        for scale in (1e-6, 1.0, 1e6):
+            verdicts, dense = [], []
+            for kappa in np.logspace(8, 16, 33):
+                w = q_dom.conj().T @ base @ q_dom
+                w[rank:, rank:] = (q_null * np.linspace(1.0, 1.0 / kappa, k)) @ q_null.conj().T
+                n = scale * (q_dom @ w @ q_dom.conj().T)
+                rep = wmp_exists(a, np.eye(5), 0.5 * (n + n.conj().T))
+                verdicts.append(rep.exists)
+                dense.append(condition_number(rep.r_factor) <= DEFAULT_TOL.inv_cond_max)
+            assert verdicts == dense
+            if scale == 1.0:
+                assert verdicts[0] and not verdicts[-1]
+                assert sum(x != y for x, y in zip(verdicts, verdicts[1:])) == 1
+
+
+def test_factor_conditions_come_from_compressions(svdvals_shapes):
+    # n - r = 10, so every values-only SVD has order at most 2 (n - r) = 20
+    gen = np.random.default_rng(30)
+    a = random_matrix_with_rank(gen, 40, 40, 30)
+    m, n = random_weight(gen, 40), random_weight(gen, 40)
+    svdvals_shapes.clear()
+    assert wmp_inverse(a, m, n).exists
+    assert svdvals_shapes
+    assert max(max(shape) for shape in svdvals_shapes) <= 20
 
 
 def test_identity_weights_give_ordinary_pinv(rng):
@@ -317,6 +397,10 @@ def test_one_split_per_problem(svd_calls, tmp_path, capsys):
     bundle = tmp_path / "problem.json"
     write_bundle(bundle, {"A": a, "M": m.matrix, "N": n.matrix})
     assert svds(cli, "reduce", "--bundle", str(bundle)) == 1
+    # perturb --kind full projects its direction with the split the harness starts from
+    svd_calls.clear()
+    cli("perturb", "--bundle", str(bundle), "--kind", "full", "--terms", "3")
+    assert sum(np.array_equal(mat, a) for mat, _ in svd_calls) == 1
     capsys.readouterr()
 
 
@@ -329,10 +413,12 @@ def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
     res = wmp_inverse(a, m, n)
     assert res.exists
     assert lapack_calls["eigh"] == 0
-    assert lapack_calls["eigvalsh"] == 2
-    # the split of A; cond(R), cond(L) and four Penrose residuals are values only
+    # the two weights, then the four Penrose residuals
+    assert lapack_calls["eigvalsh"] == 6
+    # the split of A; cond(R) and cond(L) from QR-compressed blocks (rank 4 > 6 - 4, 7 - 4)
     assert lapack_calls["svd"] == 1
-    assert lapack_calls["svdvals"] == 6
+    assert lapack_calls["svdvals"] == 2
+    assert lapack_calls["qr"] == 2
     # M^-1 U_0 and the two block solves
     assert lapack_calls["solve"] == 3
     assert lapack_calls["inv"] == lapack_calls["lstsq"] == lapack_calls["norm2"] == 0
