@@ -146,7 +146,7 @@ class TestExactAgainstDenseDefinitions:
 
     @pytest.mark.parametrize("a_scale,x_scale", [(1.0, 1e150), (1e-170, 1.0), (0.0, 1.0)])
     def test_residuals_at_extreme_scales(self, a_scale, x_scale):
-        # the Gram matrices of these residuals over- or underflow
+        # the Gram matrices of AXA - A and XAX - X overflow, underflow, or are exactly zero
         gen = np.random.default_rng(3)
         a = a_scale * random_matrix_with_rank(gen, 4, 3, 2)
         x = x_scale * random_complex(gen, 3, 4)
