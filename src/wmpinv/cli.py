@@ -24,7 +24,7 @@ from .core import (
     wmp_exists,
     wmp_inverse,
 )
-from .exceptions import WmpError
+from .exceptions import WmpError, _cond_text
 from .io import (
     BundleFormatError,
     ProblemBundle,
@@ -197,7 +197,7 @@ def _no_inverse(args, ctx, report: dict, lines: list, res, matrices: dict | None
     """Report that the weighted inverse does not exist; exit code 2."""
     factor, cond = _singular_factor(res.r_cond, res.l_cond, ctx.tol)
     report["singular_factor"] = factor
-    msg = f"weighted inverse does not exist: {factor} has condition number {cond:.6e}"
+    msg = f"weighted inverse does not exist: {factor} has {_cond_text(cond)}"
     _emit(args, ctx, report, lines + [msg], matrices)
     if not args.json:
         print(msg, file=sys.stderr)
@@ -485,9 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("matched-projection", cmd_matched_projection, "orthogonal projection matched to an idempotent (role Q)"),
         ("rho", cmd_rho, "self-adjoint embedding of the weighted problem (roles A, M, N)"),
     ]
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     for name, handler, help_text in entries:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p = sub.add_parser(name, help=help_text, parents=[common])
         if name == "perturb":
             p.add_argument("--terms", type=int, default=50, help="sequence length")
             p.add_argument(

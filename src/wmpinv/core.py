@@ -52,7 +52,6 @@ from .linalg import (
     mp_inverse,
     operator_norm,
     solve_linear,
-    svd_factor,
 )
 from .weights import Weight, as_weight
 
@@ -463,9 +462,7 @@ def equivalent_domain_weights(
         raise ValueError("samples must be at least 1")
     gen = rng_from(rng)
 
-    # with M = I the factor L is the identity, so the verdict is R's alone
     sp = _split_basis(am, tol)
-    rep, (n21, n22), _ = _decide(sp, np.eye(am.shape[0], dtype=np.complex128), nw.matrix, tol)
     v_range, v_null = sp.v_r, sp.v_0
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
@@ -477,10 +474,13 @@ def equivalent_domain_weights(
             null_basis=None,
             coupling=None,
         )
-    if not rep.exists:
-        raise NonExistentError("R_{A,N}", rep.r_cond)
-
-    coupling = svd_factor(0.5 * (n22 + n22.conj().T)).solve(n21)
+    # the verdict is R's alone; once it holds, cond(N_00) <= cond(R) makes LU safe
+    n_0 = v_null.conj().T @ nw.matrix
+    n_0r, n_00 = n_0 @ v_range, n_0 @ v_null
+    r_cond = _factor_cond(n_0r, n_00)
+    if r_cond > tol.inv_cond_max:
+        raise NonExistentError("R_{A,N}", r_cond)
+    coupling = np.linalg.solve(n_00, n_0r)
 
     basis = np.hstack([v_range, v_null])
     ws = []

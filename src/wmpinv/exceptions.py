@@ -8,6 +8,8 @@ mathematical precondition failing on well-formed input derives from
 
 from __future__ import annotations
 
+import sys
+
 __all__ = [
     "WmpError",
     "WeightError",
@@ -30,6 +32,17 @@ class RankFlipWarning(UserWarning):
     """
 
 
+def _cond_text(cond: float) -> str:
+    """A condition number as failure messages quote it.
+
+    At or above ``1 / eps`` the computed value is rounding noise of an
+    exactly singular matrix, so the text names only that verdict.
+    """
+    if cond * sys.float_info.epsilon >= 1.0:
+        return "condition number >= 1/eps, singular to working precision"
+    return f"condition number {cond:.6e}"
+
+
 class WmpError(Exception):
     """Base class for mathematical failures on well-formed input."""
 
@@ -50,7 +63,7 @@ class NonExistentError(WmpError):
         self.cond = cond
         super().__init__(
             f"weighted pseudoinverse does not exist: factor {factor} is "
-            f"numerically singular (condition number {cond:.6e})"
+            f"numerically singular ({_cond_text(cond)})"
         )
 
 

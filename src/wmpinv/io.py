@@ -4,13 +4,15 @@ A bundle is a JSON object whose top-level keys are role names mapping to
 matrix objects ``{"rows": r, "cols": c, "re": [...], "im": [...]}`` with
 flat row-major entry lists (``im`` optional), plus the reserved keys
 ``tolerances`` (numeric overrides), ``schedule`` (list of positive
-floats), and ``seed``.  Floats are written with 17 significant digits so
-a write/read cycle is bit identical.
+floats), and ``seed``.  JSON is written by ``json.dumps``: floats as the
+shortest round-trip repr, one line, so a write/read cycle is bit
+identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -53,10 +55,10 @@ def matrix_to_obj(a) -> dict:
     obj = {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.ravel()],
+        "re": m.real.ravel().tolist(),
     }
     if np.any(m.imag != 0.0):
-        obj["im"] = [float(x) for x in m.imag.ravel()]
+        obj["im"] = m.imag.ravel().tolist()
     return obj
 
 
@@ -102,6 +104,10 @@ def parse_bundle(text: str) -> ProblemBundle:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"invalid JSON: {e}") from e
+    return _bundle_from_obj(raw)
+
+
+def _bundle_from_obj(raw) -> ProblemBundle:
     if not isinstance(raw, dict):
         raise BundleFormatError("bundle must be a JSON object")
     bundle = ProblemBundle()
@@ -163,7 +169,7 @@ def load_matrix(path) -> np.ndarray:
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"{p}: invalid JSON: {e}") from e
     if isinstance(obj, dict) and not {"rows", "cols", "re"} <= set(obj):
-        bundle = parse_bundle(json.dumps(obj))
+        bundle = _bundle_from_obj(obj)
         if len(bundle.matrices) == 1:
             return next(iter(bundle.matrices.values()))
         raise BundleFormatError(
@@ -172,49 +178,24 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_obj(obj)
 
 
-def _dump(obj, pieces: list, indent: int) -> None:
-    pad = "  " * indent
+def _plain(obj):
+    """``obj`` with NumPy values made Python ones, non-finite floats ``None`` and keys ``str``."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            pieces.append(f'{pad}  {json.dumps(str(k))}: ')
-            _dump(v, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj.tolist() if isinstance(obj, np.ndarray) else obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        pieces.append("[")
-        for i, v in enumerate(seq):
-            _dump(v, pieces, indent)
-            if i < len(seq) - 1:
-                pieces.append(", ")
-        pieces.append("]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        pieces.append(format(x, ".17g") if np.isfinite(x) else "null")
-    elif obj is None:
-        pieces.append("null")
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    return obj
 
 
 def dump_json(obj) -> str:
-    """Serialize with floats at 17 significant digits (non-finite as null)."""
-    pieces: list = []
-    _dump(obj, pieces, 0)
-    return "".join(pieces) + "\n"
+    """One line of JSON, non-finite floats as null; ``TypeError`` for anything else JSON lacks."""
+    return json.dumps(_plain(obj), allow_nan=False) + "\n"
 
 
 def write_bundle(path, matrices: dict, scalars: dict | None = None) -> None:

@@ -51,14 +51,11 @@ class ToleranceConfig:
         2-norm condition number does not exceed this bound.
     verify_atol : float
         Absolute tolerance for identity verification residuals.
-    verify_rtol : float
-        Relative tolerance for comparisons against reference values.
     """
 
     rank_rtol: float | None = None
     inv_cond_max: float = 1e12
     verify_atol: float = 1e-9
-    verify_rtol: float = 1e-9
 
     def __post_init__(self):
         if self.rank_rtol is not None and not (0.0 < self.rank_rtol < 1.0):
@@ -66,7 +63,7 @@ class ToleranceConfig:
         # written so that NaN fails each test
         if not self.inv_cond_max > 1.0:
             raise ValueError("inv_cond_max must exceed 1")
-        if not (self.verify_atol > 0.0 and self.verify_rtol > 0.0):
+        if not self.verify_atol > 0.0:
             raise ValueError("verification tolerances must be positive")
 
     def rank_rtol_for(self, shape: tuple[int, int]) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import WeightError
+from .exceptions import WeightError, _cond_text
 from .linalg import DEFAULT_TOL, ToleranceConfig, _self_adjointness, as_matrix
 
 __all__ = ["Weight", "as_weight"]
@@ -61,7 +61,7 @@ class Weight:
         if smin == 0.0 or smax / smin > tol.inv_cond_max:
             cond = float("inf") if smin == 0.0 else smax / smin
             raise WeightError(
-                f"weight is numerically singular: condition number {cond:.6e} "
+                f"weight is numerically singular: {_cond_text(cond)} "
                 f"exceeds {tol.inv_cond_max:.1e}"
             )
         self.matrix = h

@@ -8,6 +8,7 @@ from wmpinv import (
     NonExistentError,
     NotIdempotentError,
     Weight,
+    WeightError,
     equivalent_domain_weights,
     matched_projection,
     positive_reduction,
@@ -82,6 +83,34 @@ class TestSingularFactorName:
             with pytest.raises(NonExistentError) as exc:
                 call(a, m, n)
             assert exc.value.factor == "R_{A,N}"
+
+    def test_messages_depend_on_the_verdict_alone(self, tmp_path, capsys):
+        from wmpinv.cli import main
+        from wmpinv.io import write_bundle
+
+        # computed condition numbers of exactly singular matrices are rounding
+        # noise (1e16-1e17 here, different for each problem)
+        conds, messages = set(), set()
+        for seed in (4, 17):
+            gen = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+            p, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+            a = q @ np.diag([1.0, 2.0, 0.0]) @ p.conj().T
+            m = q @ self.H @ q.conj().T
+            n = p @ self.H @ p.conj().T
+            conds.add(wmp_exists(a, m, n).r_cond)
+            with pytest.raises(NonExistentError) as exc:
+                require_wmp_inverse(a, m, n)
+            assert exc.value.cond == wmp_exists(a, m, n).r_cond
+            with pytest.raises(WeightError) as weight_exc:
+                Weight(a @ a.conj().T)
+            bundle = tmp_path / f"singular{seed}.json"
+            write_bundle(bundle, {"A": a, "M": m, "N": n})
+            assert main(["wmp", "--bundle", str(bundle)]) == 2
+            messages.add((str(exc.value), str(weight_exc.value), capsys.readouterr().err))
+        assert len(conds) == 2
+        assert len(messages) == 1
+        assert "singular to working precision" in messages.pop()[0]
 
 
 class TestNearSingularDomainFactor:
@@ -283,6 +312,21 @@ class TestEquivalentDomainWeights:
     def test_blocked_coupling_raises(self):
         with pytest.raises(NonExistentError):
             equivalent_domain_weights(golden_data.NOEXIST_A, golden_data.NOEXIST_N)
+
+    def test_decides_on_the_domain_factor_alone(self, lapack_calls):
+        gen = np.random.default_rng(3)
+        a, n = random_matrix_with_rank(gen, 30, 8, 5), random_weight(gen, 8)
+        lapack_calls.clear()
+        equivalent_domain_weights(a, n, samples=1, rng=0)
+        # the split of A, then cond(R) from its QR-compressed blocks (rank 5 > 8 - 5)
+        assert lapack_calls["svd"] == 1
+        assert lapack_calls["qr"] == 1
+        # cond(R), then the two operator norms of the sample's random_spd draws
+        assert lapack_calls["svdvals"] == 3
+        # the coupling N_00^-1 N_0r, and the sample Weight
+        assert lapack_calls["solve"] == 1
+        assert lapack_calls["eigvalsh"] == 1
+        assert lapack_calls["eigh"] == lapack_calls["inv"] == lapack_calls["lstsq"] == lapack_calls["norm2"] == 0
 
     def test_near_singular_domain_factor_raises_nonexistence(self):
         # N_00 = 1e-13 is a perfectly conditioned 1 x 1 block, yet cond(R) ~ 2e13
