@@ -98,10 +98,11 @@ class TestSingularFactorName:
             a = q @ np.diag([1.0, 2.0, 0.0]) @ p.conj().T
             m = q @ self.H @ q.conj().T
             n = p @ self.H @ p.conj().T
-            conds.add(wmp_exists(a, m, n).r_cond)
+            r_cond = wmp_exists(a, m, n).r_cond
+            conds.add(r_cond)
             with pytest.raises(NonExistentError) as exc:
                 require_wmp_inverse(a, m, n)
-            assert exc.value.cond == wmp_exists(a, m, n).r_cond
+            assert exc.value.cond == r_cond
             with pytest.raises(WeightError) as weight_exc:
                 Weight(a @ a.conj().T)
             bundle = tmp_path / f"singular{seed}.json"

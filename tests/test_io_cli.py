@@ -1,6 +1,5 @@
 """Bundle serialization and the command-line front end."""
 
-import importlib
 import importlib.util
 import json
 import re
