@@ -249,8 +249,8 @@ def cmd_exists(args, ctx) -> int:
         "l_cond": rep.l_cond,
     }
     lines = [
-        f"R factor invertible: {rep.r_invertible} (condition number {rep.r_cond:.6e})",
-        f"L factor invertible: {rep.l_invertible} (condition number {rep.l_cond:.6e})",
+        f"R factor invertible: {rep.r_invertible} ({_cond_text(rep.r_cond)})",
+        f"L factor invertible: {rep.l_invertible} ({_cond_text(rep.l_cond)})",
         f"exists: {rep.exists}",
     ]
     if not rep.exists:

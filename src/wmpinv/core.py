@@ -27,7 +27,7 @@ null-space rows and L in its m - r null-space columns, so both condition
 numbers come from values-only SVDs of order at most 2(n - r) and
 2(m - r) (``_factor_cond``).  The Penrose residuals of a computed
 inverse are exact 2-norms taken from Hermitian eigenvalues
-(``_residual_norm``).
+(``linalg._residual_norm``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .linalg import (
     SplitBasis,
     ToleranceConfig,
     _rank_cutoff,
+    _residual_norm,
     _split_basis,
     as_matrix,
     mp_inverse,
@@ -298,32 +299,6 @@ def _required_on_split(sp: SplitBasis, a, m, n, tol) -> WmpResult:
 def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     """Like ``wmp_inverse`` but raises ``NonExistentError`` on failure."""
     return _required(wmp_inverse(a, m, n, tol), tol)
-
-
-# Below this squared Frobenius norm of a residual, products of its entries
-# may lose precision to underflow
-_GRAM_FLOOR = 1e-280
-
-
-def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
-    """Exact 2-norm of ``d`` from Hermitian eigenvalues instead of an SVD.
-
-    An anti-Hermitian ``d`` makes ``1j * d`` exactly Hermitian, whose
-    largest eigenvalue magnitude is the norm.  Otherwise the norm is the
-    root of the largest eigenvalue of the Gram matrix of the smaller side.
-    ``||d||_F^2`` bounds every entry of that Gram matrix, so when it
-    overflows, or falls to ``_GRAM_FLOOR`` while ``d`` is not exactly
-    zero, the norm is left to the SVD.
-    """
-    if d.size == 0:
-        return 0.0
-    if anti_hermitian:
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * d))))
-    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
-        return operator_norm(d) if d.any() else 0.0
-    dh = d.conj().T
-    gram = d @ dh if d.shape[0] <= d.shape[1] else dh @ d
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

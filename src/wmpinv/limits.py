@@ -17,10 +17,15 @@ part of the joint space where the t-free term acts, divides the
 t-grading out exactly and solves a uniformly well-conditioned system, so
 the iterate error stays at the truncation level down the whole schedule.
 
-Each schedule point takes the singular values of that system alone, for
-the condition number that decides a rank flip, and solves it by LU; the
-truncated SVD solve is kept only for a system whose smallest singular
-value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.  The splits
+Each schedule point makes one LU solve of that system S, for the
+right-hand side and the identity together.  The inverse bounds the
+condition number that decides a rank flip, ``cond_2(S) <= ||S||_F
+||S^-1||_F``, and where the bound clears ``inv_cond_max`` with a margin
+the LU iterate stands.  Only elsewhere are the singular values of S
+taken: they decide the flag, and the truncated SVD solve is kept for a
+system whose smallest singular value falls to the ``lstsq`` cutoff
+``eps * n * sigma_max``.  Each error is an exact 2-norm from the
+eigenvalues of a Gram matrix.  The splits
 are made once per call: ``limit_t_to_zero`` and
 ``general_limit_via_decomposition`` split ``[A; B]`` once for the domain
 weight and the solver, and the pencil solver's splits, which do not
@@ -46,9 +51,11 @@ from .linalg import (
     LimitTrace,
     SplitBasis,
     ToleranceConfig,
+    _EPS,
     _check_schedule,
     _clears_positive_floor,
     _cond,
+    _residual_norm,
     _self_adjointness,
     _solve_cutoff,
     _split_basis,
@@ -242,17 +249,19 @@ class _GradedSolver:
     enters through the column blocks ``k1 = S q1`` and ``k2 = S q2``, and
     ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
     limits differ only in how they build these pieces.  The constructors
-    make the solver's full SVDs; :meth:`iterate` adds one values-only SVD
-    and one LU solve per point.
+    make the solver's full SVDs; :meth:`iterate` adds one LU solve per
+    point, which also certifies that the system is well conditioned, and
+    a values-only SVD only where that certificate does not clear.
     """
 
-    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs):
+    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs, tol: ToleranceConfig = DEFAULT_TOL):
         self.basis = v0 @ np.hstack([q1, q2])
         self.h11 = h11
         self.k11 = k1.conj().T @ k_mid @ k1
         self.k12 = k1.conj().T @ k_mid @ k2
         self.k22 = k2.conj().T @ k_mid @ k2
         self.rhs = rhs
+        self.tol = tol
 
     @classmethod
     def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis | None = None):
@@ -271,7 +280,7 @@ class _GradedSolver:
         # q2 spans the null space of A compressed to the row space, so the
         # second block of the right-hand side vanishes identically
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
-        return lambda wmat: cls(v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs)
+        return lambda wmat: cls(v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs, tol)
 
     @classmethod
     def pair(cls, a_sym, b_sym, tol: ToleranceConfig) -> "_GradedSolver":
@@ -288,22 +297,43 @@ class _GradedSolver:
         *_, q1, q2 = _split_basis(at, tol)
         vb = v0.conj().T @ b_sym
         g1, g2 = q1.conj().T @ vb, q2.conj().T @ vb
-        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, lambda t: np.vstack([t * g1, g2]))
+        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, lambda t: np.vstack([t * g1, g2]), tol)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
-        """The iterate at ``t`` and the condition number of the system solved for it.
+        """The iterate at ``t`` and the condition number of its system, or a bound on it.
 
-        The condition number comes from the singular values alone.  When
-        none of them falls to the cutoff of :meth:`SvdFactorization.solve`
-        the system is solved by LU, the same solve without the factors;
-        otherwise (only far beyond ``inv_cond_max`` at its default) the
-        truncated SVD solve is kept.  The empty system gives a zero
-        iterate and condition number 1.
+        One LU solve takes the right-hand side and the identity together,
+        so it gives the iterate and ``S^-1``.  Since
+        ``cond_2(S) <= ||S||_F ||S^-1||_F``, a Frobenius bound of at most
+        ``min(inv_cond_max / 2, 1e-3 / (eps n))`` proves that S is no rank
+        flip and that its smallest singular value lies above the cutoff of
+        :meth:`SvdFactorization.solve`; the bound is returned in place of
+        the condition number.  The second term keeps the rounding of the
+        computed inverse inside the factor-2 margin.  Where the bound does
+        not clear (it is larger, not finite, or LU meets an exactly
+        singular S), the condition number comes from the singular values,
+        and the system is solved by LU again unless its smallest singular
+        value falls to that cutoff, when the truncated SVD solve is kept.
+        The empty system gives a zero iterate and condition number 1.
         """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
         rhs = self.rhs(t)
         if not system.size:
             return self.basis @ rhs, 1.0
+        n, k = system.shape[0], rhs.shape[1]
+        bound = np.inf
+        # overflow in the bound only means that it does not clear
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                both = np.linalg.solve(system, np.hstack([rhs, np.eye(n)]))
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                inv = both[:, k:]
+                bound = float(np.sqrt(np.vdot(system, system).real * np.vdot(inv, inv).real))
+        # written so that NaN fails
+        if bound <= min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * n)):
+            return self.basis @ both[:, :k], bound
         sigma = np.linalg.svd(system, compute_uv=False)
         if sigma[-1] > _solve_cutoff(sigma, system.shape):
             y = np.linalg.solve(system, rhs)
@@ -401,7 +431,7 @@ def limit_lambda_to_inf(
     target = mp_inverse(mid, tol, sigma_floor=floor) @ b_sym
     solver = _GradedSolver.pair(a_sym, b_sym, tol)
     if atol is None:
-        atol = 1e-6 * (1.0 + operator_norm(target))
+        atol = 1e-6 * (1.0 + _residual_norm(target))
     return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
 
 

@@ -270,6 +270,32 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+# Below this squared Frobenius norm of a residual, products of its entries
+# may lose precision to underflow
+_GRAM_FLOOR = 1e-280
+
+
+def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
+    """Exact 2-norm of ``d`` from Hermitian eigenvalues instead of an SVD.
+
+    An anti-Hermitian ``d`` makes ``1j * d`` exactly Hermitian, whose
+    largest eigenvalue magnitude is the norm.  Otherwise the norm is the
+    root of the largest eigenvalue of the Gram matrix of the smaller side.
+    ``||d||_F^2`` bounds every entry of that Gram matrix, so when it
+    overflows, or falls to ``_GRAM_FLOOR`` while ``d`` is not exactly
+    zero, the norm is left to the SVD.
+    """
+    if d.size == 0:
+        return 0.0
+    if anti_hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(1j * d))))
+    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
+        return operator_norm(d) if d.any() else 0.0
+    dh = d.conj().T
+    gram = d @ dh if d.shape[0] <= d.shape[1] else dh @ d
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def condition_number(a) -> float:
     """2-norm condition number, ``inf`` when the smallest singular value is 0."""
     m = as_matrix(a)
@@ -394,16 +420,19 @@ def _check_schedule(schedule, *, decreasing: bool) -> np.ndarray:
 
 def limit_atol_for(target: np.ndarray) -> float:
     """Convergence tolerance used by every limit trace."""
-    return 1e-8 * (1.0 + operator_norm(target))
+    return 1e-8 * (1.0 + _residual_norm(target))
 
 
 def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=None) -> LimitTrace:
     """The one loop that evaluates a limit along a checked schedule.
 
     ``step(p)`` returns the iterate at parameter ``p`` and the condition
-    number of the system solved for it; points where that exceeds
+    number of the system solved for it, or an upper bound on it that does
+    not exceed ``inv_cond_max``; points where that exceeds
     ``inv_cond_max`` are recorded as rank flips and reported through one
-    ``RankFlipWarning``.  ``atol`` defaults to :func:`limit_atol_for`.
+    ``RankFlipWarning``.  Each error is an exact 2-norm taken from Gram
+    eigenvalues (:func:`_residual_norm`).  ``atol`` defaults to
+    :func:`limit_atol_for`.
     """
     iterates = []
     errors = np.empty(schedule.size)
@@ -411,7 +440,7 @@ def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=N
     for i, p in enumerate(schedule):
         it, cond = step(float(p))
         iterates.append(it)
-        errors[i] = operator_norm(it - target)
+        errors[i] = _residual_norm(it - target)
         if cond > tol.inv_cond_max:
             flips.append(i)
     if flips:

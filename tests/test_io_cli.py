@@ -13,7 +13,7 @@ import scipy.io
 
 import conftest as golden_data
 import wmpinv
-from wmpinv import require_wmp_inverse
+from wmpinv import require_wmp_inverse, wmp_exists
 from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
@@ -27,6 +27,7 @@ from wmpinv.io import (
     read_matrix_market,
     write_bundle,
 )
+from wmpinv.sampling import random_complex
 
 
 @pytest.fixture
@@ -166,6 +167,29 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert "R_{A,N}" in captured.err
         assert "condition number" in captured.err
+
+    def test_exists_text_quotes_no_rounding_noise(self, tmp_path, capsys):
+        # the hyperbolic block of N pairs a range direction of A with a null
+        # one, so N_00 and R are exactly singular; their computed condition
+        # number is rounding noise, which only the --json report carries
+        gen = np.random.default_rng(0)
+        q, _ = np.linalg.qr(random_complex(gen, 4, 4))
+        h = np.eye(4)
+        h[[0, 2], [0, 2]] = 0.0
+        h[0, 2] = h[2, 0] = 1.0
+        path = tmp_path / "hyperbolic.json"
+        a, n = q @ np.diag([1.0, 0.5, 0.0, 0.0]) @ q.conj().T, q @ h @ q.conj().T
+        write_bundle(path, {"A": a, "M": np.eye(4), "N": n})
+        assert main(["exists", "--bundle", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "R factor invertible: False (condition number >= 1/eps, singular to working precision)" in lines
+        assert "L factor invertible: True (condition number 1.000000e+00)" in lines
+        assert main(["exists", "--bundle", str(path), "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        rep = wmp_exists(*(load_bundle(path).matrices[k] for k in "AMN"))
+        assert rep.r_cond * np.finfo(float).eps >= 1.0
+        assert report["r_cond"] == (rep.r_cond if np.isfinite(rep.r_cond) else None)
+        assert report["l_cond"] == rep.l_cond
 
     def test_role_overrides_bundle(self, tmp_path, capsys, golden_bundle):
         ident = np.eye(4)

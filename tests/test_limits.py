@@ -1,6 +1,9 @@
 """Pencil limits, separation criteria, and the B-decomposition."""
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +26,13 @@ from wmpinv import (
     require_wmp_inverse,
     separated_pair_check,
 )
-from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, operator_norm, projector_rowspace
+import wmpinv
+from wmpinv.limits import _GradedSolver
+from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, _trace_over, operator_norm, projector_rowspace
 from wmpinv.sampling import (
+    random_complex,
     random_matrix_with_rank,
+    random_psd,
     random_separated_pair,
     random_spd,
     random_weight,
@@ -236,6 +243,143 @@ class TestGradedSolverGuards:
             trace = limit_t_to_zero(a, b, Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3)))
         assert trace.converged and trace.rank_flips == ()
         assert all(np.array_equal(it, np.zeros((5, 4))) for it in trace.iterates)
+
+
+def nearly_nested_pair(offset):
+    """A of rank 2 and B = b b* with b leaning off the range of A by ``offset``."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
+    b = q[:, 0] + offset * q[:, 2]
+    return a, np.outer(b, b.conj())
+
+
+def certificate_family(tol):
+    """Seeded limit traces whose flips and errors are checked point by point.
+
+    Bench-shaped t- and lambda-traces at a quarter of the size, with B
+    scaled by 1e-4 to 1e4, and the nearly-nested lambda family with
+    offsets from 1e-8 to 1e-3; each entry is a call that runs one trace.
+    """
+    calls = []
+    for seed in range(5):
+        gen = np.random.default_rng(40 + seed)
+        # rank 10 + rank 12 > 20 columns, so the row spaces overlap
+        qu, _ = np.linalg.qr(random_complex(gen, 12, 10))
+        qv, _ = np.linalg.qr(random_complex(gen, 20, 10))
+        a = (qu * gen.uniform(0.5, 1.0, 10)) @ qv.conj().T
+        b = random_complex(gen, 12, 20)
+        v, w = (random_weight(gen, 12, positive=True).matrix for _ in range(2))
+        pa, pb = random_psd(gen, 20, 8), random_psd(gen, 20, 14)
+        # U = A* V A + B* W B + P0 is admissible for s B with W / s^2
+        u = omega_weight(a, b, w, x=v)
+        for scale in (1e-4, 1.0, 1e4):
+            calls.append(lambda a=a, b=scale * b, v=v, w=w, u=u: limit_t_to_zero(a, b, v, w, u=u, tol=tol))
+            calls.append(lambda a=pa, b=scale * pb: limit_lambda_to_inf(a, b, tol=tol))
+    for offset in np.geomspace(1e-8, 1e-3, 11):
+        a, b = nearly_nested_pair(offset)
+        calls.append(lambda a=a, b=b: limit_lambda_to_inf(a, b, tol=tol))
+    return calls
+
+
+class TestFlipCertificate:
+    """Rank flips decided by the LU certificate or, where it does not clear, the SVD."""
+
+    def test_singular_system_falls_back_to_the_svd(self):
+        # zero blocks make the 3 x 3 system exactly singular, which LU rejects
+        eye = np.eye(3, dtype=np.complex128)
+        rhs = np.ones((3, 2), dtype=np.complex128)
+        zero = np.zeros((1, 1), dtype=np.complex128)
+        solver = _GradedSolver(
+            eye, eye[:, :2], eye[:, 2:], np.zeros((2, 2)), np.zeros((1, 2)), zero, zero, lambda t: rhs
+        )
+        it, cond = solver.iterate(0.5)
+        assert np.array_equal(it, np.zeros((3, 2))) and cond == np.inf
+        with pytest.warns(RankFlipWarning):
+            trace = _trace_over(np.array([1.0, 0.5]), solver.iterate, np.zeros((3, 2)), DEFAULT_TOL)
+        assert trace.rank_flips == (0, 1)
+
+    def test_overflowing_bound_is_quiet(self):
+        # ||S||_F^2 ||S^-1||_F^2 = 1e400 overflows; the SVD decides, and no
+        # RuntimeWarning escapes
+        eye = np.eye(2, dtype=np.complex128)
+        k1, k2, k_mid = np.zeros((1, 2)), np.zeros((1, 0)), np.zeros((1, 1))
+        solver = _GradedSolver(eye, eye, eye[:, 2:], np.diag([1e100, 1e-100]), k1, k2, k_mid, lambda t: eye)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            it, cond = solver.iterate(1.0)
+        assert cond == pytest.approx(1e200, rel=1e-15)
+        assert np.array_equal(it, np.diag([1e-100, 0.0]))
+
+    def test_no_lu_below_the_lstsq_cutoff_at_any_inv_cond_max(self):
+        # the systems of test_truncated_solve_below_the_lstsq_cutoff are
+        # singular to working precision; with inv_cond_max = 1e20 they are no
+        # flips, but the computed inverse is noise, so only the 1e-3 / (eps n)
+        # cap on the bound keeps them on the truncated SVD solve
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+        a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
+        tol = ToleranceConfig(rank_rtol=1e-18, inv_cond_max=1e20)
+        trace = limit_lambda_to_inf(a, np.outer(q[:, 0], q[:, 0].conj()), tol=tol)
+        assert trace.rank_flips == ()
+        assert np.allclose(trace.errors * (1.0 + trace.params), 1.0, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(inv_cond_max=1e4)], ids=["1e12", "1e4"])
+    def test_flips_and_errors_match_the_exact_definitions(self, tol, monkeypatch):
+        systems = []
+        iterate = _GradedSolver.iterate
+
+        def recording(self, t):
+            # the block system of the class docstring, restated
+            systems.append(np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]]))
+            return iterate(self, t)
+
+        monkeypatch.setattr(_GradedSolver, "iterate", recording)
+        flipped = clean = 0
+        for call in certificate_family(tol):
+            systems.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankFlipWarning)
+                trace = call()
+            assert len(systems) == trace.params.size
+            conds = [np.linalg.svd(s, compute_uv=False) for s in systems]
+            exact = tuple(i for i, sig in enumerate(conds) if sig[0] > tol.inv_cond_max * sig[-1])
+            assert trace.rank_flips == exact
+            flipped += len(exact)
+            clean += trace.params.size - len(exact)
+            for it, err in zip(trace.iterates, trace.errors):
+                ref = operator_norm(it - trace.target)
+                assert abs(err - ref) <= 1e-12 * ref
+        assert flipped and clean
+
+    def test_each_point_adds_one_solve_and_one_eigvalsh(self, lapack_calls):
+        gen = np.random.default_rng(3)
+        a, b = overlapping_pair(gen)
+        v, w = random_spd(gen, 4), random_spd(gen, 3)
+        pa, pb = a.conj().T @ a, b.conj().T @ b
+        for trace_for in (
+            lambda points: limit_t_to_zero(a, b, v, w, schedule=np.geomspace(1e-1, 1e-8, points)),
+            lambda points: limit_lambda_to_inf(pa, pb, schedule=np.geomspace(1.0, 1e8, points)),
+        ):
+            counts = []
+            for points in (5, 10):
+                lapack_calls.clear()
+                assert trace_for(points).rank_flips == ()
+                counts.append(dict(lapack_calls))
+            added = {k: counts[1].get(k, 0) - counts[0].get(k, 0) for k in counts[0].keys() | counts[1].keys()}
+            assert {k: n for k, n in added.items() if n} == {"solve": 5, "eigvalsh": 5}
+
+
+def test_limit_traces_leave_scipy_linalg_unloaded():
+    # scipy.linalg would add about 20 MB and 0.15 s to every import of wmpinv
+    src = str(Path(wmpinv.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np, wmpinv\n"
+        "wmpinv.limit_lambda_to_inf(np.diag([1.0, 0.0]), np.ones((2, 2)))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src}, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestSeparationCriteria:
