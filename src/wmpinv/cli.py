@@ -2,11 +2,18 @@
 
 Exit codes: 0 success, 1 file or parse error, 2 mathematical
 non-existence or precondition failure, 64 usage error.
+
+:func:`main` builds its argparse parser once per process and reuses it,
+so it may be called repeatedly in-process (by scripts, test suites and
+benchmarks) without paying the parser's set-up again.  The parser holds
+the command grammar only; no input, result or flag value carries over
+from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass
 
@@ -82,7 +89,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--role",
         action="append",
-        default=[],
+        # not a list: the parser is shared by every call of main
+        default=None,
         type=_role_pair,
         metavar="NAME=PATH",
         help="bind a role to a JSON matrix or Matrix Market file (repeatable)",
@@ -112,7 +120,7 @@ class _Context:
 def _gather(args) -> _Context:
     bundle = load_bundle(args.bundle) if args.bundle else ProblemBundle()
     matrices = dict(bundle.matrices)
-    for name, path in args.role:
+    for name, path in args.role or ():
         matrices[name] = load_matrix(path)
 
     values = asdict(DEFAULT_TOL)
@@ -466,7 +474,9 @@ def cmd_perturb(args, ctx) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and shared by every later call."""
     parser = _Parser(prog="wmpinv", description="Weighted pseudoinverse toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True

@@ -187,6 +187,10 @@ def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # an entry list of finite floats is plain already; the type set and the
+        # sum run in C (a sum that overflows only sends the list down the walk)
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            return obj
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _plain(obj.tolist())

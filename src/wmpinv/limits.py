@@ -311,9 +311,9 @@ class _GradedSolver:
         the condition number.  The second term keeps the rounding of the
         computed inverse inside the factor-2 margin.  Where the bound does
         not clear (it is larger, not finite, or LU meets an exactly
-        singular S), the condition number comes from the singular values,
-        and the system is solved by LU again unless its smallest singular
-        value falls to that cutoff, when the truncated SVD solve is kept.
+        singular S), the condition number comes from the singular values;
+        the LU iterate is kept unless the smallest singular value falls to
+        that cutoff or LU failed, when the truncated SVD solve replaces it.
         The empty system gives a zero iterate and condition number 1.
         """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
@@ -321,7 +321,7 @@ class _GradedSolver:
         if not system.size:
             return self.basis @ rhs, 1.0
         n, k = system.shape[0], rhs.shape[1]
-        bound = np.inf
+        both, bound = None, np.inf
         # overflow in the bound only means that it does not clear
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -335,8 +335,8 @@ class _GradedSolver:
         if bound <= min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * n)):
             return self.basis @ both[:, :k], bound
         sigma = np.linalg.svd(system, compute_uv=False)
-        if sigma[-1] > _solve_cutoff(sigma, system.shape):
-            y = np.linalg.solve(system, rhs)
+        if both is not None and sigma[-1] > _solve_cutoff(sigma, system.shape):
+            y = both[:, :k]
         else:
             y = svd_factor(system).solve(rhs)
         return self.basis @ y, _cond(sigma)

@@ -1,5 +1,6 @@
 """Bundle serialization and the command-line front end."""
 
+import argparse
 import importlib.util
 import json
 import re
@@ -13,7 +14,7 @@ import scipy.io
 
 import conftest as golden_data
 import wmpinv
-from wmpinv import require_wmp_inverse, wmp_exists
+from wmpinv import cli, require_wmp_inverse, wmp_exists
 from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
@@ -120,6 +121,35 @@ class TestBundleFormat:
             assert np.float64(parsed[key]).tobytes() == np.float64(value).tobytes()
         with pytest.raises(TypeError):
             dump_json({"unsupported": object()})
+
+    def test_dump_json_passes_finite_entry_lists_unchanged(self, rng):
+        # the entry lists skip the per-entry walk; the bytes must be those of
+        # the walk, non-finite scalars and entries still written as null
+        x = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        report = {
+            "r_cond": float("inf"),
+            "l_cond": float("nan"),
+            "residuals": [1e-15, np.float64(2e-15), float("nan")],
+            "inverse": matrix_to_obj(x),
+            "overflowing_sum": [1e308, 1e308],
+            "entries": (2.5, -0.0, 5e-324),
+            "mixed": [1, 2.5, True, None],
+        }
+        walked = {
+            "r_cond": None,
+            "l_cond": None,
+            "residuals": [1e-15, 2e-15, None],
+            "inverse": {
+                "rows": 5,
+                "cols": 4,
+                "re": [float(v) for v in x.real.ravel()],
+                "im": [float(v) for v in x.imag.ravel()],
+            },
+            "overflowing_sum": [1e308, 1e308],
+            "entries": [2.5, -0.0, 5e-324],
+            "mixed": [1, 2.5, True, None],
+        }
+        assert dump_json(report) == json.dumps(walked, allow_nan=False) + "\n"
 
     def test_matrix_market_read(self, tmp_path, rng):
         mat = rng.standard_normal((3, 2))
@@ -341,6 +371,113 @@ class TestCliCommands:
         )
         assert main(["wmp", "--bundle", str(path)]) == 1
         assert "verification tolerances must be positive" in capsys.readouterr().err
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; no call leaves state for the next."""
+
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch, capsys, golden_bundle):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        counts = []
+        for _ in range(2):
+            built.clear()
+            assert main(["exists", "--bundle", golden_bundle, "--json"]) == 0
+            counts.append(len(built))
+        capsys.readouterr()
+        # the main parser, the parent of the shared options, one per subcommand
+        assert counts == [14, 0]
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        """The context fields of every call of ``main``, in call order."""
+        seen = []
+        gather = cli._gather
+
+        def recording(args):
+            ctx = gather(args)
+            seen.append(_context_fields(ctx))
+            return ctx
+
+        monkeypatch.setattr(cli, "_gather", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "flags, changed",
+        [
+            (["--role", "M={ident}"], "matrices"),
+            (["--rank-rtol", "1e-10"], "tol_sources"),
+            (["--schedule", "1:1e4"], "schedule"),
+            (["--seed", "5"], "seed"),
+        ],
+        ids=["role", "rank-rtol", "schedule", "seed"],
+    )
+    def test_flags_do_not_carry_over(self, flags, changed, tmp_path, capsys, contexts, golden_bundle):
+        ident = tmp_path / "ident.mtx"
+        scipy.io.mmwrite(ident, np.eye(4))
+        flags = [f.format(ident=ident) for f in flags]
+        argv = ["wmp", "--bundle", golden_bundle, "--json"]
+        outs = []
+        for extra in ([], flags, []):
+            assert main([*argv, *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        clean, flagged, after = contexts
+        assert flagged[changed] != clean[changed]
+        assert after == clean
+        assert "flag" not in json.loads(outs[2])["tolerances"]["sources"].values()
+        assert outs[2] == outs[0]
+
+    def test_mutated_namespace_does_not_leak(self, tmp_path, capsys, monkeypatch, golden_bundle):
+        # a caller that appends to the role list of its namespace must not
+        # bind that role in the next call
+        ident = tmp_path / "ident.mtx"
+        scipy.io.mmwrite(ident, np.eye(4))
+        gather = cli._gather
+
+        def mutating(args):
+            ctx = gather(args)
+            if isinstance(args.role, list):
+                args.role.append(("M", str(ident)))
+            return ctx
+
+        monkeypatch.setattr(cli, "_gather", mutating)
+        argv = ["wmp", "--bundle", golden_bundle, "--json"]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+
+    def test_help_and_usage_errors_leave_later_calls_unchanged(self, capsys, contexts, golden_bundle):
+        argv = ["exists", "--bundle", golden_bundle, "--json"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        assert main(["exists", "--help"]) == 0
+        assert "--bundle" in capsys.readouterr().out
+        assert main(["exists", "--bundle", golden_bundle, "--seed", "5", "--schedule", "1:1"]) == 64
+        assert main(["exists", "--role", "M"]) == 64
+        assert "usage:" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
+        assert len(contexts) == 2 and contexts[0] == contexts[1]
+
+
+def _context_fields(ctx) -> dict:
+    """The fields of a ``cli._Context``, arrays as bytes so that they compare with ``==``."""
+    return {
+        "matrices": {name: m.tobytes() for name, m in ctx.matrices.items()},
+        "tol": ctx.tol,
+        "tol_sources": ctx.tol_sources,
+        "schedule": None if ctx.schedule is None else ctx.schedule.tobytes(),
+        "seed": ctx.seed,
+    }
 
 
 _PENCIL = {

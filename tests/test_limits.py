@@ -207,8 +207,9 @@ class TestGradedSolverGuards:
         assert worst <= 1e-9
 
     def test_full_svds_per_trace_do_not_grow_with_the_schedule(self, svd_calls):
-        # each point takes singular values only, so the full SVDs (factors
-        # computed) are those of the set-up; the stacked [A; B] is split once
+        # each point makes one LU solve, plus a values-only SVD where its
+        # certificate does not clear, so the full SVDs (factors computed) are
+        # those of the set-up; the stacked [A; B] is split once
         gen = np.random.default_rng(3)
         a, b = overlapping_pair(gen)
         v, w = random_spd(gen, 4), random_spd(gen, 3)
@@ -371,6 +372,18 @@ class TestFlipCertificate:
                 counts.append(dict(lapack_calls))
             added = {k: counts[1].get(k, 0) - counts[0].get(k, 0) for k in counts[0].keys() | counts[1].keys()}
             assert {k: n for k, n in added.items() if n} == {"solve": 5, "eigvalsh": 5}
+
+    def test_uncertified_points_are_solved_once(self, lapack_calls):
+        # at offset 1e-6 the certificate clears at none of the nine points; each
+        # keeps the iterate of its LU solve and adds only the values-only SVD
+        a, b = nearly_nested_pair(1e-6)
+        lapack_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            trace = limit_lambda_to_inf(a, b)
+        assert trace.params.size == 9 and trace.rank_flips == (0, 1, 2, 3, 4, 5)
+        assert lapack_calls["solve"] == 9
+        assert lapack_calls["svdvals"] == 9
 
 
 def test_limit_traces_leave_scipy_linalg_unloaded():
