@@ -90,31 +90,29 @@ class PerturbationSequence:
     @classmethod
     def full(cls, a, m, n, terms, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
         """Sequence with varying matrices; terms are (A_n, M_n, N_n) triples."""
-        am = as_matrix(a)
-        mw = as_weight(m, tol)
-        nw = as_weight(n, tol)
-        checked = []
-        for i, (an, mn, nn) in enumerate(terms):
-            anm = as_matrix(an)
-            if anm.shape != am.shape:
-                raise ValueError(f"term {i}: matrix shape {anm.shape} differs from base {am.shape}")
-            checked.append((anm, *_term_weights(i, mn, nn, am.shape, tol)))
-        if not checked:
-            raise ValueError("a perturbation sequence needs at least one term")
-        return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind="full")
+        return cls._checked(as_matrix(a), m, n, terms, "full", tol)
 
     @classmethod
     def weights_only(cls, a, m, n, weight_pairs, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
         """Sequence moving only the weights; terms are (M_n, N_n) pairs."""
         am = as_matrix(a)
+        return cls._checked(am, m, n, ((am, mn, nn) for mn, nn in weight_pairs), "weights-only", tol)
+
+    @classmethod
+    def _checked(cls, am, m, n, terms, kind: str, tol: ToleranceConfig) -> "PerturbationSequence":
+        """The sequence on the coerced base matrix ``am`` with every (A_n, M_n, N_n) term checked."""
         mw = as_weight(m, tol)
         nw = as_weight(n, tol)
         checked = []
-        for i, (mn, nn) in enumerate(weight_pairs):
-            checked.append((am, *_term_weights(i, mn, nn, am.shape, tol)))
+        for i, (an, mn, nn) in enumerate(terms):
+            # a term that carries the base matrix itself is coerced already
+            anm = an if an is am else as_matrix(an)
+            if anm.shape != am.shape:
+                raise ValueError(f"term {i}: matrix shape {anm.shape} differs from base {am.shape}")
+            checked.append((anm, *_term_weights(i, mn, nn, am.shape, tol)))
         if not checked:
             raise ValueError("a perturbation sequence needs at least one term")
-        return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind="weights-only")
+        return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind=kind)
 
     def __len__(self) -> int:
         return len(self.terms)

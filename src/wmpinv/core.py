@@ -39,7 +39,6 @@ import numpy as np
 from .exceptions import (
     NonExistentError,
     NotIdempotentError,
-    VerificationError,
     WeightError,
 )
 from .linalg import (
@@ -49,6 +48,7 @@ from .linalg import (
     _rank_cutoff,
     _residual_norm,
     _split_basis,
+    _verify,
     as_matrix,
     mp_inverse,
     operator_norm,
@@ -495,10 +495,7 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     eye = np.eye(am.shape[1], dtype=np.complex128)
     x1a = x1 @ am
     r = x1a + (eye - x1a) @ n1w.inverse @ n2w.matrix
-    resid = operator_norm(x1 - r @ x2)
-    scale = 1.0 + operator_norm(x1)
-    if resid > tol.verify_atol * scale:
-        raise VerificationError("domain weight transfer identity", resid, tol.verify_atol * scale)
+    _verify("domain weight transfer identity", operator_norm(x1 - r @ x2), 1.0 + operator_norm(x1), tol)
     return r
 
 
@@ -517,10 +514,7 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     eye = np.eye(am.shape[0], dtype=np.complex128)
     ax1 = am @ x1
     l = ax1 + m2w.inverse @ m1w.matrix @ (eye - ax1)
-    resid = operator_norm(x1 - x2 @ l)
-    scale = 1.0 + operator_norm(x1)
-    if resid > tol.verify_atol * scale:
-        raise VerificationError("codomain weight transfer identity", resid, tol.verify_atol * scale)
+    _verify("codomain weight transfer identity", operator_norm(x1 - x2 @ l), 1.0 + operator_norm(x1), tol)
     return l
 
 

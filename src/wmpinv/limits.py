@@ -29,7 +29,10 @@ eigenvalues of a Gram matrix.  The splits
 are made once per call: ``limit_t_to_zero`` and
 ``general_limit_via_decomposition`` split ``[A; B]`` once for the domain
 weight and the solver, and the pencil solver's splits, which do not
-depend on W, serve every W the closed form is checked against.
+depend on W, serve every W the closed form is checked against.  The
+separation verdict reads A's row basis and the sum rank off splits its
+caller holds, and one SVD of ``2I - P - Q`` decides invertibility and
+solves for Pi, so no matrix of the separated pipeline is decomposed twice.
 """
 
 from __future__ import annotations
@@ -43,13 +46,13 @@ from .exceptions import (
     NotPositiveOnRangeError,
     NotPositiveSemidefiniteError,
     NotSeparatedError,
-    VerificationError,
     WeightError,
 )
 from .linalg import (
     DEFAULT_TOL,
     LimitTrace,
     SplitBasis,
+    SvdFactorization,
     ToleranceConfig,
     _EPS,
     _check_schedule,
@@ -60,12 +63,11 @@ from .linalg import (
     _solve_cutoff,
     _split_basis,
     _trace_over,
+    _verify,
     as_matrix,
     is_hermitian,
     mp_inverse,
-    numerical_rank,
     operator_norm,
-    solve_linear,
     svd_factor,
 )
 from .weights import Weight, as_weight
@@ -121,7 +123,7 @@ def _stacked(am, bm) -> np.ndarray:
 
 
 def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
-    """A, B, ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
+    """A, B, the split of ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
 
     Checks only that the dimensions fit; each caller keeps its own rule
     on the definiteness of V and W.
@@ -135,7 +137,7 @@ def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
         raise ValueError(f"v must weigh the rows of a (dimension {am.shape[0]})")
     if ww.dim != bm.shape[0]:
         raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
-    return am, bm, stacked, vw, ww
+    return am, bm, _split_basis(stacked, tol), vw, ww
 
 
 def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
@@ -264,14 +266,12 @@ class _GradedSolver:
         self.tol = tol
 
     @classmethod
-    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis | None = None):
+    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis):
         """``(A* V A + t B* W B)^+ A* V`` as a map from W to its solver.
 
-        The splits, of ``[A; B]`` (``joint``, made here when not given) and
-        of the row space of ``A v0``, do not depend on W; every W shares them.
+        The splits, of ``[A; B]`` (``joint``) and of the row space of
+        ``A v0``, do not depend on W; every W shares them.
         """
-        if joint is None:
-            joint = _split_basis(np.vstack([am, bm]), tol)
         v0 = joint.v_r
         at, bt = am @ v0, bm @ v0
         *_, q1, q2 = _split_basis(at, tol)
@@ -362,13 +362,12 @@ def limit_t_to_zero(
     ``atol`` overrides the convergence threshold recorded on the trace;
     the default is ``1e-8 * (1 + ||target||)``.
     """
-    am, bm, stacked, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     if not vw.positive_definite:
         raise WeightError("v must be positive definite for the t -> 0 limit")
     if not ww.positive_definite:
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
-    joint = _split_basis(stacked, tol)
     if u is None:
         u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
@@ -454,37 +453,36 @@ class SeparatedPairReport:
 
 def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedPairReport:
     """Decide whether the row spaces of ``a`` and ``b`` are separated."""
-    return _separation(as_matrix(a), as_matrix(b), tol)[0]
+    am = as_matrix(a)
+    bm = as_matrix(b)
+    joint = _split_basis(_stacked(am, bm), tol)
+    return _separation(_split_basis(am, tol).v_r, bm, joint, tol)[0]
 
 
-def _separation(am, bm, tol) -> tuple[SeparatedPairReport, np.ndarray, np.ndarray]:
-    """:func:`separated_pair_check` and the row-space projectors P, Q it was decided on."""
-    stacked = _stacked(am, bm)
-    fa = svd_factor(am, tol)
-    fb = svd_factor(bm, tol)
-    va, vb = fa.row_basis, fb.row_basis
+def _separation(va, bm, joint: SplitBasis, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
+    """:func:`separated_pair_check` on A's row basis ``va`` and the split ``joint`` of
+    ``[A; B]``, with the projector P onto ``va`` and the SVD of ``2I - P - Q`` it used."""
+    vb = svd_factor(bm, tol).row_basis
     p = va @ va.conj().T
     q = vb @ vb.conj().T
     pq_norm = operator_norm(p @ q)
-    eye = np.eye(am.shape[1], dtype=np.complex128)
-    two = 2.0 * eye - p - q
+    two = svd_factor(2.0 * np.eye(va.shape[0], dtype=np.complex128) - p - q, tol)
     # anchor the smallest singular value to the scale of 2I rather than
     # to sigma_max(two): when the row spaces coincide, two is an exact
     # zero plus rounding, and the relative condition of noise looks
     # deceptively small
-    s2 = np.linalg.svd(two, compute_uv=False) if two.size else np.array([])
-    smin = float(s2[-1]) if s2.size else 0.0
+    smin = float(two.sigma[-1]) if two.sigma.size else 0.0
     if smin <= tol.rank_rtol_for(two.shape) * 2.0:
         cond = float("inf")
     else:
-        cond = float(s2[0] / smin)
+        cond = float(two.sigma[0] / smin)
     by_norm = pq_norm <= 1.0 - SEPARATION_MARGIN
     by_inverse = cond <= tol.inv_cond_max
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
-    rs = numerical_rank(stacked, tol)
-    report = SeparatedPairReport(by_norm, pq_norm, cond, fa.rank + fb.rank - rs, rs)
-    return report, p, q
+    rs = joint.sigma_r.size
+    report = SeparatedPairReport(by_norm, pq_norm, cond, va.shape[1] + vb.shape[1] - rs, rs)
+    return report, p, two
 
 
 def closed_form_separated(
@@ -509,36 +507,36 @@ def closed_form_separated(
     """
     from .sampling import random_spd, rng_from
 
-    am, bm, _, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    report, p, q = _separation(am, bm, tol)
+    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    report, p, two = _separation(_split_basis(am, tol).v_r, bm, joint, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
     gen = rng_from(rng)
     draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
-    return _separated_closed_form(am, bm, vw, p, q, draws, "separated closed form against the pencil", tol)
+    what = "separated closed form against the pencil"
+    return _separated_closed_form(am, bm, joint, vw, p, two, draws, what, tol)
 
 
-def _separated_closed_form(am, bm, vw, p, q, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
+def _separated_closed_form(am, bm, joint, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
     """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
 
-    P and Q are the row-space projectors of A and B.  ``draws`` holds
-    ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V`` must equal D for
-    each of them, else ``VerificationError`` names ``what`` and the label.
+    ``joint`` is the split of ``[A; B]``, P the row-space projector of A
+    and ``two`` the SVD of ``2I - P - Q`` that decided the separation.
+    ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
+    must equal D for each of them, else ``VerificationError`` names
+    ``what`` and the label.
     """
-    eye = np.eye(am.shape[1], dtype=np.complex128)
     core_a = am.conj().T @ vw.matrix @ am
     core_a = 0.5 * (core_a + core_a.conj().T)
     base = mp_inverse(core_a, tol) @ am.conj().T @ vw.matrix
-    pi = solve_linear(2.0 * eye - p - q, base)
-    d = base - (eye - p) @ pi
+    pi = two.solve(base)
+    d = base - (np.eye(am.shape[1], dtype=np.complex128) - p) @ pi
 
     scale = 1.0 + operator_norm(d)
-    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol)
+    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)
     for label, wmat in draws:
         lhs, _ = solver_for(wmat).iterate(1.0)
-        resid = operator_norm(lhs - d)
-        if resid > tol.verify_atol * scale:
-            raise VerificationError(f"{what} ({label})", resid, tol.verify_atol * scale)
+        _verify(f"{what} ({label})", operator_norm(lhs - d), scale, tol)
     return pi, d
 
 
@@ -577,17 +575,15 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(am, bm, stacked, vw, ww, tol) -> tuple[BDecomposition, SplitBasis, np.ndarray, np.ndarray]:
-    """:func:`decompose_b` on checked inputs, with the split of ``[A; B]``
-    its weight U was built on and the row-space projectors P, Q2 of A and
-    ``b2`` its separation verdict was decided on.
+def _decompose_b(am, bm, joint, vw, ww, tol) -> tuple[BDecomposition, SplitBasis, np.ndarray, SvdFactorization]:
+    """:func:`decompose_b` on checked inputs and the split ``joint`` of ``[A; B]``,
+    with the split of ``[A; b2]`` and the P and ``2I - P - Q2`` of its separation.
     """
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
 
     from .core import _required_on_split
 
-    joint = _split_basis(stacked, tol)
     u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
     sp = _split_basis(am, tol)
     z = _required_on_split(sp, am, vw, u.u, tol).inverse
@@ -602,19 +598,17 @@ def _decompose_b(am, bm, stacked, vw, ww, tol) -> tuple[BDecomposition, SplitBas
     b1 = bm - b2
 
     w_cross = operator_norm(b2.conj().T @ ww.matrix @ b1)
-    scale = b_scale**2 * (1.0 + operator_norm(ww.matrix))
-    if w_cross > tol.verify_atol * scale:
-        raise VerificationError("W-orthogonality of the B split", w_cross, tol.verify_atol * scale)
+    _verify("W-orthogonality of the B split", w_cross, b_scale**2 * (1.0 + operator_norm(ww.matrix)), tol)
 
     # ||(I - P) b1*|| = ||V_0* b1*||, read off the split Z was computed on
     containment = operator_norm(b1 @ sp.v_0)
-    if containment > tol.verify_atol * b_scale:
-        raise VerificationError("row-space containment of b1", containment, tol.verify_atol * b_scale)
+    _verify("row-space containment of b1", containment, b_scale, tol)
 
-    report, p, q2 = _separation(am, b2, tol)
+    joint2 = _split_basis(np.vstack([am, b2]), tol)
+    report, p, two = _separation(sp.v_r, b2, joint2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1, b2, z, w_cross, containment, report), joint, p, q2
+    return BDecomposition(b1, b2, z, w_cross, containment, report), joint2, p, two
 
 
 @dataclass(frozen=True)
@@ -652,8 +646,8 @@ def general_limit_via_decomposition(
     """
     from .sampling import random_spd, rng_from
 
-    am, bm, stacked, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    dec, joint, p, q2 = _decompose_b(am, bm, stacked, vw, ww, tol)
+    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    dec, joint2, p, two = _decompose_b(am, bm, joint, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -663,7 +657,8 @@ def general_limit_via_decomposition(
         if not w_prime.positive_definite:
             raise WeightError("w_prime must be positive definite")
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
-    pi, d = _separated_closed_form(am, dec.b2, vw, p, q2, draws, "separated reduction of the pencil limit", tol)
+    what = "separated reduction of the pencil limit"
+    pi, d = _separated_closed_form(am, dec.b2, joint2, vw, p, two, draws, what, tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 

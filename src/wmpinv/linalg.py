@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import RankFlipWarning, WmpError
+from .exceptions import RankFlipWarning, VerificationError, WmpError
 
 __all__ = [
     "ToleranceConfig",
@@ -294,6 +294,15 @@ def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
     dh = d.conj().T
     gram = d @ dh if d.shape[0] <= d.shape[1] else dh @ d
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def _verify(what: str, resid: float, scale: float, tol: ToleranceConfig) -> None:
+    """The package's one verification rule: ``resid`` may not exceed ``verify_atol * scale``.
+
+    Raises ``VerificationError`` naming ``what`` otherwise.
+    """
+    if resid > tol.verify_atol * scale:
+        raise VerificationError(what, resid, tol.verify_atol * scale)
 
 
 def condition_number(a) -> float:

@@ -449,6 +449,44 @@ def test_one_split_per_problem(svd_calls, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_no_matrix_is_decomposed_twice(monkeypatch):
+    # the separated pipeline hands its splits on instead of redoing them, so
+    # no matrix reaches numpy.linalg.svd twice, values-only calls included;
+    # the instances are those of test_one_split_per_problem
+    from wmpinv import closed_form_separated, decompose_b, general_limit_via_decomposition
+    from wmpinv.sampling import random_separated_pair
+
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(m, *args, **kwargs):
+        seen.append(np.array(m))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+
+    def repeats(call, *args, **kwargs):
+        seen.clear()
+        call(*args, **kwargs)
+        return sum(any(np.array_equal(m, prev) for prev in seen[:i]) for i, m in enumerate(seen))
+
+    gen = np.random.default_rng(6)
+    # draw past the weighted-inverse instances that come first there
+    random_matrix_with_rank(gen, 40, 30, 20), random_weight(gen, 40), random_weight(gen, 30)
+    random_matrix_with_rank(gen, 6, 5, 3), [random_weight(gen, k) for k in (6, 6, 5, 5)]
+
+    a, b = random_matrix_with_rank(gen, 4, 5, 3), random_matrix_with_rank(gen, 3, 5, 3)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert repeats(general_limit_via_decomposition, a, b, v, w, rng=gen) == 0
+    assert repeats(general_limit_via_decomposition, a, b, v, w, rng=1) == 0
+    assert repeats(decompose_b, a, b, v, w) == 0
+
+    a, b = random_separated_pair(gen, 6, 4, 3, 2, 2)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert repeats(closed_form_separated, a, b, v, w, rng=gen) == 0
+    assert repeats(closed_form_separated, a, b, v, w, rng=1) == 0
+
+
 def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
     # the verdict reads M only through a solve and the Weight only its
     # eigenvalues, so exactly Hermitian raw weights cost one eigvalsh each

@@ -427,6 +427,17 @@ class TestSeparationCriteria:
         assert exc.value.pq_norm > 1.0 - 1e-6
 
 
+    def test_borderline_closed_form_raises_instead_of_guessing(self):
+        # the closed form decides on the SVD of 2I - P - Q that also solves
+        # for Pi, and must refuse the same borderline pair
+        theta = np.sqrt(2e-8)
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[np.cos(theta), np.sin(theta)]])
+        with pytest.raises(CriteriaDisagreeError) as exc:
+            closed_form_separated(a, b, np.eye(1), np.eye(1))
+        assert exc.value.pq_norm > 1.0 - 1e-6
+
+
 class TestClosedFormSeparated:
     def test_matches_pencil_and_ignores_w(self, rng):
         a, b = random_separated_pair(rng, 6, 3, 2, 2, 2)
