@@ -23,10 +23,11 @@ weights move splits it once and hands the split to ``_wmp_on_split``.
 
 The verdict compares the 2-norm condition numbers of the dense R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
-null-space rows and L in its m - r null-space columns, so both condition
-numbers come from values-only SVDs of order at most 2(n - r) and
-2(m - r) (``_factor_cond``).  The Penrose residuals of a computed
-inverse are exact 2-norms taken from Hermitian eigenvalues
+null-space rows and L in its m - r null-space columns, so one helper,
+``_factor``, decides either factor from those blocks with a values-only
+SVD of order at most 2(n - r) or 2(m - r).  ``_decide`` calls it for R
+and L, ``equivalent_domain_weights`` for R alone.  The Penrose residuals
+of a computed inverse are exact 2-norms taken from Hermitian eigenvalues
 (``linalg._residual_norm``).
 """
 
@@ -52,7 +53,6 @@ from .linalg import (
     as_matrix,
     mp_inverse,
     operator_norm,
-    solve_linear,
 )
 from .weights import Weight, as_weight
 
@@ -116,9 +116,10 @@ class ExistenceReport:
     """Invertibility verdict for the two factors of the factored formula.
 
     ``r_cond`` and ``l_cond`` are the 2-norm condition numbers of the dense
-    ``r_factor`` and ``l_factor``, read off SVDs of order at most
-    2(n - r) and 2(m - r) of their null-space blocks; ``r_invertible`` and
-    ``l_invertible`` compare them to ``inv_cond_max``.
+    ``r_factor`` and ``l_factor``, each decided by :func:`_factor` from the
+    null-space blocks of its factor through values-only SVDs of order at
+    most 2(n - r) and 2(m - r); ``r_invertible`` and ``l_invertible``
+    compare them to ``inv_cond_max``.
     """
 
     exists: bool
@@ -131,22 +132,18 @@ class ExistenceReport:
 
 
 @dataclass(frozen=True)
-class WmpResult:
-    """Weighted inverse together with its factorization diagnostics.
+class WmpResult(ExistenceReport):
+    """Weighted inverse together with the verdict it was computed under.
 
-    ``inverse`` is ``None`` when the weighted inverse does not exist; the
-    factors, their condition numbers, and the plain Moore-Penrose inverse
-    are always populated.  ``penrose_residuals`` holds the four weighted
+    The verdict fields are those of the :class:`ExistenceReport` that
+    :func:`_factor` decided.  ``inverse`` is ``None`` when the weighted
+    inverse does not exist; the plain Moore-Penrose inverse ``mp`` is
+    always populated.  ``penrose_residuals`` holds the four weighted
     Penrose residuals in operator norm, ``None`` when there is no inverse.
     """
 
-    exists: bool
     inverse: np.ndarray | None
     mp: np.ndarray
-    r_factor: np.ndarray
-    l_factor: np.ndarray
-    r_cond: float
-    l_cond: float
     penrose_residuals: np.ndarray | None
 
 
@@ -176,6 +173,23 @@ def _factor_cond(b: np.ndarray, c: np.ndarray) -> float:
     return float("inf") if lo == 0.0 else float(hi / lo)
 
 
+def _factor(w_0: np.ndarray, b_r: np.ndarray, b_0: np.ndarray) -> tuple[tuple, float]:
+    """Null-space blocks ``(w_0 b_r, w_0 b_0)`` of one factor and its condition number.
+
+    ``w_0`` is ``V_0* N`` with the V basis ``[b_r b_0]`` for R, and
+    ``(M^{-1} U_0)*`` with the U basis for the adjoint of L; the number is
+    the :func:`_factor_cond` of ``[[I, 0], [w_0 b_r, w_0 b_0]]``.
+    """
+    blocks = (w_0 @ b_r, w_0 @ b_0)
+    return blocks, _factor_cond(*blocks)
+
+
+def _coupling(blocks) -> np.ndarray:
+    """``C^{-1} B`` for the null-space blocks ``(B, C)`` of a factor, by LU."""
+    b, c = blocks
+    return np.linalg.solve(c, b)
+
+
 def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
     """Build R and L in the bases of the split ``sp`` of A and decide existence.
 
@@ -183,7 +197,7 @@ def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
     the dense forms of ``[[I, 0], [N_0r, N_00]]`` and
     ``[[I, Mi_r0], [0, Mi_00]]``.  The verdict compares their 2-norm
     condition numbers to ``inv_cond_max``; both are read off the blocks by
-    :func:`_factor_cond`, L through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]``
+    :func:`_factor`, L through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]``
     with ``Mi_0 = (M^{-1} U_0)*``.  M enters only through ``M^{-1} U_0``,
     which one LU solve with m - r right-hand sides gives (a ``Weight`` has
     ``cond(M) <= inv_cond_max``), so no inverse of M is formed.  Returns
@@ -192,13 +206,10 @@ def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
     """
     n_0 = sp.v_0.conj().T @ n
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
-    mi_0 = mi_u0.conj().T
-    n_blocks = (n_0 @ sp.v_r, n_0 @ sp.v_0)
-    mi_blocks = (mi_0 @ sp.u_r, mi_0 @ sp.u_0)
+    n_blocks, r_cond = _factor(n_0, sp.v_r, sp.v_0)
+    mi_blocks, l_cond = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
     r = np.eye(n.shape[0], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
     l = np.eye(m.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
-    r_cond = _factor_cond(*n_blocks)
-    l_cond = _factor_cond(*mi_blocks)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
     report = ExistenceReport(
@@ -247,8 +258,7 @@ def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
     """``b_r - b_0 C^{-1} B`` for the blocks ``(B, C)``, or ``b_r`` when ``b_0`` has no columns."""
     if not b_0.shape[1]:
         return b_r
-    c_r, c_0 = blocks
-    return b_r - b_0 @ np.linalg.solve(c_0, c_r)
+    return b_r - b_0 @ _coupling(blocks)
 
 
 def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
@@ -269,20 +279,11 @@ def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
         left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
         inverse = (right / sp.sigma_r) @ left.conj().T
         residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
-    return WmpResult(
-        exists=rep.exists,
-        inverse=inverse,
-        mp=sp.pinv(),
-        r_factor=rep.r_factor,
-        l_factor=rep.l_factor,
-        r_cond=rep.r_cond,
-        l_cond=rep.l_cond,
-        penrose_residuals=residuals,
-    )
+    return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
 
 
-def _required(res, tol: ToleranceConfig):
-    """``res``, a ``WmpResult`` or ``ExistenceReport``, when the inverse exists.
+def _required(res: ExistenceReport, tol: ToleranceConfig):
+    """``res`` (a ``WmpResult`` is one too) when the inverse exists.
 
     Otherwise raises ``NonExistentError`` naming the singular factor.
     """
@@ -310,10 +311,8 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
     ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and those of the
     Gram matrices of the first two residuals.
     """
-    am = as_matrix(a)
+    am, mw, nw = _problem(a, m, n, tol)
     xm = as_matrix(x)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
     if xm.shape != (am.shape[1], am.shape[0]):
         raise ValueError(
             f"candidate inverse must be {am.shape[1]} x {am.shape[0]}, got {xm.shape}"
@@ -341,9 +340,7 @@ def wmp_inverse_positive(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     """
     from .linalg import hermitian_power
 
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    nw = as_weight(n, tol)
+    am, mw, nw = _problem(a, m, n, tol)
     if not (mw.positive_definite and nw.positive_definite):
         raise WeightError("square-root route requires positive-definite weights")
     m_half = hermitian_power(mw.matrix, 0.5, tol)
@@ -378,8 +375,8 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
     return _positive_weights(_required(wmp_exists(a, m, n, tol), tol), tol)
 
 
-def _positive_weights(factors, tol: ToleranceConfig) -> PositiveReduction:
-    """S and T from the R and L that ``factors`` (a report or a result) carries."""
+def _positive_weights(factors: ExistenceReport, tol: ToleranceConfig) -> PositiveReduction:
+    """S and T from the R and L that ``factors`` carries."""
     r, l = factors.r_factor, factors.l_factor
     t_mat = r.conj().T @ r
     t_mat = 0.5 * (t_mat + t_mat.conj().T)
@@ -450,12 +447,10 @@ def equivalent_domain_weights(
             coupling=None,
         )
     # the verdict is R's alone; once it holds, cond(N_00) <= cond(R) makes LU safe
-    n_0 = v_null.conj().T @ nw.matrix
-    n_0r, n_00 = n_0 @ v_range, n_0 @ v_null
-    r_cond = _factor_cond(n_0r, n_00)
+    blocks, r_cond = _factor(v_null.conj().T @ nw.matrix, v_range, v_null)
     if r_cond > tol.inv_cond_max:
         raise NonExistentError("R_{A,N}", r_cond)
-    coupling = np.linalg.solve(n_00, n_0r)
+    coupling = _coupling(blocks)
 
     basis = np.hstack([v_range, v_null])
     ws = []
@@ -486,9 +481,7 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     ``R = A+_{M,n1} A + (I - A+_{M,n1} A) n1^{-1} n2``; the transfer
     identity is verified to ``verify_atol`` before returning.
     """
-    am = as_matrix(a)
-    mw = as_weight(m, tol)
-    n1w = as_weight(n1, tol)
+    am, mw, n1w = _problem(a, m, n1, tol)
     n2w = as_weight(n2, tol)
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for nw in (n1w, n2w))
@@ -505,10 +498,8 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     ``L = A A+_{m1,N} + m2^{-1} m1 (I - A A+_{m1,N})``; verified to
     ``verify_atol`` before returning.
     """
-    am = as_matrix(a)
-    m1w = as_weight(m1, tol)
+    am, m1w, nw = _problem(a, m1, n, tol)
     m2w = as_weight(m2, tol)
-    nw = as_weight(n, tol)
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for mw in (m1w, m2w))
     eye = np.eye(am.shape[0], dtype=np.complex128)
@@ -563,7 +554,7 @@ def matched_projection(q, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     cutoff = _rank_cutoff(roots[-1] if roots.size else 0.0, qm.shape, tol)
     inv_roots = np.where(roots > cutoff, 1.0 / np.where(roots > cutoff, roots, 1.0), 0.0)
     absq_pinv = (v * inv_roots) @ v.conj().T
-    eye = np.eye(qm.shape[0], dtype=np.complex128)
-    right = solve_linear(absq + eye, absq + qm)
+    # |Q*| + I has the eigenvectors v and eigenvalues roots + 1 >= 1
+    right = ((v / (roots + 1.0)) @ v.conj().T) @ (absq + qm)
     out = 0.5 * (absq + qm.conj().T) @ absq_pinv @ right
     return 0.5 * (out + out.conj().T)

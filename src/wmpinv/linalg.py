@@ -337,9 +337,10 @@ def _clears_positive_floor(w: np.ndarray, tol: ToleranceConfig) -> bool:
     """The positive-definiteness rule on nonempty ascending eigenvalues ``w``.
 
     The smallest eigenvalue must exceed ``max |w| / inv_cond_max``, so the
-    zero matrix is not positive definite.
+    zero matrix is not positive definite.  Only a positive ``w[0]`` can
+    pass, and then ``max |w|`` is ``w[-1]``, so one entry is read.
     """
-    return bool(w[0] > np.max(np.abs(w)) / tol.inv_cond_max)
+    return bool(w[0] > abs(w[-1]) / tol.inv_cond_max)
 
 
 def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

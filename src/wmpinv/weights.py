@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import WeightError, _cond_text
-from .linalg import DEFAULT_TOL, ToleranceConfig, _self_adjointness, as_matrix
+from .linalg import DEFAULT_TOL, ToleranceConfig, _clears_positive_floor, _self_adjointness, as_matrix
 
 __all__ = ["Weight", "as_weight"]
 
@@ -65,7 +65,7 @@ class Weight:
                 f"exceeds {tol.inv_cond_max:.1e}"
             )
         self.matrix = h
-        self.positive_definite = bool(eigvals[0] > smax / tol.inv_cond_max)
+        self.positive_definite = _clears_positive_floor(eigvals, tol)
         self.cond = smax / smin
         self._inverse = None
 

@@ -243,6 +243,23 @@ def test_positive_oracle_agreement(rng):
         assert operator_norm(direct - oracle) <= 1e-10 * scale
 
 
+def test_weight_dimensions_are_checked_on_both_sides(rng):
+    a = random_matrix_with_rank(rng, 4, 3, 2)
+    m, n = random_weight(rng, 4, positive=True), random_weight(rng, 3, positive=True)
+    x = require_wmp_inverse(a, m, n).inverse
+    wrong_m, wrong_n = random_weight(rng, 5, positive=True), random_weight(rng, 2, positive=True)
+    calls = [
+        lambda mw, nw: verify_weighted_penrose(a, mw, nw, x),
+        lambda mw, nw: wmp_inverse_positive(a, mw, nw),
+        lambda mw, nw: weight_transfer_domain(a, mw, nw, n),
+        lambda mw, nw: weight_transfer_codomain(a, mw, m, nw),
+    ]
+    for call in calls:
+        for mw, nw in ((wrong_m, n), (m, wrong_n)):
+            with pytest.raises(ValueError, match="weight dimensions"):
+                call(mw, nw)
+
+
 def test_verify_weighted_penrose_detects_wrong_candidate(rng):
     a = random_matrix_with_rank(rng, 4, 3, 2)
     m = random_weight(rng, 4)
@@ -395,6 +412,14 @@ class TestMatchedProjection:
     def test_rejects_non_idempotent(self):
         with pytest.raises(NotIdempotentError):
             matched_projection(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_one_eigendecomposition(self, lapack_calls):
+        # the idempotency check, then one eigh of Q Q* gives |Q*|, its
+        # pseudoinverse and (|Q*| + I)^-1
+        lapack_calls.clear()
+        matched_projection(golden_data.MATCHED_Q)
+        assert lapack_calls["svdvals"] == lapack_calls["eigh"] == 1
+        assert sum(lapack_calls.values()) == 2
 
 
 def test_one_split_per_problem(svd_calls, tmp_path, capsys):

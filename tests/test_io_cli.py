@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import scipy.io
 
 import conftest as golden_data
 import wmpinv
-from wmpinv import cli, require_wmp_inverse, wmp_exists
+from wmpinv import cli, omega_weight, require_wmp_inverse, wmp_exists
 from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
@@ -233,6 +234,25 @@ class TestCliCommands:
         # identity weights reduce to the ordinary pseudoinverse, 11/27
         assert "0.407407407407" in out
 
+    def test_json_role_files(self, tmp_path, capsys, golden_bundle, golden):
+        # the README's round trip: wmp --out x.json feeds verify --role X=x.json
+        x = tmp_path / "x.json"
+        assert main(["wmp", "--bundle", golden_bundle, "--out", str(x)]) == 0
+        assert main(["verify", "--bundle", golden_bundle, "--role", f"X={x}"]) == 0
+        capsys.readouterr()
+        ident = tmp_path / "ident.json"
+        ident.write_text(json.dumps(matrix_to_obj(np.eye(4))))
+        assert main(["wmp", "--bundle", golden_bundle, "--role", f"M={ident}", "--role", f"N={ident}"]) == 0
+        assert "0.407407407407" in capsys.readouterr().out
+        two = tmp_path / "two.json"
+        write_bundle(two, {"A": golden["a"], "M": golden["m"]})
+        assert main(["verify", "--bundle", golden_bundle, "--role", f"X={two}"]) == 1
+        assert "expected one matrix" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 1,')
+        assert main(["verify", "--bundle", golden_bundle, "--role", f"X={bad}"]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_verify_pass_and_fail(self, tmp_path, capsys, golden):
         lib = require_wmp_inverse(golden["a"], golden["m"], golden["n"]).inverse
         good = tmp_path / "good.json"
@@ -258,6 +278,23 @@ class TestCliCommands:
         assert report["converged"] is True
         assert len(report["errors"]) == 10
         assert report["errors"][-1] < report["errors"][0]
+
+    def test_limit_t0_weight_roles(self, tmp_path, capsys):
+        # U built from the defaults, or X and Y set to them, give the default trace
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        roles = {"A": a, "B": b, "V": np.diag([2.0, 1.0]), "W": np.eye(2)}
+
+        def errors(**extra):
+            path = tmp_path / "pencil.json"
+            write_bundle(path, {**roles, **extra})
+            assert main(["limit-t0", "--bundle", str(path), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["errors"]
+
+        default = errors()
+        assert errors(U=omega_weight(a, b, roles["W"], x=roles["V"]).u.matrix) == default
+        assert errors(X=roles["V"]) == default
+        assert errors(Y=np.eye(3)) == default
 
     def test_limit_lambda(self, tmp_path, capsys):
         bundle = tmp_path / "lam.json"
@@ -344,10 +381,12 @@ class TestCliCommands:
         assert "missing role" in capsys.readouterr().err
 
     def test_console_entry_point(self, golden_bundle):
+        src = str(Path(wmpinv.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "wmpinv.cli", "wmp", "--bundle", golden_bundle],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert "0.142857142857" in proc.stdout
