@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .continuity import PerturbationSequence, perturb_weights_only, run_diagnostics
+from .continuity import PerturbationSequence, _diagnostics, perturb_weights_only
 from .core import (
     _positive_weights,
     _problem,
@@ -452,7 +452,7 @@ def cmd_perturb(args, ctx) -> int:
             [(am + direction / (i + 1), mw.matrix, nw.matrix) for i in range(terms)],
             ctx.tol,
         )
-        diag = run_diagnostics(seq, ctx.tol, _split=sp)
+        diag = _diagnostics(seq, sp, ctx.tol)
     finals = {k: (float(v[-1]) if np.isfinite(v[-1]) else None) for k, v in diag.columns.items()}
     report = {
         "kind": args.kind,

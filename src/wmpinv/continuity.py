@@ -20,12 +20,12 @@ from .linalg import (
     DEFAULT_TOL,
     SplitBasis,
     ToleranceConfig,
-    _self_adjointness,
+    _hermitian,
     _split_basis,
     as_matrix,
     operator_norm,
 )
-from .weights import Weight, as_weight
+from .weights import Weight
 
 __all__ = [
     "PerturbationSequence",
@@ -43,27 +43,8 @@ DIVERGENCE_FACTOR = 10.0
 
 _DIFF_COLUMNS = ("wmp_diff", "proj_domain_diff", "proj_codomain_diff", "mp_diff")
 _NORM_COLUMNS = ("wmp_norm", "mp_norm")
-
-
-def _validate_hermitian(name: str, mat: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    m = as_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    ok, asym = _self_adjointness(m, tol)
-    if not ok:
-        raise ValueError(f"{name} must be self-adjoint, asymmetry {asym:.3e}")
-    return 0.5 * (m + m.conj().T)
-
-
-def _term_weights(i: int, mn, nn, shape: tuple[int, int], tol: ToleranceConfig):
-    """Validated weights of term ``i`` for a matrix of the given shape."""
-    mnm = _validate_hermitian(f"term {i} codomain weight", mn, tol)
-    nnm = _validate_hermitian(f"term {i} domain weight", nn, tol)
-    if mnm.shape[0] != shape[0]:
-        raise ValueError(f"term {i}: codomain weight dimension {mnm.shape[0]} != {shape[0]}")
-    if nnm.shape[0] != shape[1]:
-        raise ValueError(f"term {i}: domain weight dimension {nnm.shape[0]} != {shape[1]}")
-    return mnm, nnm
+# the columns that depend on the matrix of a term alone, not on its weights
+_SPLIT_COLUMNS = ("mp_norm", "mp_diff", "proj_domain_diff", "proj_codomain_diff")
 
 
 def _projections(sp: SplitBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,6 +60,8 @@ class PerturbationSequence:
     ``"weights-only"`` when every term shares the base matrix.  Term
     weights are stored raw because they are allowed to be singular; the
     harness records per-term non-existence instead of rejecting them.
+    Build it with :meth:`full` or :meth:`weights_only`, which check every
+    matrix and weight; :func:`run_diagnostics` re-checks none of them.
     """
 
     base_a: np.ndarray
@@ -90,26 +73,28 @@ class PerturbationSequence:
     @classmethod
     def full(cls, a, m, n, terms, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
         """Sequence with varying matrices; terms are (A_n, M_n, N_n) triples."""
-        return cls._checked(as_matrix(a), m, n, terms, "full", tol)
+        return cls._checked(a, m, n, terms, "full", tol)
 
     @classmethod
     def weights_only(cls, a, m, n, weight_pairs, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
         """Sequence moving only the weights; terms are (M_n, N_n) pairs."""
-        am = as_matrix(a)
-        return cls._checked(am, m, n, ((am, mn, nn) for mn, nn in weight_pairs), "weights-only", tol)
+        return cls._checked(a, m, n, ((a, mn, nn) for mn, nn in weight_pairs), "weights-only", tol)
 
     @classmethod
-    def _checked(cls, am, m, n, terms, kind: str, tol: ToleranceConfig) -> "PerturbationSequence":
-        """The sequence on the coerced base matrix ``am`` with every (A_n, M_n, N_n) term checked."""
-        mw = as_weight(m, tol)
-        nw = as_weight(n, tol)
+    def _checked(cls, a, m, n, terms, kind: str, tol: ToleranceConfig) -> "PerturbationSequence":
+        """The sequence on the base problem ``(a, m, n)`` with every (A_n, M_n, N_n) term checked."""
+        from .core import _problem
+
+        am, mw, nw = _problem(a, m, n, tol)
+        k, h = am.shape
         checked = []
         for i, (an, mn, nn) in enumerate(terms):
             # a term that carries the base matrix itself is coerced already
-            anm = an if an is am else as_matrix(an)
+            anm = am if an is a else as_matrix(an)
             if anm.shape != am.shape:
                 raise ValueError(f"term {i}: matrix shape {anm.shape} differs from base {am.shape}")
-            checked.append((anm, *_term_weights(i, mn, nn, am.shape, tol)))
+            mnm = _hermitian(mn, f"term {i} codomain weight", tol, k)
+            checked.append((anm, mnm, _hermitian(nn, f"term {i} domain weight", tol, h)))
         if not checked:
             raise ValueError("a perturbation sequence needs at least one term")
         return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind=kind)
@@ -171,21 +156,25 @@ def _classify(values: np.ndarray, start: int, atol: float) -> str:
     return "bounded"
 
 
-def run_diagnostics(
-    seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TOL, *, _split: SplitBasis | None = None
-) -> ContinuityDiagnostics:
+def run_diagnostics(seq: PerturbationSequence, tol: ToleranceConfig = DEFAULT_TOL) -> ContinuityDiagnostics:
     """Evaluate all continuity proxies over a perturbation sequence.
 
     The base weighted inverse must exist; per-term failures (singular
     weights or singular factors) are recorded as non-existence rather
     than raised.
     """
-    from .core import _problem, _required_on_split, _wmp_on_split
+    return _diagnostics(seq, _split_basis(seq.base_a, tol), tol)
 
-    # one split per distinct matrix: every term of a weights-only run reuses A's;
-    # ``_split`` is the split of the base matrix when the caller has made it already
-    a_prev = as_matrix(seq.base_a)
-    sp = _split if _split is not None else _split_basis(a_prev, tol)
+
+def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig) -> ContinuityDiagnostics:
+    """:func:`run_diagnostics` with the split ``sp`` of the checked base matrix made already.
+
+    One split per distinct matrix, and the columns that depend on it alone
+    once per split: every term of a weights-only run reuses A's.
+    """
+    from .core import _required_on_split, _wmp_on_split
+
+    a_prev = seq.base_a
     base = _required_on_split(sp, a_prev, seq.base_m, seq.base_n, tol)
     _, p_dom0, p_cod0 = _projections(sp)
 
@@ -195,17 +184,17 @@ def run_diagnostics(
         for name in ("wmp_diff", "wmp_norm", "mp_norm", "proj_domain_diff", "proj_codomain_diff", "mp_diff")
     }
     exists = []
+    split_norms = None
     for i, (an, mn, nn) in enumerate(seq.terms):
-        an = as_matrix(an)
         if not np.array_equal(an, a_prev):
-            a_prev, sp = an, _split_basis(an, tol)
-        mpn, p_dom, p_cod = _projections(sp)
-        cols["mp_norm"][i] = operator_norm(mpn)
-        cols["mp_diff"][i] = operator_norm(mpn - base.mp)
-        cols["proj_domain_diff"][i] = operator_norm(p_dom - p_dom0)
-        cols["proj_codomain_diff"][i] = operator_norm(p_cod - p_cod0)
+            a_prev, sp, split_norms = an, _split_basis(an, tol), None
+        if split_norms is None:
+            mpn, p_dom, p_cod = _projections(sp)
+            split_norms = [operator_norm(d) for d in (mpn, mpn - base.mp, p_dom - p_dom0, p_cod - p_cod0)]
+        for name, value in zip(_SPLIT_COLUMNS, split_norms):
+            cols[name][i] = value
         try:
-            res = _wmp_on_split(sp, *_problem(an, Weight(mn, tol), Weight(nn, tol), tol), tol)
+            res = _wmp_on_split(sp, an, Weight(mn, tol), Weight(nn, tol), tol)
         except WeightError:
             res = None
         ok = res is not None and res.exists

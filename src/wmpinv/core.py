@@ -29,6 +29,11 @@ SVD of order at most 2(n - r) or 2(m - r).  ``_decide`` calls it for R
 and L, ``equivalent_domain_weights`` for R alone.  The Penrose residuals
 of a computed inverse are exact 2-norms taken from Hermitian eigenvalues
 (``linalg._residual_norm``).
+
+Public functions coerce and check; ``_``-prefixed routines take checked
+complex128 arrays.  So ``_problem`` checks A and the weights once, and
+the inverse takes its residuals from ``_penrose_residuals``, the routine
+behind ``verify_weighted_penrose``, without that function's checks.
 """
 
 from __future__ import annotations
@@ -278,7 +283,7 @@ def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
         right = _eliminate(sp.v_r, sp.v_0, n_blocks)
         left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
         inverse = (right / sp.sigma_r) @ left.conj().T
-        residuals = verify_weighted_penrose(am, mw, nw, inverse, tol)
+        residuals = _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
     return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
 
 
@@ -292,9 +297,9 @@ def _required(res: ExistenceReport, tol: ToleranceConfig):
     return res
 
 
-def _required_on_split(sp: SplitBasis, a, m, n, tol) -> WmpResult:
-    """``require_wmp_inverse(a, m, n)`` for an A whose split ``sp`` is made already."""
-    return _required(_wmp_on_split(sp, *_problem(a, m, n, tol), tol), tol)
+def _required_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
+    """``require_wmp_inverse`` of a checked problem whose A has the split ``sp``."""
+    return _required(_wmp_on_split(sp, am, mw, nw, tol), tol)
 
 
 def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -317,10 +322,15 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
         raise ValueError(
             f"candidate inverse must be {am.shape[1]} x {am.shape[0]}, got {xm.shape}"
         )
+    return _penrose_residuals(am, mw.matrix, nw.matrix, xm)
+
+
+def _penrose_residuals(am, m, n, xm) -> np.ndarray:
+    """:func:`verify_weighted_penrose` of a checked A, weight matrices M and N and candidate X."""
     ax = am @ xm
     xa = xm @ am
-    max_ = mw.matrix @ ax
-    nxa = nw.matrix @ xa
+    max_ = m @ ax
+    nxa = n @ xa
     return np.array(
         [
             _residual_norm(ax @ am - am),
@@ -482,7 +492,7 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     identity is verified to ``verify_atol`` before returning.
     """
     am, mw, n1w = _problem(a, m, n1, tol)
-    n2w = as_weight(n2, tol)
+    n2w = _problem(am, mw, n2, tol)[2]
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for nw in (n1w, n2w))
     eye = np.eye(am.shape[1], dtype=np.complex128)
@@ -499,7 +509,7 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     ``verify_atol`` before returning.
     """
     am, m1w, nw = _problem(a, m1, n, tol)
-    m2w = as_weight(m2, tol)
+    m2w = _problem(am, m2, nw, tol)[1]
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for mw in (m1w, m2w))
     eye = np.eye(am.shape[0], dtype=np.complex128)

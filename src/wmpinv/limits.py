@@ -58,6 +58,7 @@ from .linalg import (
     _check_schedule,
     _clears_positive_floor,
     _cond,
+    _hermitian,
     _residual_norm,
     _self_adjointness,
     _solve_cutoff,
@@ -65,7 +66,6 @@ from .linalg import (
     _trace_over,
     _verify,
     as_matrix,
-    is_hermitian,
     mp_inverse,
     operator_norm,
     svd_factor,
@@ -157,9 +157,7 @@ def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[
     return comp, float(eigs[0])
 
 
-def omega_weight(
-    a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL, *, _joint: SplitBasis | None = None
-) -> OmegaWeight:
+def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) -> OmegaWeight:
     """Build an admissible domain weight for the t -> 0 limit.
 
     Parameters
@@ -188,37 +186,27 @@ def omega_weight(
     ww = as_weight(w, tol)
     if ww.dim != bm.shape[0]:
         raise ValueError(f"weight dimension {ww.dim} does not match rows of b {bm.shape[0]}")
-    h = am.shape[1]
-    k = am.shape[0]
-    if x is None:
-        xm = np.eye(k, dtype=np.complex128)
-    else:
-        xm = as_matrix(x)
-        if xm.shape != (k, k):
-            raise ValueError(f"x must be {k} x {k}, got {xm.shape}")
-        if not is_hermitian(xm, tol):
-            raise ValueError("x must be self-adjoint")
-        xm = 0.5 * (xm + xm.conj().T)
+    k, h = am.shape
+    xm = np.eye(k, dtype=np.complex128) if x is None else _hermitian(x, "x", tol, k)
+    ym = None if y is None else _hermitian(y, "y", tol, h)
+    return _omega(am, bm, ww, xm, ym, _split_basis(stacked, tol), tol)
 
+
+def _omega(am, bm, ww: Weight, xm, ym, joint: SplitBasis, tol) -> OmegaWeight:
+    """:func:`omega_weight` on checked inputs and the split ``joint`` of ``[A; B]``;
+    ``xm`` and ``ym`` are the Hermitian X and Y, ``ym`` ``None`` for Y = I.
+    """
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
     core = 0.5 * (core + core.conj().T)
 
-    # ``_joint`` is the split of [A; B] when the caller has made it already
-    if _joint is None:
-        _joint = _split_basis(stacked, tol)
-    *_, v_row, v_null = _joint
+    *_, v_row, v_null = joint
     _, restricted_min = _positive_compression(
         core, v_row, "A*XA + B*WB restricted to the joint row space", tol
     )
     p_null = v_null @ v_null.conj().T
-    if y is None:
+    if ym is None:
         y_eff = p_null
     else:
-        ym = as_matrix(y)
-        if ym.shape != (h, h):
-            raise ValueError(f"y must be {h} x {h}, got {ym.shape}")
-        if not is_hermitian(ym, tol):
-            raise ValueError("y must be self-adjoint")
         comp, _ = _positive_compression(ym, v_null, "Y restricted to the joint null space", tol)
         y_eff = v_null @ comp @ v_null.conj().T
 
@@ -369,7 +357,7 @@ def limit_t_to_zero(
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
     if u is None:
-        u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
+        u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
@@ -584,7 +572,7 @@ def _decompose_b(am, bm, joint, vw, ww, tol) -> tuple[BDecomposition, SplitBasis
 
     from .core import _required_on_split
 
-    u = omega_weight(am, bm, ww, x=vw.matrix, tol=tol, _joint=joint)
+    u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
     sp = _split_basis(am, tol)
     z = _required_on_split(sp, am, vw, u.u, tol).inverse
     b2_raw = bm - bm @ z @ am

@@ -115,8 +115,7 @@ class SvdFactorization:
 
     ``u`` is rows x k, ``sigma`` is the nonincreasing singular value vector
     of length k = min(rows, cols), ``vh`` is k x cols.  It answers rank,
-    condition number, pseudoinverse, range and row bases and solves,
-    under two cutoffs:
+    pseudoinverse, range and row bases and solves, under two cutoffs:
 
     - ``rank``, ``pinv`` and the bases count the singular values above
       ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets;
@@ -137,11 +136,6 @@ class SvdFactorization:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.vh.shape[1])
-
-    @property
-    def cond(self) -> float:
-        """2-norm condition number, ``inf`` when the smallest singular value is 0."""
-        return _cond(self.sigma)
 
     @property
     def range_basis(self) -> np.ndarray:
@@ -208,12 +202,11 @@ class SplitBasis(NamedTuple):
         return (self.v_r / self.sigma_r) @ self.u_r.conj().T
 
 
-def _split_basis(a, tol: ToleranceConfig) -> SplitBasis:
-    """Range and null-space bases of both sides of ``a`` from one full SVD.
+def _split_basis(m: np.ndarray, tol: ToleranceConfig) -> SplitBasis:
+    """Range and null-space bases of both sides of ``m`` from one full SVD.
 
     The rank is decided by the same cutoff as :func:`svd_factor`.
     """
-    m = as_matrix(a)
     if m.size:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
@@ -333,6 +326,23 @@ def _self_adjointness(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]
     return asym <= tol.verify_atol, asym
 
 
+def _hermitian(a, what: str, tol: ToleranceConfig, dim: int | None = None) -> np.ndarray:
+    """The Hermitian part of a self-adjoint input that is not a ``Weight``.
+
+    Raises ``ValueError`` naming ``what`` unless ``a`` is square, of order
+    ``dim`` when that is given, and self-adjoint by
+    :func:`_self_adjointness`.
+    """
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
+        size = "square" if dim is None else f"{dim} x {dim}"
+        raise ValueError(f"{what} must be {size}, got shape {m.shape}")
+    ok, asym = _self_adjointness(m, tol)
+    if not ok:
+        raise ValueError(f"{what} must be self-adjoint, asymmetry {asym:.3e}")
+    return 0.5 * (m + m.conj().T)
+
+
 def _clears_positive_floor(w: np.ndarray, tol: ToleranceConfig) -> bool:
     """The positive-definiteness rule on nonempty ascending eigenvalues ``w``.
 
@@ -362,14 +372,11 @@ def is_positive_definite(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def hermitian_power(a, power: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Real power of a Hermitian matrix through its eigendecomposition.
 
-    Negative or fractional powers require positive eigenvalues; eigenvalues
-    in the rounding band below zero are rejected rather than clamped.
+    ``a`` must be self-adjoint (``ValueError`` otherwise).  Negative or
+    fractional powers require positive eigenvalues; eigenvalues in the
+    rounding band below zero are rejected rather than clamped.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("hermitian_power needs a square matrix")
-    h = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian(a, "hermitian_power input", tol))
     if (power != int(power) or power < 0) and w.size and w[0] <= 0.0:
         raise WmpError(
             f"hermitian_power({power}) needs positive eigenvalues, found {w[0]:.6e}"

@@ -123,3 +123,34 @@ def test_sequence_shape_validation(rng):
         PerturbationSequence.weights_only(a, m, n, [(np.eye(3), n.matrix)])
     with pytest.raises(ValueError):
         PerturbationSequence.full(a, m, n, [])
+
+
+def test_base_weights_are_checked_when_built(rng):
+    # a base weight that does not fit the base matrix is rejected by the
+    # constructor, not later inside run_diagnostics
+    a = random_matrix_with_rank(rng, 3, 2, 1)
+    m, n = random_weight(rng, 3, positive=True), random_weight(rng, 2, positive=True)
+    wrong = random_weight(rng, 4, positive=True)
+    for bm, bn in ((wrong, n), (m, wrong)):
+        with pytest.raises(ValueError, match="weight dimensions"):
+            PerturbationSequence.full(a, bm, bn, [(a, m.matrix, n.matrix)])
+        with pytest.raises(ValueError, match="weight dimensions"):
+            PerturbationSequence.weights_only(a, bm, bn, [(m.matrix, n.matrix)])
+
+
+def test_split_columns_once_per_split(lapack_calls):
+    # mp_norm, mp_diff and the projector diffs depend on the split alone, so
+    # a weights-only run takes their 4 values-only SVDs once; each term adds
+    # the 2 of its verdict and the 2 of its wmp_diff and wmp_norm
+    gen = np.random.default_rng(6)
+    a = random_matrix_with_rank(gen, 40, 30, 20)
+    m, n = random_weight(gen, 40), random_weight(gen, 30)
+
+    def svdvals(terms):
+        pairs = [(m.matrix + np.eye(40) / (i + 1), n.matrix + np.eye(30) / (i + 1)) for i in range(terms)]
+        lapack_calls.clear()
+        diag = perturb_weights_only(a, m, n, pairs)
+        assert all(diag.exists)
+        return lapack_calls["svdvals"]
+
+    assert svdvals(50) - svdvals(10) == 4 * 40

@@ -530,3 +530,70 @@ def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
     # M^-1 U_0 and the two block solves
     assert lapack_calls["solve"] == 3
     assert lapack_calls["inv"] == lapack_calls["lstsq"] == lapack_calls["norm2"] == 0
+
+
+def test_private_routines_take_checked_arrays():
+    # public functions coerce and check; a _-prefixed routine takes checked
+    # complex128 arrays, so it calls no coercion and no public entry point
+    # of the modules that check their inputs, except the boundary helpers
+    import ast
+    import importlib
+    import inspect
+    from pathlib import Path
+
+    import wmpinv
+
+    forbidden = {"as_matrix", "as_weight", "_problem"}
+    for name in ("core", "limits", "continuity"):
+        mod = importlib.import_module(f"wmpinv.{name}")
+        forbidden |= {f for f in mod.__all__ if inspect.isfunction(getattr(mod, f))}
+    boundary = {"_problem", "_pencil_inputs", "_hermitian", "PerturbationSequence._checked"}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    def calls(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                f = sub.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in forbidden:
+                    yield name
+
+    offenders = []
+
+    def visit(node, qual, inside_private):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = f"{qual}{child.name}"
+            is_private = inside_private or private(child.name)
+            if isinstance(child, ast.FunctionDef) and is_private:
+                if name not in boundary:
+                    offenders.extend(f"{path.name}: {name} calls {c}" for c in calls(child))
+            else:
+                visit(child, f"{name}.", is_private)
+
+    for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", False)
+    assert offenders == []
+
+
+def test_each_input_is_scanned_once(monkeypatch, rng):
+    # A and the two raw weights are coerced once each; nothing under the
+    # public call scans them, or the arrays it builds, again
+    a = random_matrix_with_rank(rng, 6, 5, 3)
+    m, n = random_weight(rng, 6).matrix, random_weight(rng, 5).matrix
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    assert wmp_inverse(a, m, n).exists
+    assert scans == [(6, 5), (6, 6), (5, 5)]
+    scans.clear()
+    assert wmp_exists(a, m, n).exists
+    assert scans == [(6, 5), (6, 6), (5, 5)]

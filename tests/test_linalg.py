@@ -105,6 +105,13 @@ def test_hermitian_power(rng):
         hermitian_power(np.diag([1.0, -1.0]), 0.5, DEFAULT_TOL)
 
 
+def test_hermitian_power_rejects_a_non_self_adjoint_input():
+    # the Hermitian part of [[1, 1], [0, 1]] is positive definite, but the
+    # matrix itself is not self-adjoint, so it has no Hermitian power
+    with pytest.raises(ValueError, match="self-adjoint"):
+        hermitian_power(np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5, DEFAULT_TOL)
+
+
 def test_solve_linear_vs_inverse(rng):
     a = random_spd(rng, 5)
     b = rng.standard_normal((5, 3))
