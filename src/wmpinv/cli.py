@@ -288,10 +288,10 @@ def cmd_reduce(args, ctx) -> int:
     am, mw, nw = _problem(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
     # S, T, X_MN and X_ST all come from one split of A
     sp = _split_basis(am, ctx.tol)
-    orig = _required_on_split(sp, am, mw, nw, ctx.tol)
-    red = _positive_weights(orig, ctx.tol)
-    x_red = _required_on_split(sp, am, red.s, red.t, ctx.tol).inverse
-    agreement = operator_norm(orig.inverse - x_red)
+    factors, x_orig = _required_on_split(sp, mw, nw, ctx.tol)
+    red = _positive_weights(factors, ctx.tol)
+    x_red = _required_on_split(sp, red.s, red.t, ctx.tol)[1]
+    agreement = operator_norm(x_orig - x_red)
     report = {"agreement": float(agreement), "s_cond": red.s.cond, "t_cond": red.t.cond}
     lines = [
         f"positive definite replacements found (cond S = {red.s.cond:.3e}, cond T = {red.t.cond:.3e})",

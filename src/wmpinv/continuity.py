@@ -11,7 +11,7 @@ rank-dropping perturbations can be told apart by inspection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -60,8 +60,10 @@ class PerturbationSequence:
     ``"weights-only"`` when every term shares the base matrix.  Term
     weights are stored raw because they are allowed to be singular; the
     harness records per-term non-existence instead of rejecting them.
-    Build it with :meth:`full` or :meth:`weights_only`, which check every
-    matrix and weight; :func:`run_diagnostics` re-checks none of them.
+    Construction checks every matrix and weight under ``tol`` and stores
+    them coerced, whether through :meth:`full`, :meth:`weights_only` or
+    the constructor itself, so :func:`run_diagnostics` re-checks none of
+    them.
     """
 
     base_a: np.ndarray
@@ -69,35 +71,37 @@ class PerturbationSequence:
     base_n: Weight
     terms: tuple
     kind: str
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
-    @classmethod
-    def full(cls, a, m, n, terms, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
-        """Sequence with varying matrices; terms are (A_n, M_n, N_n) triples."""
-        return cls._checked(a, m, n, terms, "full", tol)
-
-    @classmethod
-    def weights_only(cls, a, m, n, weight_pairs, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
-        """Sequence moving only the weights; terms are (M_n, N_n) pairs."""
-        return cls._checked(a, m, n, ((a, mn, nn) for mn, nn in weight_pairs), "weights-only", tol)
-
-    @classmethod
-    def _checked(cls, a, m, n, terms, kind: str, tol: ToleranceConfig) -> "PerturbationSequence":
-        """The sequence on the base problem ``(a, m, n)`` with every (A_n, M_n, N_n) term checked."""
+    def __post_init__(self, tol: ToleranceConfig):
         from .core import _problem
 
-        am, mw, nw = _problem(a, m, n, tol)
+        if self.kind not in ("full", "weights-only"):
+            raise ValueError(f"kind must be 'full' or 'weights-only', got {self.kind!r}")
+        am, mw, nw = _problem(self.base_a, self.base_m, self.base_n, tol)
         k, h = am.shape
         checked = []
-        for i, (an, mn, nn) in enumerate(terms):
+        for i, (an, mn, nn) in enumerate(self.terms):
             # a term that carries the base matrix itself is coerced already
-            anm = am if an is a else as_matrix(an)
+            anm = am if an is self.base_a else as_matrix(an)
             if anm.shape != am.shape:
                 raise ValueError(f"term {i}: matrix shape {anm.shape} differs from base {am.shape}")
             mnm = _hermitian(mn, f"term {i} codomain weight", tol, k)
             checked.append((anm, mnm, _hermitian(nn, f"term {i} domain weight", tol, h)))
         if not checked:
             raise ValueError("a perturbation sequence needs at least one term")
-        return cls(base_a=am, base_m=mw, base_n=nw, terms=tuple(checked), kind=kind)
+        for name, value in (("base_a", am), ("base_m", mw), ("base_n", nw), ("terms", tuple(checked))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def full(cls, a, m, n, terms, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
+        """Sequence with varying matrices; terms are (A_n, M_n, N_n) triples."""
+        return cls(a, m, n, terms, "full", tol)
+
+    @classmethod
+    def weights_only(cls, a, m, n, weight_pairs, tol: ToleranceConfig = DEFAULT_TOL) -> "PerturbationSequence":
+        """Sequence moving only the weights; terms are (M_n, N_n) pairs."""
+        return cls(a, m, n, tuple((a, mn, nn) for mn, nn in weight_pairs), "weights-only", tol)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -172,11 +176,11 @@ def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig
     One split per distinct matrix, and the columns that depend on it alone
     once per split: every term of a weights-only run reuses A's.
     """
-    from .core import _required_on_split, _wmp_on_split
+    from .core import _inverse_on_split, _required_on_split
 
     a_prev = seq.base_a
-    base = _required_on_split(sp, a_prev, seq.base_m, seq.base_n, tol)
-    _, p_dom0, p_cod0 = _projections(sp)
+    base_inv = _required_on_split(sp, seq.base_m, seq.base_n, tol)[1]
+    mp0, p_dom0, p_cod0 = _projections(sp)
 
     count = len(seq.terms)
     cols = {
@@ -190,18 +194,17 @@ def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig
             a_prev, sp, split_norms = an, _split_basis(an, tol), None
         if split_norms is None:
             mpn, p_dom, p_cod = _projections(sp)
-            split_norms = [operator_norm(d) for d in (mpn, mpn - base.mp, p_dom - p_dom0, p_cod - p_cod0)]
+            split_norms = [operator_norm(d) for d in (mpn, mpn - mp0, p_dom - p_dom0, p_cod - p_cod0)]
         for name, value in zip(_SPLIT_COLUMNS, split_norms):
             cols[name][i] = value
         try:
-            res = _wmp_on_split(sp, an, Weight(mn, tol), Weight(nn, tol), tol)
+            inverse = _inverse_on_split(sp, Weight(mn, tol), Weight(nn, tol), tol)[1]
         except WeightError:
-            res = None
-        ok = res is not None and res.exists
-        exists.append(ok)
-        if ok:
-            cols["wmp_diff"][i] = operator_norm(res.inverse - base.inverse)
-            cols["wmp_norm"][i] = operator_norm(res.inverse)
+            inverse = None
+        exists.append(inverse is not None)
+        if inverse is not None:
+            cols["wmp_diff"][i] = operator_norm(inverse - base_inv)
+            cols["wmp_norm"][i] = operator_norm(inverse)
 
     start = _tail_start(count)
     trends = {name: _classify(vals, start, tol.verify_atol) for name, vals in cols.items()}

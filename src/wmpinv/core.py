@@ -19,7 +19,9 @@ with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
     A+_MN = (V_r - V_0 N_00^{-1} N_0r) Sigma_r^{-1} (U_r - U_0 Mi_00^{-1} Mi_0r)*
 
 A enters only through that split, so a caller holding A fixed while the
-weights move splits it once and hands the split to ``_wmp_on_split``.
+weights move splits it once and hands the split to ``_inverse_on_split``,
+which returns the verdict and the inverse alone; only ``wmp_inverse``
+adds the Penrose residuals and the plain Moore-Penrose inverse.
 
 The verdict compares the 2-norm condition numbers of the dense R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
@@ -256,7 +258,10 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
         ``NonExistentError`` instead.
     """
     am, mw, nw = _problem(a, m, n, tol)
-    return _wmp_on_split(_split_basis(am, tol), am, mw, nw, tol)
+    sp = _split_basis(am, tol)
+    rep, inverse = _inverse_on_split(sp, mw, nw, tol)
+    residuals = None if inverse is None else _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
+    return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
 
 
 def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
@@ -266,8 +271,8 @@ def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
     return b_r - b_0 @ _coupling(blocks)
 
 
-def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
-    """``wmp_inverse`` of a checked problem whose A has the split ``sp``.
+def _inverse_on_split(sp: SplitBasis, mw: Weight, nw: Weight, tol) -> tuple[ExistenceReport, np.ndarray | None]:
+    """The verdict on a checked problem whose A has the split ``sp``, and ``A+_MN`` (``None`` when it does not exist).
 
     The block solves of the module docstring run by LU, which is safe once
     the verdict holds: in the V basis ``N_00`` is a diagonal block of R and
@@ -275,16 +280,13 @@ def _wmp_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
     inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
     """
     rep, n_blocks, mi_blocks = _decide(sp, mw.matrix, nw.matrix, tol)
-    inverse = None
-    residuals = None
-    if rep.exists:
-        # M^{-1} is Hermitian, so (M^{-1} U_0)* = U_0* M^{-1} and the blocks
-        # _decide formed from it are the Mi_0r and Mi_00 of the formula
-        right = _eliminate(sp.v_r, sp.v_0, n_blocks)
-        left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
-        inverse = (right / sp.sigma_r) @ left.conj().T
-        residuals = _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
-    return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
+    if not rep.exists:
+        return rep, None
+    # M^{-1} is Hermitian, so (M^{-1} U_0)* = U_0* M^{-1} and the blocks
+    # _decide formed from it are the Mi_0r and Mi_00 of the formula
+    right = _eliminate(sp.v_r, sp.v_0, n_blocks)
+    left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
+    return rep, (right / sp.sigma_r) @ left.conj().T
 
 
 def _required(res: ExistenceReport, tol: ToleranceConfig):
@@ -297,9 +299,10 @@ def _required(res: ExistenceReport, tol: ToleranceConfig):
     return res
 
 
-def _required_on_split(sp: SplitBasis, am, mw: Weight, nw: Weight, tol) -> WmpResult:
-    """``require_wmp_inverse`` of a checked problem whose A has the split ``sp``."""
-    return _required(_wmp_on_split(sp, am, mw, nw, tol), tol)
+def _required_on_split(sp: SplitBasis, mw: Weight, nw: Weight, tol) -> tuple[ExistenceReport, np.ndarray]:
+    """:func:`_inverse_on_split`, raising ``NonExistentError`` when the inverse does not exist."""
+    rep, inverse = _inverse_on_split(sp, mw, nw, tol)
+    return _required(rep, tol), inverse
 
 
 def require_wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -494,7 +497,7 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     am, mw, n1w = _problem(a, m, n1, tol)
     n2w = _problem(am, mw, n2, tol)[2]
     sp = _split_basis(am, tol)
-    x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for nw in (n1w, n2w))
+    x1, x2 = (_required_on_split(sp, mw, nw, tol)[1] for nw in (n1w, n2w))
     eye = np.eye(am.shape[1], dtype=np.complex128)
     x1a = x1 @ am
     r = x1a + (eye - x1a) @ n1w.inverse @ n2w.matrix
@@ -511,7 +514,7 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     am, m1w, nw = _problem(a, m1, n, tol)
     m2w = _problem(am, m2, nw, tol)[1]
     sp = _split_basis(am, tol)
-    x1, x2 = (_required_on_split(sp, am, mw, nw, tol).inverse for mw in (m1w, m2w))
+    x1, x2 = (_required_on_split(sp, mw, nw, tol)[1] for mw in (m1w, m2w))
     eye = np.eye(am.shape[0], dtype=np.complex128)
     ax1 = am @ x1
     l = ax1 + m2w.inverse @ m1w.matrix @ (eye - ax1)

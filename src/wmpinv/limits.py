@@ -17,11 +17,15 @@ part of the joint space where the t-free term acts, divides the
 t-grading out exactly and solves a uniformly well-conditioned system, so
 the iterate error stays at the truncation level down the whole schedule.
 
-Each schedule point makes one LU solve of that system S, for the
-right-hand side and the identity together.  The inverse bounds the
-condition number that decides a rank flip, ``cond_2(S) <= ||S||_F
-||S^-1||_F``, and where the bound clears ``inv_cond_max`` with a margin
-the LU iterate stands.  Only elsewhere are the singular values of S
+A bound on the condition number of that system S decides whether a
+point can be a rank flip.  The solver bounds ``cond_2(S(t))`` for the
+whole schedule at once, through the Schur complement of its K22 block:
+two ``eigvalsh`` per trace, of H11 and K22, and the rounding of the
+computed blocks absorbed by a derived margin.  Where that bound clears
+``inv_cond_max`` with a margin, a point makes one LU solve of S for its
+right-hand side alone.  Elsewhere the LU solve takes the right-hand side
+and the identity together, and ``cond_2(S) <= ||S||_F ||S^-1||_F`` is
+tried; only where neither bound clears are the singular values of S
 taken: they decide the flag, and the truncated SVD solve is kept for a
 system whose smallest singular value falls to the ``lstsq`` cutoff
 ``eps * n * sigma_max``.  Each error is an exact 2-norm from the
@@ -37,6 +41,7 @@ solves for Pi, so no matrix of the separated pipeline is decomposed twice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +230,52 @@ def _omega(am, bm, ww: Weight, xm, ym, joint: SplitBasis, tol) -> OmegaWeight:
     )
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the 2-norm."""
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
+def _hermitian_floor(x: np.ndarray) -> tuple[float, float]:
+    """``(h, ||x - x_h||_F)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
+
+    ``eigvalsh`` returns the eigenvalues of ``x_h + E`` with ``||E||_2 <=
+    p(n) eps ||x_h||_2`` (LAPACK's bound, taken with p(n) = n), so the
+    smallest eigenvalue of ``x_h`` is at least the computed one less
+    ``n eps ||x_h||_F``.  ``h`` is the reciprocal of that floor, ``inf``
+    when the floor is not positive, and 0 for the empty matrix.
+    """
+    if not x.size:
+        return 0.0, 0.0
+    xh = 0.5 * (x + x.conj().T)
+    floor = np.linalg.eigvalsh(xh)[0] - x.shape[0] * _EPS * _fro(xh)
+    return (1.0 / floor if floor > 0.0 else np.inf), _fro(x - xh)
+
+
+def _product_rounding(d: int) -> float:
+    """``2g + g^2``, which bounds ``|fl(fl(X* M) Y) - X* M Y| / (|X|* |M| |Y|)`` entrywise, M of order d.
+
+    Each entry of a complex product of inner dimension d is a pair of real
+    inner products of length 2d, each within ``gamma_2d = 2d u / (1 - 2d
+    u)`` (u = eps / 2) of the sum of the moduli of its terms, whatever the
+    order of summation; the complex modulus adds a factor sqrt(2), so one
+    product errs by ``g = sqrt(2) gamma_2d``.  In Frobenius norm the error
+    is at most ``(2g + g^2) ||X||_F ||M||_F ||Y||_F``.
+    """
+    two_du = d * _EPS
+    g = np.sqrt(2.0) * two_du / (1.0 - two_du)
+    return 2.0 * g + g * g
+
+
+def _weight_defect(w: Weight) -> float:
+    """A bound on ``max(0, -lambda_min(W))`` for a positive definite ``Weight``.
+
+    The matrix of a ``Weight`` is exactly Hermitian and its ``eigvalsh``
+    found every eigenvalue positive, so by the bound of
+    :func:`_hermitian_floor` no exact eigenvalue lies below ``-d eps ||W||_F``.
+    """
+    return w.dim * _EPS * _fro(w.matrix)
+
+
 class _GradedSolver:
     """Evaluates a pencil iterate ``x(t) = (G + t K)^+ r(t)`` stably for tiny t.
 
@@ -233,18 +284,24 @@ class _GradedSolver:
     (q2).  The q2 block row of the system carries an overall factor t
     that divides out exactly, leaving
 
-        [[H11 + t K11, t K12], [K21, K22]],
+        S(t) = [[H11 + t K11, t K12], [K21, K22]],
 
-    whose condition number is bounded uniformly as t -> 0.  ``K = S* k_mid S``
-    enters through the column blocks ``k1 = S q1`` and ``k2 = S q2``, and
+    whose condition number is bounded uniformly as t -> 0.  ``K = F* k_mid F``
+    enters through the column blocks ``k1 = F q1`` and ``k2 = F q2``, and
     ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
     limits differ only in how they build these pieces.  The constructors
-    make the solver's full SVDs; :meth:`iterate` adds one LU solve per
-    point, which also certifies that the system is well conditioned, and
-    a values-only SVD only where that certificate does not clear.
+    make the solver's full SVDs.  A caller that knows ``k_mid`` to be
+    Hermitian with ``lambda_min(k_mid) >= -mid_defect`` passes
+    ``mid_defect``; the solver then bounds ``cond_2(S(t))`` for every t
+    from two ``eigvalsh``, of ``H11`` and ``K22`` (:meth:`_schur_constants`),
+    and :meth:`iterate` makes one LU solve per point, for the right-hand
+    side alone, wherever that bound clears.  ``h_floor`` returns the
+    :func:`_hermitian_floor` of ``h11`` for a caller that shares it
+    between solvers.
     """
 
-    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs, tol: ToleranceConfig = DEFAULT_TOL,
+                 mid_defect: float | None = None, h_floor=None):
         self.basis = v0 @ np.hstack([q1, q2])
         self.h11 = h11
         self.k11 = k1.conj().T @ k_mid @ k1
@@ -252,13 +309,96 @@ class _GradedSolver:
         self.k22 = k2.conj().T @ k_mid @ k2
         self.rhs = rhs
         self.tol = tol
+        self.schur = None
+        if mid_defect is not None:
+            h, h_skew = h_floor() if h_floor is not None else _hermitian_floor(h11)
+            self.schur = self._schur_constants(h, h_skew, k1, k2, k_mid, mid_defect)
+
+    def _schur_constants(self, h: float, h_skew: float, k1, k2, k_mid, mid_defect: float):
+        """Constants of the bound :meth:`_schur_bound`, or ``None`` where it cannot clear.
+
+        The system is ``S(t) = [[H11 + t K11, t K12], [K12*, K22]]``.  In
+        exact arithmetic H11 is Hermitian positive definite and ``K = k*
+        k_mid k`` (``k = [k1 k2]``) positive semidefinite, with K22
+        positive definite: B is injective on the q2 directions, or they
+        would lie in the joint null space.  Eliminating K22 leaves the
+        Schur complement ``Z(t) = H11 + t (K11 - K12 K22^-1 K12*)``, at
+        least H11 for every t >= 0, so ``||Z^-1|| <= h = 1 /
+        lambda_min(H11)``, and the block inverse
+
+            S^-1 = [I; -K22^-1 K12*] Z^-1 [I, -t K12 K22^-1] + diag(0, K22^-1)
+
+        gives ``||S^-1||_2 <= beta(t) = h (1 + c g) (1 + t c g) + g`` with
+        ``g = 1 / lambda_min(K22)`` and ``c = ||K12||_F``.
+
+        The computed blocks keep that structure only up to rounding.  They
+        are ``S0 + E``, where S0 is built as S from the Hermitian parts
+        ``H_h``, ``K11_h``, ``K22_h`` and from ``K' = K_h + delta I``:
+
+        - the PSD defect: ``K_h`` lies within ``gamma ||k_mid||_F ||k||_F^2``
+          of the exact ``k* k_mid k`` (:func:`_product_rounding`), which is
+          at least ``-mid_defect ||k||_F^2``; so ``delta = ||k||_F^2
+          (mid_defect + gamma ||k_mid||_F)`` makes K' positive
+          semidefinite, and S0 obeys the bound above;
+        - ``||E||_2 <= r0 + t r1 + 2u ||S||_F`` (u = eps / 2), with
+          ``r0 = ||H11 - H_h||_F + ||K22 - K22_h||_F + delta`` (the
+          non-Hermitian parts and the shift), ``r1 = ||K11 - K11_h||_F +
+          delta + u (||K11||_F + ||K12||_F)`` (the same for K11, and the
+          rounding of ``t K11`` and ``t K12``), and ``2u ||S||_F`` for the
+          rounding of the sum ``H11 + t K11``;
+        - h and g are the floors of ``H_h`` and ``K22_h`` from
+          :func:`_hermitian_floor`, and ``K22' >= K22_h``.
+
+        ``h`` and ``h_skew = ||H11 - H_h||_F`` come from the caller.  Returns
+        ``(h, g, c, r0, r1)``, or ``None`` when a floor is not positive, so
+        that the bound is infinite at every t.
+        """
+        g, k22_skew = _hermitian_floor(self.k22)
+        if not (np.isfinite(h) and np.isfinite(g)):
+            return None
+        k11_herm = 0.5 * (self.k11 + self.k11.conj().T)
+        kk = _fro(k1) ** 2 + _fro(k2) ** 2
+        delta = kk * (mid_defect + _product_rounding(k_mid.shape[0]) * _fro(k_mid))
+        c = _fro(self.k12)
+        u = 0.5 * _EPS
+        r0 = h_skew + k22_skew + delta
+        r1 = _fro(self.k11 - k11_herm) + delta + u * (_fro(self.k11) + c)
+        return h, g, c, r0, r1
+
+    def _schur_bound(self, t: float, system: np.ndarray) -> float:
+        """``||S||_F beta(t) / (1 - beta(t) r(t))``, an upper bound on ``cond_2(S)``.
+
+        Since ``sigma_min(S) >= 1 / beta - ||E||_2`` (the terms of
+        :meth:`_schur_constants`), it holds wherever ``beta r < 1``; it is
+        taken where ``beta r <= 1/2``, and is ``inf`` elsewhere or without
+        the constants.  Its own arithmetic is on norms, sums and products
+        of nonnegative numbers, and the one difference ``1 - beta r`` at
+        most doubles their relative error, so the computed bound is within
+        a relative ``m eps`` or so of the exact one, m the most entries
+        summed in one norm; the factor-2 margin of the cap in
+        :meth:`iterate` absorbs that.
+        """
+        if self.schur is None:
+            return np.inf
+        h, g, c, r0, r1 = self.schur
+        # overflow only means that the bound does not clear
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_norm = _fro(system)
+            cg = c * g
+            beta = h * (1.0 + cg) * (1.0 + t * cg) + g
+            r = r0 + t * r1 + _EPS * s_norm
+            # written so that NaN fails
+            if not beta * r <= 0.5:
+                return np.inf
+            return s_norm * beta / (1.0 - beta * r)
 
     @classmethod
     def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis):
-        """``(A* V A + t B* W B)^+ A* V`` as a map from W to its solver.
+        """``(A* V A + t B* W B)^+ A* V`` as a map ``(W, w_defect)`` to its solver.
 
         The splits, of ``[A; B]`` (``joint``) and of the row space of
-        ``A v0``, do not depend on W; every W shares them.
+        ``A v0``, do not depend on W; every W shares them, and the floor
+        of H11 that a solver with a ``w_defect`` needs is computed once.
         """
         v0 = joint.v_r
         at, bt = am @ v0, bm @ v0
@@ -268,14 +408,21 @@ class _GradedSolver:
         # q2 spans the null space of A compressed to the row space, so the
         # second block of the right-hand side vanishes identically
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
-        return lambda wmat: cls(v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs, tol)
+        h_floor = functools.cache(lambda: _hermitian_floor(h11))
+        return lambda wmat, w_defect=None: cls(
+            v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs, tol, w_defect, h_floor
+        )
 
     @classmethod
-    def pair(cls, a_sym, b_sym, tol: ToleranceConfig) -> "_GradedSolver":
+    def pair(cls, a_sym, b_sym, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
         """``(A + t B)^+ (t B)``, which is ``(lambda A + B)^+ B`` at t = 1 / lambda.
 
-        A and B are Hermitian positive semidefinite; the split is on the
-        range of ``v0* A v0``.
+        A and B are Hermitian positive semidefinite, ``b_min`` the smallest
+        computed eigenvalue of B; the split is on the range of ``v0* A v0``.
+        ``k_mid`` is the Hermitian part of ``v0* B v0``: by the bounds of
+        :func:`_hermitian_floor` and :func:`_product_rounding` its smallest
+        eigenvalue is at least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min)
+        + gamma ||B||_F)``.
         """
         v0 = _split_basis(a_sym + b_sym, tol).v_r
         at = v0.conj().T @ a_sym @ v0
@@ -285,30 +432,41 @@ class _GradedSolver:
         *_, q1, q2 = _split_basis(at, tol)
         vb = v0.conj().T @ b_sym
         g1, g2 = q1.conj().T @ vb, q2.conj().T @ vb
-        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, lambda t: np.vstack([t * g1, g2]), tol)
+        n, b_norm = b_sym.shape[0], _fro(b_sym)
+        defect = _fro(v0) ** 2 * (max(0.0, n * _EPS * b_norm - b_min) + _product_rounding(n) * b_norm)
+        rhs = lambda t: np.vstack([t * g1, g2])
+        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, rhs, tol, defect)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
 
-        One LU solve takes the right-hand side and the identity together,
-        so it gives the iterate and ``S^-1``.  Since
-        ``cond_2(S) <= ||S||_F ||S^-1||_F``, a Frobenius bound of at most
-        ``min(inv_cond_max / 2, 1e-3 / (eps n))`` proves that S is no rank
-        flip and that its smallest singular value lies above the cutoff of
-        :meth:`SvdFactorization.solve`; the bound is returned in place of
-        the condition number.  The second term keeps the rounding of the
-        computed inverse inside the factor-2 margin.  Where the bound does
-        not clear (it is larger, not finite, or LU meets an exactly
-        singular S), the condition number comes from the singular values;
-        the LU iterate is kept unless the smallest singular value falls to
-        that cutoff or LU failed, when the truncated SVD solve replaces it.
-        The empty system gives a zero iterate and condition number 1.
+        A bound of at most ``min(inv_cond_max / 2, 1e-3 / (eps n))`` proves
+        that S is no rank flip and that its smallest singular value lies
+        above the cutoff of :meth:`SvdFactorization.solve`, so the LU
+        iterate stands and the bound is returned in place of the condition
+        number.  The Schur bound of :meth:`_schur_bound` is tried first:
+        where it clears, one LU solve for the right-hand side alone gives
+        the iterate.  Elsewhere one LU solve takes the right-hand side and
+        the identity together, giving the iterate and ``S^-1``, and
+        ``cond_2(S) <= ||S||_F ||S^-1||_F`` is tried; the ``1e-3 / (eps
+        n)`` cap keeps the rounding of the computed inverse inside the
+        factor-2 margin.  Where neither clears (the bounds are larger, not
+        finite, or LU meets an exactly singular S), the condition number
+        comes from the singular values; the LU iterate is kept unless the
+        smallest singular value falls to that cutoff or LU failed, when the
+        truncated SVD solve replaces it.  LU solves each right-hand side
+        column on its own, so both routes give the same iterate bit for
+        bit.  The empty system gives a zero iterate and condition number 1.
         """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
         rhs = self.rhs(t)
         if not system.size:
             return self.basis @ rhs, 1.0
         n, k = system.shape[0], rhs.shape[1]
+        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * n))
+        bound = self._schur_bound(t, system)
+        if bound <= cap:
+            return self.basis @ np.linalg.solve(system, rhs), bound
         both, bound = None, np.inf
         # overflow in the bound only means that it does not clear
         with np.errstate(over="ignore", invalid="ignore"):
@@ -320,7 +478,7 @@ class _GradedSolver:
                 inv = both[:, k:]
                 bound = float(np.sqrt(np.vdot(system, system).real * np.vdot(inv, inv).real))
         # written so that NaN fails
-        if bound <= min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * n)):
+        if bound <= cap:
             return self.basis @ both[:, :k], bound
         sigma = np.linalg.svd(system, compute_uv=False)
         if both is not None and sigma[-1] > _solve_cutoff(sigma, system.shape):
@@ -362,10 +520,13 @@ def limit_t_to_zero(
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
-    from .core import require_wmp_inverse
+    if u_weight.dim != am.shape[1]:
+        raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
 
-    target = require_wmp_inverse(am, vw, u_weight, tol).inverse
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix)
+    from .core import _required_on_split
+
+    target = _required_on_split(_split_basis(am, tol), vw, u_weight, tol)[1]
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     return _trace_over(s, solver.iterate, target, tol, atol)
 
 
@@ -416,7 +577,7 @@ def limit_lambda_to_inf(
     # Hermitian, so its largest |eigenvalue| is ||B||
     floor = tol.rank_rtol_for(mid.shape) * float(np.max(np.abs(b_eigs)))
     target = mp_inverse(mid, tol, sigma_floor=floor) @ b_sym
-    solver = _GradedSolver.pair(a_sym, b_sym, tol)
+    solver = _GradedSolver.pair(a_sym, b_sym, float(b_eigs[0]), tol)
     if atol is None:
         atol = 1e-6 * (1.0 + _residual_norm(target))
     return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
@@ -574,7 +735,7 @@ def _decompose_b(am, bm, joint, vw, ww, tol) -> tuple[BDecomposition, SplitBasis
 
     u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
     sp = _split_basis(am, tol)
-    z = _required_on_split(sp, am, vw, u.u, tol).inverse
+    z = _required_on_split(sp, vw, u.u, tol)[1]
     b2_raw = bm - bm @ z @ am
     b_scale = 1.0 + operator_norm(bm)
     if b2_raw.size:
@@ -650,6 +811,6 @@ def general_limit_via_decomposition(
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -125,6 +125,23 @@ def test_sequence_shape_validation(rng):
         PerturbationSequence.full(a, m, n, [])
 
 
+def test_direct_construction_is_checked_like_full():
+    # raw lists through the constructor itself are coerced as full() coerces them
+    row = [[1.0, 0.0]]
+    seq = PerturbationSequence(
+        base_a=row, base_m=Weight(np.eye(1)), base_n=Weight(np.eye(2)), terms=((row, np.eye(1), np.eye(2)),), kind="full"
+    )
+    built = PerturbationSequence.full(row, np.eye(1), np.eye(2), [(row, np.eye(1), np.eye(2))])
+    diag, ref = run_diagnostics(seq), run_diagnostics(built)
+    assert np.array_equal(seq.base_a, built.base_a) and seq.base_a.dtype == np.complex128
+    assert diag.exists == ref.exists == [True]
+    assert all(np.array_equal(diag.columns[k], ref.columns[k], equal_nan=True) for k in ref.columns)
+    with pytest.raises(ValueError, match="at least one term"):
+        PerturbationSequence(row, Weight(np.eye(1)), Weight(np.eye(2)), (), "full")
+    with pytest.raises(ValueError, match="kind"):
+        PerturbationSequence(row, Weight(np.eye(1)), Weight(np.eye(2)), ((row, np.eye(1), np.eye(2)),), "partial")
+
+
 def test_base_weights_are_checked_when_built(rng):
     # a base weight that does not fit the base matrix is rejected by the
     # constructor, not later inside run_diagnostics

@@ -117,6 +117,12 @@ class TestLimitT0:
         with pytest.raises(WeightError):
             limit_t_to_zero(a, b, Weight(np.diag([1.0, 1, 1, -1])), Weight(np.eye(3)))
 
+    def test_rejects_a_domain_weight_of_the_wrong_size(self, rng):
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        with pytest.raises(ValueError, match=r"u must weigh the columns of a \(dimension 5\)"):
+            limit_t_to_zero(a, b, v, w, u=Weight(random_spd(rng, 4)))
+
     def test_rejects_bad_schedule(self, rng):
         a, b = overlapping_pair(rng)
         v = Weight(random_spd(rng, 4))
@@ -384,6 +390,153 @@ class TestFlipCertificate:
         assert trace.params.size == 9 and trace.rank_flips == (0, 1, 2, 3, 4, 5)
         assert lapack_calls["solve"] == 9
         assert lapack_calls["svdvals"] == 9
+
+
+def adversarial_family(tol):
+    """Seeded traces on 8 columns whose H11 or K22 is nearly singular.
+
+    A has singular values down to ``s_h`` on its row space and B down to
+    ``s_k`` on the null space of A, where the q2 block K22 lives; the
+    lambda pair has the same spectra, and B is scaled by 1e-4 to 1e4.
+    """
+    calls = []
+    for seed in range(2):
+        gen = np.random.default_rng(70 + seed)
+        q, _ = np.linalg.qr(random_complex(gen, 8, 8))
+        row, null = q[:, :4], q[:, 4:]
+        for s_h in (1e-1, 1e-3, 1e-5):
+            for s_k in (1e-1, 1e-3, 1e-5):
+                h_spec, k_spec = np.array([1.0, 0.7, 0.5, s_h]), np.array([1.0, 0.7, 0.5, s_k])
+                a = random_complex(gen, 5, 4) @ (h_spec[:, None] * row.conj().T)
+                b = random_complex(gen, 6, 4) @ (k_spec[:, None] * null.conj().T)
+                b = b + random_complex(gen, 6, 4) @ row.conj().T
+                v, w = random_psd(gen, 5, 5), random_psd(gen, 6, 6)
+                pa = (row * h_spec) @ row.conj().T
+                g = (null * k_spec) @ random_complex(gen, 4, 8) + row @ random_complex(gen, 4, 8)
+                pb = g @ g.conj().T
+                for scale in (1e-4, 1.0, 1e4):
+                    # an explicit U: the default one is not admissible this close to singular
+                    calls.append(
+                        lambda a=a, b=scale * b, v=v, w=w: limit_t_to_zero(a, b, v, w, u=np.eye(8), tol=tol)
+                    )
+                    calls.append(lambda a=pa, b=scale * pb: limit_lambda_to_inf(a, b, tol=tol))
+    return calls
+
+
+def bench_shaped_calls(seeds=range(2)):
+    """t-traces on 48 x 80 inputs of rank 40 and lambda-traces on 80 x 80 ones of ranks 32 and 56."""
+    calls = []
+    for seed in seeds:
+        gen = np.random.default_rng(90 + seed)
+        qu, _ = np.linalg.qr(random_complex(gen, 48, 40))
+        qv, _ = np.linalg.qr(random_complex(gen, 80, 40))
+        a = (qu * gen.uniform(0.5, 1.0, 40)) @ qv.conj().T
+        b = random_complex(gen, 48, 80, scale=np.sqrt(0.5))
+        v, w = (Weight(random_psd(gen, 48, 48)) for _ in range(2))
+        pa, pb = random_psd(gen, 80, 32), random_psd(gen, 80, 56)
+        calls.append(lambda a=a, b=b, v=v, w=w: limit_t_to_zero(a, b, v, w))
+        calls.append(lambda a=pa, b=pb: limit_lambda_to_inf(a, b))
+    return calls
+
+
+def trace_arrays(trace):
+    """Every field of a trace, as arrays to compare bit for bit."""
+    scalars = [trace.limit_atol, trace.converged, *trace.rank_flips]
+    return [trace.params, *trace.iterates, trace.errors, trace.target, np.array(scalars)]
+
+
+class TestSchurCertificate:
+    """The per-trace Schur bound that lets a point solve for its right-hand side alone."""
+
+    @staticmethod
+    def recorded_points(calls, monkeypatch):
+        """``(system, bound, cap, returned condition number)`` at every point of every call."""
+        points = []
+        iterate = _GradedSolver.iterate
+
+        def recording(self, t):
+            system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
+            cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (np.finfo(float).eps * system.shape[0]))
+            it, cond = iterate(self, t)
+            points.append((system, self._schur_bound(t, system), cap, cond))
+            return it, cond
+
+        monkeypatch.setattr(_GradedSolver, "iterate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for call in calls:
+                call()
+        return points
+
+    @pytest.mark.parametrize(
+        "family, tol",
+        [
+            (certificate_family, DEFAULT_TOL),
+            (certificate_family, ToleranceConfig(inv_cond_max=1e4)),
+            # at inv_cond_max = 1e4 no point of this family clears
+            (adversarial_family, DEFAULT_TOL),
+        ],
+        ids=["certificate-1e12", "certificate-1e4", "adversarial-1e12"],
+    )
+    def test_bound_holds_wherever_it_clears(self, family, tol, monkeypatch):
+        eps = np.finfo(float).eps
+        cleared = missed = 0
+        for system, bound, cap, cond in self.recorded_points(family(tol), monkeypatch):
+            if bound <= cap:
+                cleared += 1
+                exact = condition_number(system)
+                # the SVD resolves sigma_min only to about n eps sigma_max
+                assert exact <= bound * (1.0 + system.shape[0] * eps * exact)
+                assert cond == bound
+            else:
+                missed += 1
+        assert cleared and missed
+
+    def test_bench_shaped_points_solve_for_the_right_hand_side_alone(self, monkeypatch):
+        # every point is certified by the Schur bound, so no solve carries
+        # the identity columns beside the k right-hand-side columns
+        widths = []
+        solve = np.linalg.solve
+
+        def recording_solve(m, rhs):
+            widths.append((m.shape[0], rhs.shape[1]))
+            return solve(m, rhs)
+
+        iterate = _GradedSolver.iterate
+
+        def iterate_recording_solves(self, t):
+            monkeypatch.setattr(np.linalg, "solve", recording_solve)
+            try:
+                return iterate(self, t)
+            finally:
+                monkeypatch.setattr(np.linalg, "solve", solve)
+
+        monkeypatch.setattr(_GradedSolver, "iterate", iterate_recording_solves)
+        for call, k in zip(bench_shaped_calls(), (48, 80, 48, 80)):
+            widths.clear()
+            trace = call()
+            assert trace.converged and trace.rank_flips == ()
+            assert widths == [(80, k)] * trace.params.size
+
+    def test_bench_shaped_points_all_clear(self, monkeypatch):
+        points = self.recorded_points(bench_shaped_calls(), monkeypatch)
+        assert len(points) == 2 * (10 + 9)
+        assert all(bound <= cap for _, bound, cap, _ in points)
+
+    def test_traces_are_bitwise_those_without_the_bound(self, monkeypatch):
+        calls = certificate_family(DEFAULT_TOL) + bench_shaped_calls(seeds=[0])
+
+        def traces():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankFlipWarning)
+                return [trace_arrays(call()) for call in calls]
+
+        with_bound = traces()
+        monkeypatch.setattr(_GradedSolver, "_schur_constants", lambda self, *args: None)
+        without = traces()
+        assert all(
+            len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y)) for x, y in zip(with_bound, without)
+        )
 
 
 def test_limit_traces_leave_scipy_linalg_unloaded():
