@@ -29,14 +29,20 @@ tried; only where neither bound clears are the singular values of S
 taken: they decide the flag, and the truncated SVD solve is kept for a
 system whose smallest singular value falls to the ``lstsq`` cutoff
 ``eps * n * sigma_max``.  Each error is an exact 2-norm from the
-eigenvalues of a Gram matrix.  The splits
-are made once per call: ``limit_t_to_zero`` and
-``general_limit_via_decomposition`` split ``[A; B]`` once for the domain
-weight and the solver, and the pencil solver's splits, which do not
-depend on W, serve every W the closed form is checked against.  The
-separation verdict reads A's row basis and the sum rank off splits its
-caller holds, and one SVD of ``2I - P - Q`` decides invertibility and
-solves for Pi, so no matrix of the separated pipeline is decomposed twice.
+eigenvalues of a Gram matrix.
+
+The splits are made once per call, and the solvers make none of their
+own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
+``[A; B]`` once for the domain weight and the solver, and A once for the
+target or the separation verdict; the pencil solver reads its blocks off
+those two splits with one QR, and its bases, which do not depend on W,
+serve every W the closed form is checked against.  ``limit_lambda_to_inf``
+splits A once and takes one SVD of B's compression to the complement of
+A's range, which decides the target and gives the solver the rest of
+its basis.  The separation verdict reads A's row basis and the sum rank
+off splits its caller holds, and one SVD of ``2I - P - Q`` decides
+invertibility and solves for Pi, so no matrix of the separated pipeline
+is decomposed twice.
 """
 
 from __future__ import annotations
@@ -290,7 +296,8 @@ class _GradedSolver:
     enters through the column blocks ``k1 = F q1`` and ``k2 = F q2``, and
     ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
     limits differ only in how they build these pieces.  The constructors
-    make the solver's full SVDs.  A caller that knows ``k_mid`` to be
+    make no SVD: they take v0, q1 and q2 from splits their callers already
+    hold (:meth:`pencil`, :meth:`pair`).  A caller that knows ``k_mid`` to be
     Hermitian with ``lambda_min(k_mid) >= -mid_defect`` passes
     ``mid_defect``; the solver then bounds ``cond_2(S(t))`` for every t
     from two ``eigvalsh``, of ``H11`` and ``K22`` (:meth:`_schur_constants`),
@@ -393,20 +400,26 @@ class _GradedSolver:
             return s_norm * beta / (1.0 - beta * r)
 
     @classmethod
-    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis):
+    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis, split_a: SplitBasis):
         """``(A* V A + t B* W B)^+ A* V`` as a map ``(W, w_defect)`` to its solver.
 
-        The splits, of ``[A; B]`` (``joint``) and of the row space of
-        ``A v0``, do not depend on W; every W shares them, and the floor
-        of H11 that a solver with a ``w_defect`` needs is computed once.
+        The solver works in the row basis v0 of ``[A; B]`` (``joint``).
+        ``q1 = v0* V_r`` carries the row basis of A from ``split_a``, the
+        split of A its caller holds, and one complete QR of q1 gives its
+        complement q2, so no SVD is made here.  A direction of A below the
+        cutoff of ``joint`` is noise on the scale of ``[A; B]`` and is left
+        out, so q1 has at most as many columns as v0.  The bases do not
+        depend on W; every W shares them, and the floor of H11 that a solver
+        with a ``w_defect`` needs is computed once.
         """
         v0 = joint.v_r
+        q1 = v0.conj().T @ split_a.v_r[:, : v0.shape[1]]
+        q2 = np.linalg.qr(q1, mode="complete")[0][:, q1.shape[1]:]
         at, bt = am @ v0, bm @ v0
-        *_, q1, q2 = _split_basis(at, tol)
         a1 = at @ q1
         h11, k1, k2 = a1.conj().T @ vmat @ a1, bt @ q1, bt @ q2
-        # q2 spans the null space of A compressed to the row space, so the
-        # second block of the right-hand side vanishes identically
+        # q2 is orthogonal to v0* V_r, so A v0 q2 = U_r diag(sigma_r) q1* q2
+        # vanishes and so does the second block of the right-hand side
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
         h_floor = functools.cache(lambda: _hermitian_floor(h11))
         return lambda wmat, w_defect=None: cls(
@@ -414,28 +427,36 @@ class _GradedSolver:
         )
 
     @classmethod
-    def pair(cls, a_sym, b_sym, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
+    def pair(cls, a_sym, b_sym, u_r, u_w, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
         """``(A + t B)^+ (t B)``, which is ``(lambda A + B)^+ B`` at t = 1 / lambda.
 
         A and B are Hermitian positive semidefinite, ``b_min`` the smallest
-        computed eigenvalue of B; the split is on the range of ``v0* A v0``.
-        ``k_mid`` is the Hermitian part of ``v0* B v0``: by the bounds of
-        :func:`_hermitian_floor` and :func:`_product_rounding` its smallest
-        eigenvalue is at least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min)
-        + gamma ||B||_F)``.
+        computed eigenvalue of B.  ``u_r`` is the range basis of A and
+        ``u_w = U_0 W``, with W the range basis of B's compression ``U_0* B
+        U_0`` to the complement U_0 of that range; both come from the
+        splits the target was computed on.  The solver works in ``v0 =
+        [u_r, u_w]``, where q1 and q2 are coordinate blocks.  So the joint
+        dimension is rank(A) plus the rank of B's compression, and that
+        second rank is the target's own decision: the target and the solver
+        read B's part from one rank decision.  ``k_mid`` is the Hermitian
+        part of ``v0* B v0``: by the bounds of :func:`_hermitian_floor` and
+        :func:`_product_rounding` its smallest eigenvalue is at least
+        ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
         """
-        v0 = _split_basis(a_sym + b_sym, tol).v_r
-        at = v0.conj().T @ a_sym @ v0
-        at = 0.5 * (at + at.conj().T)
-        bt = v0.conj().T @ b_sym @ v0
-        bt = 0.5 * (bt + bt.conj().T)
-        *_, q1, q2 = _split_basis(at, tol)
+        v0 = np.hstack([u_r, u_w])
+        r = u_r.shape[1]
+        eye = np.eye(v0.shape[1], dtype=np.complex128)
+        q1, q2 = eye[:, :r], eye[:, r:]
+        h11 = u_r.conj().T @ a_sym @ u_r
+        h11 = 0.5 * (h11 + h11.conj().T)
         vb = v0.conj().T @ b_sym
-        g1, g2 = q1.conj().T @ vb, q2.conj().T @ vb
+        bt = vb @ v0
+        bt = 0.5 * (bt + bt.conj().T)
+        g1, g2 = vb[:r], vb[r:]
         n, b_norm = b_sym.shape[0], _fro(b_sym)
         defect = _fro(v0) ** 2 * (max(0.0, n * _EPS * b_norm - b_min) + _product_rounding(n) * b_norm)
         rhs = lambda t: np.vstack([t * g1, g2])
-        return cls(v0, q1, q2, q1.conj().T @ at @ q1, q1, q2, bt, rhs, tol, defect)
+        return cls(v0, q1, q2, h11, q1, q2, bt, rhs, tol, defect)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
@@ -525,8 +546,9 @@ def limit_t_to_zero(
 
     from .core import _required_on_split
 
-    target = _required_on_split(_split_basis(am, tol), vw, u_weight, tol)[1]
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
+    split_a = _split_basis(am, tol)
+    target = _required_on_split(split_a, vw, u_weight, tol)[1]
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)(ww.matrix, _weight_defect(ww))
     return _trace_over(s, solver.iterate, target, tol, atol)
 
 
@@ -566,18 +588,24 @@ def limit_lambda_to_inf(
     s = _check_schedule(DEFAULT_LAMBDA_SCHEDULE if schedule is None else schedule, decreasing=False)
 
     n = a_sym.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    ur = svd_factor(a_sym, tol).range_basis
-    p = ur @ ur.conj().T
-    mid = (eye - p) @ b_sym @ (eye - p)
-    mid = 0.5 * (mid + mid.conj().T)
+    split_a = _split_basis(a_sym, tol)
+    # with P the projector onto the range of A, ((I - P) B (I - P))^+ B is
+    # U_0 (U_0* B U_0)^+ U_0* B
+    u_0 = split_a.u_0
+    ub = u_0.conj().T @ b_sym
+    comp = ub @ u_0
+    comp = 0.5 * (comp + comp.conj().T)
     # when the range of A covers the range of B the compression is an
-    # exact zero and anything left in mid is rounding; anchor the rank
+    # exact zero and anything left in it is rounding; anchor the rank
     # cutoff to the scale of B so that noise is not inverted; B is
-    # Hermitian, so its largest |eigenvalue| is ||B||
-    floor = tol.rank_rtol_for(mid.shape) * float(np.max(np.abs(b_eigs)))
-    target = mp_inverse(mid, tol, sigma_floor=floor) @ b_sym
-    solver = _GradedSolver.pair(a_sym, b_sym, float(b_eigs[0]), tol)
+    # Hermitian, so its largest |eigenvalue| is ||B||.  The floor is that
+    # of an order-n matrix, and it dominates the relative cutoff, since
+    # sigma_max of the compression is at most ||B||
+    floor = tol.rank_rtol_for((n, n)) * float(np.max(np.abs(b_eigs)))
+    comp_svd = svd_factor(comp, tol, sigma_floor=floor)
+    target = u_0 @ (comp_svd.pinv() @ ub)
+    u_w = u_0 @ comp_svd.range_basis
+    solver = _GradedSolver.pair(a_sym, b_sym, split_a.u_r, u_w, float(b_eigs[0]), tol)
     if atol is None:
         atol = 1e-6 * (1.0 + _residual_norm(target))
     return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
@@ -657,20 +685,22 @@ def closed_form_separated(
     from .sampling import random_spd, rng_from
 
     am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    report, p, two = _separation(_split_basis(am, tol).v_r, bm, joint, tol)
+    split_a = _split_basis(am, tol)
+    report, p, two = _separation(split_a.v_r, bm, joint, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
     gen = rng_from(rng)
     draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
     what = "separated closed form against the pencil"
-    return _separated_closed_form(am, bm, joint, vw, p, two, draws, what, tol)
+    return _separated_closed_form(am, bm, joint, split_a, vw, p, two, draws, what, tol)
 
 
-def _separated_closed_form(am, bm, joint, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
+def _separated_closed_form(am, bm, joint, split_a, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
     """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
 
-    ``joint`` is the split of ``[A; B]``, P the row-space projector of A
-    and ``two`` the SVD of ``2I - P - Q`` that decided the separation.
+    ``joint`` is the split of ``[A; B]`` and ``split_a`` that of A, P the
+    row-space projector of A and ``two`` the SVD of ``2I - P - Q`` that
+    decided the separation.
     ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
     must equal D for each of them, else ``VerificationError`` names
     ``what`` and the label.
@@ -682,7 +712,7 @@ def _separated_closed_form(am, bm, joint, vw, p, two, draws, what: str, tol) -> 
     d = base - (np.eye(am.shape[1], dtype=np.complex128) - p) @ pi
 
     scale = 1.0 + operator_norm(d)
-    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)
+    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)
     for label, wmat in draws:
         lhs, _ = solver_for(wmat).iterate(1.0)
         _verify(f"{what} ({label})", operator_norm(lhs - d), scale, tol)
@@ -724,9 +754,12 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(am, bm, joint, vw, ww, tol) -> tuple[BDecomposition, SplitBasis, np.ndarray, SvdFactorization]:
+def _decompose_b(
+    am, bm, joint, vw, ww, tol
+) -> tuple[BDecomposition, SplitBasis, SplitBasis, np.ndarray, SvdFactorization]:
     """:func:`decompose_b` on checked inputs and the split ``joint`` of ``[A; B]``,
-    with the split of ``[A; b2]`` and the P and ``2I - P - Q2`` of its separation.
+    with the splits of A and of ``[A; b2]`` and the P and ``2I - P - Q2`` of
+    the separation decided on them.
     """
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
@@ -757,7 +790,7 @@ def _decompose_b(am, bm, joint, vw, ww, tol) -> tuple[BDecomposition, SplitBasis
     report, p, two = _separation(sp.v_r, b2, joint2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1, b2, z, w_cross, containment, report), joint2, p, two
+    return BDecomposition(b1, b2, z, w_cross, containment, report), sp, joint2, p, two
 
 
 @dataclass(frozen=True)
@@ -796,7 +829,7 @@ def general_limit_via_decomposition(
     from .sampling import random_spd, rng_from
 
     am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    dec, joint2, p, two = _decompose_b(am, bm, joint, vw, ww, tol)
+    dec, split_a, joint2, p, two = _decompose_b(am, bm, joint, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -807,10 +840,10 @@ def general_limit_via_decomposition(
             raise WeightError("w_prime must be positive definite")
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
     what = "separated reduction of the pencil limit"
-    pi, d = _separated_closed_form(am, dec.b2, joint2, vw, p, two, draws, what, tol)
+    pi, d = _separated_closed_form(am, dec.b2, joint2, split_a, vw, p, two, draws, what, tol)
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
 
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)(ww.matrix, _weight_defect(ww))
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

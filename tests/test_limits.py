@@ -34,6 +34,7 @@ from wmpinv.linalg import (
     ToleranceConfig,
     _trace_over,
     condition_number,
+    numerical_rank,
     operator_norm,
     projector_rowspace,
 )
@@ -538,6 +539,51 @@ class TestSchurCertificate:
             len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y)) for x, y in zip(with_bound, without)
         )
 
+
+
+class TestSolverBases:
+    """The graded solvers take their bases from the splits their traces already make."""
+
+    def test_bench_shaped_traces_make_two_svds_each(self, svd_calls):
+        # the t-trace splits [A; B] and A (rank 40), the lambda-trace A (rank
+        # 32) and B's compression to the 48 = 80 - 32 directions outside the
+        # range of A; the solvers make none of their own
+        expected = [
+            [((96, 80), True, 80), ((48, 80), True, 40)],
+            [((80, 80), True, 32), ((48, 48), False, 48)],
+        ]
+        for call, svds in zip(bench_shaped_calls(), expected * 2):
+            svd_calls.clear()
+            call()
+            assert [(m.shape, full, np.linalg.matrix_rank(m)) for m, full in svd_calls] == svds
+
+    def test_lambda_basis_joins_the_range_of_a_to_that_of_the_compression_of_b(self, monkeypatch):
+        # pair works in v0 = [U_r, U_0 W], W the range basis of U_0* B U_0
+        # that the target decides; on these inputs its width is the numerical
+        # rank of A + B, the dimension of the joint range
+        bases = []
+        pair = _GradedSolver.pair.__func__
+
+        def recording(cls, a_sym, b_sym, *args):
+            solver = pair(cls, a_sym, b_sym, *args)
+            bases.append((solver.basis, a_sym + b_sym))
+            return solver
+
+        monkeypatch.setattr(_GradedSolver, "pair", classmethod(recording))
+        eye = np.eye(3)
+        zero_rank = [lambda a=a, b=b: limit_lambda_to_inf(a * eye, b * eye) for a, b in ((0, 0), (0, 1), (1, 0))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for call in certificate_family(DEFAULT_TOL) + zero_rank:
+                call()
+        # the 15 lambda-traces of the bench-shaped quarter, the 11 nearly
+        # nested ones and the 3 zero-rank pairs
+        assert len(bases) == 15 + 11 + 3
+        eps = np.finfo(float).eps
+        for v0, joint in bases:
+            n, width = v0.shape
+            assert np.abs(v0.conj().T @ v0 - np.eye(width)).max(initial=0.0) <= 4 * n * eps
+            assert width == numerical_rank(joint)
 
 def test_limit_traces_leave_scipy_linalg_unloaded():
     # importing scipy.linalg after wmpinv raises a fresh process's peak RSS
