@@ -79,9 +79,11 @@ def _schedule_endpoints(text: str):
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"schedule endpoints must be numbers, got {text!r}")
-    if a <= 0 or b <= 0 or a == b:
-        raise argparse.ArgumentTypeError("schedule endpoints must be positive and distinct")
-    return a, b
+    # the endpoints follow the rule of geometric_schedule, as usage errors
+    try:
+        return geometric_schedule(a, b)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -137,11 +139,7 @@ def _gather(args) -> _Context:
     except ValueError as e:
         raise _UsageError(str(e)) from e
 
-    schedule = None
-    if args.schedule is not None:
-        schedule = geometric_schedule(*args.schedule)
-    elif bundle.schedule is not None:
-        schedule = bundle.schedule
+    schedule = args.schedule if args.schedule is not None else bundle.schedule
     seed = args.seed if args.seed is not None else bundle.seed
     return _Context(matrices=matrices, tol=tol, tol_sources=sources, schedule=schedule, seed=seed)
 

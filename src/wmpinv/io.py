@@ -213,17 +213,19 @@ def write_bundle(path, matrices: dict, scalars: dict | None = None) -> None:
 
 
 def geometric_schedule(start: float, stop: float, count: int | None = None) -> np.ndarray:
-    """Strictly monotone geometric schedule between positive endpoints.
+    """Strictly monotone geometric schedule between finite positive endpoints.
 
     The default point count is one per decade spanned, with a floor of
     two points.
     """
-    if start <= 0 or stop <= 0:
-        raise ValueError("schedule endpoints must be positive")
+    # written so that NaN fails
+    if not (0.0 < start < np.inf and 0.0 < stop < np.inf):
+        raise ValueError("schedule endpoints must be finite and positive")
     if start == stop:
         raise ValueError("schedule endpoints must differ")
     if count is None:
-        count = max(2, int(round(abs(np.log10(stop / start)))) + 1)
+        # the ratio of the endpoints may overflow where their logarithms do not
+        count = max(2, int(round(abs(np.log10(stop) - np.log10(start)))) + 1)
     if count < 2:
         raise ValueError("schedule needs at least two points")
     return np.geomspace(start, stop, count)

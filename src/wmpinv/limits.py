@@ -21,15 +21,13 @@ A bound on the condition number of that system S decides whether a
 point can be a rank flip.  The solver bounds ``cond_2(S(t))`` for the
 whole schedule at once, through the Schur complement of its K22 block:
 two ``eigvalsh`` per trace, of H11 and K22, and the rounding of the
-computed blocks absorbed by a derived margin.  Where that bound clears
-``inv_cond_max`` with a margin, a point makes one LU solve of S for its
-right-hand side alone.  Elsewhere the LU solve takes the right-hand side
-and the identity together, and ``cond_2(S) <= ||S||_F ||S^-1||_F`` is
-tried; only where neither bound clears are the singular values of S
-taken: they decide the flag, and the truncated SVD solve is kept for a
-system whose smallest singular value falls to the ``lstsq`` cutoff
-``eps * n * sigma_max``.  Each error is an exact 2-norm from the
-eigenvalues of a Gram matrix.
+computed blocks absorbed by a derived margin.  Every point makes one LU
+solve of S for its right-hand side alone.  Where that bound clears
+``inv_cond_max`` with a margin, that is all; elsewhere the singular
+values of S are taken as well: they decide the flag, and the truncated
+SVD solve replaces the LU iterate where LU fails or the smallest
+singular value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.
+Each error is an exact 2-norm from the eigenvalues of a Gram matrix.
 
 The splits are made once per call, and the solvers make none of their
 own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
@@ -47,7 +45,6 @@ is decomposed twice.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +63,7 @@ from .linalg import (
     SvdFactorization,
     ToleranceConfig,
     _EPS,
+    _check_atol,
     _check_schedule,
     _clears_positive_floor,
     _cond,
@@ -282,6 +280,14 @@ def _weight_defect(w: Weight) -> float:
     return w.dim * _EPS * _fro(w.matrix)
 
 
+def _psd_shift(kk: float, mid_defect: float, k_mid: np.ndarray) -> float:
+    """``delta = kk (mid_defect + gamma ||k_mid||_F)``, with ``kk = ||k||_F^2``, of
+    :meth:`_GradedSolver._schur_constants`: the shift that makes the computed
+    ``k* k_mid k`` positive semidefinite when ``lambda_min(k_mid) >= -mid_defect``.
+    """
+    return kk * (mid_defect + _product_rounding(k_mid.shape[0]) * _fro(k_mid))
+
+
 class _GradedSolver:
     """Evaluates a pencil iterate ``x(t) = (G + t K)^+ r(t)`` stably for tiny t.
 
@@ -292,36 +298,30 @@ class _GradedSolver:
 
         S(t) = [[H11 + t K11, t K12], [K21, K22]],
 
-    whose condition number is bounded uniformly as t -> 0.  ``K = F* k_mid F``
-    enters through the column blocks ``k1 = F q1`` and ``k2 = F q2``, and
-    ``rhs(t)`` has the factor t divided out of its q2 rows.  The two
-    limits differ only in how they build these pieces.  The constructors
-    make no SVD: they take v0, q1 and q2 from splits their callers already
-    hold (:meth:`pencil`, :meth:`pair`).  A caller that knows ``k_mid`` to be
-    Hermitian with ``lambda_min(k_mid) >= -mid_defect`` passes
-    ``mid_defect``; the solver then bounds ``cond_2(S(t))`` for every t
-    from two ``eigvalsh``, of ``H11`` and ``K22`` (:meth:`_schur_constants`),
-    and :meth:`iterate` makes one LU solve per point, for the right-hand
-    side alone, wherever that bound clears.  ``h_floor`` returns the
-    :func:`_hermitian_floor` of ``h11`` for a caller that shares it
-    between solvers.
+    whose condition number is bounded uniformly as t -> 0.  The solver
+    holds the blocks H11, K11, K12 and K22 of ``K = k* k_mid k`` (``k = [k1
+    k2]``, ``k1 = F q1``, ``k2 = F q2`` for ``K = F* k_mid F``), the basis
+    ``v0 [q1 q2]`` the iterate is read back through, and ``rhs(t)`` with
+    the factor t divided out of its q2 rows; it forms no product of its
+    own.  The two limits differ only in how they build these pieces
+    (:meth:`pencil`, :meth:`pair`), from splits their callers already
+    hold.  A caller that knows ``k_mid`` to be Hermitian with a bounded
+    PSD defect passes ``delta``, the shift of :meth:`_schur_constants`
+    that makes the computed K positive semidefinite; the solver then
+    bounds ``cond_2(S(t))`` for every t from two ``eigvalsh``, of ``H11``
+    and ``K22``, and :meth:`iterate` makes one LU solve per point, for the
+    right-hand side alone, wherever that bound clears.
     """
 
-    def __init__(self, v0, q1, q2, h11, k1, k2, k_mid, rhs, tol: ToleranceConfig = DEFAULT_TOL,
-                 mid_defect: float | None = None, h_floor=None):
-        self.basis = v0 @ np.hstack([q1, q2])
-        self.h11 = h11
-        self.k11 = k1.conj().T @ k_mid @ k1
-        self.k12 = k1.conj().T @ k_mid @ k2
-        self.k22 = k2.conj().T @ k_mid @ k2
+    def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
+                 delta: float | None = None):
+        self.basis = basis
+        self.h11, self.k11, self.k12, self.k22 = h11, k11, k12, k22
         self.rhs = rhs
         self.tol = tol
-        self.schur = None
-        if mid_defect is not None:
-            h, h_skew = h_floor() if h_floor is not None else _hermitian_floor(h11)
-            self.schur = self._schur_constants(h, h_skew, k1, k2, k_mid, mid_defect)
+        self.schur = None if delta is None else self._schur_constants(delta)
 
-    def _schur_constants(self, h: float, h_skew: float, k1, k2, k_mid, mid_defect: float):
+    def _schur_constants(self, delta: float):
         """Constants of the bound :meth:`_schur_bound`, or ``None`` where it cannot clear.
 
         The system is ``S(t) = [[H11 + t K11, t K12], [K12*, K22]]``.  In
@@ -344,9 +344,11 @@ class _GradedSolver:
 
         - the PSD defect: ``K_h`` lies within ``gamma ||k_mid||_F ||k||_F^2``
           of the exact ``k* k_mid k`` (:func:`_product_rounding`), which is
-          at least ``-mid_defect ||k||_F^2``; so ``delta = ||k||_F^2
-          (mid_defect + gamma ||k_mid||_F)`` makes K' positive
-          semidefinite, and S0 obeys the bound above;
+          at least ``-mid_defect ||k||_F^2`` when ``lambda_min(k_mid) >=
+          -mid_defect``; so ``delta = ||k||_F^2 (mid_defect + gamma
+          ||k_mid||_F)`` (:func:`_psd_shift`, computed by the factory that
+          knows k and k_mid) makes K' positive semidefinite, and S0 obeys
+          the bound above;
         - ``||E||_2 <= r0 + t r1 + 2u ||S||_F`` (u = eps / 2), with
           ``r0 = ||H11 - H_h||_F + ||K22 - K22_h||_F + delta`` (the
           non-Hermitian parts and the shift), ``r1 = ||K11 - K11_h||_F +
@@ -356,16 +358,14 @@ class _GradedSolver:
         - h and g are the floors of ``H_h`` and ``K22_h`` from
           :func:`_hermitian_floor`, and ``K22' >= K22_h``.
 
-        ``h`` and ``h_skew = ||H11 - H_h||_F`` come from the caller.  Returns
-        ``(h, g, c, r0, r1)``, or ``None`` when a floor is not positive, so
-        that the bound is infinite at every t.
+        Returns ``(h, g, c, r0, r1)``, or ``None`` when a floor is not
+        positive, so that the bound is infinite at every t.
         """
+        h, h_skew = _hermitian_floor(self.h11)
         g, k22_skew = _hermitian_floor(self.k22)
         if not (np.isfinite(h) and np.isfinite(g)):
             return None
         k11_herm = 0.5 * (self.k11 + self.k11.conj().T)
-        kk = _fro(k1) ** 2 + _fro(k2) ** 2
-        delta = kk * (mid_defect + _product_rounding(k_mid.shape[0]) * _fro(k_mid))
         c = _fro(self.k12)
         u = 0.5 * _EPS
         r0 = h_skew + k22_skew + delta
@@ -409,8 +409,8 @@ class _GradedSolver:
         complement q2, so no SVD is made here.  A direction of A below the
         cutoff of ``joint`` is noise on the scale of ``[A; B]`` and is left
         out, so q1 has at most as many columns as v0.  The bases do not
-        depend on W; every W shares them, and the floor of H11 that a solver
-        with a ``w_defect`` needs is computed once.
+        depend on W; every W shares them and H11, and a W passed with
+        ``w_defect``, a bound on its PSD defect, gets the Schur bound.
         """
         v0 = joint.v_r
         q1 = v0.conj().T @ split_a.v_r[:, : v0.shape[1]]
@@ -421,10 +421,15 @@ class _GradedSolver:
         # q2 is orthogonal to v0* V_r, so A v0 q2 = U_r diag(sigma_r) q1* q2
         # vanishes and so does the second block of the right-hand side
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
-        h_floor = functools.cache(lambda: _hermitian_floor(h11))
-        return lambda wmat, w_defect=None: cls(
-            v0, q1, q2, h11, k1, k2, wmat, lambda t: rhs, tol, w_defect, h_floor
-        )
+        basis = v0 @ np.hstack([q1, q2])
+        kk = _fro(k1) ** 2 + _fro(k2) ** 2
+
+        def solver(wmat, w_defect=None):
+            k1w = k1.conj().T @ wmat
+            delta = None if w_defect is None else _psd_shift(kk, w_defect, wmat)
+            return cls(basis, h11, k1w @ k1, k1w @ k2, k2.conj().T @ wmat @ k2, lambda t: rhs, tol, delta)
+
+        return solver
 
     @classmethod
     def pair(cls, a_sym, b_sym, u_r, u_w, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
@@ -435,18 +440,17 @@ class _GradedSolver:
         ``u_w = U_0 W``, with W the range basis of B's compression ``U_0* B
         U_0`` to the complement U_0 of that range; both come from the
         splits the target was computed on.  The solver works in ``v0 =
-        [u_r, u_w]``, where q1 and q2 are coordinate blocks.  So the joint
-        dimension is rank(A) plus the rank of B's compression, and that
-        second rank is the target's own decision: the target and the solver
-        read B's part from one rank decision.  ``k_mid`` is the Hermitian
-        part of ``v0* B v0``: by the bounds of :func:`_hermitian_floor` and
-        :func:`_product_rounding` its smallest eigenvalue is at least
-        ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
+        [u_r, u_w]``, where q1 and q2 are coordinate blocks, so v0 is the
+        basis and the K blocks are slices of ``k_mid``, the Hermitian part
+        of ``v0* B v0``.  The joint dimension is rank(A) plus the rank of
+        B's compression, and that second rank is the target's own decision:
+        the target and the solver read B's part from one rank decision.
+        By the bounds of :func:`_hermitian_floor` and
+        :func:`_product_rounding` the smallest eigenvalue of ``k_mid`` is at
+        least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
         """
         v0 = np.hstack([u_r, u_w])
         r = u_r.shape[1]
-        eye = np.eye(v0.shape[1], dtype=np.complex128)
-        q1, q2 = eye[:, :r], eye[:, r:]
         h11 = u_r.conj().T @ a_sym @ u_r
         h11 = 0.5 * (h11 + h11.conj().T)
         vb = v0.conj().T @ b_sym
@@ -456,55 +460,38 @@ class _GradedSolver:
         n, b_norm = b_sym.shape[0], _fro(b_sym)
         defect = _fro(v0) ** 2 * (max(0.0, n * _EPS * b_norm - b_min) + _product_rounding(n) * b_norm)
         rhs = lambda t: np.vstack([t * g1, g2])
-        return cls(v0, q1, q2, h11, q1, q2, bt, rhs, tol, defect)
+        # k = [q1 q2] is the identity, so ||k||_F^2 is the joint dimension
+        delta = _psd_shift(float(v0.shape[1]), defect, bt)
+        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
 
-        A bound of at most ``min(inv_cond_max / 2, 1e-3 / (eps n))`` proves
-        that S is no rank flip and that its smallest singular value lies
-        above the cutoff of :meth:`SvdFactorization.solve`, so the LU
-        iterate stands and the bound is returned in place of the condition
-        number.  The Schur bound of :meth:`_schur_bound` is tried first:
-        where it clears, one LU solve for the right-hand side alone gives
-        the iterate.  Elsewhere one LU solve takes the right-hand side and
-        the identity together, giving the iterate and ``S^-1``, and
-        ``cond_2(S) <= ||S||_F ||S^-1||_F`` is tried; the ``1e-3 / (eps
-        n)`` cap keeps the rounding of the computed inverse inside the
-        factor-2 margin.  Where neither clears (the bounds are larger, not
-        finite, or LU meets an exactly singular S), the condition number
-        comes from the singular values; the LU iterate is kept unless the
-        smallest singular value falls to that cutoff or LU failed, when the
-        truncated SVD solve replaces it.  LU solves each right-hand side
-        column on its own, so both routes give the same iterate bit for
-        bit.  The empty system gives a zero iterate and condition number 1.
+        Where the Schur bound of :meth:`_schur_bound` is at most ``min(
+        inv_cond_max / 2, 1e-3 / (eps n))``, S is no rank flip and its
+        smallest singular value lies above the cutoff of
+        :meth:`SvdFactorization.solve`, so one LU solve for the right-hand
+        side alone gives the iterate and the bound is returned in place of
+        the condition number.  Elsewhere the point makes the same LU solve
+        and takes the singular values of S: they give the condition number,
+        and the truncated SVD solve replaces the LU iterate where LU meets
+        an exactly singular S or the smallest singular value falls to that
+        cutoff.  The empty system gives a zero iterate and condition number 1.
         """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
         rhs = self.rhs(t)
         if not system.size:
             return self.basis @ rhs, 1.0
-        n, k = system.shape[0], rhs.shape[1]
-        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * n))
+        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * system.shape[0]))
         bound = self._schur_bound(t, system)
         if bound <= cap:
             return self.basis @ np.linalg.solve(system, rhs), bound
-        both, bound = None, np.inf
-        # overflow in the bound only means that it does not clear
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                both = np.linalg.solve(system, np.hstack([rhs, np.eye(n)]))
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                inv = both[:, k:]
-                bound = float(np.sqrt(np.vdot(system, system).real * np.vdot(inv, inv).real))
-        # written so that NaN fails
-        if bound <= cap:
-            return self.basis @ both[:, :k], bound
+        try:
+            y = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            y = None
         sigma = np.linalg.svd(system, compute_uv=False)
-        if both is not None and sigma[-1] > _solve_cutoff(sigma, system.shape):
-            y = both[:, :k]
-        else:
+        if y is None or not sigma[-1] > _solve_cutoff(sigma, system.shape):
             y = svd_factor(system).solve(rhs)
         return self.basis @ y, _cond(sigma)
 
@@ -529,6 +516,8 @@ def limit_t_to_zero(
     ``atol`` overrides the convergence threshold recorded on the trace;
     the default is ``1e-8 * (1 + ||target||)``.
     """
+    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
+    _check_atol(atol)
     am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     if not vw.positive_definite:
         raise WeightError("v must be positive definite for the t -> 0 limit")
@@ -538,9 +527,6 @@ def limit_t_to_zero(
     if u is None:
         u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
     u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
-
-    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
-
     if u_weight.dim != am.shape[1]:
         raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
 
@@ -569,6 +555,8 @@ def limit_lambda_to_inf(
     ``1e-6 * (1 + ||target||)``, matched to the default schedule's top
     value; pass ``atol`` to tighten it alongside a longer schedule.
     """
+    s = _check_schedule(DEFAULT_LAMBDA_SCHEDULE if schedule is None else schedule, decreasing=False)
+    _check_atol(atol)
     am = as_matrix(a)
     bm = as_matrix(b)
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
@@ -584,8 +572,6 @@ def limit_lambda_to_inf(
     for name, eigs in (("a", a_eigs), ("b", b_eigs)):
         if eigs[0] < -tol.verify_atol:
             raise NotPositiveSemidefiniteError(name, float(eigs[0]))
-
-    s = _check_schedule(DEFAULT_LAMBDA_SCHEDULE if schedule is None else schedule, decreasing=False)
 
     n = a_sym.shape[0]
     split_a = _split_basis(a_sym, tol)
@@ -828,6 +814,7 @@ def general_limit_via_decomposition(
     """
     from .sampling import random_spd, rng_from
 
+    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
     am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     dec, split_a, joint2, p, two = _decompose_b(am, bm, joint, vw, ww, tol)
 
@@ -841,9 +828,6 @@ def general_limit_via_decomposition(
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
     what = "separated reduction of the pencil limit"
     pi, d = _separated_closed_form(am, dec.b2, joint2, split_a, vw, p, two, draws, what, tol)
-
-    s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
-
     solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)(ww.matrix, _weight_defect(ww))
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

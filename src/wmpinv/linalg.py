@@ -425,14 +425,21 @@ def _check_schedule(schedule, *, decreasing: bool) -> np.ndarray:
     s = np.asarray(schedule, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("schedule must be a nonempty 1-D sequence")
-    if not np.all(s > 0.0):
-        raise ValueError("schedule values must be positive")
+    if not np.all(np.isfinite(s) & (s > 0.0)):
+        raise ValueError("schedule values must be finite and positive")
     diffs = np.diff(s)
     if decreasing and not np.all(diffs < 0.0):
         raise ValueError("schedule must be strictly decreasing")
     if not decreasing and not np.all(diffs > 0.0):
         raise ValueError("schedule must be strictly increasing")
     return s
+
+
+def _check_atol(atol) -> None:
+    """Reject a convergence threshold that is not ``None`` or finite and nonnegative."""
+    # written so that NaN fails
+    if atol is not None and not 0.0 <= atol < np.inf:
+        raise ValueError(f"atol must be finite and nonnegative, got {atol}")
 
 
 def limit_atol_for(target: np.ndarray) -> float:

@@ -170,6 +170,15 @@ class TestBundleFormat:
         assert up.size == 7
         assert np.all(np.diff(up) > 0)
 
+    @pytest.mark.parametrize("start, stop", [(1.0, np.inf), (np.inf, 1.0), (1.0, np.nan)])
+    def test_geometric_schedule_rejects_non_finite_endpoints(self, start, stop):
+        with pytest.raises(ValueError, match="finite and positive"):
+            geometric_schedule(start, stop)
+
+    def test_geometric_schedule_counts_decades_whose_ratio_overflows(self):
+        s = geometric_schedule(1e-300, 1e300)
+        assert s.size == 601 and np.all(np.isfinite(s))
+
 
 class TestCliCommands:
     def test_wmp_prints_twelve_digits(self, capsys, golden_bundle):
@@ -339,6 +348,11 @@ class TestCliCommands:
         assert main(["perturb", "--bundle", golden_bundle, "--terms", "12"]) == 0
         out = capsys.readouterr().out
         assert "wmp_diff" in out
+
+    @pytest.mark.parametrize("endpoints", ["1:inf", "inf:1", "1:nan"])
+    def test_non_finite_schedule_is_usage_error(self, endpoints, capsys, golden_bundle):
+        assert main(["limit-lambda", "--bundle", golden_bundle, "--schedule", endpoints]) == 64
+        assert "schedule endpoints must be finite and positive" in capsys.readouterr().err
 
     def test_perturb_short_sequence_is_usage_error(self, capsys, golden_bundle):
         assert main(["perturb", "--bundle", golden_bundle, "--terms", "1"]) == 64

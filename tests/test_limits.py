@@ -133,6 +133,15 @@ class TestLimitT0:
         with pytest.raises(ValueError):
             limit_t_to_zero(a, b, v, w, schedule=[1e-1, -1e-2])
 
+    def test_rejects_a_non_finite_schedule_before_any_decomposition(self, rng, lapack_calls):
+        a, b = overlapping_pair(rng)
+        v, w = random_spd(rng, 4), random_spd(rng, 3)
+        lapack_calls.clear()
+        for schedule in ([np.inf, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                limit_t_to_zero(a, b, v, w, schedule=schedule)
+        assert not +lapack_calls
+
 
 class TestLimitLambda:
     def test_golden_two_by_two(self):
@@ -187,6 +196,25 @@ class TestLimitLambda:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotPositiveSemidefiniteError):
             limit_lambda_to_inf(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+
+    def test_rejects_a_non_finite_schedule_before_any_decomposition(self, lapack_calls):
+        # at 1 / lambda = 0 the pencil is A alone, which no schedule may reach
+        for schedule in ([1.0, np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                limit_lambda_to_inf(np.eye(2), np.eye(2), schedule=schedule)
+        assert not +lapack_calls
+
+
+@pytest.mark.parametrize("atol", [np.nan, -1.0, np.inf])
+def test_traces_reject_an_atol_that_is_not_finite_and_nonnegative(atol, rng, lapack_calls):
+    a, b = overlapping_pair(rng)
+    v, w = random_spd(rng, 4), random_spd(rng, 3)
+    lapack_calls.clear()
+    with pytest.raises(ValueError, match="atol must be finite and nonnegative"):
+        limit_t_to_zero(a, b, v, w, atol=atol)
+    with pytest.raises(ValueError, match="atol must be finite and nonnegative"):
+        limit_lambda_to_inf(np.eye(2), np.eye(2), atol=atol)
+    assert not +lapack_calls
 
 
 class TestGradedSolverGuards:
@@ -298,16 +326,14 @@ def certificate_family(tol):
 
 
 class TestFlipCertificate:
-    """Rank flips decided by the LU certificate or, where it does not clear, the SVD."""
+    """Rank flips decided by the Schur bound or, where it does not clear, the SVD."""
 
     def test_singular_system_falls_back_to_the_svd(self):
         # zero blocks make the 3 x 3 system exactly singular, which LU rejects
         eye = np.eye(3, dtype=np.complex128)
         rhs = np.ones((3, 2), dtype=np.complex128)
         zero = np.zeros((1, 1), dtype=np.complex128)
-        solver = _GradedSolver(
-            eye, eye[:, :2], eye[:, 2:], np.zeros((2, 2)), np.zeros((1, 2)), zero, zero, lambda t: rhs
-        )
+        solver = _GradedSolver(eye, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)), zero, lambda t: rhs)
         it, cond = solver.iterate(0.5)
         assert np.array_equal(it, np.zeros((3, 2))) and cond == np.inf
         with pytest.warns(RankFlipWarning):
@@ -315,11 +341,13 @@ class TestFlipCertificate:
         assert trace.rank_flips == (0, 1)
 
     def test_overflowing_bound_is_quiet(self):
-        # ||S||_F^2 ||S^-1||_F^2 = 1e400 overflows; the SVD decides, and no
+        # cond(S) = 1e200: the LU iterate holds 1e100, the singular values
+        # decide the flag and the truncated SVD solve the iterate, and no
         # RuntimeWarning escapes
         eye = np.eye(2, dtype=np.complex128)
-        k1, k2, k_mid = np.zeros((1, 2)), np.zeros((1, 0)), np.zeros((1, 1))
-        solver = _GradedSolver(eye, eye, eye[:, 2:], np.diag([1e100, 1e-100]), k1, k2, k_mid, lambda t: eye)
+        solver = _GradedSolver(
+            eye, np.diag([1e100, 1e-100]), np.zeros((2, 2)), np.zeros((2, 0)), np.zeros((0, 0)), lambda t: eye
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             it, cond = solver.iterate(1.0)
@@ -440,6 +468,17 @@ def bench_shaped_calls(seeds=range(2)):
     return calls
 
 
+def closed_form_calls():
+    """``closed_form_separated`` on seeded separated pairs; each call checks two W at t = 1."""
+    calls = []
+    for seed in range(8):
+        gen = np.random.default_rng(110 + seed)
+        a, b = random_separated_pair(gen, 6 + seed % 4, 3, 2, 2, 2)
+        v, w = random_spd(gen, 3), random_spd(gen, 2)
+        calls.append(lambda a=a, b=b, v=v, w=w, seed=seed: closed_form_separated(a, b, v, w, rng=seed))
+    return calls
+
+
 def trace_arrays(trace):
     """Every field of a trace, as arrays to compare bit for bit."""
     scalars = [trace.limit_atol, trace.converged, *trace.rank_flips]
@@ -518,6 +557,45 @@ class TestSchurCertificate:
             trace = call()
             assert trace.converged and trace.rank_flips == ()
             assert widths == [(80, k)] * trace.params.size
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            lambda: certificate_family(DEFAULT_TOL),
+            lambda: certificate_family(ToleranceConfig(inv_cond_max=1e4)),
+            lambda: adversarial_family(DEFAULT_TOL),
+            closed_form_calls,
+        ],
+        ids=["certificate-1e12", "certificate-1e4", "adversarial-1e12", "closed-form"],
+    )
+    def test_no_point_solves_for_identity_columns(self, calls, monkeypatch):
+        # certified or not, each point makes one LU solve, and it carries as
+        # many columns as the iterate it returns
+        points = []
+        solve = np.linalg.solve
+        iterate = _GradedSolver.iterate
+
+        def iterate_recording_solves(self, t):
+            widths = []
+
+            def recording_solve(m, rhs):
+                widths.append(rhs.shape[1])
+                return solve(m, rhs)
+
+            monkeypatch.setattr(np.linalg, "solve", recording_solve)
+            try:
+                it, cond = iterate(self, t)
+            finally:
+                monkeypatch.setattr(np.linalg, "solve", solve)
+            points.append((widths, it.shape[1]))
+            return it, cond
+
+        monkeypatch.setattr(_GradedSolver, "iterate", iterate_recording_solves)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for call in calls():
+                call()
+        assert points and all(widths == [k] for widths, k in points)
 
     def test_bench_shaped_points_all_clear(self, monkeypatch):
         points = self.recorded_points(bench_shaped_calls(), monkeypatch)
