@@ -3,8 +3,8 @@
 A bundle is a JSON object whose top-level keys are role names mapping to
 matrix objects ``{"rows": r, "cols": c, "re": [...], "im": [...]}`` with
 flat row-major entry lists (``im`` optional), plus the reserved keys
-``tolerances`` (numeric overrides), ``schedule`` (list of positive
-floats), and ``seed``.  JSON is written by ``json.dumps``: floats as the
+``tolerances`` (numeric overrides), ``schedule`` (list of finite
+positive floats), and ``seed``.  JSON is written by ``json.dumps``: floats as the
 shortest round-trip repr, one line, so a write/read cycle is bit
 identical.
 """
@@ -128,6 +128,8 @@ def _bundle_from_obj(raw) -> ProblemBundle:
             sched = _as_float_vector(value, "schedule")
             if sched.size == 0:
                 raise BundleFormatError("schedule must be a nonempty list of numbers")
+            if not np.all(np.isfinite(sched) & (sched > 0.0)):
+                raise BundleFormatError("schedule values must be finite and positive")
             bundle.schedule = sched
         elif key == "seed":
             try:

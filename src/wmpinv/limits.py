@@ -21,13 +21,16 @@ A bound on the condition number of that system S decides whether a
 point can be a rank flip.  The solver bounds ``cond_2(S(t))`` for the
 whole schedule at once, through the Schur complement of its K22 block:
 two ``eigvalsh`` per trace, of H11 and K22, and the rounding of the
-computed blocks absorbed by a derived margin.  Every point makes one LU
-solve of S for its right-hand side alone.  Where that bound clears
-``inv_cond_max`` with a margin, that is all; elsewhere the singular
-values of S are taken as well: they decide the flag, and the truncated
-SVD solve replaces the LU iterate where LU fails or the smallest
-singular value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.
-Each error is an exact 2-norm from the eigenvalues of a Gram matrix.
+computed blocks absorbed by a derived margin.  Where that bound does not
+clear ``inv_cond_max`` with a margin, the singular values of S decide
+instead.  K22 is eliminated once per trace, by one LU solve, so a point
+whose ``cond(S)`` is known to be below the margin solves a system of
+order rank(A) for its right-hand side alone, not one of the joint
+dimension; both pivot blocks are then no worse conditioned than S.  The
+other points make one LU solve of the whole S, and the truncated SVD
+solve replaces that iterate where LU fails or the smallest singular
+value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.  Each error
+is an exact 2-norm from the eigenvalues of a Gram matrix.
 
 The splits are made once per call, and the solvers make none of their
 own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
@@ -301,16 +304,38 @@ class _GradedSolver:
     whose condition number is bounded uniformly as t -> 0.  The solver
     holds the blocks H11, K11, K12 and K22 of ``K = k* k_mid k`` (``k = [k1
     k2]``, ``k1 = F q1``, ``k2 = F q2`` for ``K = F* k_mid F``), the basis
-    ``v0 [q1 q2]`` the iterate is read back through, and ``rhs(t)`` with
-    the factor t divided out of its q2 rows; it forms no product of its
-    own.  The two limits differ only in how they build these pieces
-    (:meth:`pencil`, :meth:`pair`), from splits their callers already
-    hold.  A caller that knows ``k_mid`` to be Hermitian with a bounded
-    PSD defect passes ``delta``, the shift of :meth:`_schur_constants`
-    that makes the computed K positive semidefinite; the solver then
-    bounds ``cond_2(S(t))`` for every t from two ``eigvalsh``, of ``H11``
-    and ``K22``, and :meth:`iterate` makes one LU solve per point, for the
-    right-hand side alone, wherever that bound clears.
+    ``[V1 V2] = v0 [q1 q2]`` the iterate is read back through, and
+    ``rhs(t) = [r1(t); r2]`` with the factor t divided out of its q2 rows,
+    which leaves r2 free of t; it forms no product of its own beyond the
+    elimination of K22 below.  The two limits differ only in how they
+    build these pieces (:meth:`pencil`, :meth:`pair`), from splits their
+    callers already hold.  A caller that knows ``k_mid`` to be Hermitian
+    with a bounded PSD defect passes ``delta``, the shift of
+    :meth:`_schur_constants` that makes the computed K positive
+    semidefinite; the solver then bounds ``cond_2(S(t))`` for every t
+    from two ``eigvalsh``, of ``H11`` and ``K22``.
+
+    K22 is eliminated once per trace: one LU solve ``K22^-1 [K21, r2] =
+    [X, z]`` gives the Schur complement ``Sigma = K11 - K12 X`` of K22 in
+    K, ``c0 = V2 z`` and ``Bq = V1 - V2 X``.  Since the second block row
+    reads ``y2 = z - X y1``, the first becomes
+
+        Z(t) y1 = r1(t) - t K12 z,    Z(t) = H11 + t Sigma,
+
+    and ``x(t) = c0 + Bq y1``: a system of order r = rank(G) per point in
+    place of the joint dimension d, and a read-back of order r.  Both
+    pivot blocks are no worse conditioned than S.  With the block inverse
+    of :meth:`_schur_constants`, ``Z^-1`` is the (1,1) block of ``S^-1``
+    and ``(S^-1)_22 = K22^-1 + t X Z^-1 X*``; for t >= 0 and Hermitian
+    positive semidefinite K, Z >= H11 is positive definite, so ``K22^-1
+    <= (S^-1)_22`` and both inverses are at most ``||S^-1||`` in norm.
+    K22 and Z are at most ``||S||`` in norm: K22 is a block of S, and
+    ``H11 <= Z <= H11 + t K11`` because ``0 <= Sigma <= K11``.  So
+    ``cond(K22)`` and ``cond(Z)`` are at most ``cond(S)``: the block LU
+    factorization behind the elimination (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 13) inverts no pivot block worse
+    conditioned than S, and :meth:`iterate` uses it only where
+    ``cond(S)`` is known to be small.
     """
 
     def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
@@ -320,6 +345,18 @@ class _GradedSolver:
         self.rhs = rhs
         self.tol = tol
         self.schur = None if delta is None else self._schur_constants(delta)
+        self.reduced = self._eliminate_k22()
+
+    def _eliminate_k22(self):
+        """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular."""
+        r = self.h11.shape[0]
+        try:
+            xz = np.linalg.solve(self.k22, np.hstack([self.k12.conj().T, self.rhs(1.0)[r:]]))
+        except np.linalg.LinAlgError:
+            return None
+        x, z = xz[:, :r], xz[:, r:]
+        v1, v2 = self.basis[:, :r], self.basis[:, r:]
+        return self.k11 - self.k12 @ x, self.k12 @ z, v2 @ z, v1 - v2 @ x
 
     def _schur_constants(self, delta: float):
         """Constants of the bound :meth:`_schur_bound`, or ``None`` where it cannot clear.
@@ -467,15 +504,19 @@ class _GradedSolver:
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
 
-        Where the Schur bound of :meth:`_schur_bound` is at most ``min(
-        inv_cond_max / 2, 1e-3 / (eps n))``, S is no rank flip and its
-        smallest singular value lies above the cutoff of
-        :meth:`SvdFactorization.solve`, so one LU solve for the right-hand
-        side alone gives the iterate and the bound is returned in place of
-        the condition number.  Elsewhere the point makes the same LU solve
-        and takes the singular values of S: they give the condition number,
-        and the truncated SVD solve replaces the LU iterate where LU meets
-        an exactly singular S or the smallest singular value falls to that
+        ``cap = min(inv_cond_max / 2, 1e-3 / (eps d))``.  Where the Schur
+        bound of :meth:`_schur_bound` is at most cap, S is no rank flip, and
+        the bound is returned in place of the condition number; elsewhere
+        the singular values of S give it.  Wherever ``cond(S) <= cap`` is
+        so known, the point solves the order-r system of the eliminated
+        K22 (class docstring); since the same rule reads the bound or the
+        singular values, a trace is bitwise the same with and without the
+        bound.  Both pivot blocks are then no worse conditioned than S, and
+        the smallest singular value of S lies above the cutoff of
+        :meth:`SvdFactorization.solve`.  Where ``cond(S) > cap``, or LU
+        found K22 singular, the point makes one LU solve of the whole S, and
+        the truncated SVD solve replaces that iterate where LU meets an
+        exactly singular S or the smallest singular value falls to that
         cutoff.  The empty system gives a zero iterate and condition number 1.
         """
         system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
@@ -484,16 +525,25 @@ class _GradedSolver:
             return self.basis @ rhs, 1.0
         cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * system.shape[0]))
         bound = self._schur_bound(t, system)
-        if bound <= cap:
-            return self.basis @ np.linalg.solve(system, rhs), bound
+        if bound <= cap and self.reduced is not None:
+            return self._eliminated(t, rhs), bound
+        sigma = np.linalg.svd(system, compute_uv=False)
+        cond = _cond(sigma)
+        if cond <= cap and self.reduced is not None:
+            return self._eliminated(t, rhs), cond
         try:
             y = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
             y = None
-        sigma = np.linalg.svd(system, compute_uv=False)
         if y is None or not sigma[-1] > _solve_cutoff(sigma, system.shape):
             y = svd_factor(system).solve(rhs)
-        return self.basis @ y, _cond(sigma)
+        return self.basis @ y, cond
+
+    def _eliminated(self, t: float, rhs: np.ndarray) -> np.ndarray:
+        """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated."""
+        k_schur, kz, c0, bq = self.reduced
+        r = self.h11.shape[0]
+        return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, rhs[:r] - t * kz)
 
 
 def limit_t_to_zero(

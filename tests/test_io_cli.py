@@ -425,6 +425,18 @@ class TestCliCommands:
         assert main(["wmp", "--bundle", str(path)]) == 1
         assert "verification tolerances must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN", "0", "-1"])
+    def test_bundle_schedule_out_of_range_is_a_format_error(self, bad, tmp_path, capsys):
+        # like a bad bundle tolerance, a bad bundle schedule is a format error
+        # of the bundle, not a mathematical failure of the command
+        path = tmp_path / "schedule.json"
+        roles = json.dumps({"A": matrix_to_obj(np.diag([1.0, 0.0])), "B": matrix_to_obj(np.ones((2, 2)))})
+        path.write_text(roles[:-1] + f', "schedule": [1, {bad}]}}')
+        with pytest.raises(BundleFormatError, match="finite and positive"):
+            load_bundle(path)
+        assert main(["limit-lambda", "--bundle", str(path)]) == 1
+        assert "schedule values must be finite and positive" in capsys.readouterr().err
+
 
 class TestRepeatedMain:
     """``main`` builds its parser once per process; no call leaves state for the next."""

@@ -297,23 +297,24 @@ def nearly_nested_pair(offset):
     return a, np.outer(b, b.conj())
 
 
-def certificate_family(tol):
+def certificate_family(tol, cols=20):
     """Seeded limit traces whose flips and errors are checked point by point.
 
-    Bench-shaped t- and lambda-traces at a quarter of the size, with B
-    scaled by 1e-4 to 1e4, and the nearly-nested lambda family with
-    offsets from 1e-8 to 1e-3; each entry is a call that runs one trace.
+    Bench-shaped t- and lambda-traces on ``cols`` columns (a quarter of
+    the size at 20), with B scaled by 1e-4 to 1e4, and the nearly-nested
+    lambda family with offsets from 1e-8 to 1e-3; each entry is a call
+    that runs one trace.
     """
     calls = []
     for seed in range(5):
         gen = np.random.default_rng(40 + seed)
-        # rank 10 + rank 12 > 20 columns, so the row spaces overlap
-        qu, _ = np.linalg.qr(random_complex(gen, 12, 10))
-        qv, _ = np.linalg.qr(random_complex(gen, 20, 10))
-        a = (qu * gen.uniform(0.5, 1.0, 10)) @ qv.conj().T
-        b = random_complex(gen, 12, 20)
+        # rank cols / 2 + rank min(12, cols) > cols, so the row spaces overlap
+        qu, _ = np.linalg.qr(random_complex(gen, 12, cols // 2))
+        qv, _ = np.linalg.qr(random_complex(gen, cols, cols // 2))
+        a = (qu * gen.uniform(0.5, 1.0, cols // 2)) @ qv.conj().T
+        b = random_complex(gen, 12, cols)
         v, w = (random_weight(gen, 12, positive=True).matrix for _ in range(2))
-        pa, pb = random_psd(gen, 20, 8), random_psd(gen, 20, 14)
+        pa, pb = random_psd(gen, cols, 2 * cols // 5), random_psd(gen, cols, 7 * cols // 10)
         # U = A* V A + B* W B + P0 is admissible for s B with W / s^2
         u = omega_weight(a, b, w, x=v)
         for scale in (1e-4, 1.0, 1e4):
@@ -410,14 +411,15 @@ class TestFlipCertificate:
 
     def test_uncertified_points_are_solved_once(self, lapack_calls):
         # at offset 1e-6 the certificate clears at none of the nine points; each
-        # keeps the iterate of its LU solve and adds only the values-only SVD
+        # makes one solve beside its values-only SVD, and the trace one more,
+        # the elimination of K22
         a, b = nearly_nested_pair(1e-6)
         lapack_calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankFlipWarning)
             trace = limit_lambda_to_inf(a, b)
         assert trace.params.size == 9 and trace.rank_flips == (0, 1, 2, 3, 4, 5)
-        assert lapack_calls["solve"] == 9
+        assert lapack_calls["solve"] == 9 + 1
         assert lapack_calls["svdvals"] == 9
 
 
@@ -533,8 +535,9 @@ class TestSchurCertificate:
         assert cleared and missed
 
     def test_bench_shaped_points_solve_for_the_right_hand_side_alone(self, monkeypatch):
-        # every point is certified by the Schur bound, so no solve carries
-        # the identity columns beside the k right-hand-side columns
+        # every point is certified by the Schur bound and solves the order-r
+        # system left by eliminating K22, r = rank(A), for its k right-hand
+        # sides alone
         widths = []
         solve = np.linalg.solve
 
@@ -552,11 +555,11 @@ class TestSchurCertificate:
                 monkeypatch.setattr(np.linalg, "solve", solve)
 
         monkeypatch.setattr(_GradedSolver, "iterate", iterate_recording_solves)
-        for call, k in zip(bench_shaped_calls(), (48, 80, 48, 80)):
+        for call, r, k in zip(bench_shaped_calls(), (40, 32) * 2, (48, 80) * 2):
             widths.clear()
             trace = call()
             assert trace.converged and trace.rank_flips == ()
-            assert widths == [(80, k)] * trace.params.size
+            assert widths == [(r, k)] * trace.params.size
 
     @pytest.mark.parametrize(
         "calls",
@@ -617,6 +620,135 @@ class TestSchurCertificate:
             len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y)) for x, y in zip(with_bound, without)
         )
 
+
+
+def reference_iterate(system, rhs, basis, mpmath):
+    """``basis S^-1 rhs`` at 40 digits, from Gaussian elimination with partial pivoting.
+
+    The double entries of S, the right-hand side and the basis are taken
+    as exact; the elimination runs on NumPy object arrays of ``mpc``.
+    """
+    mpc = np.vectorize(lambda z: mpmath.mpc(z.real, z.imag), otypes=[object])
+    with mpmath.workdps(40):
+        d = system.shape[0]
+        aug = mpc(np.hstack([system, rhs]))
+        for k in range(d):
+            p = k + int(np.argmax([abs(z) for z in aug[k:, k]]))
+            aug[[k, p]] = aug[[p, k]]
+            aug[k + 1 :, k:] -= np.outer(aug[k + 1 :, k] / aug[k, k], aug[k, k:])
+        y = np.empty((d, rhs.shape[1]), dtype=object)
+        for k in reversed(range(d)):
+            y[k] = (aug[k, d:] - aug[k, k + 1 : d] @ y[k + 1 :]) / aug[k, k]
+        x = mpc(basis) @ y
+    return np.vectorize(complex, otypes=[np.complex128])(x)
+
+
+class TestEliminatedSolve:
+    """A point with ``cond(S) <= cap`` solves the order-r system left by eliminating K22."""
+
+    @staticmethod
+    def solved_points(calls, monkeypatch):
+        """The traces of ``calls``, and ``(system, rhs, basis, iterate, cond, cap, r, orders)`` at every point.
+
+        ``cond`` is what :meth:`_GradedSolver.iterate` returns, r the order
+        of H11 and ``orders`` the orders of the ``numpy.linalg.solve`` calls
+        it made.
+        """
+        points = []
+        solve = np.linalg.solve
+        iterate = _GradedSolver.iterate
+
+        def recording(self, t):
+            orders = []
+
+            def recording_solve(m, rhs):
+                orders.append(m.shape[0])
+                return solve(m, rhs)
+
+            system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
+            cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (np.finfo(float).eps * system.shape[0]))
+            monkeypatch.setattr(np.linalg, "solve", recording_solve)
+            try:
+                it, cond = iterate(self, t)
+            finally:
+                monkeypatch.setattr(np.linalg, "solve", solve)
+            points.append((system, self.rhs(t), self.basis, it, cond, cap, self.h11.shape[0], orders))
+            return it, cond
+
+        monkeypatch.setattr(_GradedSolver, "iterate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            traces = [call() for call in calls]
+        return traces, points
+
+    @pytest.mark.parametrize(
+        "tol, flips, full",
+        [(DEFAULT_TOL, (0, 1, 2, 3, 4, 5), 9), (ToleranceConfig(inv_cond_max=1e13), (), 1)],
+        ids=["1e12", "1e13"],
+    )
+    def test_each_point_solves_the_order_its_condition_number_allows(self, tol, flips, full, monkeypatch):
+        # on the nearly-nested trace at offset 1e-6 (A of rank 2, joint
+        # dimension 3) cond(S) falls from 4.0e12 to 1.0e12: above the cap of
+        # 5e11 at every point at inv_cond_max = 1e12, and above that of
+        # 1.5e12 = 1e-3 / (3 eps) only at the first point at 1e13
+        a, b = nearly_nested_pair(1e-6)
+        (trace,), points = self.solved_points([lambda: limit_lambda_to_inf(a, b, tol=tol)], monkeypatch)
+        assert trace.rank_flips == flips and len(points) == 9
+        assert [orders for *_, orders in points] == [[3]] * full + [[2]] * (9 - full)
+        assert all((cond <= cap) == (orders == [r]) for _, _, _, _, cond, cap, r, orders in points)
+
+    def test_iterates_match_a_40_digit_solution(self, monkeypatch):
+        """At every point with ``cond(S) = kappa <= cap`` the iterate is within ``c d eps kappa`` of the exact one.
+
+        The exact iterate is ``x = [V1 V2] S^-1 rhs`` for the computed S,
+        rhs and basis, solved at 40 digits; the bound is relative, in
+        Frobenius norm, with c = 5:
+
+        - a computed solution ``y'`` with ``(S + E) y' = rhs`` and
+          ``||E||_2 <= eta ||S||_2`` errs by at most ``kappa eta / (1 -
+          kappa eta)`` relative, in each column and so in Frobenius norm
+          (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm.
+          7.2);
+        - LU with partial pivoting of order d has ``eta <= gamma_{3d} rho``,
+          about ``1.5 d eps rho`` with u = eps / 2 (Thm. 9.4), for a growth
+          factor rho taken to be at most 2; complex arithmetic multiplies
+          the rounding of each operation by up to sqrt(2) (Sec. 3.6), so
+          ``eta <= 3 sqrt(2) d eps``, about ``4.3 d eps``;
+        - the read-back through the orthonormal basis adds at most ``d eps
+          / 2`` or so, and ``kappa d eps <= 1e-3`` at these points makes
+          ``1 / (1 - kappa eta)`` less than 1.01.
+
+        That gives ``c = 4.3 + 0.5``, rounded up to 5.  It is the bound of
+        a backward-stable solve of the whole S; no normwise backward-error
+        theorem covers block elimination in general, so this checks that
+        eliminating K22, whose pivot blocks are no worse conditioned than
+        S, meets it.  The families run on 8 columns to keep the
+        40-digit solves fast.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        calls = (
+            certificate_family(DEFAULT_TOL, cols=8)
+            + certificate_family(ToleranceConfig(inv_cond_max=1e4), cols=8)
+            + adversarial_family(DEFAULT_TOL)
+        )
+        _, points = self.solved_points(calls, monkeypatch)
+        # the two certificate families differ in inv_cond_max only, so they
+        # share their systems
+        exact_for = {}
+        checked = 0
+        for system, rhs, basis, it, cond, cap, _, _ in points:
+            if cond > cap:
+                continue
+            checked += 1
+            key = (system.tobytes(), rhs.tobytes(), basis.tobytes())
+            if key not in exact_for:
+                exact_for[key] = reference_iterate(system, rhs, basis, mpmath)
+            exact = exact_for[key]
+            kappa = condition_number(system)
+            d = system.shape[0]
+            assert np.linalg.norm(it - exact) <= 5 * d * eps * kappa * np.linalg.norm(exact)
+        assert checked >= len(points) // 2
 
 
 class TestSolverBases:
