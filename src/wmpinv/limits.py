@@ -27,28 +27,30 @@ instead.  K22 is eliminated once per trace, by one LU solve, so a point
 whose ``cond(S)`` is known to be below the margin solves a system of
 order rank(A) for its right-hand side alone, not one of the joint
 dimension; both pivot blocks are then no worse conditioned than S.  The
-other points make one LU solve of the whole S, and the truncated SVD
-solve replaces that iterate where LU fails or the smallest singular
-value falls to the ``lstsq`` cutoff ``eps * n * sigma_max``.  Each error
-is an exact 2-norm from the eigenvalues of a Gram matrix.
+other points make one LU solve of the whole S, or the truncated SVD
+solve where the smallest singular value falls to the ``lstsq`` cutoff
+``eps * n * sigma_max`` or LU fails.  Each error is an exact 2-norm from
+the eigenvalues of a Gram matrix.
 
 The splits are made once per call, and the solvers make none of their
 own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
-``[A; B]`` once for the domain weight and the solver, and A once for the
-target or the separation verdict; the pencil solver reads its blocks off
-those two splits with one QR, and its bases, which do not depend on W,
-serve every W the closed form is checked against.  ``limit_lambda_to_inf``
-splits A once and takes one SVD of B's compression to the complement of
-A's range, which decides the target and gives the solver the rest of
-its basis.  The separation verdict reads A's row basis and the sum rank
-off splits its caller holds, and one SVD of ``2I - P - Q`` decides
-invertibility and solves for Pi, so no matrix of the separated pipeline
-is decomposed twice.
+A once, for the target or the separation verdict, and build the joint
+row space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part
+of B acting on A's null space; the domain weight and the pencil solver
+read their bases and blocks off it, and the solver's bases, which do not
+depend on W, serve every W the closed form is checked against.
+``limit_lambda_to_inf`` splits A once and takes one SVD of B's
+compression to the complement of A's range, which decides the target and
+gives the solver the rest of its basis.  The separation verdict reads
+A's row basis and the sum rank off splits its caller holds, and one SVD
+of ``2I - P - Q`` decides invertibility and solves for Pi, so no matrix
+of the separated pipeline is decomposed twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,7 @@ from .linalg import (
     _clears_positive_floor,
     _cond,
     _hermitian,
+    _rank_cutoff,
     _residual_norm,
     _self_adjointness,
     _solve_cutoff,
@@ -127,29 +130,63 @@ class OmegaWeight:
     restricted_min_eig: float
 
 
-def _stacked(am, bm) -> np.ndarray:
-    """``[A; B]``, once A and B are checked to share a column count."""
+def _check_columns(am, bm) -> None:
+    """Raise ``ValueError`` unless A and B share a column count."""
     if am.shape[1] != bm.shape[1]:
         raise ValueError(f"column counts differ: {am.shape[1]} vs {bm.shape[1]}")
-    return np.vstack([am, bm])
+
+
+class _JointRows(NamedTuple):
+    """The rank d of A's part, ``(B V_0) W`` and the row and null bases of :func:`_joint_rows`."""
+
+    d: int
+    b_w: np.ndarray
+    v_r: np.ndarray
+    v_0: np.ndarray
+
+
+def _joint_rows(split_a: SplitBasis, bm, tol: ToleranceConfig) -> _JointRows:
+    """The joint row space of ``[A; B]`` from the split of A and one SVD of ``B V_0``.
+
+    ``P_0 row(B) = V_0 row(B V_0)`` for the projector P_0 onto A's null
+    space, so ``[V_r, V_0 W]`` spans the row space of ``[A; B]`` and
+    ``V_0 W_perp`` its null space, W and W_perp the right singular vectors
+    of ``B V_0`` above and below the cutoff; the rank is ``r + rank(B
+    V_0)``.  The cutoff is that of a split of ``[A; B]``, taken on
+    ``s = sqrt(sigma_1(A)^2 + ||B||_F^2)``: ``sigma_max([A; B]) <= s <=
+    sqrt(1 + rank(B)) sigma_max([A; B])``.  It is not anchored to
+    ``sigma_1(B V_0)``, which is rounding noise when the row space of B
+    lies in that of A.  A direction of A whose singular value falls to
+    the cutoff is noise on the scale of ``[A; B]``: it joins V_0, on which
+    B is split, and V_r keeps its first d columns.
+    """
+    sigma_a = split_a.sigma_r
+    scale = float(np.hypot(sigma_a[0] if sigma_a.size else 0.0, _fro(bm)))
+    cutoff = _rank_cutoff(scale, (split_a.u_r.shape[0] + bm.shape[0], bm.shape[1]), tol)
+    d = int(np.count_nonzero(sigma_a > cutoff))
+    v_0 = split_a.v_0 if d == sigma_a.size else np.hstack([split_a.v_r[:, d:], split_a.v_0])
+    bv0 = bm @ v_0
+    sb = _split_basis(bv0, tol, cutoff)
+    return _JointRows(d, bv0 @ sb.v_r, np.hstack([split_a.v_r[:, :d], v_0 @ sb.v_r]), v_0 @ sb.v_0)
 
 
 def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
-    """A, B, the split of ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
+    """A, B, the split of A, the joint rows of ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
 
     Checks only that the dimensions fit; each caller keeps its own rule
     on the definiteness of V and W.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
-    stacked = _stacked(am, bm)
+    _check_columns(am, bm)
     vw = as_weight(v, tol)
     ww = as_weight(w, tol)
     if vw.dim != am.shape[0]:
         raise ValueError(f"v must weigh the rows of a (dimension {am.shape[0]})")
     if ww.dim != bm.shape[0]:
         raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
-    return am, bm, _split_basis(stacked, tol), vw, ww
+    split_a = _split_basis(am, tol)
+    return am, bm, split_a, _joint_rows(split_a, bm, tol), vw, ww
 
 
 def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
@@ -194,18 +231,18 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     """
     am = as_matrix(a)
     bm = as_matrix(b)
-    stacked = _stacked(am, bm)
+    _check_columns(am, bm)
     ww = as_weight(w, tol)
     if ww.dim != bm.shape[0]:
         raise ValueError(f"weight dimension {ww.dim} does not match rows of b {bm.shape[0]}")
     k, h = am.shape
     xm = np.eye(k, dtype=np.complex128) if x is None else _hermitian(x, "x", tol, k)
     ym = None if y is None else _hermitian(y, "y", tol, h)
-    return _omega(am, bm, ww, xm, ym, _split_basis(stacked, tol), tol)
+    return _omega(am, bm, ww, xm, ym, _joint_rows(_split_basis(am, tol), bm, tol), tol)
 
 
-def _omega(am, bm, ww: Weight, xm, ym, joint: SplitBasis, tol) -> OmegaWeight:
-    """:func:`omega_weight` on checked inputs and the split ``joint`` of ``[A; B]``;
+def _omega(am, bm, ww: Weight, xm, ym, joint: _JointRows, tol) -> OmegaWeight:
+    """:func:`omega_weight` on checked inputs and the joint rows ``joint`` of ``[A; B]``;
     ``xm`` and ``ym`` are the Hermitian X and Y, ``ym`` ``None`` for Y = I.
     """
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
@@ -306,11 +343,12 @@ class _GradedSolver:
     k2]``, ``k1 = F q1``, ``k2 = F q2`` for ``K = F* k_mid F``), the basis
     ``[V1 V2] = v0 [q1 q2]`` the iterate is read back through, and
     ``rhs(t) = [r1(t); r2]`` with the factor t divided out of its q2 rows,
-    which leaves r2 free of t; it forms no product of its own beyond the
-    elimination of K22 below.  The two limits differ only in how they
-    build these pieces (:meth:`pencil`, :meth:`pair`), from splits their
-    callers already hold.  A caller that knows ``k_mid`` to be Hermitian
-    with a bounded PSD defect passes ``delta``, the shift of
+    which leaves r2 free of t, and ``r1(t)`` alone where a caller can form
+    it without r2; it forms no product of its own beyond the elimination
+    of K22 below.  The two limits differ only in how they build these
+    pieces (:meth:`pencil`, :meth:`pair`), from splits their callers
+    already hold.  A caller that knows ``k_mid`` to be Hermitian with a
+    bounded PSD defect passes ``delta``, the shift of
     :meth:`_schur_constants` that makes the computed K positive
     semidefinite; the solver then bounds ``cond_2(S(t))`` for every t
     from two ``eigvalsh``, of ``H11`` and ``K22``.
@@ -339,10 +377,11 @@ class _GradedSolver:
     """
 
     def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
-                 delta: float | None = None):
+                 delta: float | None = None, r1=None):
         self.basis = basis
         self.h11, self.k11, self.k12, self.k22 = h11, k11, k12, k22
         self.rhs = rhs
+        self.r1 = (lambda t: rhs(t)[: h11.shape[0]]) if r1 is None else r1
         self.tol = tol
         self.schur = None if delta is None else self._schur_constants(delta)
         self.reduced = self._eliminate_k22()
@@ -395,8 +434,8 @@ class _GradedSolver:
         - h and g are the floors of ``H_h`` and ``K22_h`` from
           :func:`_hermitian_floor`, and ``K22' >= K22_h``.
 
-        Returns ``(h, g, c, r0, r1)``, or ``None`` when a floor is not
-        positive, so that the bound is infinite at every t.
+        Returns ``(h, g, c, r0, r1, ||K22||_F^2)``, or ``None`` when a floor
+        is not positive, so that the bound is infinite at every t.
         """
         h, h_skew = _hermitian_floor(self.h11)
         g, k22_skew = _hermitian_floor(self.k22)
@@ -407,10 +446,10 @@ class _GradedSolver:
         u = 0.5 * _EPS
         r0 = h_skew + k22_skew + delta
         r1 = _fro(self.k11 - k11_herm) + delta + u * (_fro(self.k11) + c)
-        return h, g, c, r0, r1
+        return h, g, c, r0, r1, _fro(self.k22) ** 2
 
-    def _schur_bound(self, t: float, system: np.ndarray) -> float:
-        """``||S||_F beta(t) / (1 - beta(t) r(t))``, an upper bound on ``cond_2(S)``.
+    def _schur_bound(self, t: float) -> float:
+        """``||S||_F beta(t) / (1 - beta(t) r(t))``, an upper bound on ``cond_2(S(t))``.
 
         Since ``sigma_min(S) >= 1 / beta - ||E||_2`` (the terms of
         :meth:`_schur_constants`), it holds wherever ``beta r < 1``; it is
@@ -420,14 +459,16 @@ class _GradedSolver:
         most doubles their relative error, so the computed bound is within
         a relative ``m eps`` or so of the exact one, m the most entries
         summed in one norm; the factor-2 margin of the cap in
-        :meth:`iterate` absorbs that.
+        :meth:`iterate` absorbs that.  ``||S||_F`` is read off the blocks,
+        ``||H11 + t K11||_F^2 + (1 + t^2) ||K12||_F^2 + ||K22||_F^2``, so S
+        is not formed.
         """
         if self.schur is None:
             return np.inf
-        h, g, c, r0, r1 = self.schur
+        h, g, c, r0, r1, k22_sq = self.schur
         # overflow only means that the bound does not clear
         with np.errstate(over="ignore", invalid="ignore"):
-            s_norm = _fro(system)
+            s_norm = np.sqrt(_fro(self.h11 + t * self.k11) ** 2 + (1.0 + t * t) * c * c + k22_sq)
             cg = c * g
             beta = h * (1.0 + cg) * (1.0 + t * cg) + g
             r = r0 + t * r1 + _EPS * s_norm
@@ -437,34 +478,29 @@ class _GradedSolver:
             return s_norm * beta / (1.0 - beta * r)
 
     @classmethod
-    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: SplitBasis, split_a: SplitBasis):
+    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: _JointRows):
         """``(A* V A + t B* W B)^+ A* V`` as a map ``(W, w_defect)`` to its solver.
 
-        The solver works in the row basis v0 of ``[A; B]`` (``joint``).
-        ``q1 = v0* V_r`` carries the row basis of A from ``split_a``, the
-        split of A its caller holds, and one complete QR of q1 gives its
-        complement q2, so no SVD is made here.  A direction of A below the
-        cutoff of ``joint`` is noise on the scale of ``[A; B]`` and is left
-        out, so q1 has at most as many columns as v0.  The bases do not
-        depend on W; every W shares them and H11, and a W passed with
-        ``w_defect``, a bound on its PSD defect, gets the Schur bound.
+        The solver works in the row basis ``[V1 V2] = [V_r, V_0 W]`` of
+        ``[A; B]`` from ``joint`` (:func:`_joint_rows`): V1 is A's row basis
+        and V2 lies in A's null space, so that basis is the split itself,
+        with ``a1 = A V1``, ``k1 = B V1`` and ``k2 = (B V_0) W`` from the
+        product whose SVD found W; no decomposition is made here.  The
+        bases do not depend on W; every W shares them and H11, and a W
+        passed with ``w_defect``, a bound on its PSD defect, gets the Schur
+        bound.
         """
-        v0 = joint.v_r
-        q1 = v0.conj().T @ split_a.v_r[:, : v0.shape[1]]
-        q2 = np.linalg.qr(q1, mode="complete")[0][:, q1.shape[1]:]
-        at, bt = am @ v0, bm @ v0
-        a1 = at @ q1
-        h11, k1, k2 = a1.conj().T @ vmat @ a1, bt @ q1, bt @ q2
-        # q2 is orthogonal to v0* V_r, so A v0 q2 = U_r diag(sigma_r) q1* q2
-        # vanishes and so does the second block of the right-hand side
-        rhs = np.vstack([a1.conj().T @ vmat, np.zeros((q2.shape[1], am.shape[0]))])
-        basis = v0 @ np.hstack([q1, q2])
+        v1 = joint.v_r[:, : joint.d]
+        a1 = am @ v1
+        h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ v1, joint.b_w
+        # A V2 vanishes, and so does the second block of the right-hand side
+        rhs = np.vstack([a1.conj().T @ vmat, np.zeros((k2.shape[1], am.shape[0]))])
         kk = _fro(k1) ** 2 + _fro(k2) ** 2
 
         def solver(wmat, w_defect=None):
             k1w = k1.conj().T @ wmat
             delta = None if w_defect is None else _psd_shift(kk, w_defect, wmat)
-            return cls(basis, h11, k1w @ k1, k1w @ k2, k2.conj().T @ wmat @ k2, lambda t: rhs, tol, delta)
+            return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k2.conj().T @ wmat @ k2, lambda t: rhs, tol, delta)
 
         return solver
 
@@ -499,7 +535,7 @@ class _GradedSolver:
         rhs = lambda t: np.vstack([t * g1, g2])
         # k = [q1 q2] is the identity, so ||k||_F^2 is the joint dimension
         delta = _psd_shift(float(v0.shape[1]), defect, bt)
-        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta)
+        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta, r1=lambda t: t * g1)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
@@ -514,36 +550,37 @@ class _GradedSolver:
         bound.  Both pivot blocks are then no worse conditioned than S, and
         the smallest singular value of S lies above the cutoff of
         :meth:`SvdFactorization.solve`.  Where ``cond(S) > cap``, or LU
-        found K22 singular, the point makes one LU solve of the whole S, and
-        the truncated SVD solve replaces that iterate where LU meets an
-        exactly singular S or the smallest singular value falls to that
-        cutoff.  The empty system gives a zero iterate and condition number 1.
+        found K22 singular, the point makes one LU solve of the whole S, or,
+        where the smallest singular value falls to that cutoff, the
+        truncated SVD solve, which also replaces the LU iterate where LU
+        meets an exactly singular S.  Only a point the bound does not
+        certify forms S.  The empty system gives a zero iterate and
+        condition number 1.
         """
-        system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
-        rhs = self.rhs(t)
-        if not system.size:
-            return self.basis @ rhs, 1.0
-        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * system.shape[0]))
-        bound = self._schur_bound(t, system)
+        d = self.h11.shape[0] + self.k22.shape[0]
+        if not d:
+            return self.basis @ self.rhs(t), 1.0
+        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * d))
+        bound = self._schur_bound(t)
         if bound <= cap and self.reduced is not None:
-            return self._eliminated(t, rhs), bound
+            return self._eliminated(t), bound
+        system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
         sigma = np.linalg.svd(system, compute_uv=False)
         cond = _cond(sigma)
         if cond <= cap and self.reduced is not None:
-            return self._eliminated(t, rhs), cond
-        try:
-            y = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is None or not sigma[-1] > _solve_cutoff(sigma, system.shape):
-            y = svd_factor(system).solve(rhs)
-        return self.basis @ y, cond
+            return self._eliminated(t), cond
+        rhs = self.rhs(t)
+        if sigma[-1] > _solve_cutoff(sigma, system.shape):
+            try:
+                return self.basis @ np.linalg.solve(system, rhs), cond
+            except np.linalg.LinAlgError:
+                pass
+        return self.basis @ svd_factor(system).solve(rhs), cond
 
-    def _eliminated(self, t: float, rhs: np.ndarray) -> np.ndarray:
+    def _eliminated(self, t: float) -> np.ndarray:
         """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated."""
         k_schur, kz, c0, bq = self.reduced
-        r = self.h11.shape[0]
-        return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, rhs[:r] - t * kz)
+        return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t) - t * kz)
 
 
 def limit_t_to_zero(
@@ -568,7 +605,7 @@ def limit_t_to_zero(
     """
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
     _check_atol(atol)
-    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     if not vw.positive_definite:
         raise WeightError("v must be positive definite for the t -> 0 limit")
     if not ww.positive_definite:
@@ -582,9 +619,8 @@ def limit_t_to_zero(
 
     from .core import _required_on_split
 
-    split_a = _split_basis(am, tol)
     target = _required_on_split(split_a, vw, u_weight, tol)[1]
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)(ww.matrix, _weight_defect(ww))
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     return _trace_over(s, solver.iterate, target, tol, atol)
 
 
@@ -668,12 +704,13 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
     """Decide whether the row spaces of ``a`` and ``b`` are separated."""
     am = as_matrix(a)
     bm = as_matrix(b)
-    joint = _split_basis(_stacked(am, bm), tol)
-    return _separation(_split_basis(am, tol).v_r, bm, joint, tol)[0]
+    _check_columns(am, bm)
+    split_a = _split_basis(am, tol)
+    return _separation(split_a.v_r, bm, _joint_rows(split_a, bm, tol), tol)[0]
 
 
-def _separation(va, bm, joint: SplitBasis, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
-    """:func:`separated_pair_check` on A's row basis ``va`` and the split ``joint`` of
+def _separation(va, bm, joint: _JointRows, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
+    """:func:`separated_pair_check` on A's row basis ``va`` and the joint rows ``joint`` of
     ``[A; B]``, with the projector P onto ``va`` and the SVD of ``2I - P - Q`` it used."""
     vb = svd_factor(bm, tol).row_basis
     p = va @ va.conj().T
@@ -693,7 +730,7 @@ def _separation(va, bm, joint: SplitBasis, tol) -> tuple[SeparatedPairReport, np
     by_inverse = cond <= tol.inv_cond_max
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
-    rs = joint.sigma_r.size
+    rs = joint.v_r.shape[1]
     report = SeparatedPairReport(by_norm, pq_norm, cond, va.shape[1] + vb.shape[1] - rs, rs)
     return report, p, two
 
@@ -720,23 +757,22 @@ def closed_form_separated(
     """
     from .sampling import random_spd, rng_from
 
-    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    split_a = _split_basis(am, tol)
+    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     report, p, two = _separation(split_a.v_r, bm, joint, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
     gen = rng_from(rng)
     draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
     what = "separated closed form against the pencil"
-    return _separated_closed_form(am, bm, joint, split_a, vw, p, two, draws, what, tol)
+    return _separated_closed_form(am, bm, joint, vw, p, two, draws, what, tol)
 
 
-def _separated_closed_form(am, bm, joint, split_a, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
+def _separated_closed_form(am, bm, joint, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
     """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
 
-    ``joint`` is the split of ``[A; B]`` and ``split_a`` that of A, P the
-    row-space projector of A and ``two`` the SVD of ``2I - P - Q`` that
-    decided the separation.
+    ``joint`` holds the joint rows of ``[A; B]``, P is the row-space
+    projector of A and ``two`` the SVD of ``2I - P - Q`` that decided the
+    separation.
     ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
     must equal D for each of them, else ``VerificationError`` names
     ``what`` and the label.
@@ -748,7 +784,7 @@ def _separated_closed_form(am, bm, joint, split_a, vw, p, two, draws, what: str,
     d = base - (np.eye(am.shape[1], dtype=np.complex128) - p) @ pi
 
     scale = 1.0 + operator_norm(d)
-    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)
+    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)
     for label, wmat in draws:
         lhs, _ = solver_for(wmat).iterate(1.0)
         _verify(f"{what} ({label})", operator_norm(lhs - d), scale, tol)
@@ -790,12 +826,10 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(
-    am, bm, joint, vw, ww, tol
-) -> tuple[BDecomposition, SplitBasis, SplitBasis, np.ndarray, SvdFactorization]:
-    """:func:`decompose_b` on checked inputs and the split ``joint`` of ``[A; B]``,
-    with the splits of A and of ``[A; b2]`` and the P and ``2I - P - Q2`` of
-    the separation decided on them.
+def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, _JointRows, np.ndarray, SvdFactorization]:
+    """:func:`decompose_b` on checked inputs, the split ``sp`` of A and the joint
+    rows ``joint`` of ``[A; B]``, with the joint rows of ``[A; b2]`` and the P
+    and ``2I - P - Q2`` of the separation decided on them.
     """
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
@@ -803,7 +837,6 @@ def _decompose_b(
     from .core import _required_on_split
 
     u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
-    sp = _split_basis(am, tol)
     z = _required_on_split(sp, vw, u.u, tol)[1]
     b2_raw = bm - bm @ z @ am
     b_scale = 1.0 + operator_norm(bm)
@@ -822,11 +855,11 @@ def _decompose_b(
     containment = operator_norm(b1 @ sp.v_0)
     _verify("row-space containment of b1", containment, b_scale, tol)
 
-    joint2 = _split_basis(np.vstack([am, b2]), tol)
+    joint2 = _joint_rows(sp, b2, tol)
     report, p, two = _separation(sp.v_r, b2, joint2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1, b2, z, w_cross, containment, report), sp, joint2, p, two
+    return BDecomposition(b1, b2, z, w_cross, containment, report), joint2, p, two
 
 
 @dataclass(frozen=True)
@@ -865,8 +898,8 @@ def general_limit_via_decomposition(
     from .sampling import random_spd, rng_from
 
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
-    am, bm, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    dec, split_a, joint2, p, two = _decompose_b(am, bm, joint, vw, ww, tol)
+    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    dec, joint2, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -877,7 +910,7 @@ def general_limit_via_decomposition(
             raise WeightError("w_prime must be positive definite")
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
     what = "separated reduction of the pencil limit"
-    pi, d = _separated_closed_form(am, dec.b2, joint2, split_a, vw, p, two, draws, what, tol)
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint, split_a)(ww.matrix, _weight_defect(ww))
+    pi, d = _separated_closed_form(am, dec.b2, joint2, vw, p, two, draws, what, tol)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -202,17 +202,21 @@ class SplitBasis(NamedTuple):
         return (self.v_r / self.sigma_r) @ self.u_r.conj().T
 
 
-def _split_basis(m: np.ndarray, tol: ToleranceConfig) -> SplitBasis:
+def _split_basis(m: np.ndarray, tol: ToleranceConfig, cutoff: float | None = None) -> SplitBasis:
     """Range and null-space bases of both sides of ``m`` from one full SVD.
 
-    The rank is decided by the same cutoff as :func:`svd_factor`.
+    The rank is decided by the same cutoff as :func:`svd_factor`, or by
+    ``cutoff``, an absolute one, from a caller that anchors it to a scale
+    other than ``sigma_max(m)``.
     """
     if m.size:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     else:
         u, vh = (np.eye(k, dtype=np.complex128) for k in m.shape)
         s = np.zeros(0)
-    r = int(np.count_nonzero(s > _rank_cutoff(s[0] if s.size else 0.0, m.shape, tol)))
+    if cutoff is None:
+        cutoff = _rank_cutoff(s[0] if s.size else 0.0, m.shape, tol)
+    r = int(np.count_nonzero(s > cutoff))
     v = vh.conj().T
     return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:])
 

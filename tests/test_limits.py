@@ -37,6 +37,7 @@ from wmpinv.linalg import (
     numerical_rank,
     operator_norm,
     projector_rowspace,
+    svd_factor,
 )
 from wmpinv.sampling import (
     random_complex,
@@ -244,7 +245,8 @@ class TestGradedSolverGuards:
     def test_full_svds_per_trace_do_not_grow_with_the_schedule(self, svd_calls):
         # each point makes one LU solve, plus a values-only SVD where its
         # certificate does not clear, so the full SVDs (factors computed) are
-        # those of the set-up; the stacked [A; B] is split once
+        # those of the set-up; the joint rows of [A; B] come from the split of
+        # A and one SVD of B V_0, so [A; B] itself reaches no SVD
         gen = np.random.default_rng(3)
         a, b = overlapping_pair(gen)
         v, w = random_spd(gen, 4), random_spd(gen, 3)
@@ -266,7 +268,7 @@ class TestGradedSolverGuards:
             counts["lambda"].append(len(full))
         assert counts["t"][0] == counts["t"][1]
         assert counts["lambda"][0] == counts["lambda"][1]
-        assert counts["stacked"] == [1, 1]
+        assert counts["stacked"] == [0, 0]
 
     @pytest.mark.parametrize(
         "a_scale, b_scale, expected", [(0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0)]
@@ -409,6 +411,34 @@ class TestFlipCertificate:
             added = {k: counts[1].get(k, 0) - counts[0].get(k, 0) for k in counts[0].keys() | counts[1].keys()}
             assert {k: n for k, n in added.items() if n} == {"solve": 5, "eigvalsh": 5}
 
+    def test_no_lu_solve_at_the_lstsq_cutoff(self, lapack_calls, monkeypatch):
+        # every point of the rank_rtol = 1e-18 nearly-nested trace falls to the
+        # lstsq cutoff, which the values-only SVD reads before any LU solve, so
+        # the one solve is the elimination of K22 and each point takes the
+        # truncated SVD solve, whose iterate it returns bit for bit
+        expected = []
+        iterate = _GradedSolver.iterate
+
+        def recording(self, t):
+            system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
+            expected.append(self.basis @ svd_factor(system).solve(self.rhs(t)))
+            return iterate(self, t)
+
+        a, b = nearly_nested_pair(0.0)
+        tol = ToleranceConfig(rank_rtol=1e-18)
+        lapack_calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            trace = limit_lambda_to_inf(a, b, tol=tol)
+        assert trace.rank_flips == tuple(range(9))
+        assert (lapack_calls["solve"], lapack_calls["svdvals"], lapack_calls["svd"]) == (1, 9, 10)
+        monkeypatch.setattr(_GradedSolver, "iterate", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            limit_lambda_to_inf(a, b, tol=tol)
+        assert len(expected) == 9
+        assert all(np.array_equal(x, y) for x, y in zip(expected, trace.iterates))
+
     def test_uncertified_points_are_solved_once(self, lapack_calls):
         # at offset 1e-6 the certificate clears at none of the nine points; each
         # makes one solve beside its values-only SVD, and the trace one more,
@@ -487,12 +517,120 @@ def trace_arrays(trace):
     return [trace.params, *trace.iterates, trace.errors, trace.target, np.array(scalars)]
 
 
+def overlapping_calls(draws=40):
+    """t-traces on ``draws`` seeded ``overlapping_pair`` draws with positive definite V and W."""
+    calls = []
+    for seed in range(draws):
+        gen = np.random.default_rng(130 + seed)
+        a, b = overlapping_pair(gen)
+        v, w = random_spd(gen, 4), random_spd(gen, 3)
+        calls.append(lambda a=a, b=b, v=v, w=w: limit_t_to_zero(a, b, v, w))
+    return calls
+
+
+ALL = tuple(range(10))
+
+
+def _from(k):
+    """Flags at the points of the default t-schedule from index ``k`` on."""
+    return tuple(range(k, 10))
+
+
+VERDICT_FAMILIES = {
+    "certificate-1e12": lambda: certificate_family(DEFAULT_TOL),
+    "certificate-1e4": lambda: certificate_family(ToleranceConfig(inv_cond_max=1e4)),
+    "adversarial-1e12": lambda: adversarial_family(DEFAULT_TOL),
+    "adversarial-1e4": lambda: adversarial_family(ToleranceConfig(inv_cond_max=1e4)),
+    "overlapping": overlapping_calls,
+    "bench-shaped": lambda: bench_shaped_calls(seeds=range(3)),
+}
+
+# (number of t-traces, indices of the converged ones, rank flips by index)
+# for the t-traces of each family, in call order; building the pencil's
+# bases another way must leave every verdict as it is
+PINNED_T_VERDICTS = {
+    "certificate-1e12": (15, (0, 1, 3, 4, 6, 7, 9, 10, 12, 13), {8: _from(7), 11: (9,)}),
+    "certificate-1e4": (
+        15,
+        (0, 1, 3, 4, 6, 7, 9, 10, 12, 13),
+        {
+            0: ALL, 2: ALL, 3: ALL, 5: ALL, 6: ALL, 7: ALL, 8: ALL, 9: ALL, 10: _from(1), 11: ALL, 12: ALL,
+            14: ALL,
+        },
+    ),
+    "adversarial-1e12": (
+        54,
+        (),
+        {
+            3: ALL, 5: (0, 1, 8, 9), 6: ALL, 8: ALL, 12: ALL, 14: (0, 8, 9), 15: ALL, 17: ALL, 21: ALL,
+            22: (8, 9), 23: (0, 8, 9), 24: ALL, 25: _from(6), 26: ALL, 30: ALL, 32: (0, 1, 7, 8, 9),
+            33: ALL, 35: ALL, 38: (9,), 39: ALL, 41: (0, 1, 8, 9), 42: ALL, 44: ALL, 48: ALL, 49: (8, 9),
+            50: (0, 1, 8, 9), 51: ALL, 52: _from(6), 53: ALL,
+        },
+    ),
+    "adversarial-1e4": (
+        54,
+        (),
+        {
+            0: ALL, 1: _from(2), 2: ALL, 3: ALL, 4: ALL, 5: ALL, 6: ALL, 7: ALL, 8: ALL, 9: ALL,
+            10: _from(2), 11: ALL, 12: ALL, 13: ALL, 14: ALL, 15: ALL, 16: ALL, 17: ALL, 18: ALL,
+            19: _from(2), 20: ALL, 21: ALL, 22: ALL, 23: ALL, 24: ALL, 25: ALL, 26: ALL, 27: ALL, 29: ALL,
+            30: ALL, 31: ALL, 32: ALL, 33: ALL, 34: ALL, 35: ALL, 36: ALL, 37: _from(1), 38: ALL, 39: ALL,
+            40: ALL, 41: ALL, 42: ALL, 43: ALL, 44: ALL, 45: ALL, 46: _from(2), 47: ALL, 48: ALL, 49: ALL,
+            50: ALL, 51: ALL, 52: ALL, 53: ALL,
+        },
+    ),
+    "overlapping": (40, range(40), {}),
+    "bench-shaped": (3, range(3), {}),
+}
+
+
+def nested_row_pairs():
+    """A of rank 5 on 12 columns and ``B = s C A`` for s from 1e-4 to 1e4.
+
+    The row space of B lies in that of A, so ``B V_0`` is rounding noise
+    and the joint rank is rank(A).
+    """
+    pairs = []
+    for seed in range(3):
+        gen = np.random.default_rng(150 + seed)
+        a = random_matrix_with_rank(gen, 8, 12, 5)
+        c = random_complex(gen, 6, 8)
+        pairs.extend((a, scale * (c @ a)) for scale in (1e-4, 1e-2, 1.0, 1e2, 1e4))
+    return pairs
+
+
+class TestPinnedVerdicts:
+    """Flags and convergence of whole traces, pinned against changes to how the pencil is built."""
+
+    @pytest.mark.parametrize("name", list(PINNED_T_VERDICTS))
+    def test_t_trace_verdicts(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            traces = [call() for call in VERDICT_FAMILIES[name]()]
+        # a t-schedule decreases, a lambda-schedule increases
+        verdicts = [(tr.converged, tr.rank_flips) for tr in traces if tr.params[0] > tr.params[-1]]
+        count, converged, flips = PINNED_T_VERDICTS[name]
+        assert verdicts == [(i in converged, flips.get(i, ())) for i in range(count)]
+
+    def test_rows_of_b_inside_those_of_a_add_no_joint_rank(self):
+        gen = np.random.default_rng(160)
+        for a, b in nested_row_pairs():
+            assert separated_pair_check(a, b).sum_rank == 5
+            om = omega_weight(a, b, Weight(random_spd(gen, 6)))
+            assert numerical_rank(om.null_projector) == 12 - 5
+
+
 class TestSchurCertificate:
     """The per-trace Schur bound that lets a point solve for its right-hand side alone."""
 
     @staticmethod
     def recorded_points(calls, monkeypatch):
-        """``(system, bound, cap, returned condition number)`` at every point of every call."""
+        """``(system, bound, cap, returned condition number)`` at every point of every call.
+
+        The bound is the solver's own, on the norm of S it reads from its
+        blocks; the system is assembled here for the exact condition number.
+        """
         points = []
         iterate = _GradedSolver.iterate
 
@@ -500,7 +638,7 @@ class TestSchurCertificate:
             system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
             cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (np.finfo(float).eps * system.shape[0]))
             it, cond = iterate(self, t)
-            points.append((system, self._schur_bound(t, system), cap, cond))
+            points.append((system, self._schur_bound(t), cap, cond))
             return it, cond
 
         monkeypatch.setattr(_GradedSolver, "iterate", recording)
@@ -573,7 +711,10 @@ class TestSchurCertificate:
     )
     def test_no_point_solves_for_identity_columns(self, calls, monkeypatch):
         # certified or not, each point makes one LU solve, and it carries as
-        # many columns as the iterate it returns
+        # many columns as the iterate it returns; a point whose smallest
+        # singular value falls to the lstsq cutoff makes none, the truncated
+        # SVD solve giving its iterate
+        eps = np.finfo(float).eps
         points = []
         solve = np.linalg.solve
         iterate = _GradedSolver.iterate
@@ -590,7 +731,9 @@ class TestSchurCertificate:
                 it, cond = iterate(self, t)
             finally:
                 monkeypatch.setattr(np.linalg, "solve", solve)
-            points.append((widths, it.shape[1]))
+            system = np.block([[self.h11 + t * self.k11, t * self.k12], [self.k12.conj().T, self.k22]])
+            sigma = np.linalg.svd(system, compute_uv=False)
+            points.append((widths, it.shape[1], sigma[-1] <= eps * system.shape[0] * sigma[0]))
             return it, cond
 
         monkeypatch.setattr(_GradedSolver, "iterate", iterate_recording_solves)
@@ -598,7 +741,7 @@ class TestSchurCertificate:
             warnings.simplefilter("ignore", RankFlipWarning)
             for call in calls():
                 call()
-        assert points and all(widths == [k] for widths, k in points)
+        assert points and all(widths == ([] if below else [k]) for widths, k, below in points)
 
     def test_bench_shaped_points_all_clear(self, monkeypatch):
         points = self.recorded_points(bench_shaped_calls(), monkeypatch)
@@ -755,11 +898,12 @@ class TestSolverBases:
     """The graded solvers take their bases from the splits their traces already make."""
 
     def test_bench_shaped_traces_make_two_svds_each(self, svd_calls):
-        # the t-trace splits [A; B] and A (rank 40), the lambda-trace A (rank
-        # 32) and B's compression to the 48 = 80 - 32 directions outside the
-        # range of A; the solvers make none of their own
+        # the t-trace splits A (rank 40) and B V_0, B on the 40 = 80 - 40
+        # directions of A's null space, the lambda-trace A (rank 32) and B's
+        # compression to the 48 = 80 - 32 directions outside the range of A;
+        # the solvers make none of their own
         expected = [
-            [((96, 80), True, 80), ((48, 80), True, 40)],
+            [((48, 80), True, 40), ((48, 40), True, 40)],
             [((80, 80), True, 32), ((48, 48), False, 48)],
         ]
         for call, svds in zip(bench_shaped_calls(), expected * 2):
