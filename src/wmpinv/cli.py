@@ -286,9 +286,9 @@ def cmd_reduce(args, ctx) -> int:
     am, mw, nw = _problem(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
     # S, T, X_MN and X_ST all come from one split of A
     sp = _split_basis(am, ctx.tol)
-    factors, x_orig = _required_on_split(sp, mw, nw, ctx.tol)
+    factors, x_orig = _required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, ctx.tol)
     red = _positive_weights(factors, ctx.tol)
-    x_red = _required_on_split(sp, red.s, red.t, ctx.tol)[1]
+    x_red = _required_on_split(sp, red.s, sp.v_0.conj().T @ red.t.matrix, ctx.tol)[1]
     agreement = operator_norm(x_orig - x_red)
     report = {"agreement": float(agreement), "s_cond": red.s.cond, "t_cond": red.t.cond}
     lines = [

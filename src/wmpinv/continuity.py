@@ -179,7 +179,7 @@ def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig
     from .core import _inverse_on_split, _required_on_split
 
     a_prev = seq.base_a
-    base_inv = _required_on_split(sp, seq.base_m, seq.base_n, tol)[1]
+    base_inv = _required_on_split(sp, seq.base_m, sp.v_0.conj().T @ seq.base_n.matrix, tol)[1]
     mp0, p_dom0, p_cod0 = _projections(sp)
 
     count = len(seq.terms)
@@ -198,7 +198,7 @@ def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig
         for name, value in zip(_SPLIT_COLUMNS, split_norms):
             cols[name][i] = value
         try:
-            inverse = _inverse_on_split(sp, Weight(mn, tol), Weight(nn, tol), tol)[1]
+            inverse = _inverse_on_split(sp, Weight(mn, tol), sp.v_0.conj().T @ Weight(nn, tol).matrix, tol)[1]
         except WeightError:
             inverse = None
         exists.append(inverse is not None)

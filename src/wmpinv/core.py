@@ -21,7 +21,8 @@ with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
 A enters only through that split, so a caller holding A fixed while the
 weights move splits it once and hands the split to ``_inverse_on_split``,
 which returns the verdict and the inverse alone; only ``wmp_inverse``
-adds the Penrose residuals and the plain Moore-Penrose inverse.
+adds the Penrose residuals and the plain Moore-Penrose inverse.  Both take
+N as its null-space row ``V_0* N``, all of N that they read.
 
 The verdict compares the 2-norm condition numbers of the dense R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
@@ -197,9 +198,10 @@ def _coupling(blocks) -> np.ndarray:
     return np.linalg.solve(c, b)
 
 
-def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
+def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]:
     """Build R and L in the bases of the split ``sp`` of A and decide existence.
 
+    N is given by its null-space row ``n_0 = V_0* N``, M in full.
     ``R = I + V_0 (V_0* N - V_0*)`` and ``L = I + (M^{-1} U_0 - U_0) U_0*``,
     the dense forms of ``[[I, 0], [N_0r, N_00]]`` and
     ``[[I, Mi_r0], [0, Mi_00]]``.  The verdict compares their 2-norm
@@ -211,11 +213,10 @@ def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
     the report and the block pairs ``(N_0r, N_00)`` and ``(Mi_0r, Mi_00)``,
     which the block solves of the inverse start from.
     """
-    n_0 = sp.v_0.conj().T @ n
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
     n_blocks, r_cond = _factor(n_0, sp.v_r, sp.v_0)
     mi_blocks, l_cond = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
-    r = np.eye(n.shape[0], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
+    r = np.eye(n_0.shape[1], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
     l = np.eye(m.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
@@ -234,7 +235,8 @@ def _decide(sp: SplitBasis, m, n, tol) -> tuple[ExistenceReport, tuple, tuple]:
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
     """Decide existence of ``A+_MN`` from the two factor condition numbers."""
     am, mw, nw = _problem(a, m, n, tol)
-    return _decide(_split_basis(am, tol), mw.matrix, nw.matrix, tol)[0]
+    sp = _split_basis(am, tol)
+    return _decide(sp, mw.matrix, sp.v_0.conj().T @ nw.matrix, tol)[0]
 
 
 def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -259,7 +261,7 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     """
     am, mw, nw = _problem(a, m, n, tol)
     sp = _split_basis(am, tol)
-    rep, inverse = _inverse_on_split(sp, mw, nw, tol)
+    rep, inverse = _inverse_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)
     residuals = None if inverse is None else _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
     return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
 
@@ -271,15 +273,15 @@ def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
     return b_r - b_0 @ _coupling(blocks)
 
 
-def _inverse_on_split(sp: SplitBasis, mw: Weight, nw: Weight, tol) -> tuple[ExistenceReport, np.ndarray | None]:
+def _inverse_on_split(sp: SplitBasis, mw: Weight, n_0, tol) -> tuple[ExistenceReport, np.ndarray | None]:
     """The verdict on a checked problem whose A has the split ``sp``, and ``A+_MN`` (``None`` when it does not exist).
 
-    The block solves of the module docstring run by LU, which is safe once
-    the verdict holds: in the V basis ``N_00`` is a diagonal block of R and
-    ``N_00^{-1}`` one of ``R^{-1}``, so ``cond(N_00) <= cond(R) <=
-    inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
+    N comes as ``n_0 = V_0* N``.  The block solves of the module docstring run
+    by LU, safe once the verdict holds: in the V basis ``N_00`` is a diagonal
+    block of R and ``N_00^{-1}`` one of ``R^{-1}``, so ``cond(N_00) <= cond(R)
+    <= inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
     """
-    rep, n_blocks, mi_blocks = _decide(sp, mw.matrix, nw.matrix, tol)
+    rep, n_blocks, mi_blocks = _decide(sp, mw.matrix, n_0, tol)
     if not rep.exists:
         return rep, None
     # M^{-1} is Hermitian, so (M^{-1} U_0)* = U_0* M^{-1} and the blocks
@@ -299,9 +301,9 @@ def _required(res: ExistenceReport, tol: ToleranceConfig):
     return res
 
 
-def _required_on_split(sp: SplitBasis, mw: Weight, nw: Weight, tol) -> tuple[ExistenceReport, np.ndarray]:
+def _required_on_split(sp: SplitBasis, mw: Weight, n_0, tol) -> tuple[ExistenceReport, np.ndarray]:
     """:func:`_inverse_on_split`, raising ``NonExistentError`` when the inverse does not exist."""
-    rep, inverse = _inverse_on_split(sp, mw, nw, tol)
+    rep, inverse = _inverse_on_split(sp, mw, n_0, tol)
     return _required(rep, tol), inverse
 
 
@@ -497,7 +499,7 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     am, mw, n1w = _problem(a, m, n1, tol)
     n2w = _problem(am, mw, n2, tol)[2]
     sp = _split_basis(am, tol)
-    x1, x2 = (_required_on_split(sp, mw, nw, tol)[1] for nw in (n1w, n2w))
+    x1, x2 = (_required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)[1] for nw in (n1w, n2w))
     eye = np.eye(am.shape[1], dtype=np.complex128)
     x1a = x1 @ am
     r = x1a + (eye - x1a) @ n1w.inverse @ n2w.matrix
@@ -514,7 +516,7 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     am, m1w, nw = _problem(a, m1, n, tol)
     m2w = _problem(am, m2, nw, tol)[1]
     sp = _split_basis(am, tol)
-    x1, x2 = (_required_on_split(sp, mw, nw, tol)[1] for mw in (m1w, m2w))
+    x1, x2 = (_required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)[1] for mw in (m1w, m2w))
     eye = np.eye(am.shape[0], dtype=np.complex128)
     ax1 = am @ x1
     l = ax1 + m2w.inverse @ m1w.matrix @ (eye - ax1)

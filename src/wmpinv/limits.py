@@ -38,10 +38,12 @@ A once, for the target or the separation verdict, and build the joint
 row space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part
 of B acting on A's null space; the domain weight and the pencil solver
 read their bases and blocks off it, and the solver's bases, which do not
-depend on W, serve every W the closed form is checked against.
+depend on W, serve every W the closed form is checked against; the
+default target reads Omega by its null-space row, not built in full.
 ``limit_lambda_to_inf`` splits A once and takes one SVD of B's
 compression to the complement of A's range, which decides the target and
-gives the solver the rest of its basis.  The separation verdict reads
+gives the solver the rest of its basis; A's check reads that split and
+H11, so only B's makes an ``eigvalsh`` of order n.  The separation verdict reads
 A's row basis and the sum rank off splits its caller holds, and one SVD
 of ``2I - P - Q`` decides invertibility and solves for Pi, so no matrix
 of the separated pipeline is decomposed twice.
@@ -137,9 +139,10 @@ def _check_columns(am, bm) -> None:
 
 
 class _JointRows(NamedTuple):
-    """The rank d of A's part, ``(B V_0) W`` and the row and null bases of :func:`_joint_rows`."""
+    """The rank d of A's part, ``B V_0``, ``(B V_0) W`` and the row and null bases of :func:`_joint_rows`."""
 
     d: int
+    b_v0: np.ndarray
     b_w: np.ndarray
     v_r: np.ndarray
     v_0: np.ndarray
@@ -167,7 +170,7 @@ def _joint_rows(split_a: SplitBasis, bm, tol: ToleranceConfig) -> _JointRows:
     v_0 = split_a.v_0 if d == sigma_a.size else np.hstack([split_a.v_r[:, d:], split_a.v_0])
     bv0 = bm @ v_0
     sb = _split_basis(bv0, tol, cutoff)
-    return _JointRows(d, bv0 @ sb.v_r, np.hstack([split_a.v_r[:, :d], v_0 @ sb.v_r]), v_0 @ sb.v_0)
+    return _JointRows(d, bv0, bv0 @ sb.v_r, np.hstack([split_a.v_r[:, :d], v_0 @ sb.v_r]), v_0 @ sb.v_0)
 
 
 def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
@@ -228,6 +231,7 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     -------
     OmegaWeight
         Carrying the assembled positive-definite weight and diagnostics.
+        Its checks square A's spread; :func:`limit_t_to_zero` makes neither.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -238,20 +242,11 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     k, h = am.shape
     xm = np.eye(k, dtype=np.complex128) if x is None else _hermitian(x, "x", tol, k)
     ym = None if y is None else _hermitian(y, "y", tol, h)
-    return _omega(am, bm, ww, xm, ym, _joint_rows(_split_basis(am, tol), bm, tol), tol)
-
-
-def _omega(am, bm, ww: Weight, xm, ym, joint: _JointRows, tol) -> OmegaWeight:
-    """:func:`omega_weight` on checked inputs and the joint rows ``joint`` of ``[A; B]``;
-    ``xm`` and ``ym`` are the Hermitian X and Y, ``ym`` ``None`` for Y = I.
-    """
     core = am.conj().T @ xm @ am + bm.conj().T @ ww.matrix @ bm
     core = 0.5 * (core + core.conj().T)
 
-    *_, v_row, v_null = joint
-    _, restricted_min = _positive_compression(
-        core, v_row, "A*XA + B*WB restricted to the joint row space", tol
-    )
+    *_, v_row, v_null = _joint_rows(_split_basis(am, tol), bm, tol)
+    _, restricted_min = _positive_compression(core, v_row, "A*XA + B*WB restricted to the joint row space", tol)
     p_null = v_null @ v_null.conj().T
     if ym is None:
         y_eff = p_null
@@ -265,13 +260,21 @@ def _omega(am, bm, ww: Weight, xm, ym, joint: _JointRows, tol) -> OmegaWeight:
     if not u.positive_definite:
         eigs = np.linalg.eigvalsh(u.matrix)
         raise NotPositiveOnRangeError("assembled domain weight", float(eigs[0]))
-    return OmegaWeight(
-        u=u,
-        x=xm,
-        y_effective=y_eff,
-        null_projector=p_null,
-        restricted_min_eig=restricted_min,
-    )
+    return OmegaWeight(u=u, x=xm, y_effective=y_eff, null_projector=p_null, restricted_min_eig=restricted_min)
+
+
+def _omega_row(am, bm, sp: SplitBasis, joint: _JointRows, vmat, wmat) -> np.ndarray:
+    """``V_0* Omega`` in the split ``sp`` of A, for the default ``Omega = A* V A + B* W B + P_null``.
+
+    That row is all the weighted inverse reads of a domain weight, so
+    Omega is not formed: ``V_0* Omega = (A V_0)* V A + (B V_0)* W B + (V_0*
+    V_null) V_null*``, ``B V_0`` and ``V_null`` from :func:`_joint_rows`.
+    Omega is positive definite by construction, so it is not checked; the
+    target's verdict, whose R holds ``Omega_00``, decides on the row.
+    """
+    b_v0 = joint.b_v0[:, joint.b_v0.shape[1] - sp.v_0.shape[1] :]
+    p_row = (sp.v_0.conj().T @ joint.v_0) @ joint.v_0.conj().T
+    return (am @ sp.v_0).conj().T @ vmat @ am + b_v0.conj().T @ wmat @ bm + p_row
 
 
 def _fro(x: np.ndarray) -> float:
@@ -279,19 +282,20 @@ def _fro(x: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _hermitian_floor(x: np.ndarray) -> tuple[float, float]:
+def _hermitian_floor(x: np.ndarray, lowest: float | None = None) -> tuple[float, float]:
     """``(h, ||x - x_h||_F)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
 
     ``eigvalsh`` returns the eigenvalues of ``x_h + E`` with ``||E||_2 <=
     p(n) eps ||x_h||_2`` (LAPACK's bound, taken with p(n) = n), so the
     smallest eigenvalue of ``x_h`` is at least the computed one less
     ``n eps ||x_h||_F``.  ``h`` is the reciprocal of that floor, ``inf``
-    when the floor is not positive, and 0 for the empty matrix.
+    when the floor is not positive, and 0 for the empty matrix.  ``lowest``
+    is that computed eigenvalue, where the caller holds it.
     """
     if not x.size:
         return 0.0, 0.0
     xh = 0.5 * (x + x.conj().T)
-    floor = np.linalg.eigvalsh(xh)[0] - x.shape[0] * _EPS * _fro(xh)
+    floor = (np.linalg.eigvalsh(xh)[0] if lowest is None else lowest) - x.shape[0] * _EPS * _fro(xh)
     return (1.0 / floor if floor > 0.0 else np.inf), _fro(x - xh)
 
 
@@ -351,7 +355,7 @@ class _GradedSolver:
     bounded PSD defect passes ``delta``, the shift of
     :meth:`_schur_constants` that makes the computed K positive
     semidefinite; the solver then bounds ``cond_2(S(t))`` for every t
-    from two ``eigvalsh``, of ``H11`` and ``K22``.
+    from two ``eigvalsh``, of ``H11`` (or ``h_low``, its smallest eigenvalue) and ``K22``.
 
     K22 is eliminated once per trace: one LU solve ``K22^-1 [K21, r2] =
     [X, z]`` gives the Schur complement ``Sigma = K11 - K12 X`` of K22 in
@@ -377,9 +381,9 @@ class _GradedSolver:
     """
 
     def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
-                 delta: float | None = None, r1=None):
+                 delta: float | None = None, r1=None, h_low: float | None = None):
         self.basis = basis
-        self.h11, self.k11, self.k12, self.k22 = h11, k11, k12, k22
+        self.h11, self.k11, self.k12, self.k22, self.h_low = h11, k11, k12, k22, h_low
         self.rhs = rhs
         self.r1 = (lambda t: rhs(t)[: h11.shape[0]]) if r1 is None else r1
         self.tol = tol
@@ -437,7 +441,7 @@ class _GradedSolver:
         Returns ``(h, g, c, r0, r1, ||K22||_F^2)``, or ``None`` when a floor
         is not positive, so that the bound is infinite at every t.
         """
-        h, h_skew = _hermitian_floor(self.h11)
+        h, h_skew = _hermitian_floor(self.h11, self.h_low)
         g, k22_skew = _hermitian_floor(self.k22)
         if not (np.isfinite(h) and np.isfinite(g)):
             return None
@@ -521,11 +525,13 @@ class _GradedSolver:
         By the bounds of :func:`_hermitian_floor` and
         :func:`_product_rounding` the smallest eigenvalue of ``k_mid`` is at
         least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
+        The ``h_low`` of ``H11 = U_r* A U_r`` also serves :func:`_psd_lower_bound`.
         """
         v0 = np.hstack([u_r, u_w])
         r = u_r.shape[1]
         h11 = u_r.conj().T @ a_sym @ u_r
         h11 = 0.5 * (h11 + h11.conj().T)
+        h_low = float(np.linalg.eigvalsh(h11)[0]) if r else np.inf
         vb = v0.conj().T @ b_sym
         bt = vb @ v0
         bt = 0.5 * (bt + bt.conj().T)
@@ -535,7 +541,7 @@ class _GradedSolver:
         rhs = lambda t: np.vstack([t * g1, g2])
         # k = [q1 q2] is the identity, so ||k||_F^2 is the joint dimension
         delta = _psd_shift(float(v0.shape[1]), defect, bt)
-        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta, r1=lambda t: t * g1)
+        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta, lambda t: t * g1, h_low)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
@@ -596,7 +602,8 @@ def limit_t_to_zero(
     """Trace ``(A* V A + t B* W B)^+ A* V`` down a decreasing schedule.
 
     Converges to the weighted inverse ``A+_{V,U}`` for every admissible
-    U; the default U is built by :func:`omega_weight` with X = V.  V and
+    U.  The default U is that of :func:`omega_weight` with X = V, read
+    through its null-space row alone (:func:`_omega_row`).  V and
     W must be positive definite.  A degenerate scaled system at some
     schedule point (the finite analogue of the pencil dropping rank) is
     reported through ``RankFlipWarning`` and recorded on the trace.
@@ -611,17 +618,41 @@ def limit_t_to_zero(
     if not ww.positive_definite:
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
-    if u is None:
-        u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
-    u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
-    if u_weight.dim != am.shape[1]:
-        raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
-
     from .core import _required_on_split
 
-    target = _required_on_split(split_a, vw, u_weight, tol)[1]
+    if u is None:
+        n_0 = _omega_row(am, bm, split_a, joint, vw.matrix, ww.matrix)
+    else:
+        u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
+        if u_weight.dim != am.shape[1]:
+            raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
+        n_0 = split_a.v_0.conj().T @ u_weight.matrix
+    target = _required_on_split(split_a, vw, n_0, tol)[1]
     solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     return _trace_over(s, solver.iterate, target, tol, atol)
+
+
+def _psd_lower_bound(a_sym, split_a: SplitBasis, h11, h_low: float) -> float:
+    """A lower bound, never positive, on ``lambda_min(A)`` for Hermitian A with the split ``split_a``.
+
+    ``h_low`` is the smallest computed eigenvalue of ``H = U_r* A U_r`` (inf
+    for r = 0).  ``||A U_0|| = ||V_0 Sigma_0|| = sigma_{r+1}`` bounds ``X = U_r*
+    A U_0`` and ``[X; Y] = U* A U_0``, so Weyl on ``U* A U = diag(H, 0) + [[0,
+    X], [X*, Y]]`` gives ``lambda_min(A) >= min(lambda_min(H), 0) - 2
+    sigma_{r+1}``.  Rounding, u = n eps, LAPACK's bounds with p(n) = n: ``U'
+    S V'* = A + E``, ``||E|| <= u ||A||_F``, ``U' = Q P`` with Q unitary and
+    ``||P - I|| <= u``, so the bound for ``U'`` loses a factor ``1 + 3u``
+    (Ostrowski); ``U'* U'_0`` lies within u of ``[0; I]``, so ``||U'* A U'_0||
+    <= (1 + 2u) (sigma_{r+1} + 3u ||A||_F)``; the computed H is within ``gamma
+    ||U_r||_F^2 ||A||_F`` of ``U'_r* A U'_r`` (:func:`_product_rounding`, plus
+    ``eps ||H||_F`` for its Hermitian part) and ``h_low`` within ``r eps
+    ||H||_F`` of its own (:func:`_hermitian_floor`).
+    """
+    n, r = split_a.u_r.shape
+    u = n * _EPS
+    a_fro = _fro(a_sym)
+    h_floor = min(h_low, 0.0) - (r + 1) * _EPS * _fro(h11) - _product_rounding(n) * _fro(split_a.u_r) ** 2 * a_fro
+    return (1.0 + 3.0 * u) * (h_floor - 2.0 * (1.0 + 2.0 * u) * (split_a.sigma_next + 3.0 * u * a_fro))
 
 
 def limit_lambda_to_inf(
@@ -636,7 +667,8 @@ def limit_lambda_to_inf(
     For positive semidefinite A and B the iterates converge to
     ``((I - P) B (I - P))^+ B`` with P the orthogonal projector onto the
     range of A.  Inputs failing positive semidefiniteness within
-    ``verify_atol`` are rejected.  The error decays like 1 / lambda, so
+    ``verify_atol`` are rejected, A by :func:`_psd_lower_bound` or, where
+    that does not clear, its eigenvalues.  The error decays like 1 / lambda, so
     the default convergence threshold is the coarser
     ``1e-6 * (1 + ||target||)``, matched to the default schedule's top
     value; pass ``atol`` to tighten it alongside a longer schedule.
@@ -654,10 +686,7 @@ def limit_lambda_to_inf(
     a_sym = 0.5 * (am + am.conj().T)
     b_sym = 0.5 * (bm + bm.conj().T)
     # an empty matrix passes with the one eigenvalue 0
-    a_eigs, b_eigs = (np.linalg.eigvalsh(m) if m.size else np.zeros(1) for m in (a_sym, b_sym))
-    for name, eigs in (("a", a_eigs), ("b", b_eigs)):
-        if eigs[0] < -tol.verify_atol:
-            raise NotPositiveSemidefiniteError(name, float(eigs[0]))
+    b_eigs = np.linalg.eigvalsh(b_sym) if b_sym.size else np.zeros(1)
 
     n = a_sym.shape[0]
     split_a = _split_basis(a_sym, tol)
@@ -675,11 +704,19 @@ def limit_lambda_to_inf(
     # sigma_max of the compression is at most ||B||
     floor = tol.rank_rtol_for((n, n)) * float(np.max(np.abs(b_eigs)))
     comp_svd = svd_factor(comp, tol, sigma_floor=floor)
-    target = u_0 @ (comp_svd.pinv() @ ub)
+    f = comp_svd.pinv() @ ub
+    target = u_0 @ f
     u_w = u_0 @ comp_svd.range_basis
     solver = _GradedSolver.pair(a_sym, b_sym, split_a.u_r, u_w, float(b_eigs[0]), tol)
+    a_low = _psd_lower_bound(a_sym, split_a, solver.h11, solver.h_low)
+    if a_low < -tol.verify_atol:
+        a_low = float(np.linalg.eigvalsh(a_sym)[0])
+    for name, low in (("a", a_low), ("b", float(b_eigs[0]))):
+        if low < -tol.verify_atol:
+            raise NotPositiveSemidefiniteError(name, low)
     if atol is None:
-        atol = 1e-6 * (1.0 + _residual_norm(target))
+        # ||U_0 F|| = ||F||, from a Gram of order n - r
+        atol = 1e-6 * (1.0 + _residual_norm(f))
     return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
 
 
@@ -815,7 +852,7 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
 
     Uses the admissible weight ``U = A* V A + B* W B + P0`` (P0 the
     projector onto the joint null space) and the weighted inverse
-    ``Z = A+_{V,U}``.  Singular values of ``b2`` below
+    ``Z = A+_{V,U}``, which reads U by its null-space row.  Singular values of ``b2`` below
     ``verify_atol * (1 + ||B||)`` are rounding debris inherited from Z
     and are truncated away, so the row space of ``b2`` is decided on its
     genuine directions; ``b1 = B - b2`` keeps the split exact.  The three
@@ -836,8 +873,7 @@ def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, _Joint
 
     from .core import _required_on_split
 
-    u = _omega(am, bm, ww, vw.matrix, None, joint, tol)
-    z = _required_on_split(sp, vw, u.u, tol)[1]
+    z = _required_on_split(sp, vw, _omega_row(am, bm, sp, joint, vw.matrix, ww.matrix), tol)[1]
     b2_raw = bm - bm @ z @ am
     b_scale = 1.0 + operator_norm(bm)
     if b2_raw.size:

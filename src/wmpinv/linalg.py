@@ -189,6 +189,7 @@ class SplitBasis(NamedTuple):
 
     ``[u_r u_0]`` and ``[v_r v_0]`` are unitary, so ``u_0`` spans the
     orthogonal complement of the range and ``v_0`` the null space.
+    ``sigma_next`` is the largest singular value cut off, 0 when none is.
     """
 
     u_r: np.ndarray
@@ -196,6 +197,7 @@ class SplitBasis(NamedTuple):
     sigma_r: np.ndarray
     v_r: np.ndarray
     v_0: np.ndarray
+    sigma_next: float
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse ``v_r diag(1 / sigma_r) u_r*``."""
@@ -218,7 +220,7 @@ def _split_basis(m: np.ndarray, tol: ToleranceConfig, cutoff: float | None = Non
         cutoff = _rank_cutoff(s[0] if s.size else 0.0, m.shape, tol)
     r = int(np.count_nonzero(s > cutoff))
     v = vh.conj().T
-    return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:])
+    return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:], float(s[r]) if r < s.size else 0.0)
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:

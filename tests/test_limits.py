@@ -28,10 +28,11 @@ from wmpinv import (
     require_wmp_inverse,
     separated_pair_check,
 )
-from wmpinv.limits import _GradedSolver
+from wmpinv.limits import _GradedSolver, _psd_lower_bound
 from wmpinv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _split_basis,
     _trace_over,
     condition_number,
     numerical_rank,
@@ -786,6 +787,25 @@ def reference_iterate(system, rhs, basis, mpmath):
     return np.vectorize(complex, otypes=[np.complex128])(x)
 
 
+def refined_iterate(system, rhs, basis):
+    """``basis S^-1 rhs`` by iterative refinement: LU solves in double, residuals and solution in ``np.clongdouble``.
+
+    Each step solves ``S d = rhs - S y`` for the residual computed in
+    extended precision and adds d to y, which is kept in extended
+    precision.  While ``kappa eps`` is well below 1 the error contracts by
+    about that factor a step, down to a level near ``kappa eps_ext``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Sec. 12.1);
+    at ``kappa eps <= 1e-3``, as at every point checked against it, ten
+    steps reach that level.  The result is rounded to double.
+    """
+    ext = np.clongdouble
+    s_ext, rhs_ext = system.astype(ext), rhs.astype(ext)
+    y = np.linalg.solve(system, rhs).astype(ext)
+    for _ in range(10):
+        y = y + np.linalg.solve(system, (rhs_ext - s_ext @ y).astype(np.complex128))
+    return (basis.astype(ext) @ y).astype(np.complex128)
+
+
 class TestEliminatedSolve:
     """A point with ``cond(S) <= cap`` solves the order-r system left by eliminating K22."""
 
@@ -865,11 +885,23 @@ class TestEliminatedSolve:
         a backward-stable solve of the whole S; no normwise backward-error
         theorem covers block elimination in general, so this checks that
         eliminating K22, whose pivot blocks are no worse conditioned than
-        S, meets it.  The families run on 8 columns to keep the
-        40-digit solves fast.
+        S, meets it.  The families run on 8 columns.
+
+        The reference is :func:`refined_iterate`, whose residuals in
+        extended precision put it within about ``kappa eps_ext`` of the
+        exact solution.  It is checked against the 40-digit
+        :func:`reference_iterate` on three systems, the worst-conditioned
+        among them: the two may differ by the rounding of each to double,
+        ``eps ||x||``, and by a hundredth of the tolerance.  Where
+        ``np.longdouble`` has ``eps >= 1e-18``, too little for that, the
+        40-digit solution is the reference throughout.
         """
         mpmath = pytest.importorskip("mpmath")
         eps = np.finfo(float).eps
+        if np.finfo(np.longdouble).eps >= 1e-18:
+            reference = lambda *args: reference_iterate(*args, mpmath)
+        else:
+            reference = refined_iterate
         calls = (
             certificate_family(DEFAULT_TOL, cols=8)
             + certificate_family(ToleranceConfig(inv_cond_max=1e4), cols=8)
@@ -886,12 +918,17 @@ class TestEliminatedSolve:
             checked += 1
             key = (system.tobytes(), rhs.tobytes(), basis.tobytes())
             if key not in exact_for:
-                exact_for[key] = reference_iterate(system, rhs, basis, mpmath)
-            exact = exact_for[key]
+                exact_for[key] = (system, rhs, basis, reference(system, rhs, basis))
+            exact = exact_for[key][-1]
             kappa = condition_number(system)
             d = system.shape[0]
             assert np.linalg.norm(it - exact) <= 5 * d * eps * kappa * np.linalg.norm(exact)
         assert checked >= len(points) // 2
+        by_cond = sorted(exact_for.values(), key=lambda entry: condition_number(entry[0]))
+        for system, rhs, basis, exact in (by_cond[0], by_cond[len(by_cond) // 2], by_cond[-1]):
+            digits = reference_iterate(system, rhs, basis, mpmath)
+            tolerance = 5 * system.shape[0] * eps * condition_number(system)
+            assert np.linalg.norm(exact - digits) <= (eps + 1e-2 * tolerance) * np.linalg.norm(digits)
 
 
 class TestSolverBases:
@@ -938,6 +975,184 @@ class TestSolverBases:
             n, width = v0.shape
             assert np.abs(v0.conj().T @ v0 - np.eye(width)).max(initial=0.0) <= 4 * n * eps
             assert width == numerical_rank(joint)
+
+    def test_bench_shaped_traces_make_no_order_n_checks(self, lapack_calls, monkeypatch):
+        # the default t-target reads Omega through its null-space row, so the
+        # t-trace builds no Weight and takes no eigvalsh of order 80; the
+        # lambda-trace checks A on its order-32 H11 and takes ||target|| from a
+        # Gram of order 48, so of order 80 it has B's check and the errors alone
+        orders, weights = [], []
+        eigvalsh, init = np.linalg.eigvalsh, Weight.__init__
+
+        def recording_eigvalsh(m, *args, **kwargs):
+            orders.append(m.shape[0])
+            return eigvalsh(m, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            weights.append(args)
+            init(self, *args, **kwargs)
+
+        calls = bench_shaped_calls()
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        monkeypatch.setattr(Weight, "__init__", counting_init)
+        # (points, order-80 eigvalsh, all eigvalsh): the t-trace's errors are of
+        # order 48; beside the errors each trace takes one for its atol and one
+        # each of H11 and K22, and the lambda-trace one more, B's check
+        for call, (points, order_n, total) in zip(calls, [(10, 0, 13), (9, 1 + 9, 13)] * 2):
+            orders.clear()
+            weights.clear()
+            lapack_calls.clear()
+            assert call().params.size == points
+            assert not weights
+            assert orders.count(80) == order_n
+            assert lapack_calls["eigvalsh"] == total
+
+
+def item8_pair(s):
+    """A = diag(1, s, 0, 0) Q[:4] on 6 columns, Q unitary, and a generic complex 3 x 6 B, from one seed."""
+    gen = np.random.default_rng(5)
+    q, _ = np.linalg.qr(random_complex(gen, 6, 6))
+    return np.diag([1.0, s, 0.0, 0.0]) @ q[:4], random_complex(gen, 3, 6)
+
+
+def omega_target_40_digits(a, b, mpmath):
+    """``A+_{I,Omega}`` at 40 digits for ``Omega = A* A + B* B + P_null``, A with its last two rows zero.
+
+    The double entries are taken as exact.  With A1 the first two rows of
+    A and ``G = [A1; B]`` of full row rank 5, ``P_null = I - G* (G G*)^-1
+    G``, and for positive definite Omega the inverse is ``Omega^-1 A1*
+    (A1 Omega^-1 A1*)^-1`` on the columns of A1's rows and 0 on the rest:
+    it satisfies the four weighted Penrose identities with M = I.
+    """
+    with mpmath.workdps(40):
+        mat = lambda x: mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in x])
+        a1, g = mat(a[:2]), mat(np.vstack([a[:2], b]))
+        omega = a1.H * a1 + mat(b).H * mat(b) + mpmath.eye(6) - g.H * mpmath.inverse(g * g.H) * g
+        oi = mpmath.inverse(omega)
+        x = oi * a1.H * mpmath.inverse(a1 * oi * a1.H)
+        exact = np.zeros((6, 4), dtype=np.complex128)
+        exact[:, :2] = [[complex(x[i, j]) for j in range(2)] for i in range(6)]
+    return exact
+
+
+class TestDefaultTarget:
+    """The default t-target reads Omega through its null-space row, so it does not square A's spread."""
+
+    # (converged, number of rank flips) of the default t-trace at each s; from
+    # 1e-6 on the solver's H11 = A_1* A_1 squares s and every point flags
+    PINNED = {1e-4: (True, 0), 1e-5: (True, 0), 1e-6: (True, 10), 1e-7: (False, 10), 1e-8: (False, 10)}
+
+    @staticmethod
+    def target_bound(a, b):
+        """``4 n eps kappa(A) (1 + ||C||) (1 + rho)``, a first-order bound on the target's relative error.
+
+        The split is the exact one of ``A + E`` with ``||E|| <= n eps ||A||``
+        (n = 6), which moves ``A^+`` by at most ``2 kappa n eps`` relative
+        and turns the bases by ``theta <= kappa n eps`` (Wedin), kappa =
+        ``sigma_1 / sigma_r``.  The target is ``X = (I - V_0 C V_r*) A^+``
+        with ``C = Omega_00^-1 Omega_0r``, and ``||X|| >= ||A^+||``, since
+        ``I - V_0 C V_r*`` does not shrink the row space of A.  The turn moves
+        C by at most ``2 theta rho (1 + ||C||)`` with ``rho = ||Omega|| /
+        lambda_min(Omega_00)``, and the rounding of Omega's row by ``n eps
+        rho (1 + ||C||)``; the sum is at most the bound for kappa >= 1.
+        """
+        eps = np.finfo(float).eps
+        _, sigma, vh = np.linalg.svd(a)
+        v_r, v_0 = vh[:2].conj().T, vh[2:].conj().T
+        g = np.vstack([a[:2], b])
+        omega = a.conj().T @ a + b.conj().T @ b + np.eye(6) - np.linalg.pinv(g) @ g
+        o_00 = v_0.conj().T @ omega @ v_0
+        c = np.linalg.solve(o_00, v_0.conj().T @ omega @ v_r)
+        rho = operator_norm(omega) / np.linalg.eigvalsh(o_00)[0]
+        return 4 * 6 * eps * (sigma[0] / sigma[1]) * (1 + operator_norm(c)) * (1 + rho)
+
+    def test_small_singular_values_of_a_are_not_refused(self):
+        mpmath = pytest.importorskip("mpmath")
+        v, w = np.eye(4), np.eye(3)
+        for s, verdict in self.PINNED.items():
+            a, b = item8_pair(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankFlipWarning)
+                trace = limit_t_to_zero(a, b, v, w)
+            exact = omega_target_40_digits(a, b, mpmath)
+            assert operator_norm(trace.target - exact) <= self.target_bound(a, b) * operator_norm(exact)
+            assert (trace.converged, len(trace.rank_flips)) == verdict
+            # decompose_b and general_limit_via_decomposition take Z by the same route
+            assert np.array_equal(decompose_b(a, b, v, w).z, trace.target)
+
+    def test_target_is_that_of_the_whole_omega(self):
+        a, b = item8_pair(1e-4)
+        v, w = np.eye(4), np.eye(3)
+        whole = limit_t_to_zero(a, b, v, w, u=omega_weight(a, b, w, x=v)).target
+        by_row = limit_t_to_zero(a, b, v, w).target
+        assert operator_norm(by_row - whole) <= self.target_bound(a, b) * operator_norm(whole)
+        # built whole, Omega squares s: its restricted eigenvalue falls below
+        # the positivity floor, and omega_weight keeps its check
+        with pytest.raises(NotPositiveOnRangeError):
+            omega_weight(*item8_pair(1e-5), w, x=v)
+
+
+def hermitian_with_spectrum(spectrum, seed=0):
+    """``Q diag(spectrum) Q*`` for a seeded random unitary Q."""
+    q, _ = np.linalg.qr(random_complex(np.random.default_rng(seed), len(spectrum), len(spectrum)))
+    a = (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+class TestLambdaPositivityCheck:
+    """A is checked on the bound of ``_psd_lower_bound``, and on its eigenvalues where that does not clear."""
+
+    @pytest.mark.parametrize(
+        "a, tol",
+        [
+            # NumPy's SVD gives Re(u_i* v_i) = 0 for both pairs, so a sign rule on it would pass this one
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), DEFAULT_TOL),
+            (hermitian_with_spectrum([1, -1, 2, -2, 0.5, 0]), DEFAULT_TOL),
+            # -0.2 falls below the coarse rank cutoff, so H11 is positive definite
+            # and only the 2 sigma_{r+1} term keeps the bound from clearing
+            (hermitian_with_spectrum([1, 0.5, -0.2, 0.1, 0, 0]), ToleranceConfig(rank_rtol=0.3)),
+        ],
+        ids=["antidiagonal", "indefinite", "below-the-cutoff"],
+    )
+    def test_indefinite_a_is_rejected(self, a, tol):
+        with pytest.raises(NotPositiveSemidefiniteError, match="^a is not"):
+            limit_lambda_to_inf(a, np.eye(a.shape[0]), tol=tol)
+
+    def test_scaled_a_passes_and_a_negative_eigenvalue_does_not(self, monkeypatch):
+        # at 1e8 the rounding margin of the bound exceeds verify_atol, so A's
+        # own eigenvalues decide, and they find the -1e-6
+        spectrum = 1e8 * np.array([1.0, 0.5, 0.2, 0.1, 0.05, 0.02])
+        b = np.eye(6)
+        assert limit_lambda_to_inf(hermitian_with_spectrum(spectrum), b).converged
+        decided = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: decided.append(m) or eigvalsh(m))
+        a = hermitian_with_spectrum(np.append(spectrum[:-1], -1e-6))
+        with pytest.raises(NotPositiveSemidefiniteError, match="^a is not"):
+            limit_lambda_to_inf(a, b)
+        assert any(m.shape == a.shape and np.array_equal(m, a) for m in decided)
+
+    def test_bound_is_below_the_smallest_eigenvalue(self):
+        eps = np.finfo(float).eps
+        gen = np.random.default_rng(170)
+        cleared = 0
+        for trial in range(60):
+            n = int(gen.integers(2, 12))
+            spectrum = gen.uniform(-1.0, 1.0, n) * 10.0 ** gen.integers(-3, 4)
+            spectrum[: int(gen.integers(0, n))] = 0.0
+            if trial % 2:
+                spectrum = np.abs(spectrum)
+            a = hermitian_with_spectrum(spectrum, seed=trial)
+            # a coarse cutoff leaves a large sigma_{r+1}
+            tol = ToleranceConfig(rank_rtol=0.3) if trial % 3 == 0 else DEFAULT_TOL
+            split = _split_basis(a, tol)
+            solver = _GradedSolver.pair(a, np.eye(n), split.u_r, split.u_0, 1.0, tol)
+            low = _psd_lower_bound(a, split, solver.h11, solver.h_low)
+            # the exact smallest eigenvalue is at least the computed one less n eps ||A||_F
+            assert low <= np.linalg.eigvalsh(a)[0] - n * eps * np.linalg.norm(a)
+            cleared += low >= -DEFAULT_TOL.verify_atol
+        assert cleared
+
 
 def test_limit_traces_leave_scipy_linalg_unloaded():
     # importing scipy.linalg after wmpinv raises a fresh process's peak RSS
