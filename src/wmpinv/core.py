@@ -21,17 +21,20 @@ with ``Mi = M^{-1}``, so the inverse needs solves of size n - r and m - r:
 A enters only through that split, so a caller holding A fixed while the
 weights move splits it once and hands the split to ``_inverse_on_split``,
 which returns the verdict and the inverse alone; only ``wmp_inverse``
-adds the Penrose residuals and the plain Moore-Penrose inverse.  Both take
-N as its null-space row ``V_0* N``, all of N that they read.
+adds the Penrose residuals.  Both take N as its null-space row ``V_0* N``,
+all of N that they read.
 
-The verdict compares the 2-norm condition numbers of the dense R and L to
+The verdict compares the 2-norm condition numbers of R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
 null-space rows and L in its m - r null-space columns, so one helper,
 ``_factor``, decides either factor from those blocks with a values-only
 SVD of order at most 2(n - r) or 2(m - r).  ``_decide`` calls it for R
-and L, ``equivalent_domain_weights`` for R alone.  The Penrose residuals
-of a computed inverse are exact 2-norms taken from Hermitian eigenvalues
-(``linalg._residual_norm``).
+and L, ``equivalent_domain_weights`` for R alone.  No dense R, L or
+plain Moore-Penrose inverse is formed on the way: a report builds them
+from the split and the null-space rows only when they are first read.
+The Penrose residuals of a computed inverse are exact 2-norms taken from
+Hermitian eigenvalues, all four from one batched ``eigvalsh``
+(``_penrose_residuals``).
 
 Public functions coerce and check; ``_``-prefixed routines take checked
 complex128 arrays.  So ``_problem`` checks A and the weights once, and
@@ -41,7 +44,8 @@ behind ``verify_weighted_penrose``, without that function's checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +58,8 @@ from .linalg import (
     DEFAULT_TOL,
     SplitBasis,
     ToleranceConfig,
+    _gram_or_norm,
     _rank_cutoff,
-    _residual_norm,
     _split_basis,
     _verify,
     as_matrix,
@@ -123,11 +127,13 @@ def weighted_adjoint(t, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 class ExistenceReport:
     """Invertibility verdict for the two factors of the factored formula.
 
-    ``r_cond`` and ``l_cond`` are the 2-norm condition numbers of the dense
+    ``r_cond`` and ``l_cond`` are the 2-norm condition numbers of
     ``r_factor`` and ``l_factor``, each decided by :func:`_factor` from the
     null-space blocks of its factor through values-only SVDs of order at
     most 2(n - r) and 2(m - r); ``r_invertible`` and ``l_invertible``
-    compare them to ``inv_cond_max``.
+    compare them to ``inv_cond_max``.  The dense factors are built from the
+    split of A and the null-space rows ``V_0* N`` and ``M^{-1} U_0`` on
+    first read, then cached, as ``Weight.inverse`` is.
     """
 
     exists: bool
@@ -135,8 +141,20 @@ class ExistenceReport:
     l_invertible: bool
     r_cond: float
     l_cond: float
-    r_factor: np.ndarray
-    l_factor: np.ndarray
+    # the split of A, V_0* N and M^-1 U_0, all the factors are built from
+    _rows: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def r_factor(self) -> np.ndarray:
+        """``R = I + V_0 (V_0* N - V_0*)``, the dense form of ``[[I, 0], [N_0r, N_00]]``."""
+        sp, n_0, _ = self._rows
+        return np.eye(n_0.shape[1], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
+
+    @cached_property
+    def l_factor(self) -> np.ndarray:
+        """``L = I + (M^{-1} U_0 - U_0) U_0*``, the dense form of ``[[I, Mi_r0], [0, Mi_00]]``."""
+        sp, _, mi_u0 = self._rows
+        return np.eye(sp.u_r.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
 
 
 @dataclass(frozen=True)
@@ -145,14 +163,19 @@ class WmpResult(ExistenceReport):
 
     The verdict fields are those of the :class:`ExistenceReport` that
     :func:`_factor` decided.  ``inverse`` is ``None`` when the weighted
-    inverse does not exist; the plain Moore-Penrose inverse ``mp`` is
-    always populated.  ``penrose_residuals`` holds the four weighted
-    Penrose residuals in operator norm, ``None`` when there is no inverse.
+    inverse does not exist; the plain Moore-Penrose inverse ``mp`` can
+    always be read, and like the factors it is built from the split on
+    first read.  ``penrose_residuals`` holds the four weighted Penrose
+    residuals in operator norm, ``None`` when there is no inverse.
     """
 
     inverse: np.ndarray | None
-    mp: np.ndarray
     penrose_residuals: np.ndarray | None
+
+    @cached_property
+    def mp(self) -> np.ndarray:
+        """Moore-Penrose inverse ``V_r Sigma_r^{-1} U_r*`` of A."""
+        return self._rows[0].pinv()
 
 
 def _factor_cond(b: np.ndarray, c: np.ndarray) -> float:
@@ -199,25 +222,24 @@ def _coupling(blocks) -> np.ndarray:
 
 
 def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]:
-    """Build R and L in the bases of the split ``sp`` of A and decide existence.
+    """Decide existence from R and L in the bases of the split ``sp`` of A.
 
-    N is given by its null-space row ``n_0 = V_0* N``, M in full.
-    ``R = I + V_0 (V_0* N - V_0*)`` and ``L = I + (M^{-1} U_0 - U_0) U_0*``,
-    the dense forms of ``[[I, 0], [N_0r, N_00]]`` and
-    ``[[I, Mi_r0], [0, Mi_00]]``.  The verdict compares their 2-norm
-    condition numbers to ``inv_cond_max``; both are read off the blocks by
-    :func:`_factor`, L through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]``
-    with ``Mi_0 = (M^{-1} U_0)*``.  M enters only through ``M^{-1} U_0``,
-    which one LU solve with m - r right-hand sides gives (a ``Weight`` has
-    ``cond(M) <= inv_cond_max``), so no inverse of M is formed.  Returns
-    the report and the block pairs ``(N_0r, N_00)`` and ``(Mi_0r, Mi_00)``,
-    which the block solves of the inverse start from.
+    N is given by its null-space row ``n_0 = V_0* N``, M in full.  In
+    those bases ``R = [[I, 0], [N_0r, N_00]]`` and ``L = [[I, Mi_r0], [0,
+    Mi_00]]``.  The verdict compares their 2-norm condition numbers to
+    ``inv_cond_max``; both are read off the blocks by :func:`_factor`, L
+    through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]`` with ``Mi_0 = (M^{-1}
+    U_0)*``.  M enters only through ``M^{-1} U_0``, which one LU solve with
+    m - r right-hand sides gives (a ``Weight`` has ``cond(M) <=
+    inv_cond_max``), so no inverse of M is formed, and neither are the
+    dense R and L: the report builds them from ``n_0`` and ``M^{-1} U_0``
+    when they are read.  Returns the report and the block pairs ``(N_0r,
+    N_00)`` and ``(Mi_0r, Mi_00)``, which the block solves of the inverse
+    start from.
     """
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
     n_blocks, r_cond = _factor(n_0, sp.v_r, sp.v_0)
     mi_blocks, l_cond = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
-    r = np.eye(n_0.shape[1], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
-    l = np.eye(m.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
     report = ExistenceReport(
@@ -226,8 +248,7 @@ def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]
         l_invertible=l_ok,
         r_cond=r_cond,
         l_cond=l_cond,
-        r_factor=r,
-        l_factor=l,
+        _rows=(sp, n_0, mi_u0),
     )
     return report, n_blocks, mi_blocks
 
@@ -263,7 +284,8 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     sp = _split_basis(am, tol)
     rep, inverse = _inverse_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)
     residuals = None if inverse is None else _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
-    return WmpResult(**vars(rep), inverse=inverse, mp=sp.pinv(), penrose_residuals=residuals)
+    verdict = {f.name: getattr(rep, f.name) for f in fields(rep)}
+    return WmpResult(**verdict, inverse=inverse, penrose_residuals=residuals)
 
 
 def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
@@ -317,9 +339,10 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
 
     Order: ``AXA - A``, ``XAX - X``, anti-Hermitian part of ``MAX``,
     anti-Hermitian part of ``NXA``.  Each is the exact 2-norm, computed
-    from Hermitian eigenvalues (:func:`_residual_norm`): those of
-    ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and those of the
-    Gram matrices of the first two residuals.
+    from Hermitian eigenvalues as :func:`_residual_norm` takes them: those
+    of ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and those of the
+    Gram matrices of the first two residuals, all from one batched
+    ``eigvalsh``.
     """
     am, mw, nw = _problem(a, m, n, tol)
     xm = as_matrix(x)
@@ -331,19 +354,37 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
 
 
 def _penrose_residuals(am, m, n, xm) -> np.ndarray:
-    """:func:`verify_weighted_penrose` of a checked A, weight matrices M and N and candidate X."""
+    """:func:`verify_weighted_penrose` of a checked A, weight matrices M and N and candidate X.
+
+    The four Hermitian matrices whose eigenvalues give the norms, the Grams
+    of ``AXA - A`` and ``XAX - X`` on their smaller side and ``1j (MAX -
+    (MAX)*)``, ``1j (NXA - (NXA)*)``, are written into one zero-padded
+    stack of order ``max(rows, cols)``, and one batched ``eigvalsh`` gives
+    all four: padding adds only zero eigenvalues, which move neither a
+    Gram's largest eigenvalue once it is clamped at 0 nor a largest
+    ``|lambda|``.  A Gram that :func:`_gram_or_norm` finds unsafe is left
+    to the SVD, as :func:`_residual_norm` leaves it.
+    """
     ax = am @ xm
     xa = xm @ am
     max_ = m @ ax
     nxa = n @ xa
-    return np.array(
-        [
-            _residual_norm(ax @ am - am),
-            _residual_norm(xa @ xm - xm),
-            _residual_norm(max_ - max_.conj().T, anti_hermitian=True),
-            _residual_norm(nxa - nxa.conj().T, anti_hermitian=True),
-        ]
-    )
+    k, h = am.shape
+    j = min(k, h)
+    stack = np.zeros((4, max(k, h), max(k, h)), dtype=np.complex128)
+    by_svd = np.zeros(2)
+    for i, d in enumerate((ax @ am - am, xa @ xm - xm)):
+        gram, by_svd[i] = _gram_or_norm(d)
+        if gram is not None:
+            stack[i, :j, :j] = gram
+    stack[2, :k, :k] = 1j * (max_ - max_.conj().T)
+    stack[3, :h, :h] = 1j * (nxa - nxa.conj().T)
+    w = np.linalg.eigvalsh(stack)
+    norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    # a slot left to the SVD stays zero and takes its norm from by_svd;
+    # a Gram's slot adds the 0.0 that _gram_or_norm returns with it
+    norms[:2] = np.sqrt(np.maximum(w[:2, -1], 0.0)) + by_svd
+    return norms
 
 
 def wmp_inverse_positive(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

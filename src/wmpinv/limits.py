@@ -197,7 +197,7 @@ def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[
 
     Raises ``NotPositiveOnRangeError`` naming ``what`` unless the
     compression is positive definite by the rule of
-    :func:`is_positive_definite`; an empty basis passes with ``inf``.
+    :func:`_clears_positive_floor`; an empty basis passes with ``inf``.
     """
     comp = basis.conj().T @ mat @ basis
     comp = 0.5 * (comp + comp.conj().T)
@@ -668,7 +668,11 @@ def limit_lambda_to_inf(
     ``((I - P) B (I - P))^+ B`` with P the orthogonal projector onto the
     range of A.  Inputs failing positive semidefiniteness within
     ``verify_atol`` are rejected, A by :func:`_psd_lower_bound` or, where
-    that does not clear, its eigenvalues.  The error decays like 1 / lambda, so
+    that does not clear, its eigenvalues.  A computed smallest eigenvalue
+    of X (A or B) fails only below ``-verify_atol - n eps ||X||_F``, the
+    rounding band of ``eigvalsh``, so the check does not depend on the
+    scale of X.
+    The error decays like 1 / lambda, so
     the default convergence threshold is the coarser
     ``1e-6 * (1 + ||target||)``, matched to the default schedule's top
     value; pass ``atol`` to tighten it alongside a longer schedule.
@@ -711,8 +715,10 @@ def limit_lambda_to_inf(
     a_low = _psd_lower_bound(a_sym, split_a, solver.h11, solver.h_low)
     if a_low < -tol.verify_atol:
         a_low = float(np.linalg.eigvalsh(a_sym)[0])
-    for name, low in (("a", a_low), ("b", float(b_eigs[0]))):
-        if low < -tol.verify_atol:
+    # a computed eigenvalue may lie n eps ||X||_F below the exact one
+    # (_hermitian_floor); the bound already holds its own rounding
+    for name, low, mat in (("a", a_low, a_sym), ("b", float(b_eigs[0]), b_sym)):
+        if low < -tol.verify_atol - n * _EPS * _fro(mat):
             raise NotPositiveSemidefiniteError(name, low)
     if atol is None:
         # ||U_0 F|| = ||F||, from a Gram of order n - r

@@ -274,24 +274,35 @@ def operator_norm(a) -> float:
 _GRAM_FLOOR = 1e-280
 
 
+def _gram_or_norm(d: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """The Gram matrix of nonempty ``d`` on its smaller side, or the 2-norm of ``d`` where that Gram is not safe.
+
+    The largest eigenvalue of the Gram matrix is ``||d||^2``.  ``||d||_F^2``
+    bounds every entry of it, so when that overflows, or falls to
+    ``_GRAM_FLOOR`` while ``d`` is not exactly zero, ``(None, ||d||)`` is
+    returned with the norm from the SVD; otherwise ``(gram, 0.0)``.
+    """
+    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
+        return None, (operator_norm(d) if d.any() else 0.0)
+    dh = d.conj().T
+    return (d @ dh if d.shape[0] <= d.shape[1] else dh @ d), 0.0
+
+
 def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
     """Exact 2-norm of ``d`` from Hermitian eigenvalues instead of an SVD.
 
     An anti-Hermitian ``d`` makes ``1j * d`` exactly Hermitian, whose
     largest eigenvalue magnitude is the norm.  Otherwise the norm is the
-    root of the largest eigenvalue of the Gram matrix of the smaller side.
-    ``||d||_F^2`` bounds every entry of that Gram matrix, so when it
-    overflows, or falls to ``_GRAM_FLOOR`` while ``d`` is not exactly
-    zero, the norm is left to the SVD.
+    root of the largest eigenvalue of the Gram matrix of the smaller side,
+    or the SVD's where :func:`_gram_or_norm` finds that Gram unsafe.
     """
     if d.size == 0:
         return 0.0
     if anti_hermitian:
         return float(np.max(np.abs(np.linalg.eigvalsh(1j * d))))
-    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
-        return operator_norm(d) if d.any() else 0.0
-    dh = d.conj().T
-    gram = d @ dh if d.shape[0] <= d.shape[1] else dh @ d
+    gram, norm = _gram_or_norm(d)
+    if gram is None:
+        return norm
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 

@@ -22,7 +22,18 @@ from wmpinv import (
     wmp_inverse,
     wmp_inverse_positive,
 )
-from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig, condition_number, mp_inverse, operator_norm
+from wmpinv.core import _penrose_residuals
+from wmpinv.linalg import (
+    _GRAM_FLOOR,
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _residual_norm,
+    _split_basis,
+    as_matrix,
+    condition_number,
+    mp_inverse,
+    operator_norm,
+)
 from wmpinv.sampling import random_complex, random_matrix_with_rank, random_spd, random_weight
 
 
@@ -211,6 +222,82 @@ class TestExactAgainstDenseDefinitions:
             if scale == 1.0:
                 assert verdicts[0] and not verdicts[-1]
                 assert sum(x != y for x, y in zip(verdicts, verdicts[1:])) == 1
+
+
+class TestBatchedPenroseNorms:
+    """One batched ``eigvalsh`` gives the four residual norms that ``_residual_norm`` gives one by one."""
+
+    @staticmethod
+    def separate(a, m, n, x):
+        d = TestExactAgainstDenseDefinitions.dense_residuals(a, m, n, x)
+        return [_residual_norm(d[0]), _residual_norm(d[1])] + [_residual_norm(e, anti_hermitian=True) for e in d[2:]]
+
+    @staticmethod
+    def shapes():
+        # rows 1-12, cols 1-10, every rank from 0 to full, 1 x n and n x 1 included
+        for rows in range(1, 13):
+            for cols in range(1, 11):
+                for rank in range(min(rows, cols) + 1):
+                    yield rows, cols, rank
+
+    @pytest.mark.parametrize("positive", [True, False], ids=["positive-definite", "indefinite"])
+    def test_pool_shaped_family(self, positive):
+        gen = np.random.default_rng(22 + positive)
+        for rows, cols, rank in self.shapes():
+            a = random_matrix_with_rank(gen, rows, cols, rank)
+            m, n = random_weight(gen, rows, positive), random_weight(gen, cols, positive)
+            res = wmp_inverse(a, m, n)
+            # a non-existent inverse still leaves a candidate to measure
+            x = res.inverse if res.exists else res.mp
+            got = _penrose_residuals(as_matrix(a), m.matrix, n.matrix, x)
+            np.testing.assert_allclose(got, self.separate(a, m, n, x), rtol=1e-14, atol=0.0)
+            if res.exists:
+                assert np.array_equal(res.penrose_residuals, _penrose_residuals(as_matrix(a), m.matrix, n.matrix, x))
+
+    @pytest.mark.parametrize("scale, by_svd", [(1e-130, 0), (1e130, 1)])
+    def test_one_gram_left_to_the_svd(self, scale, by_svd):
+        # for the weighted inverse of an A of norm about s, AXA - A is about
+        # eps s and XAX - X about eps / s, so at 1e-130 only the first
+        # ||D||_F^2 falls to the floor and at 1e130 only the second
+        gen = np.random.default_rng(130)
+        a = scale * random_matrix_with_rank(gen, 7, 5, 3)
+        m, n = random_weight(gen, 7), random_weight(gen, 5)
+        x = wmp_inverse(a, m, n).inverse
+        grams = TestExactAgainstDenseDefinitions.dense_residuals(a, m, n, x)[:2]
+        floored = [not _GRAM_FLOOR < np.vdot(d, d).real < np.inf for d in grams]
+        assert floored == [i == by_svd for i in range(2)]
+        got = _penrose_residuals(as_matrix(a), m.matrix, n.matrix, x)
+        np.testing.assert_allclose(got, self.separate(a, m, n, x), rtol=1e-14, atol=0.0)
+        assert got[by_svd] > 0.0
+
+
+class TestLazyFactors:
+    """``r_factor``, ``l_factor`` and ``mp`` are built from the split on first read, then cached."""
+
+    @pytest.mark.parametrize("rows,cols,rank", [(6, 6, 0), (6, 6, 6), (7, 5, 3), (4, 9, 2), (1, 6, 1), (6, 1, 0)])
+    def test_built_from_the_split(self, rows, cols, rank):
+        gen = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        a = random_matrix_with_rank(gen, rows, cols, rank)
+        m, n = random_weight(gen, rows), random_weight(gen, cols)
+        sp = _split_basis(as_matrix(a), DEFAULT_TOL)
+        mi_u0 = np.linalg.solve(m.matrix, sp.u_0) if sp.u_0.size else sp.u_0
+        r = np.eye(cols, dtype=np.complex128) + sp.v_0 @ (sp.v_0.conj().T @ n.matrix - sp.v_0.conj().T)
+        l = np.eye(rows, dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
+        expected = {"r_factor": r, "l_factor": l, "mp": (sp.v_r / sp.sigma_r) @ sp.u_r.conj().T}
+        for report, names in ((wmp_inverse(a, m, n), expected), (wmp_exists(a, m, n), ["r_factor", "l_factor"])):
+            for name in names:
+                want = expected[name]
+                # nothing is built before the first read
+                assert name not in vars(report)
+                got = getattr(report, name)
+                assert np.array_equal(got, want)
+                assert getattr(report, name) is got
+
+    def test_mp_is_read_without_an_inverse(self):
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        res = wmp_inverse(a, np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert not res.exists and res.inverse is None
+        assert np.array_equal(res.mp, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_factor_conditions_come_from_compressions(svdvals_shapes):
@@ -521,8 +608,8 @@ def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
     res = wmp_inverse(a, m, n)
     assert res.exists
     assert lapack_calls["eigh"] == 0
-    # the two weights, then the four Penrose residuals
-    assert lapack_calls["eigvalsh"] == 6
+    # the two weights, then one batched call for the four Penrose residuals
+    assert lapack_calls["eigvalsh"] == 3
     # the split of A; cond(R) and cond(L) from QR-compressed blocks (rank 4 > 6 - 4, 7 - 4)
     assert lapack_calls["svd"] == 1
     assert lapack_calls["svdvals"] == 2

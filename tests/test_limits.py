@@ -1154,6 +1154,23 @@ class TestLambdaPositivityCheck:
         assert cleared
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_lambda_check_does_not_depend_on_scale(seed):
+    # eigvalsh puts the zero eigenvalues of 1e8 A about -5e-8 below zero, far
+    # under -verify_atol but inside the rounding band n eps ||A||_F (2e-6),
+    # so the pair traces as it does at scale 1, to the same target
+    def pair(scale):
+        gen = np.random.default_rng(seed)
+        return scale * random_psd(gen, 40, 20), random_psd(gen, 40, 30)
+
+    a, b = pair(1e8)
+    assert np.linalg.eigvalsh(a)[0] < -10 * DEFAULT_TOL.verify_atol
+    trace = limit_lambda_to_inf(a, b)
+    unit = limit_lambda_to_inf(*pair(1.0))
+    assert trace.converged and unit.converged
+    assert operator_norm(trace.target - unit.target) <= 1e-10 * operator_norm(unit.target)
+
+
 def test_limit_traces_leave_scipy_linalg_unloaded():
     # importing scipy.linalg after wmpinv raises a fresh process's peak RSS
     # from 28 to 56 MB and its start-up by 0.37 s (2-core Xeon, Python 3.11,
