@@ -64,10 +64,7 @@ from .linalg import (
     as_matrix,
     condition_number,
     hermitian_power,
-    is_hermitian,
-    is_positive_definite,
     mp_inverse,
-    numerical_rank,
     operator_norm,
     projector_rowspace,
     svd_factor,

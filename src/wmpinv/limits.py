@@ -238,7 +238,7 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     _check_columns(am, bm)
     ww = as_weight(w, tol)
     if ww.dim != bm.shape[0]:
-        raise ValueError(f"weight dimension {ww.dim} does not match rows of b {bm.shape[0]}")
+        raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
     k, h = am.shape
     xm = np.eye(k, dtype=np.complex128) if x is None else _hermitian(x, "x", tol, k)
     ym = None if y is None else _hermitian(y, "y", tol, h)

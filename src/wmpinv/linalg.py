@@ -22,13 +22,10 @@ __all__ = [
     "LimitTrace",
     "as_matrix",
     "svd_factor",
-    "numerical_rank",
     "mp_inverse",
     "projector_rowspace",
     "operator_norm",
     "condition_number",
-    "is_hermitian",
-    "is_positive_definite",
     "hermitian_power",
     "solve_linear",
 ]
@@ -223,11 +220,6 @@ def _split_basis(m: np.ndarray, tol: ToleranceConfig, cutoff: float | None = Non
     return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:], float(s[r]) if r < s.size else 0.0)
 
 
-def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above the relative cutoff."""
-    return svd_factor(a, tol).rank
-
-
 def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse via truncated SVD.
 
@@ -368,22 +360,6 @@ def _clears_positive_floor(w: np.ndarray, tol: ToleranceConfig) -> bool:
     pass, and then ``max |w|`` is ``w[-1]``, so one entry is read.
     """
     return bool(w[0] > abs(w[-1]) / tol.inv_cond_max)
-
-
-def is_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Self-adjoint within ``verify_atol`` in operator norm."""
-    m = as_matrix(a)
-    return m.shape[0] == m.shape[1] and _self_adjointness(m, tol)[0]
-
-
-def is_positive_definite(a, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Hermitian with all eigenvalues above the invertibility floor."""
-    m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        return False
-    if m.size == 0:
-        return True
-    return _clears_positive_floor(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), tol)
 
 
 def hermitian_power(a, power: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

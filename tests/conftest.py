@@ -178,7 +178,7 @@ def svdvals_shapes(monkeypatch):
 
 def make_instance(gen, rows, cols, rank, positive=False):
     """One random weighted problem: a matrix and a weight per side."""
-    from wmpinv.sampling import random_matrix_with_rank, random_weight
+    from support import random_matrix_with_rank, random_weight
 
     a = random_matrix_with_rank(gen, rows, cols, rank)
     m = random_weight(gen, rows, positive=positive)

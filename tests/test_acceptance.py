@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import conftest as golden_data
+from support import random_matrix_with_rank, random_psd, random_separated_pair, random_weight
 from wmpinv import (
     CriteriaDisagreeError,
     PerturbationSequence,
@@ -29,14 +30,7 @@ from wmpinv import (
     wmp_inverse_positive,
 )
 from wmpinv.linalg import DEFAULT_TOL, mp_inverse, operator_norm
-from wmpinv.sampling import (
-    random_matrix_with_rank,
-    random_psd,
-    random_separated_pair,
-    random_spd,
-    random_weight,
-    rng_from,
-)
+from wmpinv.sampling import random_spd, rng_from
 
 
 def _suite_instances(count=500, seed=11):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from support import random_matrix_with_rank, random_weight
 from wmpinv import (
     NonExistentError,
     PerturbationSequence,
@@ -12,7 +13,6 @@ from wmpinv import (
     wmp_inverse,
 )
 from wmpinv.linalg import DEFAULT_TOL, mp_inverse, operator_norm
-from wmpinv.sampling import random_matrix_with_rank, random_weight
 
 
 def base_problem(gen):

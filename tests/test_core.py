@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import conftest as golden_data
+from support import random_matrix_with_rank, random_weight
 from wmpinv import (
     NonExistentError,
     NotIdempotentError,
@@ -34,7 +35,7 @@ from wmpinv.linalg import (
     mp_inverse,
     operator_norm,
 )
-from wmpinv.sampling import random_complex, random_matrix_with_rank, random_spd, random_weight
+from wmpinv.sampling import random_complex, random_spd
 
 
 class TestGoldenExample:
@@ -512,10 +513,10 @@ class TestMatchedProjection:
 def test_one_split_per_problem(svd_calls, tmp_path, capsys):
     # A enters the weighted inverse only through its split, so a call that
     # holds A fixed while the weights move makes one full SVD of it
+    from support import random_separated_pair
     from wmpinv import closed_form_separated, general_limit_via_decomposition, perturb_weights_only
     from wmpinv.cli import main
     from wmpinv.io import write_bundle
-    from wmpinv.sampling import random_separated_pair
 
     def svds(call, *args, full=True, **kwargs):
         svd_calls.clear()
@@ -565,8 +566,8 @@ def test_no_matrix_is_decomposed_twice(monkeypatch):
     # the separated pipeline hands its splits on instead of redoing them, so
     # no matrix reaches numpy.linalg.svd twice, values-only calls included;
     # the instances are those of test_one_split_per_problem
+    from support import random_separated_pair
     from wmpinv import closed_form_separated, decompose_b, general_limit_via_decomposition
-    from wmpinv.sampling import random_separated_pair
 
     seen = []
     svd = np.linalg.svd
@@ -634,7 +635,7 @@ def test_private_routines_take_checked_arrays():
     for name in ("core", "limits", "continuity"):
         mod = importlib.import_module(f"wmpinv.{name}")
         forbidden |= {f for f in mod.__all__ if inspect.isfunction(getattr(mod, f))}
-    boundary = {"_problem", "_pencil_inputs", "_hermitian", "PerturbationSequence._checked"}
+    boundary = {"_problem", "_pencil_inputs", "_hermitian"}
 
     def private(name):
         return name.startswith("_") and not name.endswith("__")
@@ -664,6 +665,44 @@ def test_private_routines_take_checked_arrays():
     for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), "", False)
     assert offenders == []
+
+
+def test_every_public_helper_has_a_user():
+    # a name exported by linalg or sampling is used by another module of
+    # the package, documented in the README, or wrapped by the benchmark's
+    # tracer; helpers that only the tests need live in tests/support.py
+    import ast
+    import importlib
+    import re
+    from pathlib import Path
+
+    import wmpinv
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    tracing = ast.parse((root / "bench" / "tracing.py").read_text())
+    (library,) = (
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LIBRARY"]
+    )
+    src = Path(wmpinv.__file__).parent
+    used = {}
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            used[path.stem] = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(ast.parse(path.read_text()))
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+
+    unused = []
+    for owner in ("linalg", "sampling"):
+        for name in importlib.import_module(f"wmpinv.{owner}").__all__:
+            elsewhere = any(name in names for mod, names in used.items() if mod != owner)
+            if not (elsewhere or re.search(rf"`{name}\b", readme) or (owner, name) in library):
+                unused.append(f"{owner}.{name}")
+    assert unused == []
 
 
 def test_each_input_is_scanned_once(monkeypatch, rng):

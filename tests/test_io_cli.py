@@ -323,7 +323,8 @@ class TestCliCommands:
         capsys.readouterr()
 
     def test_decompose(self, tmp_path, capsys, rng):
-        from wmpinv.sampling import random_matrix_with_rank, random_spd
+        from support import random_matrix_with_rank
+        from wmpinv.sampling import random_spd
 
         a = random_matrix_with_rank(rng, 4, 5, 3)
         b = random_matrix_with_rank(rng, 3, 5, 3)

@@ -11,6 +11,13 @@ import pytest
 
 import conftest as golden_data
 import wmpinv
+from support import (
+    numerical_rank,
+    random_matrix_with_rank,
+    random_psd,
+    random_separated_pair,
+    random_weight,
+)
 from wmpinv import (
     CriteriaDisagreeError,
     NotPositiveOnRangeError,
@@ -35,19 +42,11 @@ from wmpinv.linalg import (
     _split_basis,
     _trace_over,
     condition_number,
-    numerical_rank,
     operator_norm,
     projector_rowspace,
     svd_factor,
 )
-from wmpinv.sampling import (
-    random_complex,
-    random_matrix_with_rank,
-    random_psd,
-    random_separated_pair,
-    random_spd,
-    random_weight,
-)
+from wmpinv.sampling import random_complex, random_spd
 
 
 def overlapping_pair(gen, cols=5):
@@ -1316,3 +1315,10 @@ def test_pencil_weights_must_fit_the_rows(call, rng):
         call(a, b, w, w)
     with pytest.raises(ValueError, match=r"w must weigh the rows of b \(dimension 3\)"):
         call(a, b, v, v)
+
+
+def test_omega_weight_takes_w_on_the_rows_of_b(rng):
+    # the same message as the pencil entry points above
+    a, b = random_separated_pair(rng, 6, 4, 3, 2, 2)
+    with pytest.raises(ValueError, match=r"^w must weigh the rows of b \(dimension 3\)$"):
+        omega_weight(a, b, Weight(random_spd(rng, 4)))

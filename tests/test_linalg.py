@@ -3,24 +3,22 @@
 import numpy as np
 import pytest
 
+from support import numerical_rank, random_matrix_with_rank
 from wmpinv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     condition_number,
     hermitian_power,
-    is_hermitian,
-    is_positive_definite,
     limit_atol_for,
     mp_inverse,
-    numerical_rank,
     operator_norm,
     projector_rowspace,
     solve_linear,
     svd_factor,
 )
 from wmpinv.exceptions import WmpError
-from wmpinv.sampling import random_matrix_with_rank, random_spd
+from wmpinv.sampling import random_spd
 
 
 def test_as_matrix_rejects_bad_input():
@@ -85,14 +83,6 @@ def test_operator_norm_is_numpy_2_norm(rng):
             rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)),
         ):
             assert operator_norm(x) == np.linalg.norm(as_matrix(x), 2)
-
-
-def test_hermitian_checks(rng):
-    h = random_spd(rng, 4)
-    assert is_hermitian(h, DEFAULT_TOL)
-    assert is_positive_definite(h, DEFAULT_TOL)
-    assert not is_positive_definite(-h, DEFAULT_TOL)
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_TOL)
 
 
 def test_hermitian_power(rng):

@@ -4,9 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import random_matrix_with_rank, random_weight
 from wmpinv import Weight, wmp_inverse
 from wmpinv.linalg import DEFAULT_TOL, mp_inverse, operator_norm
-from wmpinv.sampling import random_matrix_with_rank, random_weight, rng_from
+from wmpinv.sampling import rng_from
 
 COMMON = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -89,7 +90,7 @@ def test_rank_of_inverse_matches(inst):
     res = wmp_inverse(a, m, n)
     if not res.exists:
         return
-    from wmpinv.linalg import numerical_rank
+    from support import numerical_rank
 
     assert numerical_rank(res.inverse, DEFAULT_TOL) == numerical_rank(a, DEFAULT_TOL)
 

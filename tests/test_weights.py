@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from support import is_hermitian, random_weight
 from wmpinv import Weight, WeightError, as_weight
-from wmpinv.linalg import DEFAULT_TOL, is_hermitian
-from wmpinv.sampling import random_spd, random_weight
+from wmpinv.linalg import DEFAULT_TOL
+from wmpinv.sampling import random_spd
 
 
 def test_weight_accepts_and_symmetrizes():
