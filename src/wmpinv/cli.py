@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 file or parse error, 2 mathematical
 non-existence or precondition failure, 64 usage error.
 
+The command table in :func:`build_parser` names each subcommand's
+required and optional roles; :func:`main` binds them, coerces the weight
+roles to ``Weight`` and passes them to the handler in table order.
+
 :func:`main` builds its argparse parser once per process and reuses it,
 so it may be called repeatedly in-process (by scripts, test suites and
 benchmarks) without paying the parser's set-up again.  The parser holds
@@ -157,6 +161,10 @@ def _need(ctx: _Context, *names: str) -> list:
     return [ctx.matrices[n] for n in names]
 
 
+# the roles that name a weight; main coerces each one given to a Weight
+_WEIGHT_ROLES = frozenset({"M", "N", "V", "W", "U"})
+
+
 def _fmt_entry(v: complex) -> str:
     if v.imag == 0.0:
         return f"{v.real:.12g}"
@@ -229,9 +237,8 @@ def _emit_trace(args, ctx, trace, param_name: str) -> int:
     return 0
 
 
-def cmd_wmp(args, ctx) -> int:
-    a, m, n = _need(ctx, "A", "M", "N")
-    res = wmp_inverse(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
+def cmd_wmp(args, ctx, a, m, n) -> int:
+    res = wmp_inverse(a, m, n, ctx.tol)
     report = {"exists": res.exists, "r_cond": res.r_cond, "l_cond": res.l_cond}
     if not res.exists:
         return _no_inverse(args, ctx, report, [], res)
@@ -244,9 +251,8 @@ def cmd_wmp(args, ctx) -> int:
     return 0
 
 
-def cmd_exists(args, ctx) -> int:
-    a, m, n = _need(ctx, "A", "M", "N")
-    rep = wmp_exists(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
+def cmd_exists(args, ctx, a, m, n) -> int:
+    rep = wmp_exists(a, m, n, ctx.tol)
     report = {
         "exists": rep.exists,
         "r_invertible": rep.r_invertible,
@@ -265,9 +271,8 @@ def cmd_exists(args, ctx) -> int:
     return 0
 
 
-def cmd_verify(args, ctx) -> int:
-    a, m, n, x = _need(ctx, "A", "M", "N", "X")
-    resid = verify_weighted_penrose(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), x, ctx.tol)
+def cmd_verify(args, ctx, a, m, n, x) -> int:
+    resid = verify_weighted_penrose(a, m, n, x, ctx.tol)
     names = ["AXA - A", "XAX - X", "hermitian M A X", "hermitian N X A"]
     passes = [bool(r <= ctx.tol.verify_atol) for r in resid]
     report = {
@@ -281,9 +286,8 @@ def cmd_verify(args, ctx) -> int:
     return 0 if all(passes) else 2
 
 
-def cmd_reduce(args, ctx) -> int:
-    a, m, n = _need(ctx, "A", "M", "N")
-    am, mw, nw = _problem(a, as_weight(m, ctx.tol), as_weight(n, ctx.tol), ctx.tol)
+def cmd_reduce(args, ctx, a, m, n) -> int:
+    am, mw, nw = _problem(a, m, n, ctx.tol)
     # S, T, X_MN and X_ST all come from one split of A
     sp = _split_basis(am, ctx.tol)
     factors, x_orig = _required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, ctx.tol)
@@ -299,34 +303,19 @@ def cmd_reduce(args, ctx) -> int:
     return 0
 
 
-def cmd_limit_t0(args, ctx) -> int:
-    a, b, v, w = _need(ctx, "A", "B", "V", "W")
-    vw, ww = as_weight(v, ctx.tol), as_weight(w, ctx.tol)
-    if "U" in ctx.matrices:
-        u = as_weight(ctx.matrices["U"], ctx.tol)
-    elif "X" in ctx.matrices or "Y" in ctx.matrices:
-        u = omega_weight(
-            a,
-            b,
-            ww,
-            x=ctx.matrices.get("X", vw.matrix),
-            y=ctx.matrices.get("Y"),
-            tol=ctx.tol,
-        )
-    else:
-        u = None
-    trace = limit_t_to_zero(a, b, vw, ww, u, schedule=ctx.schedule, tol=ctx.tol)
+def cmd_limit_t0(args, ctx, a, b, v, w, u, x, y) -> int:
+    if u is None and (x is not None or y is not None):
+        u = omega_weight(a, b, w, x=v.matrix if x is None else x, y=y, tol=ctx.tol)
+    trace = limit_t_to_zero(a, b, v, w, u, schedule=ctx.schedule, tol=ctx.tol)
     return _emit_trace(args, ctx, trace, "t")
 
 
-def cmd_limit_lambda(args, ctx) -> int:
-    a, b = _need(ctx, "A", "B")
+def cmd_limit_lambda(args, ctx, a, b) -> int:
     trace = limit_lambda_to_inf(a, b, schedule=ctx.schedule, tol=ctx.tol)
     return _emit_trace(args, ctx, trace, "lambda")
 
 
-def cmd_separated(args, ctx) -> int:
-    a, b = _need(ctx, "A", "B")
+def cmd_separated(args, ctx, a, b) -> int:
     rep = separated_pair_check(a, b, ctx.tol)
     report = {
         "is_separated": rep.is_separated,
@@ -345,20 +334,15 @@ def cmd_separated(args, ctx) -> int:
     return 0
 
 
-def cmd_closed_form(args, ctx) -> int:
-    a, b, v, w = _need(ctx, "A", "B", "V", "W")
-    pi, d = closed_form_separated(
-        a, b, as_weight(v, ctx.tol), as_weight(w, ctx.tol), ctx.tol, rng=rng_from(ctx.seed)
-    )
+def cmd_closed_form(args, ctx, a, b, v, w) -> int:
+    pi, d = closed_form_separated(a, b, v, w, ctx.tol, rng=rng_from(ctx.seed))
     lines = ["closed form verified against the pencil for two weight choices"]
     _emit(args, ctx, {}, lines, {"pi": pi, "closed_form": d})
     return 0
 
 
-def cmd_decompose(args, ctx) -> int:
-    a, b, v, w = _need(ctx, "A", "B", "V", "W")
-    vw, ww = as_weight(v, ctx.tol), as_weight(w, ctx.tol)
-    dec = decompose_b(a, b, vw, ww, ctx.tol)
+def cmd_decompose(args, ctx, a, b, v, w) -> int:
+    dec = decompose_b(a, b, v, w, ctx.tol)
     w_cross, containment, pair = dec.w_orthogonality, dec.containment, dec.separation
     report = {
         "w_orthogonality": float(w_cross),
@@ -375,8 +359,7 @@ def cmd_decompose(args, ctx) -> int:
     return 0
 
 
-def cmd_matched_projection(args, ctx) -> int:
-    (q,) = _need(ctx, "Q")
+def cmd_matched_projection(args, ctx, q) -> int:
     m = matched_projection(q, ctx.tol)
     qm = as_matrix(q)
     herm = operator_norm(m - m.conj().T)
@@ -395,11 +378,9 @@ def cmd_matched_projection(args, ctx) -> int:
     return 0
 
 
-def cmd_rho(args, ctx) -> int:
-    a, m, n = _need(ctx, "A", "M", "N")
-    mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
-    rho, t_weight = rho_embed(a, mw, nw, ctx.tol)
-    base = wmp_inverse(a, mw, nw, ctx.tol)
+def cmd_rho(args, ctx, a, m, n) -> int:
+    rho, t_weight = rho_embed(a, m, n, ctx.tol)
+    base = wmp_inverse(a, m, n, ctx.tol)
     embedded = wmp_inverse(rho, t_weight, Weight(t_weight.inverse, ctx.tol), ctx.tol)
     report = {"base_exists": base.exists, "embedded_exists": embedded.exists}
     lines = [f"base exists: {base.exists}, embedded exists: {embedded.exists}"]
@@ -415,27 +396,20 @@ def cmd_rho(args, ctx) -> int:
     return 0
 
 
-def cmd_perturb(args, ctx) -> int:
+def cmd_perturb(args, ctx, a, m, n, dm, dn, e) -> int:
     terms = args.terms
     if terms < 2:
         raise _UsageError("--terms must be at least 2")
-    a, m, n = _need(ctx, "A", "M", "N")
     am = as_matrix(a)
-    mw, nw = as_weight(m, ctx.tol), as_weight(n, ctx.tol)
     if args.kind == "weights-only":
-        dm = ctx.matrices.get("DM")
-        dn = ctx.matrices.get("DN")
         if dm is None:
-            dm = 0.1 * operator_norm(mw.matrix) * np.eye(mw.dim, dtype=np.complex128)
+            dm = 0.1 * operator_norm(m.matrix) * np.eye(m.dim, dtype=np.complex128)
         if dn is None:
-            dn = 0.1 * operator_norm(nw.matrix) * np.eye(nw.dim, dtype=np.complex128)
-        pairs = [
-            (mw.matrix + dm / (i + 1), nw.matrix + dn / (i + 1)) for i in range(terms)
-        ]
-        diag = perturb_weights_only(am, mw, nw, pairs, ctx.tol)
+            dn = 0.1 * operator_norm(n.matrix) * np.eye(n.dim, dtype=np.complex128)
+        pairs = [(m.matrix + dm / (i + 1), n.matrix + dn / (i + 1)) for i in range(terms)]
+        diag = perturb_weights_only(am, m, n, pairs, ctx.tol)
     else:
         gen = rng_from(ctx.seed)
-        e = ctx.matrices.get("E")
         if e is None:
             scale = 0.1 * max(operator_norm(am), 1.0)
             e = scale * random_complex(gen, am.shape[0], am.shape[1])
@@ -444,11 +418,7 @@ def cmd_perturb(args, ctx) -> int:
         p_dom = sp.v_r @ sp.v_r.conj().T
         direction = p_cod @ as_matrix(e) @ p_dom
         seq = PerturbationSequence.full(
-            am,
-            mw,
-            nw,
-            [(am + direction / (i + 1), mw.matrix, nw.matrix) for i in range(terms)],
-            ctx.tol,
+            am, m, n, [(am + direction / (i + 1), m.matrix, n.matrix) for i in range(terms)], ctx.tol
         )
         diag = _diagnostics(seq, sp, ctx.tol)
     finals = {k: (float(v[-1]) if np.isfinite(v[-1]) else None) for k, v in diag.columns.items()}
@@ -479,24 +449,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
+    # name, handler, required roles, optional roles, summary; the handler
+    # takes (args, ctx) and then the roles in this order
     entries = [
-        ("wmp", cmd_wmp, "weighted pseudoinverse via the factored formula (roles A, M, N)"),
-        ("exists", cmd_exists, "existence check through the two factors (roles A, M, N)"),
-        ("reduce", cmd_reduce, "positive definite weight replacement (roles A, M, N)"),
-        ("limit-t0", cmd_limit_t0, "pencil limit t -> 0 (roles A, B, V, W; optional U, X, Y)"),
-        ("limit-lambda", cmd_limit_lambda, "pencil limit lambda -> inf (roles A, B)"),
-        ("separated", cmd_separated, "row-space separation verdict (roles A, B)"),
-        ("closed-form", cmd_closed_form, "separated closed form of the pencil limit (roles A, B, V, W)"),
-        ("decompose", cmd_decompose, "split B against the weighted inverse (roles A, B, V, W)"),
-        ("verify", cmd_verify, "check the four weighted identities (roles A, M, N, X)"),
-        ("perturb", cmd_perturb, "continuity diagnostics under perturbation (roles A, M, N)"),
-        ("matched-projection", cmd_matched_projection, "orthogonal projection matched to an idempotent (role Q)"),
-        ("rho", cmd_rho, "self-adjoint embedding of the weighted problem (roles A, M, N)"),
+        ("wmp", cmd_wmp, "A M N", "", "weighted pseudoinverse via the factored formula"),
+        ("exists", cmd_exists, "A M N", "", "existence check through the two factors"),
+        ("reduce", cmd_reduce, "A M N", "", "positive definite weight replacement"),
+        ("limit-t0", cmd_limit_t0, "A B V W", "U X Y", "pencil limit t -> 0"),
+        ("limit-lambda", cmd_limit_lambda, "A B", "", "pencil limit lambda -> inf"),
+        ("separated", cmd_separated, "A B", "", "row-space separation verdict"),
+        ("closed-form", cmd_closed_form, "A B V W", "", "separated closed form of the pencil limit"),
+        ("decompose", cmd_decompose, "A B V W", "", "split B against the weighted inverse"),
+        ("verify", cmd_verify, "A M N X", "", "check the four weighted identities"),
+        ("perturb", cmd_perturb, "A M N", "DM DN E", "continuity diagnostics under perturbation"),
+        ("matched-projection", cmd_matched_projection, "Q", "", "orthogonal projection matched to an idempotent"),
+        ("rho", cmd_rho, "A M N", "", "self-adjoint embedding of the weighted problem"),
     ]
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common)
-    for name, handler, help_text in entries:
-        p = sub.add_parser(name, help=help_text, parents=[common])
+    for name, handler, required, optional, summary in entries:
+        required, optional = required.split(), optional.split()
+        roles = f"role{'s' * (len(required) > 1)} {', '.join(required)}"
+        if optional:
+            roles += f"; optional {', '.join(optional)}"
+        p = sub.add_parser(name, help=f"{summary} ({roles})", parents=[common])
         if name == "perturb":
             p.add_argument("--terms", type=int, default=50, help="sequence length")
             p.add_argument(
@@ -505,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default="weights-only",
                 help="perturb only the weights or the matrix as well",
             )
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, roles=(required, optional))
     return parser
 
 
@@ -516,7 +492,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
     try:
-        return args.handler(args, _gather(args))
+        ctx = _gather(args)
+        # the command's roles in table order: weights coerced, an absent optional one None
+        required, optional = args.roles
+        given = _need(ctx, *required) + [ctx.matrices.get(r) for r in optional]
+        inputs = [
+            as_weight(x, ctx.tol) if x is not None and r in _WEIGHT_ROLES else x
+            for r, x in zip(required + optional, given)
+        ]
+        return args.handler(args, ctx, *inputs)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 64

@@ -220,7 +220,7 @@ def _split_basis(m: np.ndarray, tol: ToleranceConfig, cutoff: float | None = Non
     return SplitBasis(u[:, :r], u[:, r:], s[:r], v[:, :r], v[:, r:], float(s[r]) if r < s.size else 0.0)
 
 
-def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.0) -> np.ndarray:
+def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse via truncated SVD.
 
     Parameters
@@ -229,10 +229,6 @@ def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.
         Matrix to invert, any shape including rank deficient.
     tol : ToleranceConfig
         Supplies the relative singular-value cutoff.
-    sigma_floor : float, optional
-        Absolute cutoff floor, forwarded to :func:`svd_factor`.  Use it
-        when ``a`` was produced by a cancellation-prone computation whose
-        rounding noise would otherwise be inverted.
 
     Returns
     -------
@@ -240,7 +236,7 @@ def mp_inverse(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.
         The unique matrix satisfying the four Penrose identities, computed
         by inverting the retained singular values.
     """
-    return svd_factor(a, tol, sigma_floor=sigma_floor).pinv()
+    return svd_factor(a, tol).pinv()
 
 
 def projector_rowspace(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

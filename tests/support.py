@@ -90,6 +90,14 @@ def random_separated_pair(
     raise RuntimeError("failed to sample a separated pair within the attempt budget")
 
 
+def nearly_nested_pair(offset):
+    """A of rank 2 and B = b b* with b leaning off the range of A by ``offset``."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
+    b = q[:, 0] + offset * q[:, 2]
+    return a, np.outer(b, b.conj())
+
+
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above the relative cutoff."""
     return svd_factor(a, tol).rank

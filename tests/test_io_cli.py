@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,8 @@ import scipy.io
 
 import conftest as golden_data
 import wmpinv
-from wmpinv import cli, omega_weight, require_wmp_inverse, wmp_exists
+from support import nearly_nested_pair
+from wmpinv import NonExistentError, RankFlipWarning, cli, omega_weight, require_wmp_inverse, wmp_exists
 from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
@@ -47,6 +49,10 @@ def singular_bundle(tmp_path):
         {"A": golden_data.NOEXIST_A, "M": np.eye(2), "N": golden_data.NOEXIST_N},
     )
     return str(path)
+
+
+# R = I is invertible and L is singular, so L alone rules out the inverse
+_SINGULAR_L = {"A": golden_data.NOEXIST_A, "M": golden_data.NOEXIST_N, "N": np.eye(2)}
 
 
 class TestBundleFormat:
@@ -208,6 +214,18 @@ class TestCliCommands:
         assert "R_{A,N}" in captured.err
         assert "condition number" in captured.err
 
+    @pytest.mark.parametrize("command", ["exists", "wmp", "rho"])
+    def test_singular_l_alone_is_named(self, command, tmp_path, capsys):
+        path = tmp_path / "singular_l.json"
+        write_bundle(path, _SINGULAR_L)
+        assert main([command, "--bundle", str(path), "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["singular_factor"] == "L_{A,M^-1}"
+
+    def test_require_names_a_singular_l(self):
+        with pytest.raises(NonExistentError) as exc:
+            require_wmp_inverse(_SINGULAR_L["A"], _SINGULAR_L["M"], _SINGULAR_L["N"])
+        assert exc.value.factor == "L_{A,M^-1}"
+
     def test_exists_text_quotes_no_rounding_noise(self, tmp_path, capsys):
         # the hyperbolic block of N pairs a range direction of A with a null
         # one, so N_00 and R are exactly singular; their computed condition
@@ -311,6 +329,14 @@ class TestCliCommands:
         assert main(["limit-lambda", "--bundle", str(bundle)]) == 0
         assert "converged: True" in capsys.readouterr().out
 
+    def test_limit_lambda_text_names_rank_flips(self, tmp_path, capsys):
+        a, b = nearly_nested_pair(1e-6)
+        bundle = tmp_path / "nested.json"
+        write_bundle(bundle, {"A": a, "B": b})
+        with pytest.warns(RankFlipWarning):
+            assert main(["limit-lambda", "--bundle", str(bundle)]) == 0
+        assert "rank flips at schedule indices: [0, 1, 2, 3, 4, 5]" in capsys.readouterr().out.splitlines()
+
     def test_separated_and_closed_form(self, tmp_path, capsys):
         a = np.array([[1.0, 0.0, 0.0]])
         b = np.array([[1.0, 1.0, 0.0]])
@@ -358,6 +384,19 @@ class TestCliCommands:
     def test_perturb_short_sequence_is_usage_error(self, capsys, golden_bundle):
         assert main(["perturb", "--bundle", golden_bundle, "--terms", "1"]) == 64
         assert "--terms must be at least 2" in capsys.readouterr().err
+
+    def test_perturb_binds_its_roles_before_it_checks_terms(self, tmp_path, capsys):
+        path = tmp_path / "only_a.json"
+        write_bundle(path, {"A": np.eye(2)})
+        assert main(["perturb", "--bundle", str(path), "--terms", "1"]) == 64
+        assert "missing role(s) M, N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "endpoints, message", [("1-2", "expected A:B"), ("a:b", "schedule endpoints must be numbers")]
+    )
+    def test_malformed_schedule_is_usage_error(self, endpoints, message, capsys, golden_bundle):
+        assert main(["limit-lambda", "--bundle", golden_bundle, "--schedule", endpoints]) == 64
+        assert message in capsys.readouterr().err
 
     def test_text_tolerance_line_names_every_json_tolerance(self, tmp_path, capsys, golden):
         path = tmp_path / "tol.json"
@@ -602,6 +641,20 @@ def test_report_carries_each_matrix_in_every_output(command, tmp_path, capsys, g
     assert main(argv) == 0
     in_text = set(_MATRIX_BLOCK.findall(capsys.readouterr().out))
     assert in_json == in_out == in_text
+
+
+def test_each_handler_takes_its_table_roles_and_its_help_names_them():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    # argparse keeps each subcommand's help line on a pseudo-action of its own
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert len(sub.choices) == len(helps) == 12
+    for name, parser in sub.choices.items():
+        required, optional = parser.get_default("roles")
+        params = list(inspect.signature(parser.get_default("handler")).parameters)
+        assert params == ["args", "ctx", *(r.lower() for r in required + optional)], name
+        named = re.fullmatch(r".* \(roles? ([^;]*)(?:; optional (.*))?\)", helps[name])
+        assert named[1] == ", ".join(required), name
+        assert named[2] == (", ".join(optional) or None), name
 
 
 def test_benchmark_tracer_names_exist():

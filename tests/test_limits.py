@@ -12,6 +12,7 @@ import pytest
 import conftest as golden_data
 import wmpinv
 from support import (
+    nearly_nested_pair,
     numerical_rank,
     random_matrix_with_rank,
     random_psd,
@@ -119,6 +120,12 @@ class TestLimitT0:
         with pytest.raises(WeightError):
             limit_t_to_zero(a, b, Weight(np.diag([1.0, 1, 1, -1])), Weight(np.eye(3)))
 
+    def test_rejects_indefinite_w(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(WeightError, match="w must be positive definite for the t -> 0 limit"):
+            limit_t_to_zero(a, b, Weight(np.eye(2)), Weight(np.diag([1.0, -1.0])))
+
     def test_rejects_a_domain_weight_of_the_wrong_size(self, rng):
         a, b = overlapping_pair(rng)
         v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
@@ -133,6 +140,12 @@ class TestLimitT0:
             limit_t_to_zero(a, b, v, w, schedule=[1e-1, 1e-1])
         with pytest.raises(ValueError):
             limit_t_to_zero(a, b, v, w, schedule=[1e-1, -1e-2])
+
+    def test_rejects_an_empty_schedule(self, rng):
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        with pytest.raises(ValueError, match="schedule must be a nonempty 1-D sequence"):
+            limit_t_to_zero(a, b, v, w, schedule=[])
 
     def test_rejects_a_non_finite_schedule_before_any_decomposition(self, rng, lapack_calls):
         a, b = overlapping_pair(rng)
@@ -204,6 +217,14 @@ class TestLimitLambda:
             with pytest.raises(ValueError, match="finite and positive"):
                 limit_lambda_to_inf(np.eye(2), np.eye(2), schedule=schedule)
         assert not +lapack_calls
+
+    def test_rejects_a_decreasing_schedule(self):
+        with pytest.raises(ValueError, match="schedule must be strictly increasing"):
+            limit_lambda_to_inf(np.eye(2), np.eye(2), schedule=[10.0, 1.0])
+
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(ValueError, match="a and b must be square with equal shapes"):
+            limit_lambda_to_inf(np.eye(2), np.eye(3))
 
 
 @pytest.mark.parametrize("atol", [np.nan, -1.0, np.inf])
@@ -289,14 +310,6 @@ class TestGradedSolverGuards:
             trace = limit_t_to_zero(a, b, Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3)))
         assert trace.converged and trace.rank_flips == ()
         assert all(np.array_equal(it, np.zeros((5, 4))) for it in trace.iterates)
-
-
-def nearly_nested_pair(offset):
-    """A of rank 2 and B = b b* with b leaning off the range of A by ``offset``."""
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
-    a = np.outer(q[:, 0], q[:, 0].conj()) + np.outer(q[:, 1], q[:, 1].conj())
-    b = q[:, 0] + offset * q[:, 2]
-    return a, np.outer(b, b.conj())
 
 
 def certificate_family(tol, cols=20):
@@ -1268,6 +1281,12 @@ class TestDecomposeB:
         outside = operator_norm((np.eye(a.shape[1]) - p) @ dec.b1.conj().T)
         assert abs(dec.containment - outside) <= 1e-12 * (1.0 + operator_norm(b))
         assert dec.separation == separated_pair_check(a, dec.b2)
+
+    def test_rejects_indefinite_v(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = np.array([[1.0, 1.0, 0.0]])
+        with pytest.raises(WeightError, match="decompose_b requires positive definite v and w"):
+            decompose_b(a, b, Weight(np.diag([1.0, -1.0])), Weight(np.eye(1)))
 
     def test_orthogonal_rows_keep_b_whole(self, rng):
         # B A* = 0 leaves the weighted inverse blind to B, so b1 vanishes

@@ -7,6 +7,7 @@ from support import numerical_rank, random_matrix_with_rank
 from wmpinv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _verify,
     as_matrix,
     condition_number,
     hermitian_power,
@@ -17,7 +18,7 @@ from wmpinv.linalg import (
     solve_linear,
     svd_factor,
 )
-from wmpinv.exceptions import WmpError
+from wmpinv.exceptions import VerificationError, WmpError
 from wmpinv.sampling import random_spd
 
 
@@ -115,3 +116,10 @@ def test_limit_atol_scaling():
     big = limit_atol_for(np.diag([1e6, 1e6]))
     assert big > 1e-3
 
+
+def test_verify_raises_past_its_bound_and_passes_at_it():
+    with pytest.raises(VerificationError) as exc:
+        _verify("x", 2e-9, 1.0, DEFAULT_TOL)
+    assert (exc.value.what, exc.value.residual, exc.value.atol) == ("x", 2e-9, DEFAULT_TOL.verify_atol)
+    # the bound is verify_atol * scale, inclusive
+    _verify("x", DEFAULT_TOL.verify_atol * 3.0, 3.0, DEFAULT_TOL)
