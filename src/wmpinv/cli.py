@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .core import (
     wmp_exists,
     wmp_inverse,
 )
-from .exceptions import WmpError, _cond_text
+from .exceptions import RankFlipWarning, WmpError, _cond_text
 from .io import (
     BundleFormatError,
     ProblemBundle,
@@ -485,6 +486,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_handler(args, ctx, inputs) -> int:
+    """``args.handler(args, ctx, *inputs)``, each ``RankFlipWarning`` printed as ``warning: <message>``.
+
+    The report names the flipped indices, so no source line is shown; other warnings reach ``showwarning``.
+    """
+    show = warnings.showwarning
+
+    def show_flip(message, category, *rest):
+        if issubclass(category, RankFlipWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *rest)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RankFlipWarning)
+        warnings.showwarning = show_flip
+        return args.handler(args, ctx, *inputs)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -500,7 +520,7 @@ def main(argv=None) -> int:
             as_weight(x, ctx.tol) if x is not None and r in _WEIGHT_ROLES else x
             for r, x in zip(required + optional, given)
         ]
-        return args.handler(args, ctx, *inputs)
+        return _run_handler(args, ctx, inputs)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 64

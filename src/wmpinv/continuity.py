@@ -15,6 +15,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from .core import _inverse_on_split, _problem, _required_on_split
 from .exceptions import WeightError
 from .linalg import (
     DEFAULT_TOL,
@@ -74,8 +75,6 @@ class PerturbationSequence:
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
     def __post_init__(self, tol: ToleranceConfig):
-        from .core import _problem
-
         if self.kind not in ("full", "weights-only"):
             raise ValueError(f"kind must be 'full' or 'weights-only', got {self.kind!r}")
         am, mw, nw = _problem(self.base_a, self.base_m, self.base_n, tol)
@@ -176,8 +175,6 @@ def _diagnostics(seq: PerturbationSequence, sp: SplitBasis, tol: ToleranceConfig
     One split per distinct matrix, and the columns that depend on it alone
     once per split: every term of a weights-only run reuses A's.
     """
-    from .core import _inverse_on_split, _required_on_split
-
     a_prev = seq.base_a
     base_inv = _required_on_split(sp, seq.base_m, sp.v_0.conj().T @ seq.base_n.matrix, tol)[1]
     mp0, p_dom0, p_cod0 = _projections(sp)

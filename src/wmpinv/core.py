@@ -63,9 +63,11 @@ from .linalg import (
     _split_basis,
     _verify,
     as_matrix,
+    hermitian_power,
     mp_inverse,
     operator_norm,
 )
+from .sampling import random_spd, rng_from
 from .weights import Weight, as_weight
 
 __all__ = [
@@ -394,8 +396,6 @@ def wmp_inverse_positive(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndar
     eigendecompositions.  Independent of the factored formula, so it
     serves as a cross-check oracle on the positive-definite cone.
     """
-    from .linalg import hermitian_power
-
     am, mw, nw = _problem(a, m, n, tol)
     if not (mw.positive_definite and nw.positive_definite):
         raise WeightError("square-root route requires positive-definite weights")
@@ -479,8 +479,6 @@ def equivalent_domain_weights(
     weight M.  Requires the domain factor of ``n`` to be invertible;
     raises ``NonExistentError`` otherwise.
     """
-    from .sampling import random_spd, rng_from
-
     am = as_matrix(a)
     nw = as_weight(n, tol)
     h = am.shape[1]

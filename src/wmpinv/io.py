@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ToleranceConfig, as_matrix
+from .linalg import ToleranceConfig, _schedule_values, as_matrix
 
 __all__ = [
     "BundleFormatError",
@@ -125,12 +125,10 @@ def _bundle_from_obj(raw) -> ProblemBundle:
             except ValueError as e:
                 raise BundleFormatError(str(e)) from e
         elif key == "schedule":
-            sched = _as_float_vector(value, "schedule")
-            if sched.size == 0:
-                raise BundleFormatError("schedule must be a nonempty list of numbers")
-            if not np.all(np.isfinite(sched) & (sched > 0.0)):
-                raise BundleFormatError("schedule values must be finite and positive")
-            bundle.schedule = sched
+            try:
+                bundle.schedule = _schedule_values(_as_float_vector(value, "schedule"))
+            except ValueError as e:
+                raise BundleFormatError(str(e)) from e
         elif key == "seed":
             try:
                 bundle.seed = int(value)

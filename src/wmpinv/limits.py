@@ -44,9 +44,9 @@ default target reads Omega by its null-space row, not built in full.
 compression to the complement of A's range, which decides the target and
 gives the solver the rest of its basis; A's check reads that split and
 H11, so only B's makes an ``eigvalsh`` of order n.  The separation verdict reads
-A's row basis and the sum rank off splits its caller holds, and one SVD
-of ``2I - P - Q`` decides invertibility and solves for Pi, so no matrix
-of the separated pipeline is decomposed twice.
+A's row basis off the split its caller holds, and one SVD of ``2I - P -
+Q`` decides invertibility, counts the intersection of the row spaces and
+solves for Pi, so no matrix of the separated pipeline is decomposed twice.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _required_on_split
 from .exceptions import (
     CriteriaDisagreeError,
     NotPositiveOnRangeError,
@@ -87,6 +88,7 @@ from .linalg import (
     operator_norm,
     svd_factor,
 )
+from .sampling import random_spd, rng_from
 from .weights import Weight, as_weight
 
 __all__ = [
@@ -618,8 +620,6 @@ def limit_t_to_zero(
     if not ww.positive_definite:
         raise WeightError("w must be positive definite for the t -> 0 limit")
 
-    from .core import _required_on_split
-
     if u is None:
         n_0 = _omega_row(am, bm, split_a, joint, vw.matrix, ww.matrix)
     else:
@@ -700,14 +700,10 @@ def limit_lambda_to_inf(
     ub = u_0.conj().T @ b_sym
     comp = ub @ u_0
     comp = 0.5 * (comp + comp.conj().T)
-    # when the range of A covers the range of B the compression is an
-    # exact zero and anything left in it is rounding; anchor the rank
-    # cutoff to the scale of B so that noise is not inverted; B is
-    # Hermitian, so its largest |eigenvalue| is ||B||.  The floor is that
-    # of an order-n matrix, and it dominates the relative cutoff, since
-    # sigma_max of the compression is at most ||B||
-    floor = tol.rank_rtol_for((n, n)) * float(np.max(np.abs(b_eigs)))
-    comp_svd = svd_factor(comp, tol, sigma_floor=floor)
+    # when the range of A covers that of B the compression is an exact zero plus
+    # rounding, so its rank is cut on the scale of ||B|| = max |eig B| (order n),
+    # which dominates the relative cutoff: sigma_max of the compression is at most ||B||
+    comp_svd = svd_factor(comp, tol, cutoff=_rank_cutoff(float(np.max(np.abs(b_eigs))), (n, n), tol))
     f = comp_svd.pinv() @ ub
     target = u_0 @ f
     u_w = u_0 @ comp_svd.range_basis
@@ -734,6 +730,9 @@ class SeparatedPairReport:
     ``SEPARATION_MARGIN``, and numerical invertibility of ``2I - P - Q``.
     They agree outside a narrow band; inside it
     ``CriteriaDisagreeError`` is raised instead of guessing.
+    ``intersection_dim`` counts the singular values of ``2I - P - Q`` that
+    fail the invertibility test and ``sum_rank`` is ``rank(A) + rank(B) -
+    intersection_dim``, so a pair is separated exactly when the first is 0.
     """
 
     is_separated: bool
@@ -745,37 +744,34 @@ class SeparatedPairReport:
 
 def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedPairReport:
     """Decide whether the row spaces of ``a`` and ``b`` are separated."""
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    am, bm = as_matrix(a), as_matrix(b)
     _check_columns(am, bm)
-    split_a = _split_basis(am, tol)
-    return _separation(split_a.v_r, bm, _joint_rows(split_a, bm, tol), tol)[0]
+    return _separation(_split_basis(am, tol).v_r, bm, tol)[0]
 
 
-def _separation(va, bm, joint: _JointRows, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
-    """:func:`separated_pair_check` on A's row basis ``va`` and the joint rows ``joint`` of
-    ``[A; B]``, with the projector P onto ``va`` and the SVD of ``2I - P - Q`` it used."""
+def _separation(va, bm, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
+    """:func:`separated_pair_check` on A's row basis ``va``, with the projector P
+    onto ``va`` and the SVD of ``2I - P - Q`` it used."""
     vb = svd_factor(bm, tol).row_basis
     p = va @ va.conj().T
     q = vb @ vb.conj().T
     pq_norm = operator_norm(p @ q)
-    two = svd_factor(2.0 * np.eye(va.shape[0], dtype=np.complex128) - p - q, tol)
-    # anchor the smallest singular value to the scale of 2I rather than
-    # to sigma_max(two): when the row spaces coincide, two is an exact
-    # zero plus rounding, and the relative condition of noise looks
-    # deceptively small
-    smin = float(two.sigma[-1]) if two.sigma.size else 0.0
-    if smin <= tol.rank_rtol_for(two.shape) * 2.0:
-        cond = float("inf")
-    else:
-        cond = float(two.sigma[0] / smin)
+    h = va.shape[0]
+    # anchor the cutoff to the scale of 2I rather than to sigma_max(two):
+    # when the row spaces coincide, two is an exact zero plus rounding,
+    # and the relative condition of noise looks deceptively small
+    two = svd_factor(2.0 * np.eye(h, dtype=np.complex128) - p - q, tol, cutoff=_rank_cutoff(2.0, (h, h), tol))
+    s = two.sigma
+    # the condition each singular value sets as the smallest, inf at or below
+    # the cutoff; nondecreasing, so those past inv_cond_max come last
+    conds = np.divide(s[:1], s, out=np.full(s.size, np.inf), where=s > two.cutoff)
+    cond = float(conds.max(initial=1.0))
     by_norm = pq_norm <= 1.0 - SEPARATION_MARGIN
     by_inverse = cond <= tol.inv_cond_max
     if by_norm != by_inverse:
         raise CriteriaDisagreeError(pq_norm, cond)
-    rs = joint.v_r.shape[1]
-    report = SeparatedPairReport(by_norm, pq_norm, cond, va.shape[1] + vb.shape[1] - rs, rs)
-    return report, p, two
+    meet = int(np.count_nonzero(conds > tol.inv_cond_max))
+    return SeparatedPairReport(by_norm, pq_norm, cond, meet, va.shape[1] + vb.shape[1] - meet), p, two
 
 
 def closed_form_separated(
@@ -798,10 +794,8 @@ def closed_form_separated(
     the closed form depends on B only through its row space.  Raises
     ``NotSeparatedError`` when the row spaces are not separated.
     """
-    from .sampling import random_spd, rng_from
-
     am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    report, p, two = _separation(split_a.v_r, bm, joint, tol)
+    report, p, two = _separation(split_a.v_r, bm, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
     gen = rng_from(rng)
@@ -869,25 +863,19 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, _JointRows, np.ndarray, SvdFactorization]:
+def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, np.ndarray, SvdFactorization]:
     """:func:`decompose_b` on checked inputs, the split ``sp`` of A and the joint
-    rows ``joint`` of ``[A; B]``, with the joint rows of ``[A; b2]`` and the P
-    and ``2I - P - Q2`` of the separation decided on them.
+    rows ``joint`` of ``[A; B]``, with the P and the SVD of ``2I - P - Q2`` that
+    decided the separation of ``b2``.
     """
     if not vw.positive_definite or not ww.positive_definite:
         raise WeightError("decompose_b requires positive definite v and w")
 
-    from .core import _required_on_split
-
     z = _required_on_split(sp, vw, _omega_row(am, bm, sp, joint, vw.matrix, ww.matrix), tol)[1]
     b2_raw = bm - bm @ z @ am
     b_scale = 1.0 + operator_norm(bm)
-    if b2_raw.size:
-        bu, bs, bvh = np.linalg.svd(b2_raw, full_matrices=False)
-        keep = bs > tol.verify_atol * b_scale
-        b2 = (bu[:, keep] * bs[keep]) @ bvh[keep]
-    else:
-        b2 = b2_raw
+    b2_svd = svd_factor(b2_raw, tol, cutoff=tol.verify_atol * b_scale)
+    b2 = (b2_svd.range_basis * b2_svd.sigma[: b2_svd.rank]) @ b2_svd.vh[: b2_svd.rank]
     b1 = bm - b2
 
     w_cross = operator_norm(b2.conj().T @ ww.matrix @ b1)
@@ -897,11 +885,10 @@ def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, _Joint
     containment = operator_norm(b1 @ sp.v_0)
     _verify("row-space containment of b1", containment, b_scale, tol)
 
-    joint2 = _joint_rows(sp, b2, tol)
-    report, p, two = _separation(sp.v_r, b2, joint2, tol)
+    report, p, two = _separation(sp.v_r, b2, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    return BDecomposition(b1, b2, z, w_cross, containment, report), joint2, p, two
+    return BDecomposition(b1, b2, z, w_cross, containment, report), p, two
 
 
 @dataclass(frozen=True)
@@ -937,11 +924,9 @@ def general_limit_via_decomposition(
     draw, then traces the original pencil ``(A* V A + t B* W B)^+ A* V``
     against the target D.
     """
-    from .sampling import random_spd, rng_from
-
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
     am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    dec, joint2, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
+    dec, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
 
     gen = rng_from(rng)
     if w_prime is None:
@@ -952,7 +937,7 @@ def general_limit_via_decomposition(
             raise WeightError("w_prime must be positive definite")
     draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
     what = "separated reduction of the pencil limit"
-    pi, d = _separated_closed_form(am, dec.b2, joint2, vw, p, two, draws, what, tol)
+    pi, d = _separated_closed_form(am, dec.b2, _joint_rows(split_a, dec.b2, tol), vw, p, two, draws, what, tol)
     solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
     trace = _trace_over(s, solver.iterate, d, tol)
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -1,7 +1,9 @@
 """Dense kernels: truncated-SVD pseudoinverse, projectors, rank decisions.
 
 Everything in the package funnels through these helpers so that rank
-cutoffs and invertibility thresholds are decided in exactly one place.
+cutoffs and invertibility thresholds are decided in exactly one place: a
+rank that needs bases is cut by :func:`svd_factor` or :func:`_split_basis`,
+whose one override is the same absolute ``cutoff``.
 All computation is done in complex128.
 """
 
@@ -115,7 +117,8 @@ class SvdFactorization:
     pseudoinverse, range and row bases and solves, under two cutoffs:
 
     - ``rank``, ``pinv`` and the bases count the singular values above
-      ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets;
+      ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets
+      unless :func:`svd_factor` is given one;
     - ``solve`` drops singular values at or below
       ``eps * max(rows, cols) * sigma_max``, the cutoff of
       ``numpy.linalg.lstsq(rcond=None)``, whatever ``tol`` says, so a
@@ -156,29 +159,21 @@ class SvdFactorization:
         return (self.vh[keep].conj().T / s[keep]) @ (self.u[:, keep].conj().T @ bm)
 
 
-def svd_factor(a, tol: ToleranceConfig = DEFAULT_TOL, *, sigma_floor: float = 0.0) -> SvdFactorization:
-    """Economy SVD of ``a`` with the rank cutoff applied.
+def svd_factor(a, tol: ToleranceConfig = DEFAULT_TOL, *, cutoff: float | None = None) -> SvdFactorization:
+    """Economy SVD of ``a`` with the rank cutoff of :func:`_split_basis` applied.
 
-    ``sigma_floor`` sets an absolute lower bound on retained singular
-    values.  The relative cutoff alone misjudges matrices that are exact
-    zeros contaminated by rounding (their largest singular value is
-    itself noise); callers that know the scale of that noise pass it
-    here.
+    ``cutoff``, an absolute threshold, replaces the relative one of ``tol``
+    for a caller that anchors the rank to a scale other than ``sigma_max(a)``.
     """
     m = as_matrix(a)
-    if m.size == 0:
+    if m.size:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    else:
         k = min(m.shape)
-        return SvdFactorization(
-            u=np.zeros((m.shape[0], k), dtype=np.complex128),
-            sigma=np.zeros(k),
-            vh=np.zeros((k, m.shape[1]), dtype=np.complex128),
-            rank=0,
-            cutoff=0.0,
-        )
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = max(_rank_cutoff(s[0], m.shape, tol), sigma_floor)
-    rank = int(np.count_nonzero(s > cutoff))
-    return SvdFactorization(u=u, sigma=s, vh=vh, rank=rank, cutoff=cutoff)
+        u, s, vh = np.zeros((m.shape[0], k), np.complex128), np.zeros(k), np.zeros((k, m.shape[1]), np.complex128)
+    if cutoff is None:
+        cutoff = _rank_cutoff(s[0] if m.size else 0.0, m.shape, tol)
+    return SvdFactorization(u=u, sigma=s, vh=vh, rank=int(np.count_nonzero(s > cutoff)), cutoff=cutoff)
 
 
 class SplitBasis(NamedTuple):
@@ -410,12 +405,18 @@ class LimitTrace:
             yield float(t), it, float(e)
 
 
-def _check_schedule(schedule, *, decreasing: bool) -> np.ndarray:
+def _schedule_values(schedule) -> np.ndarray:
+    """``schedule`` as floats; ``ValueError`` unless it is nonempty, 1-D, finite and positive."""
     s = np.asarray(schedule, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("schedule must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(s) & (s > 0.0)):
         raise ValueError("schedule values must be finite and positive")
+    return s
+
+
+def _check_schedule(schedule, *, decreasing: bool) -> np.ndarray:
+    s = _schedule_values(schedule)
     diffs = np.diff(s)
     if decreasing and not np.all(diffs < 0.0):
         raise ValueError("schedule must be strictly decreasing")

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,9 +334,34 @@ class TestCliCommands:
         a, b = nearly_nested_pair(1e-6)
         bundle = tmp_path / "nested.json"
         write_bundle(bundle, {"A": a, "B": b})
-        with pytest.warns(RankFlipWarning):
-            assert main(["limit-lambda", "--bundle", str(bundle)]) == 0
-        assert "rank flips at schedule indices: [0, 1, 2, 3, 4, 5]" in capsys.readouterr().out.splitlines()
+        assert main(["limit-lambda", "--bundle", str(bundle)]) == 0
+        out, err = capsys.readouterr()
+        assert "rank flips at schedule indices: [0, 1, 2, 3, 4, 5]" in out.splitlines()
+        # the warning is printed once by main, without a source location
+        assert err.splitlines() == [
+            "warning: the scaled pencil system degenerated at schedule indices [0, 1, 2, 3, 4, 5]; "
+            "iterates there are unreliable"
+        ]
+        assert "cli.py:" not in err
+
+    def test_other_warnings_pass_through_main(self, capsys):
+        def handler(args, ctx):
+            warnings.warn("flip", RankFlipWarning)
+            warnings.warn("plain", UserWarning)
+            return 0
+
+        args = argparse.Namespace(handler=handler)
+        with pytest.warns(UserWarning) as caught:
+            assert cli._run_handler(args, None, []) == 0
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, "plain")]
+        assert capsys.readouterr().err == "warning: flip\n"
+
+        def noisy(args, ctx):
+            return np.float64(1.0) / 0.0
+
+        # the suite turns RuntimeWarning into an error, and main keeps that filter
+        with pytest.raises(RuntimeWarning):
+            cli._run_handler(argparse.Namespace(handler=noisy), None, [])
 
     def test_separated_and_closed_form(self, tmp_path, capsys):
         a = np.array([[1.0, 0.0, 0.0]])
@@ -476,6 +502,14 @@ class TestCliCommands:
             load_bundle(path)
         assert main(["limit-lambda", "--bundle", str(path)]) == 1
         assert "schedule values must be finite and positive" in capsys.readouterr().err
+
+    def test_bundle_schedule_empty_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        roles = json.dumps({"A": matrix_to_obj(np.diag([1.0, 0.0])), "B": matrix_to_obj(np.ones((2, 2)))})
+        path.write_text(roles[:-1] + ', "schedule": []}')
+        with pytest.raises(BundleFormatError, match="schedule must be a nonempty 1-D sequence"):
+            load_bundle(path)
+        assert main(["limit-lambda", "--bundle", str(path)]) == 1
 
 
 class TestRepeatedMain:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as golden_data
 import wmpinv
@@ -48,6 +50,27 @@ from wmpinv.linalg import (
     svd_factor,
 )
 from wmpinv.sampling import random_complex, random_spd
+
+
+def assert_separation_scale_free(a, b):
+    """The separation fields of ``(a, b)``, checked against each other and for A or B scaled by ``2**-50`` and ``2**50``.
+
+    Returns ``(is_separated, intersection_dim, sum_rank)``, or
+    ``CriteriaDisagreeError`` where no verdict is given; scaling either
+    input by a power of 2 moves neither row space, so nothing may change.
+    """
+    seen = set()
+    for sa, sb in [(1.0, 1.0), (2.0**-50, 1.0), (2.0**50, 1.0), (1.0, 2.0**-50), (1.0, 2.0**50)]:
+        try:
+            rep = separated_pair_check(sa * a, sb * b)
+        except CriteriaDisagreeError:
+            seen.add(CriteriaDisagreeError)
+            continue
+        assert rep.is_separated == (rep.intersection_dim == 0)
+        assert rep.sum_rank == numerical_rank(a) + numerical_rank(b) - rep.intersection_dim
+        seen.add((rep.is_separated, rep.intersection_dim, rep.sum_rank))
+    assert len(seen) == 1, seen
+    return seen.pop()
 
 
 def overlapping_pair(gen, cols=5):
@@ -1233,6 +1256,51 @@ class TestSeparationCriteria:
         with pytest.raises(CriteriaDisagreeError) as exc:
             closed_form_separated(a, b, np.eye(1), np.eye(1))
         assert exc.value.pq_norm > 1.0 - 1e-6
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.diag([1.0, 0.0, 0.0]), np.array([[0.0, 1e-16, 0.0]])),
+            (np.diag([1e-16, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]])),
+        ],
+    )
+    def test_an_input_far_below_the_other_keeps_its_rank(self, a, b):
+        # each rank is decided on its own input's scale, and the count of the
+        # intersection on the SVD that decides the verdict
+        rep = separated_pair_check(a, b)
+        assert (rep.is_separated, rep.intersection_dim, rep.sum_rank) == (True, 0, 2)
+
+    def test_pair_without_columns_is_separated(self):
+        # 2I - P - Q is then the empty matrix, whose condition number is 1
+        rep = separated_pair_check(np.zeros((2, 0)), np.zeros((1, 0)))
+        assert (rep.is_separated, rep.two_minus_sum_cond, rep.intersection_dim, rep.sum_rank) == (True, 1.0, 0, 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "separated", "overlapping"]))
+    def test_report_ranks_follow_the_verdict_at_every_scale(self, seed, family):
+        gen = np.random.default_rng(seed)
+        cols = int(gen.integers(3, 9))
+        ra, rb = (int(gen.integers(1, cols)) for _ in range(2))
+        if family == "random":
+            a = random_matrix_with_rank(gen, int(gen.integers(ra, 9)), cols, ra)
+            b = random_matrix_with_rank(gen, int(gen.integers(rb, 9)), cols, rb)
+        elif family == "separated":
+            ra = min(ra, cols - 2)
+            rb = min(rb, cols - 1 - ra)
+            a, b = random_separated_pair(gen, cols, ra + 1, rb + 1, ra, rb)
+        else:
+            a = random_matrix_with_rank(gen, ra + 1, cols, ra)
+            # a random combination of A's rows is one shared direction
+            b = np.vstack([random_complex(gen, 1, ra + 1) @ a, random_matrix_with_rank(gen, rb, cols, rb)])
+        verdict = assert_separation_scale_free(a, b)
+        if family == "separated":
+            assert verdict == (True, 0, ra + rb)
+        elif family == "overlapping":
+            assert not verdict[0] and verdict[1] >= 1
+
+    def test_nested_report_ranks_at_every_scale(self):
+        for a, b in nested_row_pairs():
+            assert assert_separation_scale_free(a, b) == (False, 5, 5)
 
 
 class TestClosedFormSeparated:

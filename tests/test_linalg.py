@@ -123,3 +123,32 @@ def test_verify_raises_past_its_bound_and_passes_at_it():
     assert (exc.value.what, exc.value.residual, exc.value.atol) == ("x", 2e-9, DEFAULT_TOL.verify_atol)
     # the bound is verify_atol * scale, inclusive
     _verify("x", DEFAULT_TOL.verify_atol * 3.0, 3.0, DEFAULT_TOL)
+
+
+def test_ranks_are_cut_only_by_the_two_factoring_helpers():
+    # outside linalg no module forms a rank cutoff of its own or factors a
+    # matrix by hand: a rank that needs bases comes from svd_factor or
+    # _split_basis, and np.linalg.svd is called for singular values alone
+    import ast
+    from pathlib import Path
+
+    import wmpinv
+
+    offenders = []
+    for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            name = ast.unparse(node.func)
+            if node.func.attr == "rank_rtol_for":
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+            elif name.endswith("linalg.svd"):
+                values_only = any(
+                    k.arg == "compute_uv" and isinstance(k.value, ast.Constant) and k.value.value is False
+                    for k in node.keywords
+                )
+                if not values_only:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
