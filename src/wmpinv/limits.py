@@ -29,8 +29,19 @@ order rank(A) for its right-hand side alone, not one of the joint
 dimension; both pivot blocks are then no worse conditioned than S.  The
 other points make one LU solve of the whole S, or the truncated SVD
 solve where the smallest singular value falls to the ``lstsq`` cutoff
-``eps * n * sigma_max`` or LU fails.  Each error is an exact 2-norm from
-the eigenvalues of a Gram matrix.
+``eps * n * sigma_max`` or LU fails.
+
+Each error is an exact 2-norm, the root of the largest eigenvalue of a
+Gram matrix.  Every ``x(t) - x(0)`` lies in the span of the r = rank(A)
+columns of ``Bq``, the read-back basis of the eliminated system, and the
+target equals ``x(0)`` up to rounding.  So where 2r is at most the
+smaller side of the iterate, one QR of Bq per trace gives a basis Q, and
+a point's error comes from the Gram of order r of its projection ``Q*
+E``, wherever a certified interval shows that the projection moves
+``||E||^2`` by no more than the rounding the Gram of the whole E carries
+(:func:`linalg._projected_norm`); elsewhere, and on every point of the
+other traces, it comes from that Gram, of order ``min(h, k)`` for h x k
+iterates.
 
 The splits are made once per call, and the solvers make none of their
 own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
@@ -75,6 +86,7 @@ from .linalg import (
     _check_schedule,
     _clears_positive_floor,
     _cond,
+    _fro,
     _hermitian,
     _rank_cutoff,
     _residual_norm,
@@ -279,11 +291,6 @@ def _omega_row(am, bm, sp: SplitBasis, joint: _JointRows, vmat, wmat) -> np.ndar
     return (am @ sp.v_0).conj().T @ vmat @ am + b_v0.conj().T @ wmat @ bm + p_row
 
 
-def _fro(x: np.ndarray) -> float:
-    """Frobenius norm, an upper bound on the 2-norm."""
-    return float(np.sqrt(np.vdot(x, x).real))
-
-
 def _hermitian_floor(x: np.ndarray, lowest: float | None = None) -> tuple[float, float]:
     """``(h, ||x - x_h||_F)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
 
@@ -350,10 +357,11 @@ class _GradedSolver:
     ``[V1 V2] = v0 [q1 q2]`` the iterate is read back through, and
     ``rhs(t) = [r1(t); r2]`` with the factor t divided out of its q2 rows,
     which leaves r2 free of t, and ``r1(t)`` alone where a caller can form
-    it without r2; it forms no product of its own beyond the elimination
-    of K22 below.  The two limits differ only in how they build these
-    pieces (:meth:`pencil`, :meth:`pair`), from splits their callers
-    already hold.  A caller that knows ``k_mid`` to be Hermitian with a
+    it without r2; a caller whose r2 is zero says so with ``r2_zero``.  It
+    forms no product of its own beyond the elimination of K22 below and
+    the QR of :meth:`error_basis`.  The two limits differ only in how they
+    build these pieces (:meth:`pencil`, :meth:`pair`), from splits their
+    callers already hold.  A caller that knows ``k_mid`` to be Hermitian with a
     bounded PSD defect passes ``delta``, the shift of
     :meth:`_schur_constants` that makes the computed K positive
     semidefinite; the solver then bounds ``cond_2(S(t))`` for every t
@@ -383,25 +391,48 @@ class _GradedSolver:
     """
 
     def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
-                 delta: float | None = None, r1=None, h_low: float | None = None):
+                 delta: float | None = None, r1=None, h_low: float | None = None, r2_zero: bool = False):
         self.basis = basis
         self.h11, self.k11, self.k12, self.k22, self.h_low = h11, k11, k12, k22, h_low
         self.rhs = rhs
         self.r1 = (lambda t: rhs(t)[: h11.shape[0]]) if r1 is None else r1
         self.tol = tol
         self.schur = None if delta is None else self._schur_constants(delta)
-        self.reduced = self._eliminate_k22()
+        self.reduced = self._eliminate_k22(r2_zero)
 
-    def _eliminate_k22(self):
-        """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular."""
+    def _eliminate_k22(self, r2_zero: bool):
+        """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular.
+
+        Where ``r2_zero`` says that r2 is zero, so are z, ``K12 z`` and c0:
+        K22 is solved for K21 alone and both are ``None``.
+        """
         r = self.h11.shape[0]
+        k21 = self.k12.conj().T
         try:
-            xz = np.linalg.solve(self.k22, np.hstack([self.k12.conj().T, self.rhs(1.0)[r:]]))
+            xz = np.linalg.solve(self.k22, k21 if r2_zero else np.hstack([k21, self.rhs(1.0)[r:]]))
         except np.linalg.LinAlgError:
             return None
-        x, z = xz[:, :r], xz[:, r:]
+        x = xz[:, :r]
         v1, v2 = self.basis[:, :r], self.basis[:, r:]
+        if r2_zero:
+            return self.k11 - self.k12 @ x, None, None, v1 - v2 @ x
+        z = xz[:, r:]
         return self.k11 - self.k12 @ x, self.k12 @ z, v2 @ z, v1 - v2 @ x
+
+    def error_basis(self) -> np.ndarray | None:
+        """An orthonormal basis of ``range(Bq)``, which holds every ``x(t) - x(0)``, from one QR.
+
+        ``None`` where K22 was not eliminated, or where 2r exceeds the
+        smaller side of the iterate, so that projecting each error onto
+        the basis would cost more than the Gram of the whole error.
+        """
+        if self.reduced is None:
+            return None
+        bq = self.reduced[3]
+        h, r = bq.shape
+        if not r or 2 * r > min(h, self.r1(1.0).shape[1]):
+            return None
+        return np.linalg.qr(bq)[0]
 
     def _schur_constants(self, delta: float):
         """Constants of the bound :meth:`_schur_bound`, or ``None`` where it cannot clear.
@@ -499,14 +530,16 @@ class _GradedSolver:
         v1 = joint.v_r[:, : joint.d]
         a1 = am @ v1
         h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ v1, joint.b_w
-        # A V2 vanishes, and so does the second block of the right-hand side
+        # A V2 vanishes, and so does the second block of the right-hand side,
+        # which only a point that solves the whole system reads
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((k2.shape[1], am.shape[0]))])
         kk = _fro(k1) ** 2 + _fro(k2) ** 2
 
         def solver(wmat, w_defect=None):
             k1w = k1.conj().T @ wmat
             delta = None if w_defect is None else _psd_shift(kk, w_defect, wmat)
-            return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k2.conj().T @ wmat @ k2, lambda t: rhs, tol, delta)
+            k22 = k2.conj().T @ wmat @ k2
+            return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: rhs, tol, delta, r2_zero=True)
 
         return solver
 
@@ -586,8 +619,10 @@ class _GradedSolver:
         return self.basis @ svd_factor(system).solve(rhs), cond
 
     def _eliminated(self, t: float) -> np.ndarray:
-        """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated."""
+        """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated; ``Bq Z(t)^-1 r1(t)`` for zero r2."""
         k_schur, kz, c0, bq = self.reduced
+        if c0 is None:
+            return bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t))
         return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t) - t * kz)
 
 
@@ -629,7 +664,7 @@ def limit_t_to_zero(
         n_0 = split_a.v_0.conj().T @ u_weight.matrix
     target = _required_on_split(split_a, vw, n_0, tol)[1]
     solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
-    return _trace_over(s, solver.iterate, target, tol, atol)
+    return _trace_over(s, solver.iterate, target, tol, atol, solver.error_basis())
 
 
 def _psd_lower_bound(a_sym, split_a: SplitBasis, h11, h_low: float) -> float:
@@ -719,7 +754,7 @@ def limit_lambda_to_inf(
     if atol is None:
         # ||U_0 F|| = ||F||, from a Gram of order n - r
         atol = 1e-6 * (1.0 + _residual_norm(f))
-    return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol)
+    return _trace_over(s, lambda lam: solver.iterate(1.0 / lam), target, tol, atol, solver.error_basis())
 
 
 @dataclass(frozen=True)
@@ -939,5 +974,5 @@ def general_limit_via_decomposition(
     what = "separated reduction of the pencil limit"
     pi, d = _separated_closed_form(am, dec.b2, _joint_rows(split_a, dec.b2, tol), vw, p, two, draws, what, tol)
     solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
-    trace = _trace_over(s, solver.iterate, d, tol)
+    trace = _trace_over(s, solver.iterate, d, tol, basis=solver.error_basis())
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -289,6 +289,102 @@ def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the 2-norm."""
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
+def _orthonormality_defect(q: np.ndarray) -> float:
+    """An upper bound on ``eta = ||Q* Q - I||_2``, ``inf`` unless every column of ``q`` has norm at most sqrt(2).
+
+    ``fl(Q* Q)`` errs by ``h eps`` in the model of :func:`_projected_norm`,
+    as much as the whole budget of the Gram route, so Q is split into
+    ``Q_hi + Q_lo`` with the real and imaginary parts of ``Q_hi`` rounded
+    to multiples of 2^-20; ``Q_lo`` is exact and at most 2^-21 in each
+    part.  Every product of parts of ``Q_hi`` is a multiple of 2^-40, and,
+    the columns of ``Q_hi`` having norm below 2 for h < 2^38, by
+    Cauchy-Schwarz every partial sum of an entry of ``Q_hi* Q_hi`` (a sum
+    of such products over the rows, or a combination of the three real
+    products of the 3M scheme) is below 16 in modulus.  Multiples of 2^-40
+    below 2^13 are doubles, so that entry and its difference with I are
+    exact in any order of summation.  The rest, ``Q_hi* Q_lo + Q_lo* Q``, is of order
+    2^-20: its products err by ``h eps ||Q_lo|| (||Q_hi|| + ||Q||)`` and
+    the two sums by a relative u.
+    """
+    h = q.shape[0]
+    if not np.all(np.sum(q.real**2 + q.imag**2, axis=0) <= 2.0):
+        return np.inf
+    hi = np.round(q * 2.0**20) * 2.0**-20
+    lo = q - hi
+    exact = hi.conj().T @ hi
+    exact[np.diag_indices_from(exact)] -= 1.0
+    rest = hi.conj().T @ lo + lo.conj().T @ q
+    u = 0.5 * _EPS
+    return (1.0 + _EPS) * (_fro(exact + rest) + u * _fro(rest)) + h * _EPS * _fro(lo) * (_fro(hi) + _fro(q))
+
+
+def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
+    """``||d||_2`` from the Gram of ``W = Q* d``, of order r, or ``None`` where that is not certified as exact.
+
+    ``q`` (h x r, ``2r <= min(h, k)`` for d of h x k) is a basis whose span
+    holds d up to rounding, and ``eta`` bounds ``||Q* Q - I||``
+    (:func:`_orthonormality_defect`).  Rounding follows the normwise bounds
+    of the kernels taken with p(n) = n, as :func:`_hermitian_floor` takes
+    LAPACK's: a product of inner dimension m errs by ``m eps ||X|| ||Y||``,
+    ``eigvalsh`` of order s by ``s eps ||G||``, a sum by a relative u = eps /
+    2.  So the Gram route of :func:`_residual_norm` carries ``(h + k) eps
+    ||d||^2`` in ``||d||^2``.
+
+    With the computed W and R, and ``R_e = d - Q W`` exactly,
+    ``d* d = W* (Q* Q) W + W* N + N* W + R_e* R_e``, ``N = Q* R_e``.  At the
+    top right singular vector of W and at that of d this gives, with ``w =
+    ||W||``, ``nu >= ||N||`` and ``rho >= ||R_e||``,
+
+        (1 - eta) w^2 - 2 w nu  <=  ||d||^2  <=  (1 + eta) w^2 + 2 w nu + rho^2.
+
+    N is measured, not bounded by ``eta w`` plus the rounding of W, which
+    would cost ``2 h eps``: ``R = fl(d - fl(Q W))`` is ``R_e`` less the
+    error of ``Q W``, at most ``r eps ||Q|| w``, plus that of the
+    difference, at most ``u ||R||_F / (1 - u)``, and ``fl(Q* R)`` errs by
+    ``h eps ||Q|| ||R||``; ``||Q|| <= sqrt(1 + eta)``.  So ``nu = a + b w``
+    and ``rho = c + e w`` with ``a = ||fl(Q* R)||_F + sqrt(1 + eta) ||R||_F
+    (h eps + u / (1 - u))``, ``b = r eps (1 + eta)``, ``c = ||R||_F / (1 - u)``
+    and ``e = r eps sqrt(1 + eta)``.  The interval's relative width, ``2 eta
+    + 4 nu / w + rho^2 / w^2``, falls as w grows; the Gram route's is ``2 (h
+    + k) eps``.  It is tested at ``||W||_F >= w`` before the Gram of W is
+    formed, so that a hopeless point makes no ``eigvalsh`` of order r, and
+    then at ``w_lo = sqrt(mu / (1 + (k + r + 1) eps)) <= w``, mu the largest
+    computed eigenvalue of ``W W*``.  Where both pass, ``sqrt(mu)`` is
+    returned: mu errs by at most ``(k + r) eps w^2`` and w^2 lies within the
+    interval, so mu lies within three times the Gram route's own bound of
+    ``||d||^2``.  ``None`` where a test fails, or where d's Gram is not safe
+    (:func:`_gram_or_norm`).
+    """
+    h, k = d.shape
+    r = q.shape[1]
+    if not _GRAM_FLOOR < np.vdot(d, d).real < np.inf:
+        return None
+    w = q.conj().T @ d
+    rem = d - q @ w
+    u = 0.5 * _EPS
+    sq = np.sqrt(1.0 + eta)
+    rem_fro = _fro(rem)
+    a = _fro(q.conj().T @ rem) + sq * rem_fro * (h * _EPS + u / (1.0 - u))
+    b, c, e = r * _EPS * (1.0 + eta), rem_fro / (1.0 - u), r * _EPS * sq
+    budget = 2.0 * (h + k) * _EPS
+
+    def certified(w_low: float) -> bool:
+        # written so that NaN fails
+        return w_low > 0.0 and 2.0 * eta + 4.0 * (a / w_low + b) + (c / w_low + e) ** 2 <= budget
+
+    if not certified(_fro(w)):
+        return None
+    mu = float(np.linalg.eigvalsh(w @ w.conj().T)[-1])
+    if not certified(np.sqrt(max(mu, 0.0) / (1.0 + (k + r + 1) * _EPS))):
+        return None
+    return float(np.sqrt(mu))
+
+
 def _verify(what: str, resid: float, scale: float, tol: ToleranceConfig) -> None:
     """The package's one verification rule: ``resid`` may not exceed ``verify_atol * scale``.
 
@@ -437,24 +533,33 @@ def limit_atol_for(target: np.ndarray) -> float:
     return 1e-8 * (1.0 + _residual_norm(target))
 
 
-def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=None) -> LimitTrace:
+def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=None, basis=None) -> LimitTrace:
     """The one loop that evaluates a limit along a checked schedule.
 
     ``step(p)`` returns the iterate at parameter ``p`` and the condition
     number of the system solved for it, or an upper bound on it that does
     not exceed ``inv_cond_max``; points where that exceeds
     ``inv_cond_max`` are recorded as rank flips and reported through one
-    ``RankFlipWarning``.  Each error is an exact 2-norm taken from Gram
-    eigenvalues (:func:`_residual_norm`).  ``atol`` defaults to
+    ``RankFlipWarning``.  Each error is an exact 2-norm taken from the
+    largest eigenvalue of a Gram matrix.  ``basis``, an optional h x r
+    matrix with ``2r <= min(h, k)`` for h x k iterates, spans every error
+    up to rounding; where :func:`_projected_norm` certifies that the
+    interval the projection onto it leaves for ``||error||^2`` is no wider
+    than the one the rounding of the Gram route leaves, the error comes
+    from the Gram of order r of that projection, and elsewhere from the
+    Gram of order ``min(h, k)`` of the whole error (:func:`_residual_norm`).  ``atol`` defaults to
     :func:`limit_atol_for`.
     """
     iterates = []
     errors = np.empty(schedule.size)
     flips = []
+    eta = None if basis is None else _orthonormality_defect(basis)
     for i, p in enumerate(schedule):
         it, cond = step(float(p))
         iterates.append(it)
-        errors[i] = _residual_norm(it - target)
+        d = it - target
+        err = None if basis is None else _projected_norm(d, basis, eta)
+        errors[i] = _residual_norm(d) if err is None else err
         if cond > tol.inv_cond_max:
             flips.append(i)
     if flips:

@@ -42,6 +42,9 @@ from wmpinv.limits import _GradedSolver, _psd_lower_bound
 from wmpinv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _orthonormality_defect,
+    _projected_norm,
+    _residual_norm,
     _split_basis,
     _trace_over,
     condition_number,
@@ -1015,7 +1018,10 @@ class TestSolverBases:
         # the default t-target reads Omega through its null-space row, so the
         # t-trace builds no Weight and takes no eigvalsh of order 80; the
         # lambda-trace checks A on its order-32 H11 and takes ||target|| from a
-        # Gram of order 48, so of order 80 it has B's check and the errors alone
+        # Gram of order 48, and eight of its nine errors from Gram matrices of
+        # order 32, so of order 80 it has B's check and the last error alone,
+        # whose remainder outside range(Bq) the certificate rejects before any
+        # Gram of order 32
         orders, weights = [], []
         eigvalsh, init = np.linalg.eigvalsh, Weight.__init__
 
@@ -1033,7 +1039,7 @@ class TestSolverBases:
         # (points, order-80 eigvalsh, all eigvalsh): the t-trace's errors are of
         # order 48; beside the errors each trace takes one for its atol and one
         # each of H11 and K22, and the lambda-trace one more, B's check
-        for call, (points, order_n, total) in zip(calls, [(10, 0, 13), (9, 1 + 9, 13)] * 2):
+        for call, (points, order_n, total) in zip(calls, [(10, 0, 13), (9, 1 + 1, 13)] * 2):
             orders.clear()
             weights.clear()
             lapack_calls.clear()
@@ -1041,6 +1047,99 @@ class TestSolverBases:
             assert not weights
             assert orders.count(80) == order_n
             assert lapack_calls["eigvalsh"] == total
+
+
+def exact_error_calls():
+    """Every trace of ``VERDICT_FAMILIES`` and the nearly-nested lambda-traces at four offsets."""
+    calls = [call for family in VERDICT_FAMILIES.values() for call in family()]
+    for offset in (0.0, 1e-8, 1e-6, 1e-3):
+        a, b = nearly_nested_pair(offset)
+        calls.append(lambda a=a, b=b: limit_lambda_to_inf(a, b))
+    return calls
+
+
+def assert_errors_are_exact(trace):
+    for it, err in zip(trace.iterates, trace.errors):
+        ref = operator_norm(it - trace.target)
+        assert abs(err - ref) <= 1e-12 * ref
+
+
+class TestProjectedErrors:
+    """Errors read from the Gram of their projection onto range(Bq), where the certificate allows."""
+
+    def test_every_error_is_an_exact_2_norm(self, monkeypatch):
+        reduced = []
+        projected = _projected_norm
+
+        def recording(d, q, eta):
+            norm = projected(d, q, eta)
+            reduced.append(norm is not None)
+            return norm
+
+        monkeypatch.setattr("wmpinv.linalg._projected_norm", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for call in exact_error_calls():
+                assert_errors_are_exact(call())
+        # both routes are taken
+        assert any(reduced) and not all(reduced)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.sampled_from(["lambda", "t"]))
+    def test_errors_on_random_psd_pencils_are_exact(self, seed, n, kind):
+        # 2 rank(A) <= n, so every trace projects its errors onto range(Bq)
+        gen = np.random.default_rng(seed)
+        rank_a = int(gen.integers(1, n // 2 + 1))
+        rank_b = int(gen.integers(1, n + 1))
+        scale = 10.0 ** gen.uniform(-3, 3)
+        if kind == "lambda":
+            call = lambda: limit_lambda_to_inf(random_psd(gen, n, rank_a), scale * random_psd(gen, n, rank_b))
+        else:
+            a = random_matrix_with_rank(gen, n, n, rank_a)
+            b = scale * random_matrix_with_rank(gen, n, n, rank_b)
+            call = lambda: limit_t_to_zero(a, b, random_spd(gen, n), random_spd(gen, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            assert_errors_are_exact(call())
+
+    def test_a_remainder_outside_the_basis_falls_back_to_the_whole_gram(self, monkeypatch):
+        # a term of 1e-3 ||E|| outside range(Q) is no rounding, so the
+        # certificate rejects the projection, and the error is that of the
+        # Gram of the whole error, bit for bit
+        solvers = []
+        pair = _GradedSolver.pair.__func__
+
+        def recording(cls, *args):
+            solvers.append(pair(cls, *args))
+            return solvers[-1]
+
+        monkeypatch.setattr(_GradedSolver, "pair", classmethod(recording))
+        gen = np.random.default_rng(7)
+        trace = limit_lambda_to_inf(random_psd(gen, 80, 32), random_psd(gen, 80, 56), schedule=[10.0])
+        q = solvers[0].error_basis()
+        eta = _orthonormality_defect(q)
+        it = trace.iterates[0]
+        err = it - trace.target
+        assert _projected_norm(err, q, eta) == trace.errors[0]
+        away = random_complex(np.random.default_rng(8), *err.shape)
+        away -= q @ (q.conj().T @ away)
+        target = trace.target + 1e-3 * trace.errors[0] / operator_norm(away) * away
+        assert _projected_norm(it - target, q, eta) is None
+        moved = _trace_over(np.array([10.0]), lambda lam: (it, 1.0), target, DEFAULT_TOL, basis=q)
+        assert moved.errors[0] == _residual_norm(it - target)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs an extended long double")
+    def test_orthonormality_defect_bounds_the_exact_one(self):
+        gen = np.random.default_rng(9)
+        for rows, cols in ((80, 32), (7, 3), (300, 100)):
+            q, _ = np.linalg.qr(random_complex(gen, rows, cols))
+            bound = _orthonormality_defect(q)
+            wide = q.astype(np.clongdouble)
+            gram = wide.conj().T @ wide - np.eye(cols)
+            exact = np.linalg.norm(gram.astype(np.complex128), 2)
+            # the bound is of the order of the defect itself, not of rows * eps
+            assert exact <= bound <= 2 * np.sqrt(cols) * exact + 1e-17
+        assert _orthonormality_defect(np.array([[1.5], [0.0]], dtype=np.complex128)) == np.inf
 
 
 def item8_pair(s):
