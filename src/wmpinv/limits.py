@@ -48,16 +48,18 @@ own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
 A once, for the target or the separation verdict, and build the joint
 row space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part
 of B acting on A's null space; the domain weight and the pencil solver
-read their bases and blocks off it, and the solver's bases, which do not
-depend on W, serve every W the closed form is checked against; the
-default target reads Omega by its null-space row, not built in full.
+read their bases and blocks off it, and the default target reads Omega
+by its null-space row, not built in full.  The separated closed forms
+take their base ``(A* V A)^+ A* V`` off that target as ``P Z``, so A is
+not squared, and are checked against Z; nothing here draws at random.
 ``limit_lambda_to_inf`` splits A once and takes one SVD of B's
 compression to the complement of A's range, which decides the target and
 gives the solver the rest of its basis; A's check reads that split and
 H11, so only B's makes an ``eigvalsh`` of order n.  The separation verdict reads
 A's row basis off the split its caller holds, and one SVD of ``2I - P -
-Q`` decides invertibility, counts the intersection of the row spaces and
-solves for Pi, so no matrix of the separated pipeline is decomposed twice.
+Q`` gives ``||P Q||``, decides invertibility, counts the intersection of
+the row spaces and solves for Pi, so no matrix of the separated pipeline
+is decomposed twice.
 """
 
 from __future__ import annotations
@@ -96,11 +98,9 @@ from .linalg import (
     _trace_over,
     _verify,
     as_matrix,
-    mp_inverse,
     operator_norm,
     svd_factor,
 )
-from .sampling import random_spd, rng_from
 from .weights import Weight, as_weight
 
 __all__ = [
@@ -515,17 +515,14 @@ class _GradedSolver:
             return s_norm * beta / (1.0 - beta * r)
 
     @classmethod
-    def pencil(cls, am, bm, vmat, tol: ToleranceConfig, joint: _JointRows):
-        """``(A* V A + t B* W B)^+ A* V`` as a map ``(W, w_defect)`` to its solver.
+    def pencil(cls, am, bm, vmat, wmat, w_defect: float, tol: ToleranceConfig, joint: _JointRows) -> "_GradedSolver":
+        """``(A* V A + t B* W B)^+ A* V``, with ``w_defect`` a bound on the PSD defect of W.
 
         The solver works in the row basis ``[V1 V2] = [V_r, V_0 W]`` of
         ``[A; B]`` from ``joint`` (:func:`_joint_rows`): V1 is A's row basis
         and V2 lies in A's null space, so that basis is the split itself,
         with ``a1 = A V1``, ``k1 = B V1`` and ``k2 = (B V_0) W`` from the
-        product whose SVD found W; no decomposition is made here.  The
-        bases do not depend on W; every W shares them and H11, and a W
-        passed with ``w_defect``, a bound on its PSD defect, gets the Schur
-        bound.
+        product whose SVD found W; no decomposition is made here.
         """
         v1 = joint.v_r[:, : joint.d]
         a1 = am @ v1
@@ -533,15 +530,10 @@ class _GradedSolver:
         # A V2 vanishes, and so does the second block of the right-hand side,
         # which only a point that solves the whole system reads
         rhs = np.vstack([a1.conj().T @ vmat, np.zeros((k2.shape[1], am.shape[0]))])
-        kk = _fro(k1) ** 2 + _fro(k2) ** 2
-
-        def solver(wmat, w_defect=None):
-            k1w = k1.conj().T @ wmat
-            delta = None if w_defect is None else _psd_shift(kk, w_defect, wmat)
-            k22 = k2.conj().T @ wmat @ k2
-            return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: rhs, tol, delta, r2_zero=True)
-
-        return solver
+        k1w = k1.conj().T @ wmat
+        delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, w_defect, wmat)
+        k22 = k2.conj().T @ wmat @ k2
+        return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: rhs, tol, delta, r2_zero=True)
 
     @classmethod
     def pair(cls, a_sym, b_sym, u_r, u_w, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
@@ -663,7 +655,7 @@ def limit_t_to_zero(
             raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
         n_0 = split_a.v_0.conj().T @ u_weight.matrix
     target = _required_on_split(split_a, vw, n_0, tol)[1]
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, _weight_defect(ww), tol, joint)
     return _trace_over(s, solver.iterate, target, tol, atol, solver.error_basis())
 
 
@@ -786,17 +778,23 @@ def separated_pair_check(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> SeparatedP
 
 def _separation(va, bm, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactorization]:
     """:func:`separated_pair_check` on A's row basis ``va``, with the projector P
-    onto ``va`` and the SVD of ``2I - P - Q`` it used."""
+    onto ``va`` and the SVD of ``2I - P - Q`` it used.
+
+    ``||P Q||`` is read off that SVD: ``||P + Q|| = 1 + ||P Q||`` for
+    orthogonal projectors that are not both zero, and ``sigma_min(2I - P -
+    Q) = 2 - ||P + Q||`` since ``0 <= P + Q <= 2I``.  Both zero gives 2, and
+    ``||P Q|| = max(0, 1 - sigma_min)`` covers every case.
+    """
     vb = svd_factor(bm, tol).row_basis
     p = va @ va.conj().T
     q = vb @ vb.conj().T
-    pq_norm = operator_norm(p @ q)
     h = va.shape[0]
     # anchor the cutoff to the scale of 2I rather than to sigma_max(two):
     # when the row spaces coincide, two is an exact zero plus rounding,
     # and the relative condition of noise looks deceptively small
     two = svd_factor(2.0 * np.eye(h, dtype=np.complex128) - p - q, tol, cutoff=_rank_cutoff(2.0, (h, h), tol))
     s = two.sigma
+    pq_norm = max(0.0, 1.0 - float(s[-1])) if s.size else 0.0
     # the condition each singular value sets as the smallest, inf at or below
     # the cutoff; nondecreasing, so those past inv_cond_max come last
     conds = np.divide(s[:1], s, out=np.full(s.size, np.inf), where=s > two.cutoff)
@@ -809,14 +807,7 @@ def _separation(va, bm, tol) -> tuple[SeparatedPairReport, np.ndarray, SvdFactor
     return SeparatedPairReport(by_norm, pq_norm, cond, meet, va.shape[1] + vb.shape[1] - meet), p, two
 
 
-def closed_form_separated(
-    a,
-    b,
-    v,
-    w,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    rng=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def closed_form_separated(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Closed form of the pencil inverse action for separated row spaces.
 
     Returns ``(Pi, D)`` with
@@ -824,42 +815,42 @@ def closed_form_separated(
         Pi = (2I - P - Q)^{-1} (A* V A)^+ A* V,
         D  = (A* V A)^+ A* V - (I - P) Pi,
 
-    and verifies that ``(A* V A + B* W B)^+ A* V`` equals D both for the
-    given W and for a fresh random positive-definite replacement, because
-    the closed form depends on B only through its row space.  Raises
-    ``NotSeparatedError`` when the row spaces are not separated.
+    which ``(A* V A + t B* W B)^+ A* V`` equals at every t > 0 where that
+    pencil is invertible on the joint row space, whatever W: D depends on B
+    only through its row space.  D satisfies the four identities that
+    define ``Z = A+_{V,Omega}`` for the default ``Omega = A* V A + B* W B +
+    P_null`` of :func:`limit_t_to_zero`, so it is checked against Z, which
+    the factored formula computes on A's split; no pencil is solved and
+    nothing is drawn at random.  Raises ``NotSeparatedError`` when the row
+    spaces are not separated and ``NonExistentError`` when Z does not exist.
     """
     am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
     report, p, two = _separation(split_a.v_r, bm, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    gen = rng_from(rng)
-    draws = (("given W", ww.matrix), ("replacement W", random_spd(gen, bm.shape[0])))
-    what = "separated closed form against the pencil"
-    return _separated_closed_form(am, bm, joint, vw, p, two, draws, what, tol)
+    z = _required_on_split(split_a, vw, _omega_row(am, bm, split_a, joint, vw.matrix, ww.matrix), tol)[1]
+    return _separated_closed_form(z, p, two, "separated closed form", tol)
 
 
-def _separated_closed_form(am, bm, joint, vw, p, two, draws, what: str, tol) -> tuple[np.ndarray, np.ndarray]:
-    """``(Pi, D)`` for separated row spaces, checked against the pencil at t = 1.
+def _separated_closed_form(z, p, two, what: str, tol, pencil=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(Pi, D)`` for separated row spaces from ``Z = A+_{V,Omega}``, checked against Z.
 
-    ``joint`` holds the joint rows of ``[A; B]``, P is the row-space
-    projector of A and ``two`` the SVD of ``2I - P - Q`` that decided the
-    separation.
-    ``draws`` holds ``(label, W)`` pairs; ``(A* V A + B* W B)^+ A* V``
-    must equal D for each of them, else ``VerificationError`` names
-    ``what`` and the label.
+    P is the row-space projector of A and ``two`` the SVD of ``2I - P - Q``
+    that decided the separation.  In the split of A, ``Z = (V_r - V_0 C)
+    Sigma^-1 L*`` with ``C = Omega_00^-1 Omega_0r`` and L read off V alone
+    (:mod:`core`), and ``V_r* V_0 = 0``, so ``P Z = V_r Sigma^-1 L*`` is
+    ``A+_{V,I} = (A* V A)^+ A* V``: the base of the closed form, with no
+    decomposition of its own.  ``pencil``, where given, is the pencil at a
+    caller's W and t = 1, which D must equal as well; ``VerificationError``
+    names ``what`` otherwise.
     """
-    core_a = am.conj().T @ vw.matrix @ am
-    core_a = 0.5 * (core_a + core_a.conj().T)
-    base = mp_inverse(core_a, tol) @ am.conj().T @ vw.matrix
+    base = p @ z
     pi = two.solve(base)
-    d = base - (np.eye(am.shape[1], dtype=np.complex128) - p) @ pi
-
+    d = base - (np.eye(p.shape[0], dtype=np.complex128) - p) @ pi
     scale = 1.0 + operator_norm(d)
-    solver_for = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)
-    for label, wmat in draws:
-        lhs, _ = solver_for(wmat).iterate(1.0)
-        _verify(f"{what} ({label})", operator_norm(lhs - d), scale, tol)
+    _verify(f"{what} against the weighted inverse", operator_norm(z - d), scale, tol)
+    if pencil is not None:
+        _verify(f"{what} against the pencil at w_prime", operator_norm(pencil - d), scale, tol)
     return pi, d
 
 
@@ -944,7 +935,6 @@ def general_limit_via_decomposition(
     w_prime=None,
     schedule=None,
     tol: ToleranceConfig = DEFAULT_TOL,
-    rng=None,
 ) -> GeneralLimitResult:
     """Evaluate the t -> 0 pencil limit by reducing to the separated case.
 
@@ -953,26 +943,30 @@ def general_limit_via_decomposition(
         Pi' = (2I - P - Q2)^{-1} (A* V A)^+ A* V,
         D   = (A* V A)^+ A* V - (I - P) Pi',
 
-    where Q2 projects onto the row space of ``b2``, verifies that
-    ``(A* V A + b2* W' b2)^+ A* V`` equals D for ``w_prime`` (a random
-    positive-definite draw when omitted) and for one further independent
-    draw, then traces the original pencil ``(A* V A + t B* W B)^+ A* V``
-    against the target D.
+    where Q2 projects onto the row space of ``b2``, from the weighted
+    inverse ``Z = A+_{V,Omega}`` that :func:`decompose_b` splits B against,
+    verifies that D equals Z, then traces the original pencil ``(A* V A + t
+    B* W B)^+ A* V`` against the target D.  A positive definite ``w_prime``,
+    where given, is checked before any decomposition, and D must also equal
+    the separated pencil ``(A* V A + b2* W' b2)^+ A* V``; without it no
+    pencil is solved at t = 1 and nothing is drawn at random.
     """
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
-    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    dec, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
-
-    gen = rng_from(rng)
-    if w_prime is None:
-        w_prime = Weight(random_spd(gen, bm.shape[0]), tol)
-    else:
+    if w_prime is not None:
         w_prime = as_weight(w_prime, tol)
         if not w_prime.positive_definite:
             raise WeightError("w_prime must be positive definite")
-    draws = (("w_prime", w_prime.matrix), ("independent draw", random_spd(gen, bm.shape[0])))
-    what = "separated reduction of the pencil limit"
-    pi, d = _separated_closed_form(am, dec.b2, _joint_rows(split_a, dec.b2, tol), vw, p, two, draws, what, tol)
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, tol, joint)(ww.matrix, _weight_defect(ww))
+    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
+    if w_prime is not None and w_prime.dim != bm.shape[0]:
+        raise ValueError(f"w_prime must weigh the rows of b (dimension {bm.shape[0]})")
+    dec, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
+
+    pencil = None
+    if w_prime is not None:
+        separated = _joint_rows(split_a, dec.b2, tol)
+        check = _GradedSolver.pencil(am, dec.b2, vw.matrix, w_prime.matrix, _weight_defect(w_prime), tol, separated)
+        pencil = check.iterate(1.0)[0]
+    pi, d = _separated_closed_form(dec.z, p, two, "separated reduction of the pencil limit", tol, pencil)
+    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, _weight_defect(ww), tol, joint)
     trace = _trace_over(s, solver.iterate, d, tol, basis=solver.error_basis())
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -2,12 +2,10 @@
 
 ``rng_from`` turns a seed into a Generator for every routine that takes
 ``rng``.  ``random_spd`` draws the sampled weights of
-``core.equivalent_domain_weights`` and the replacement weights that
-``limits.closed_form_separated`` and
-``limits.general_limit_via_decomposition`` check their closed forms
-against; ``random_complex`` draws the default perturbation direction of
-``wmpinv perturb``.  The samplers the tests need beyond these live with
-the tests.
+``core.equivalent_domain_weights``, the one library routine that samples
+weights; ``random_complex`` draws the default perturbation direction of
+``wmpinv perturb --kind full``.  The samplers the tests need beyond these
+live with the tests.
 """
 
 from __future__ import annotations

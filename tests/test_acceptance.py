@@ -192,7 +192,7 @@ def test_criterion_07_separated_closed_form():
         a, b = random_separated_pair(gen, cols, ra, rb, ra, rb)
         v = random_weight(gen, ra, positive=True)
         w = random_weight(gen, rb, positive=True)
-        _, d = closed_form_separated(a, b, v, w, rng=gen)
+        _, d = closed_form_separated(a, b, v, w)
         scale = 1.0 + operator_norm(d)
         core_a = a.conj().T @ v.matrix @ a
         for _ in range(2):
@@ -215,7 +215,7 @@ def test_criterion_08_decomposition():
         b = random_matrix_with_rank(gen, rank_b, cols, rank_b)
         v = random_weight(gen, rank_a + 1, positive=True)
         w = random_weight(gen, rank_b, positive=True)
-        res = general_limit_via_decomposition(a, b, v, w, rng=gen)
+        res = general_limit_via_decomposition(a, b, v, w)
         dec = res.decomposition
         assert operator_norm(dec.b2.conj().T @ w.matrix @ dec.b1) <= 1e-9
         p_dom = mp_inverse(a, DEFAULT_TOL) @ a

@@ -539,17 +539,19 @@ def test_one_split_per_problem(svd_calls, tmp_path, capsys):
 
     a, b = random_matrix_with_rank(gen, 4, 5, 3), random_matrix_with_rank(gen, 3, 5, 3)
     v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
-    assert svds(general_limit_via_decomposition, a, b, v, w, rng=gen) <= 3
+    # the split of A and the joint rows of [A; B]; the closed form's base is
+    # read off the weighted inverse the split of B is made against
+    assert svds(general_limit_via_decomposition, a, b, v, w) <= 2
     # the separated closed form reuses the projectors its separation verdict was decided on
-    assert svds(general_limit_via_decomposition, a, b, v, w, rng=1, full=False) <= 8
+    assert svds(general_limit_via_decomposition, a, b, v, w, full=False) <= 3
     bundle = tmp_path / "pencil.json"
     write_bundle(bundle, {"A": a, "B": b, "V": v.matrix, "W": w.matrix})
     assert svds(cli, "decompose", "--bundle", str(bundle), full=False) <= 7
 
     a, b = random_separated_pair(gen, 6, 4, 3, 2, 2)
     v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
-    assert svds(closed_form_separated, a, b, v, w, rng=gen) <= 2
-    assert svds(closed_form_separated, a, b, v, w, rng=1, full=False) <= 5
+    assert svds(closed_form_separated, a, b, v, w) <= 2
+    assert svds(closed_form_separated, a, b, v, w, full=False) <= 2
 
     a, m, n = random_matrix_with_rank(gen, 6, 5, 3), random_weight(gen, 6), random_weight(gen, 5)
     bundle = tmp_path / "problem.json"
@@ -590,14 +592,41 @@ def test_no_matrix_is_decomposed_twice(monkeypatch):
 
     a, b = random_matrix_with_rank(gen, 4, 5, 3), random_matrix_with_rank(gen, 3, 5, 3)
     v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
-    assert repeats(general_limit_via_decomposition, a, b, v, w, rng=gen) == 0
-    assert repeats(general_limit_via_decomposition, a, b, v, w, rng=1) == 0
+    assert repeats(general_limit_via_decomposition, a, b, v, w) == 0
+    assert repeats(general_limit_via_decomposition, a, b, v, w, w_prime=w) == 0
     assert repeats(decompose_b, a, b, v, w) == 0
 
     a, b = random_separated_pair(gen, 6, 4, 3, 2, 2)
     v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
-    assert repeats(closed_form_separated, a, b, v, w, rng=gen) == 0
-    assert repeats(closed_form_separated, a, b, v, w, rng=1) == 0
+    assert repeats(closed_form_separated, a, b, v, w) == 0
+
+
+def test_separated_pipeline_svd_counts(lapack_calls):
+    # values-only calls included, on the instances of test_one_split_per_problem:
+    # the closed form's base is read off the weighted inverse, not from an SVD
+    # of A* V A, and ||P Q|| off the SVD of 2I - P - Q that decides separation
+    from support import random_separated_pair
+    from wmpinv import closed_form_separated, decompose_b, general_limit_via_decomposition, separated_pair_check
+
+    def svds(call, *args):
+        lapack_calls.clear()
+        call(*args)
+        return lapack_calls["svd"] + lapack_calls["svdvals"]
+
+    gen = np.random.default_rng(6)
+    random_matrix_with_rank(gen, 40, 30, 20), random_weight(gen, 40), random_weight(gen, 30)
+    random_matrix_with_rank(gen, 6, 5, 3), [random_weight(gen, k) for k in (6, 6, 5, 5)]
+
+    a, b = random_matrix_with_rank(gen, 4, 5, 3), random_matrix_with_rank(gen, 3, 5, 3)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert svds(general_limit_via_decomposition, a, b, v, w) <= 13
+    assert svds(decompose_b, a, b, v, w) <= 11
+
+    a, b = random_separated_pair(gen, 6, 4, 3, 2, 2)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    assert svds(closed_form_separated, a, b, v, w) <= 8
+    # B's row basis, the SVD of 2I - P - Q and the split of A
+    assert svds(separated_pair_check, a, b) == 3
 
 
 def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):

@@ -61,14 +61,22 @@ def assert_separation_scale_free(a, b):
     Returns ``(is_separated, intersection_dim, sum_rank)``, or
     ``CriteriaDisagreeError`` where no verdict is given; scaling either
     input by a power of 2 moves neither row space, so nothing may change.
+    At every scale ``pq_norm``, read off the SVD of ``2I - P - Q``, is within
+    ``8 h eps`` of ``||P Q||`` for h columns, and a verdict is that of
+    ``||P Q||`` against the margin.
     """
     seen = set()
+    slack = 8 * a.shape[1] * np.finfo(float).eps
     for sa, sb in [(1.0, 1.0), (2.0**-50, 1.0), (2.0**50, 1.0), (1.0, 2.0**-50), (1.0, 2.0**50)]:
+        pq_norm = operator_norm(projector_rowspace(sa * a) @ projector_rowspace(sb * b))
         try:
             rep = separated_pair_check(sa * a, sb * b)
-        except CriteriaDisagreeError:
+        except CriteriaDisagreeError as exc:
+            assert abs(exc.pq_norm - pq_norm) <= slack
             seen.add(CriteriaDisagreeError)
             continue
+        assert abs(rep.pq_norm - pq_norm) <= slack
+        assert rep.is_separated == (pq_norm <= 1.0 - wmpinv.limits.SEPARATION_MARGIN)
         assert rep.is_separated == (rep.intersection_dim == 0)
         assert rep.sum_rank == numerical_rank(a) + numerical_rank(b) - rep.intersection_dim
         seen.add((rep.is_separated, rep.intersection_dim, rep.sum_rank))
@@ -539,14 +547,14 @@ def bench_shaped_calls(seeds=range(2)):
     return calls
 
 
-def closed_form_calls():
-    """``closed_form_separated`` on seeded separated pairs; each call checks two W at t = 1."""
+def w_prime_calls():
+    """``general_limit_via_decomposition`` on seeded overlapping pairs; each call checks its ``w_prime`` at t = 1."""
     calls = []
     for seed in range(8):
         gen = np.random.default_rng(110 + seed)
-        a, b = random_separated_pair(gen, 6 + seed % 4, 3, 2, 2, 2)
-        v, w = random_spd(gen, 3), random_spd(gen, 2)
-        calls.append(lambda a=a, b=b, v=v, w=w, seed=seed: closed_form_separated(a, b, v, w, rng=seed))
+        a, b = overlapping_pair(gen)
+        v, w, w_prime = random_spd(gen, 4), random_spd(gen, 3), random_spd(gen, 3)
+        calls.append(lambda a=a, b=b, v=v, w=w, wp=w_prime: general_limit_via_decomposition(a, b, v, w, w_prime=wp))
     return calls
 
 
@@ -744,9 +752,9 @@ class TestSchurCertificate:
             lambda: certificate_family(DEFAULT_TOL),
             lambda: certificate_family(ToleranceConfig(inv_cond_max=1e4)),
             lambda: adversarial_family(DEFAULT_TOL),
-            closed_form_calls,
+            w_prime_calls,
         ],
-        ids=["certificate-1e12", "certificate-1e4", "adversarial-1e12", "closed-form"],
+        ids=["certificate-1e12", "certificate-1e4", "adversarial-1e12", "w-prime"],
     )
     def test_no_point_solves_for_identity_columns(self, calls, monkeypatch):
         # certified or not, each point makes one LU solve, and it carries as
@@ -1214,6 +1222,18 @@ class TestDefaultTarget:
             # decompose_b and general_limit_via_decomposition take Z by the same route
             assert np.array_equal(decompose_b(a, b, v, w).z, trace.target)
 
+    @pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_separated_reduction_is_not_refused(self, s):
+        # the closed form's base is read off Z, not solved from A* A, so D
+        # keeps Z's accuracy and its check against Z passes
+        mpmath = pytest.importorskip("mpmath")
+        a, b = item8_pair(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            res = general_limit_via_decomposition(a, b, np.eye(4), np.eye(3))
+        exact = omega_target_40_digits(a, b, mpmath)
+        assert operator_norm(res.closed_form - exact) <= self.target_bound(a, b) * operator_norm(exact)
+
     def test_target_is_that_of_the_whole_omega(self):
         a, b = item8_pair(1e-4)
         v, w = np.eye(4), np.eye(3)
@@ -1402,12 +1422,65 @@ class TestSeparationCriteria:
             assert assert_separation_scale_free(a, b) == (False, 5, 5)
 
 
+def ill_conditioned_separated_pair(seed, ratio):
+    """``(A, B, V, W)``: A is 2 x 6 with singular values 1 and ``ratio``, B a generic 2 x 6, V and W positive definite."""
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(random_complex(gen, 6, 6))
+    u, _ = np.linalg.qr(random_complex(gen, 2, 2))
+    a = u @ np.diag([1.0, ratio]) @ q[:2]
+    return a, random_complex(gen, 2, 6), random_spd(gen, 2), random_spd(gen, 2)
+
+
+def separated_pencil_40_digits(a, b, v, w, mpmath):
+    """``(A* V A + B* W B)^+ A* V`` at 40 digits, for ``G = [A; B]`` of full row rank.
+
+    The double entries are taken as exact.  The pencil is ``G* K G`` with
+    ``K = diag(V, W)``, so its pseudoinverse is ``G^+ K^-1 G^+*`` with ``G^+ =
+    G* (G G*)^-1``.
+    """
+    k = np.zeros((4, 4), dtype=np.complex128)
+    k[:2, :2], k[2:, 2:] = v, w
+    with mpmath.workdps(40):
+        mat = lambda x: mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in x])
+        g = mat(np.vstack([a, b]))
+        g_pinv = g.H * mpmath.inverse(g * g.H)
+        x = g_pinv * mpmath.inverse(mat(k)) * g_pinv.H * mat(a).H * mat(v)
+        return np.array([[complex(x[i, j]) for j in range(x.cols)] for i in range(x.rows)])
+
+
 class TestClosedFormSeparated:
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_ill_conditioned_a_is_not_refused(self, ratio):
+        # D is read off the weighted inverse, not off (A* V A)^+, so it keeps
+        # the first-order accuracy n eps kappa(A) of A's split
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for seed in range(2):
+            a, b, v, w = ill_conditioned_separated_pair(170 + seed, ratio)
+            _, d = closed_form_separated(a, b, v, w)
+            exact = separated_pencil_40_digits(a, b, v, w, mpmath)
+            assert operator_norm(d - exact) <= 6 * eps / ratio * operator_norm(exact)
+
+    @pytest.mark.parametrize("indefinite", ["v", "w"])
+    def test_indefinite_weights_match_the_pencil(self, indefinite):
+        # D is the pencil at every t wherever the pencil is invertible on the
+        # joint row space, whatever the signature of V and W
+        for seed in range(5):
+            gen = np.random.default_rng(180 + seed)
+            a, b = random_separated_pair(gen, 6, 3, 2, 2, 2)
+            q, _ = np.linalg.qr(random_complex(gen, 3, 3))
+            signs = [1.0, -1.0, 0.5]
+            v = (q * signs) @ q.conj().T if indefinite == "v" else random_spd(gen, 3)
+            w = np.diag(signs[:2]) if indefinite == "w" else random_spd(gen, 2)
+            _, d = closed_form_separated(a, b, v, w)
+            pencil = np.linalg.pinv(a.conj().T @ v @ a + b.conj().T @ w @ b) @ a.conj().T @ v
+            assert operator_norm(pencil - d) <= 1e-9 * (1.0 + operator_norm(d))
+
     def test_matches_pencil_and_ignores_w(self, rng):
         a, b = random_separated_pair(rng, 6, 3, 2, 2, 2)
         v = Weight(random_spd(rng, 3))
         w = Weight(random_spd(rng, 2))
-        pi, d = closed_form_separated(a, b, v, w, rng=rng)
+        pi, d = closed_form_separated(a, b, v, w)
         # the pencil at t = 1 already equals the closed form
         core = a.conj().T @ v.matrix @ a + b.conj().T @ w.matrix @ b
         lhs = np.linalg.pinv(core) @ a.conj().T @ v.matrix
@@ -1473,7 +1546,7 @@ class TestGeneralLimit:
         w = Weight(random_spd(rng, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = general_limit_via_decomposition(a, b, v, w, rng=rng)
+            res = general_limit_via_decomposition(a, b, v, w)
         assert res.trace.converged
         # the closed form is the same target the direct trace reaches
         direct = limit_t_to_zero(a, b, v, w)
@@ -1483,12 +1556,39 @@ class TestGeneralLimit:
         a, b = overlapping_pair(rng)
         v = Weight(random_spd(rng, 4))
         w = Weight(random_spd(rng, 3))
-        res = general_limit_via_decomposition(a, b, v, w, w_prime=Weight(np.eye(3)), rng=rng)
+        res = general_limit_via_decomposition(a, b, v, w, w_prime=Weight(np.eye(3)))
         assert res.trace.converged
         with pytest.raises(WeightError):
-            general_limit_via_decomposition(
-                a, b, v, w, w_prime=Weight(np.diag([1.0, 1, -1])), rng=rng
-            )
+            general_limit_via_decomposition(a, b, v, w, w_prime=Weight(np.diag([1.0, 1, -1])))
+
+    def test_an_indefinite_w_prime_is_refused_before_any_svd(self, rng, lapack_calls):
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        lapack_calls.clear()
+        with pytest.raises(WeightError, match="w_prime must be positive definite"):
+            general_limit_via_decomposition(a, b, v, w, w_prime=np.diag([1.0, 1.0, -1.0]))
+        assert lapack_calls["svd"] == lapack_calls["svdvals"] == 0
+
+    def test_w_prime_must_fit_the_rows_of_b(self, rng):
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        with pytest.raises(ValueError, match=r"^w_prime must weigh the rows of b \(dimension 3\)$"):
+            general_limit_via_decomposition(a, b, v, w, w_prime=v)
+
+    def test_draws_nothing(self, rng, monkeypatch):
+        # every draw of the package starts from np.random.default_rng (sampling.rng_from)
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        sep_a, sep_b = random_separated_pair(rng, 6, 4, 3, 2, 2)
+
+        def refuse(*args):
+            raise AssertionError("drew at random")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        first, second = (general_limit_via_decomposition(a, b, v, w) for _ in range(2))
+        assert np.array_equal(first.pi, second.pi) and np.array_equal(first.closed_form, second.closed_form)
+        assert all(np.array_equal(x, y) for x, y in zip(trace_arrays(first.trace), trace_arrays(second.trace)))
+        closed_form_separated(sep_a, sep_b, v, w)
 
 
 @pytest.mark.parametrize(

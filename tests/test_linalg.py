@@ -152,3 +152,27 @@ def test_ranks_are_cut_only_by_the_two_factoring_helpers():
                 if not values_only:
                     offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import left behind by a change keeps a dependency that no code has;
+    # the package __init__ only re-exports, so it is exempt
+    import ast
+    from pathlib import Path
+
+    import wmpinv
+
+    offenders = []
+    for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert offenders == []
