@@ -44,12 +44,14 @@ other traces, it comes from that Gram, of order ``min(h, k)`` for h x k
 iterates.
 
 The splits are made once per call, and the solvers make none of their
-own.  ``limit_t_to_zero`` and ``general_limit_via_decomposition`` split
-A once, for the target or the separation verdict, and build the joint
-row space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part
-of B acting on A's null space; the domain weight and the pencil solver
-read their bases and blocks off it, and the default target reads Omega
-by its null-space row, not built in full.  The separated closed forms
+own.  The four t-routines enter by one door, :func:`_pencil_inputs`,
+which checks that A, B, V and W fit and, but for
+:func:`closed_form_separated`, that V and W are positive definite
+before any decomposition, then splits A once and builds the joint row
+space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part of
+B acting on A's null space.  The pencil solver reads its bases and
+blocks off it, and the default target reads Omega by its null-space row,
+not built in full (:func:`_default_target`).  The separated closed forms
 take their base ``(A* V A)^+ A* V`` off that target as ``P Z``, so A is
 not squared, and are checked against Z; nothing here draws at random.
 ``limit_lambda_to_inf`` splits A once and takes one SVD of B's
@@ -64,6 +66,7 @@ is decomposed twice.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,11 +190,16 @@ def _joint_rows(split_a: SplitBasis, bm, tol: ToleranceConfig) -> _JointRows:
     return _JointRows(d, bv0, bv0 @ sb.v_r, np.hstack([split_a.v_r[:, :d], v_0 @ sb.v_r]), v_0 @ sb.v_0)
 
 
-def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
-    """A, B, the split of A, the joint rows of ``[A; B]`` and the weights V, W of the pencil ``A* V A + t B* W B``.
+# the checked t-pencil A* V A + t B* W B: A, B, the split of A, the joint rows of [A; B], V and W
+_Pencil = namedtuple("_Pencil", "a b split joint v w")
 
-    Checks only that the dimensions fit; each caller keeps its own rule
-    on the definiteness of V and W.
+
+def _pencil_inputs(a, b, v, w, tol: ToleranceConfig, definite: bool = True) -> _Pencil:
+    """The one door of the t-pencil: coerce A, B, V and W, check them, then split A and build the joint rows.
+
+    The dimensions must fit and, unless ``definite`` is false (only
+    :func:`closed_form_separated` admits indefinite weights), V and W must
+    be positive definite; both are checked before any decomposition.
     """
     am = as_matrix(a)
     bm = as_matrix(b)
@@ -202,8 +210,11 @@ def _pencil_inputs(a, b, v, w, tol: ToleranceConfig):
         raise ValueError(f"v must weigh the rows of a (dimension {am.shape[0]})")
     if ww.dim != bm.shape[0]:
         raise ValueError(f"w must weigh the rows of b (dimension {bm.shape[0]})")
+    for name, weight in (("v", vw), ("w", ww)):
+        if definite and not weight.positive_definite:
+            raise WeightError(f"{name} must be positive definite for the t -> 0 limit")
     split_a = _split_basis(am, tol)
-    return am, bm, split_a, _joint_rows(split_a, bm, tol), vw, ww
+    return _Pencil(am, bm, split_a, _joint_rows(split_a, bm, tol), vw, ww)
 
 
 def _positive_compression(mat, basis, what: str, tol: ToleranceConfig) -> tuple[np.ndarray, float]:
@@ -277,35 +288,37 @@ def omega_weight(a, b, w, x=None, y=None, tol: ToleranceConfig = DEFAULT_TOL) ->
     return OmegaWeight(u=u, x=xm, y_effective=y_eff, null_projector=p_null, restricted_min_eig=restricted_min)
 
 
-def _omega_row(am, bm, sp: SplitBasis, joint: _JointRows, vmat, wmat) -> np.ndarray:
-    """``V_0* Omega`` in the split ``sp`` of A, for the default ``Omega = A* V A + B* W B + P_null``.
+def _default_target(pen: _Pencil, tol: ToleranceConfig) -> np.ndarray:
+    """``Z = A+_{V,Omega}`` for the default ``Omega = A* V A + B* W B + P_null``, from its null-space row.
 
-    That row is all the weighted inverse reads of a domain weight, so
+    ``V_0* Omega`` is all the weighted inverse reads of a domain weight, so
     Omega is not formed: ``V_0* Omega = (A V_0)* V A + (B V_0)* W B + (V_0*
     V_null) V_null*``, ``B V_0`` and ``V_null`` from :func:`_joint_rows`.
     Omega is positive definite by construction, so it is not checked; the
     target's verdict, whose R holds ``Omega_00``, decides on the row.
     """
+    am, bm, sp, joint, vw, ww = pen
     b_v0 = joint.b_v0[:, joint.b_v0.shape[1] - sp.v_0.shape[1] :]
     p_row = (sp.v_0.conj().T @ joint.v_0) @ joint.v_0.conj().T
-    return (am @ sp.v_0).conj().T @ vmat @ am + b_v0.conj().T @ wmat @ bm + p_row
+    row = (am @ sp.v_0).conj().T @ vw.matrix @ am + b_v0.conj().T @ ww.matrix @ bm + p_row
+    return _required_on_split(sp, vw, row, tol)[1]
 
 
-def _hermitian_floor(x: np.ndarray, lowest: float | None = None) -> tuple[float, float]:
-    """``(h, ||x - x_h||_F)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
+def _hermitian_floor(x: np.ndarray) -> tuple[float, float, float]:
+    """``(h, ||x - x_h||_F, lowest)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
 
     ``eigvalsh`` returns the eigenvalues of ``x_h + E`` with ``||E||_2 <=
     p(n) eps ||x_h||_2`` (LAPACK's bound, taken with p(n) = n), so the
-    smallest eigenvalue of ``x_h`` is at least the computed one less
-    ``n eps ||x_h||_F``.  ``h`` is the reciprocal of that floor, ``inf``
-    when the floor is not positive, and 0 for the empty matrix.  ``lowest``
-    is that computed eigenvalue, where the caller holds it.
+    smallest eigenvalue of ``x_h`` is at least the computed one, ``lowest``,
+    less ``n eps ||x_h||_F``.  ``h`` is the reciprocal of that floor, ``inf``
+    when the floor is not positive; the empty matrix gives ``(0, 0, inf)``.
     """
     if not x.size:
-        return 0.0, 0.0
+        return 0.0, 0.0, np.inf
     xh = 0.5 * (x + x.conj().T)
-    floor = (np.linalg.eigvalsh(xh)[0] if lowest is None else lowest) - x.shape[0] * _EPS * _fro(xh)
-    return (1.0 / floor if floor > 0.0 else np.inf), _fro(x - xh)
+    lowest = float(np.linalg.eigvalsh(xh)[0])
+    floor = lowest - x.shape[0] * _EPS * _fro(xh)
+    return (1.0 / floor if floor > 0.0 else np.inf), _fro(x - xh), lowest
 
 
 def _product_rounding(d: int) -> float:
@@ -321,16 +334,6 @@ def _product_rounding(d: int) -> float:
     two_du = d * _EPS
     g = np.sqrt(2.0) * two_du / (1.0 - two_du)
     return 2.0 * g + g * g
-
-
-def _weight_defect(w: Weight) -> float:
-    """A bound on ``max(0, -lambda_min(W))`` for a positive definite ``Weight``.
-
-    The matrix of a ``Weight`` is exactly Hermitian and its ``eigvalsh``
-    found every eigenvalue positive, so by the bound of
-    :func:`_hermitian_floor` no exact eigenvalue lies below ``-d eps ||W||_F``.
-    """
-    return w.dim * _EPS * _fro(w.matrix)
 
 
 def _psd_shift(kk: float, mid_defect: float, k_mid: np.ndarray) -> float:
@@ -354,18 +357,18 @@ class _GradedSolver:
     whose condition number is bounded uniformly as t -> 0.  The solver
     holds the blocks H11, K11, K12 and K22 of ``K = k* k_mid k`` (``k = [k1
     k2]``, ``k1 = F q1``, ``k2 = F q2`` for ``K = F* k_mid F``), the basis
-    ``[V1 V2] = v0 [q1 q2]`` the iterate is read back through, and
-    ``rhs(t) = [r1(t); r2]`` with the factor t divided out of its q2 rows,
-    which leaves r2 free of t, and ``r1(t)`` alone where a caller can form
-    it without r2; a caller whose r2 is zero says so with ``r2_zero``.  It
-    forms no product of its own beyond the elimination of K22 below and
-    the QR of :meth:`error_basis`.  The two limits differ only in how they
-    build these pieces (:meth:`pencil`, :meth:`pair`), from splits their
-    callers already hold.  A caller that knows ``k_mid`` to be Hermitian with a
-    bounded PSD defect passes ``delta``, the shift of
+    ``[V1 V2] = v0 [q1 q2]`` the iterate is read back through, and the
+    right-hand side ``[r1(t); r2]``, the function r1 and the array r2: the
+    factor t divided out of its q2 rows leaves r2 free of t.  It forms no
+    product of its own beyond the elimination of K22 below and the QR of
+    :meth:`error_basis`.  The two limits differ only in how they build
+    these pieces (:meth:`pencil`, :meth:`pair`), from splits their callers
+    already hold.  One ``eigvalsh`` gives the floor of H11 and ``h_low``,
+    its smallest computed eigenvalue.  A caller that knows ``k_mid`` to be
+    Hermitian with a bounded PSD defect passes ``delta``, the shift of
     :meth:`_schur_constants` that makes the computed K positive
     semidefinite; the solver then bounds ``cond_2(S(t))`` for every t
-    from two ``eigvalsh``, of ``H11`` (or ``h_low``, its smallest eigenvalue) and ``K22``.
+    from that floor and one ``eigvalsh`` of K22.
 
     K22 is eliminated once per trace: one LU solve ``K22^-1 [K21, r2] =
     [X, z]`` gives the Schur complement ``Sigma = K11 - K12 X`` of K22 in
@@ -390,26 +393,26 @@ class _GradedSolver:
     ``cond(S)`` is known to be small.
     """
 
-    def __init__(self, basis, h11, k11, k12, k22, rhs, tol: ToleranceConfig = DEFAULT_TOL,
-                 delta: float | None = None, r1=None, h_low: float | None = None, r2_zero: bool = False):
+    def __init__(self, basis, h11, k11, k12, k22, r1, r2, tol: ToleranceConfig = DEFAULT_TOL, delta=None):
         self.basis = basis
-        self.h11, self.k11, self.k12, self.k22, self.h_low = h11, k11, k12, k22, h_low
-        self.rhs = rhs
-        self.r1 = (lambda t: rhs(t)[: h11.shape[0]]) if r1 is None else r1
+        self.h11, self.k11, self.k12, self.k22 = h11, k11, k12, k22
+        self.r1, self.r2 = r1, r2
         self.tol = tol
-        self.schur = None if delta is None else self._schur_constants(delta)
-        self.reduced = self._eliminate_k22(r2_zero)
+        *h_floor, self.h_low = _hermitian_floor(h11)
+        self.schur = None if delta is None else self._schur_constants(delta, *h_floor)
+        self.reduced = self._eliminate_k22()
 
-    def _eliminate_k22(self, r2_zero: bool):
+    def _eliminate_k22(self):
         """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular.
 
-        Where ``r2_zero`` says that r2 is zero, so are z, ``K12 z`` and c0:
-        K22 is solved for K21 alone and both are ``None``.
+        Where r2 is zero, so are z, ``K12 z`` and c0: K22 is solved for K21
+        alone and both are ``None``.
         """
         r = self.h11.shape[0]
         k21 = self.k12.conj().T
+        r2_zero = not self.r2.any()
         try:
-            xz = np.linalg.solve(self.k22, k21 if r2_zero else np.hstack([k21, self.rhs(1.0)[r:]]))
+            xz = np.linalg.solve(self.k22, k21 if r2_zero else np.hstack([k21, self.r2]))
         except np.linalg.LinAlgError:
             return None
         x = xz[:, :r]
@@ -418,6 +421,10 @@ class _GradedSolver:
             return self.k11 - self.k12 @ x, None, None, v1 - v2 @ x
         z = xz[:, r:]
         return self.k11 - self.k12 @ x, self.k12 @ z, v2 @ z, v1 - v2 @ x
+
+    def rhs(self, t: float) -> np.ndarray:
+        """The right-hand side ``[r1(t); r2]`` of the whole system S(t)."""
+        return np.vstack([self.r1(t), self.r2])
 
     def error_basis(self) -> np.ndarray | None:
         """An orthonormal basis of ``range(Bq)``, which holds every ``x(t) - x(0)``, from one QR.
@@ -430,11 +437,11 @@ class _GradedSolver:
             return None
         bq = self.reduced[3]
         h, r = bq.shape
-        if not r or 2 * r > min(h, self.r1(1.0).shape[1]):
+        if not r or 2 * r > min(h, self.r2.shape[1]):
             return None
         return np.linalg.qr(bq)[0]
 
-    def _schur_constants(self, delta: float):
+    def _schur_constants(self, delta: float, h: float, h_skew: float):
         """Constants of the bound :meth:`_schur_bound`, or ``None`` where it cannot clear.
 
         The system is ``S(t) = [[H11 + t K11, t K12], [K12*, K22]]``.  In
@@ -471,11 +478,11 @@ class _GradedSolver:
         - h and g are the floors of ``H_h`` and ``K22_h`` from
           :func:`_hermitian_floor`, and ``K22' >= K22_h``.
 
-        Returns ``(h, g, c, r0, r1, ||K22||_F^2)``, or ``None`` when a floor
-        is not positive, so that the bound is infinite at every t.
+        The constructor passes h and ``h_skew = ||H11 - H_h||_F``.  Returns
+        ``(h, g, c, r0, r1, ||K22||_F^2)``, or ``None`` when a floor is not
+        positive, so that the bound is infinite at every t.
         """
-        h, h_skew = _hermitian_floor(self.h11, self.h_low)
-        g, k22_skew = _hermitian_floor(self.k22)
+        g, k22_skew, _ = _hermitian_floor(self.k22)
         if not (np.isfinite(h) and np.isfinite(g)):
             return None
         k11_herm = 0.5 * (self.k11 + self.k11.conj().T)
@@ -515,25 +522,30 @@ class _GradedSolver:
             return s_norm * beta / (1.0 - beta * r)
 
     @classmethod
-    def pencil(cls, am, bm, vmat, wmat, w_defect: float, tol: ToleranceConfig, joint: _JointRows) -> "_GradedSolver":
-        """``(A* V A + t B* W B)^+ A* V``, with ``w_defect`` a bound on the PSD defect of W.
+    def pencil(cls, pen: _Pencil, tol: ToleranceConfig) -> "_GradedSolver":
+        """``(A* V A + t B* W B)^+ A* V`` for the checked pencil ``pen``.
 
         The solver works in the row basis ``[V1 V2] = [V_r, V_0 W]`` of
-        ``[A; B]`` from ``joint`` (:func:`_joint_rows`): V1 is A's row basis
-        and V2 lies in A's null space, so that basis is the split itself,
-        with ``a1 = A V1``, ``k1 = B V1`` and ``k2 = (B V_0) W`` from the
-        product whose SVD found W; no decomposition is made here.
+        ``[A; B]`` from ``pen.joint`` (:func:`_joint_rows`): V1 is A's row
+        basis and V2 lies in A's null space, so that basis is the split
+        itself, with ``a1 = A V1``, ``k1 = B V1`` and ``k2 = (B V_0) W`` from
+        the product whose SVD found W; no decomposition is made here.  W's
+        matrix is exactly Hermitian and its ``eigvalsh`` found every
+        eigenvalue positive, so by :func:`_hermitian_floor` its PSD defect is
+        at most ``d eps ||W||_F``.
         """
+        am, bm, _, joint, vw, ww = pen
+        vmat, wmat = vw.matrix, ww.matrix
         v1 = joint.v_r[:, : joint.d]
         a1 = am @ v1
         h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ v1, joint.b_w
-        # A V2 vanishes, and so does the second block of the right-hand side,
-        # which only a point that solves the whole system reads
-        rhs = np.vstack([a1.conj().T @ vmat, np.zeros((k2.shape[1], am.shape[0]))])
+        r1 = a1.conj().T @ vmat
         k1w = k1.conj().T @ wmat
-        delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, w_defect, wmat)
+        delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, ww.dim * _EPS * _fro(wmat), wmat)
         k22 = k2.conj().T @ wmat @ k2
-        return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: rhs, tol, delta, r2_zero=True)
+        # A V2 vanishes, and so does r2
+        r2 = np.zeros((k2.shape[1], am.shape[0]))
+        return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: r1, r2, tol, delta)
 
     @classmethod
     def pair(cls, a_sym, b_sym, u_r, u_w, b_min: float, tol: ToleranceConfig) -> "_GradedSolver":
@@ -552,23 +564,21 @@ class _GradedSolver:
         By the bounds of :func:`_hermitian_floor` and
         :func:`_product_rounding` the smallest eigenvalue of ``k_mid`` is at
         least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
-        The ``h_low`` of ``H11 = U_r* A U_r`` also serves :func:`_psd_lower_bound`.
+        The solver's ``h_low``, of ``H11 = U_r* A U_r``, also serves :func:`_psd_lower_bound`.
         """
         v0 = np.hstack([u_r, u_w])
         r = u_r.shape[1]
         h11 = u_r.conj().T @ a_sym @ u_r
         h11 = 0.5 * (h11 + h11.conj().T)
-        h_low = float(np.linalg.eigvalsh(h11)[0]) if r else np.inf
         vb = v0.conj().T @ b_sym
         bt = vb @ v0
         bt = 0.5 * (bt + bt.conj().T)
         g1, g2 = vb[:r], vb[r:]
         n, b_norm = b_sym.shape[0], _fro(b_sym)
         defect = _fro(v0) ** 2 * (max(0.0, n * _EPS * b_norm - b_min) + _product_rounding(n) * b_norm)
-        rhs = lambda t: np.vstack([t * g1, g2])
         # k = [q1 q2] is the identity, so ||k||_F^2 is the joint dimension
         delta = _psd_shift(float(v0.shape[1]), defect, bt)
-        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], rhs, tol, delta, lambda t: t * g1, h_low)
+        return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], lambda t: t * g1, g2, tol, delta)
 
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
@@ -632,7 +642,7 @@ def limit_t_to_zero(
 
     Converges to the weighted inverse ``A+_{V,U}`` for every admissible
     U.  The default U is that of :func:`omega_weight` with X = V, read
-    through its null-space row alone (:func:`_omega_row`).  V and
+    through its null-space row alone (:func:`_default_target`).  V and
     W must be positive definite.  A degenerate scaled system at some
     schedule point (the finite analogue of the pencil dropping rank) is
     reported through ``RankFlipWarning`` and recorded on the trace.
@@ -641,21 +651,15 @@ def limit_t_to_zero(
     """
     s = _check_schedule(DEFAULT_T_SCHEDULE if schedule is None else schedule, decreasing=True)
     _check_atol(atol)
-    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    if not vw.positive_definite:
-        raise WeightError("v must be positive definite for the t -> 0 limit")
-    if not ww.positive_definite:
-        raise WeightError("w must be positive definite for the t -> 0 limit")
-
-    if u is None:
-        n_0 = _omega_row(am, bm, split_a, joint, vw.matrix, ww.matrix)
+    u_weight = None if u is None else u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
+    pen = _pencil_inputs(a, b, v, w, tol)
+    if u_weight is None:
+        target = _default_target(pen, tol)
     else:
-        u_weight = u.u if isinstance(u, OmegaWeight) else as_weight(u, tol)
-        if u_weight.dim != am.shape[1]:
-            raise ValueError(f"u must weigh the columns of a (dimension {am.shape[1]})")
-        n_0 = split_a.v_0.conj().T @ u_weight.matrix
-    target = _required_on_split(split_a, vw, n_0, tol)[1]
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, _weight_defect(ww), tol, joint)
+        if u_weight.dim != pen.a.shape[1]:
+            raise ValueError(f"u must weigh the columns of a (dimension {pen.a.shape[1]})")
+        target = _required_on_split(pen.split, pen.v, pen.split.v_0.conj().T @ u_weight.matrix, tol)[1]
+    solver = _GradedSolver.pencil(pen, tol)
     return _trace_over(s, solver.iterate, target, tol, atol, solver.error_basis())
 
 
@@ -824,12 +828,11 @@ def closed_form_separated(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     nothing is drawn at random.  Raises ``NotSeparatedError`` when the row
     spaces are not separated and ``NonExistentError`` when Z does not exist.
     """
-    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    report, p, two = _separation(split_a.v_r, bm, tol)
+    pen = _pencil_inputs(a, b, v, w, tol, definite=False)
+    report, p, two = _separation(pen.split.v_r, pen.b, tol)
     if not report.is_separated:
         raise NotSeparatedError(report.pq_norm)
-    z = _required_on_split(split_a, vw, _omega_row(am, bm, split_a, joint, vw.matrix, ww.matrix), tol)[1]
-    return _separated_closed_form(z, p, two, "separated closed form", tol)
+    return _separated_closed_form(_default_target(pen, tol), p, two, "separated closed form", tol)
 
 
 def _separated_closed_form(z, p, two, what: str, tol, pencil=None) -> tuple[np.ndarray, np.ndarray]:
@@ -886,18 +889,13 @@ def decompose_b(a, b, v, w, tol: ToleranceConfig = DEFAULT_TOL) -> BDecompositio
     W-orthogonality of the parts, containment of the rows of ``b1`` in
     the row space of A, and separation of ``b2`` from A.
     """
-    return _decompose_b(*_pencil_inputs(a, b, v, w, tol), tol)[0]
+    return _decompose_b(_pencil_inputs(a, b, v, w, tol), tol)[0]
 
 
-def _decompose_b(am, bm, sp, joint, vw, ww, tol) -> tuple[BDecomposition, np.ndarray, SvdFactorization]:
-    """:func:`decompose_b` on checked inputs, the split ``sp`` of A and the joint
-    rows ``joint`` of ``[A; B]``, with the P and the SVD of ``2I - P - Q2`` that
-    decided the separation of ``b2``.
-    """
-    if not vw.positive_definite or not ww.positive_definite:
-        raise WeightError("decompose_b requires positive definite v and w")
-
-    z = _required_on_split(sp, vw, _omega_row(am, bm, sp, joint, vw.matrix, ww.matrix), tol)[1]
+def _decompose_b(pen: _Pencil, tol) -> tuple[BDecomposition, np.ndarray, SvdFactorization]:
+    """:func:`decompose_b` on ``pen``, with the P and the SVD of ``2I - P - Q2`` that separated ``b2``."""
+    am, bm, sp, _, _, ww = pen
+    z = _default_target(pen, tol)
     b2_raw = bm - bm @ z @ am
     b_scale = 1.0 + operator_norm(bm)
     b2_svd = svd_factor(b2_raw, tol, cutoff=tol.verify_atol * b_scale)
@@ -956,17 +954,16 @@ def general_limit_via_decomposition(
         w_prime = as_weight(w_prime, tol)
         if not w_prime.positive_definite:
             raise WeightError("w_prime must be positive definite")
-    am, bm, split_a, joint, vw, ww = _pencil_inputs(a, b, v, w, tol)
-    if w_prime is not None and w_prime.dim != bm.shape[0]:
-        raise ValueError(f"w_prime must weigh the rows of b (dimension {bm.shape[0]})")
-    dec, p, two = _decompose_b(am, bm, split_a, joint, vw, ww, tol)
+    pen = _pencil_inputs(a, b, v, w, tol)
+    if w_prime is not None and w_prime.dim != pen.b.shape[0]:
+        raise ValueError(f"w_prime must weigh the rows of b (dimension {pen.b.shape[0]})")
+    dec, p, two = _decompose_b(pen, tol)
 
     pencil = None
     if w_prime is not None:
-        separated = _joint_rows(split_a, dec.b2, tol)
-        check = _GradedSolver.pencil(am, dec.b2, vw.matrix, w_prime.matrix, _weight_defect(w_prime), tol, separated)
-        pencil = check.iterate(1.0)[0]
+        separated = pen._replace(b=dec.b2, joint=_joint_rows(pen.split, dec.b2, tol), w=w_prime)
+        pencil = _GradedSolver.pencil(separated, tol).iterate(1.0)[0]
     pi, d = _separated_closed_form(dec.z, p, two, "separated reduction of the pencil limit", tol, pencil)
-    solver = _GradedSolver.pencil(am, bm, vw.matrix, ww.matrix, _weight_defect(ww), tol, joint)
+    solver = _GradedSolver.pencil(pen, tol)
     trace = _trace_over(s, solver.iterate, d, tol, basis=solver.error_basis())
     return GeneralLimitResult(decomposition=dec, pi=pi, closed_form=d, trace=trace)

@@ -166,6 +166,19 @@ class TestLimitT0:
         with pytest.raises(ValueError, match=r"u must weigh the columns of a \(dimension 5\)"):
             limit_t_to_zero(a, b, v, w, u=Weight(random_spd(rng, 4)))
 
+    def test_rejects_a_bad_domain_weight_before_any_svd(self, rng, lapack_calls):
+        # u is coerced before A is split: the values-only SVD of the
+        # self-adjointness check is the only one made
+        a, b = overlapping_pair(rng)
+        v, w = Weight(random_spd(rng, 4)), Weight(random_spd(rng, 3))
+        skew = np.eye(5)
+        skew[0, 1] = 1.0
+        for u, message in ((skew, "not self-adjoint"), (np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), "numerically singular")):
+            lapack_calls.clear()
+            with pytest.raises(WeightError, match=message):
+                limit_t_to_zero(a, b, v, w, u=u)
+            assert lapack_calls["svd"] == 0
+
     def test_rejects_bad_schedule(self, rng):
         a, b = overlapping_pair(rng)
         v = Weight(random_spd(rng, 4))
@@ -383,7 +396,7 @@ class TestFlipCertificate:
         eye = np.eye(3, dtype=np.complex128)
         rhs = np.ones((3, 2), dtype=np.complex128)
         zero = np.zeros((1, 1), dtype=np.complex128)
-        solver = _GradedSolver(eye, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)), zero, lambda t: rhs)
+        solver = _GradedSolver(eye, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)), zero, lambda t: rhs[:2], rhs[2:])
         it, cond = solver.iterate(0.5)
         assert np.array_equal(it, np.zeros((3, 2))) and cond == np.inf
         with pytest.warns(RankFlipWarning):
@@ -396,7 +409,8 @@ class TestFlipCertificate:
         # RuntimeWarning escapes
         eye = np.eye(2, dtype=np.complex128)
         solver = _GradedSolver(
-            eye, np.diag([1e100, 1e-100]), np.zeros((2, 2)), np.zeros((2, 0)), np.zeros((0, 0)), lambda t: eye
+            eye, np.diag([1e100, 1e-100]), np.zeros((2, 2)), np.zeros((2, 0)), np.zeros((0, 0)), lambda t: eye,
+            np.zeros((0, 2)),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1525,7 +1539,7 @@ class TestDecomposeB:
     def test_rejects_indefinite_v(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         b = np.array([[1.0, 1.0, 0.0]])
-        with pytest.raises(WeightError, match="decompose_b requires positive definite v and w"):
+        with pytest.raises(WeightError, match=r"^v must be positive definite for the t -> 0 limit$"):
             decompose_b(a, b, Weight(np.diag([1.0, -1.0])), Weight(np.eye(1)))
 
     def test_orthogonal_rows_keep_b_whole(self, rng):
@@ -1601,6 +1615,41 @@ def test_pencil_weights_must_fit_the_rows(call, rng):
         call(a, b, w, w)
     with pytest.raises(ValueError, match=r"w must weigh the rows of b \(dimension 3\)"):
         call(a, b, v, v)
+
+
+@pytest.mark.parametrize("call", [limit_t_to_zero, decompose_b, general_limit_via_decomposition])
+@pytest.mark.parametrize("indefinite", ["v", "w"])
+def test_indefinite_pencil_weights_are_refused_before_any_svd(call, indefinite, rng, lapack_calls):
+    # one message for every routine that needs positive definite V and W;
+    # closed_form_separated admits them (test_indefinite_weights_match_the_pencil)
+    a, b = random_matrix_with_rank(rng, 4, 6, 3), random_matrix_with_rank(rng, 3, 6, 3)
+    weights = {"v": Weight(random_spd(rng, 4)), "w": Weight(random_spd(rng, 3))}
+    signs = np.ones(weights[indefinite].dim)
+    signs[1] = -1.0
+    weights[indefinite] = Weight(np.diag(signs))
+    lapack_calls.clear()
+    with pytest.raises(WeightError, match=rf"^{indefinite} must be positive definite for the t -> 0 limit$"):
+        call(a, b, weights["v"], weights["w"])
+    assert lapack_calls["svd"] == lapack_calls["svdvals"] == 0
+
+
+def test_rank_flip_warnings_point_at_the_caller():
+    # each trace warns once, naming the line of the caller, not one of the library
+    gen = np.random.default_rng(1)
+    a, b = overlapping_pair(gen)
+    v, w = Weight(random_spd(gen, 4)), Weight(random_spd(gen, 3))
+    nested_a, nested_b = nearly_nested_pair(1e-6)
+    calls = [
+        lambda: limit_t_to_zero(a, 1e-6 * b, v, w),
+        lambda: limit_lambda_to_inf(nested_a, nested_b),
+        lambda: general_limit_via_decomposition(a, 1e-6 * b, v, w),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        (flip,) = [c for c in caught if issubclass(c.category, RankFlipWarning)]
+        assert (flip.filename, flip.lineno) == (__file__, call.__code__.co_firstlineno)
 
 
 def test_omega_weight_takes_w_on_the_rows_of_b(rng):
