@@ -382,13 +382,15 @@ def cmd_matched_projection(args, ctx, q) -> int:
 def cmd_rho(args, ctx, a, m, n) -> int:
     rho, t_weight = rho_embed(a, m, n, ctx.tol)
     base = wmp_inverse(a, m, n, ctx.tol)
-    embedded = wmp_inverse(rho, t_weight, Weight(t_weight.inverse, ctx.tol), ctx.tol)
+    # T^-1 = diag(M^-1, N) from its blocks: no inverse of the whole T
+    k, t_inv = m.dim, np.zeros_like(t_weight.matrix)
+    t_inv[:k, :k], t_inv[k:, k:] = m.inverse, n.matrix
+    embedded = wmp_inverse(rho, t_weight, Weight(t_inv, ctx.tol), ctx.tol)
     report = {"base_exists": base.exists, "embedded_exists": embedded.exists}
     lines = [f"base exists: {base.exists}, embedded exists: {embedded.exists}"]
     matrices = {"rho": rho, "T": t_weight.matrix}
     if not base.exists:
         return _no_inverse(args, ctx, report, lines, base, matrices)
-    k = as_matrix(a).shape[0]
     block = embedded.inverse[k:, :k]
     block_resid = operator_norm(block - base.inverse)
     report["block_residual"] = float(block_resid)

@@ -27,14 +27,22 @@ all of N that they read.
 The verdict compares the 2-norm condition numbers of R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
 null-space rows and L in its m - r null-space columns, so one helper,
-``_factor``, decides either factor from those blocks with a values-only
-SVD of order at most 2(n - r) or 2(m - r).  ``_decide`` calls it for R
-and L, ``equivalent_domain_weights`` for R alone.  No dense R, L or
-plain Moore-Penrose inverse is formed on the way: a report builds them
-from the split and the null-space rows only when they are first read.
-The Penrose residuals of a computed inverse are exact 2-norms taken from
-Hermitian eigenvalues, all four from one batched ``eigvalsh``
-(``_penrose_residuals``).
+``_factor_cond``, decides either factor from the blocks that ``_factor``
+forms, with a values-only SVD of order at most 2(n - r) or 2(m - r).
+``_decide`` calls it for R and L, ``equivalent_domain_weights`` for R
+alone.  No dense R, L or plain Moore-Penrose inverse is formed on the
+way: a report builds them from the split and the null-space rows only
+when they are first read.  The Penrose residuals of a computed inverse
+are exact 2-norms taken from Hermitian eigenvalues, all four from one
+batched ``eigvalsh`` (``_penrose_residuals``).
+
+The inverse reads N only through ``C = N_00^{-1} N_0r`` and M only
+through ``D = Mi_00^{-1} Mi_0r``, so ``_coupled_weight``, the one routine
+that forms a weight with a given coupling, makes the members of
+``equivalent_domain_weights`` and the S and T of ``positive_reduction``:
+not the theorem's ``T = R* R``, ``S = (L L*)^{-1}``, which square
+``r_cond`` and ``l_cond``, but closed forms of ``cond(T) <= 4 (1 +
+||C||_F^2)`` and ``cond(S) <= 4 (1 + ||D||_F^2)``.
 
 Public functions coerce and check; ``_``-prefixed routines take checked
 complex128 arrays.  So ``_problem`` checks A and the weights once, and
@@ -58,6 +66,7 @@ from .linalg import (
     DEFAULT_TOL,
     SplitBasis,
     ToleranceConfig,
+    _fro,
     _gram_or_norm,
     _rank_cutoff,
     _split_basis,
@@ -122,7 +131,7 @@ def weighted_adjoint(t, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     result is ``N^{-1} T* M`` and satisfies ``<Tx, y>_M = <x, T#y>_N``.
     """
     tm, mw, nw = _problem(t, m, n, tol)
-    return nw.inverse @ tm.conj().T @ mw.matrix
+    return np.linalg.solve(nw.matrix, tm.conj().T @ mw.matrix)
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ class ExistenceReport:
     """Invertibility verdict for the two factors of the factored formula.
 
     ``r_cond`` and ``l_cond`` are the 2-norm condition numbers of
-    ``r_factor`` and ``l_factor``, each decided by :func:`_factor` from the
+    ``r_factor`` and ``l_factor``, each decided by :func:`_factor_cond` from the
     null-space blocks of its factor through values-only SVDs of order at
     most 2(n - r) and 2(m - r); ``r_invertible`` and ``l_invertible``
     compare them to ``inv_cond_max``.  The dense factors are built from the
@@ -164,7 +173,7 @@ class WmpResult(ExistenceReport):
     """Weighted inverse together with the verdict it was computed under.
 
     The verdict fields are those of the :class:`ExistenceReport` that
-    :func:`_factor` decided.  ``inverse`` is ``None`` when the weighted
+    :func:`_factor_cond` decided.  ``inverse`` is ``None`` when the weighted
     inverse does not exist; the plain Moore-Penrose inverse ``mp`` can
     always be read, and like the factors it is built from the split on
     first read.  ``penrose_residuals`` holds the four weighted Penrose
@@ -206,15 +215,12 @@ def _factor_cond(b: np.ndarray, c: np.ndarray) -> float:
     return float("inf") if lo == 0.0 else float(hi / lo)
 
 
-def _factor(w_0: np.ndarray, b_r: np.ndarray, b_0: np.ndarray) -> tuple[tuple, float]:
-    """Null-space blocks ``(w_0 b_r, w_0 b_0)`` of one factor and its condition number.
+def _factor(w_0: np.ndarray, b_r: np.ndarray, b_0: np.ndarray) -> tuple:
+    """Null-space blocks ``(w_0 b_r, w_0 b_0)`` of the factor ``[[I, 0], [w_0 b_r, w_0 b_0]]``.
 
-    ``w_0`` is ``V_0* N`` with the V basis ``[b_r b_0]`` for R, and
-    ``(M^{-1} U_0)*`` with the U basis for the adjoint of L; the number is
-    the :func:`_factor_cond` of ``[[I, 0], [w_0 b_r, w_0 b_0]]``.
+    R for ``w_0 = V_0* N`` and ``[b_r b_0] = V``, L* for ``w_0 = (M^{-1} U_0)*`` and U.
     """
-    blocks = (w_0 @ b_r, w_0 @ b_0)
-    return blocks, _factor_cond(*blocks)
+    return w_0 @ b_r, w_0 @ b_0
 
 
 def _coupling(blocks) -> np.ndarray:
@@ -223,13 +229,31 @@ def _coupling(blocks) -> np.ndarray:
     return np.linalg.solve(c, b)
 
 
+def _coupled_weight(b_1: np.ndarray, b_2: np.ndarray, c: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """``B E* diag(top, bottom) E B*``, Hermitian, for ``B = [b_1 b_2]`` unitary and ``E = [[I, 0], [c, I]]``.
+
+    In the basis B: ``[[top + c* bottom c, c* bottom], [bottom c, bottom]]``,
+    positive definite with the coupling ``W_22^{-1} W_21 = c`` when ``top``
+    and ``bottom`` are.  For ``top = I``, ``bottom = eps I`` and ``eps = 1 /
+    (1 + ||c||_F^2)``, ``cond <= 4 / eps``: for ``c = P diag(s) Q*``,
+    ``diag(Q, P)`` splits ``E* diag(I, eps I) E`` into entries 1 or eps and
+    one block ``[[1 + eps s^2, eps s], [eps s, eps]]`` per singular value s,
+    of trace ``1 + eps (1 + s^2) <= 2`` and determinant eps, so of
+    eigenvalues in ``[eps / 2, 2]``: the larger is at most the trace, and
+    the smaller is eps over the larger.
+    """
+    g = b_2 + b_1 @ c.conj().T  # B E* [0; I]
+    w = b_1 @ top @ b_1.conj().T + g @ bottom @ g.conj().T
+    return 0.5 * (w + w.conj().T)
+
+
 def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]:
     """Decide existence from R and L in the bases of the split ``sp`` of A.
 
     N is given by its null-space row ``n_0 = V_0* N``, M in full.  In
     those bases ``R = [[I, 0], [N_0r, N_00]]`` and ``L = [[I, Mi_r0], [0,
     Mi_00]]``.  The verdict compares their 2-norm condition numbers to
-    ``inv_cond_max``; both are read off the blocks by :func:`_factor`, L
+    ``inv_cond_max``; :func:`_factor_cond` reads both off the blocks, L
     through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]`` with ``Mi_0 = (M^{-1}
     U_0)*``.  M enters only through ``M^{-1} U_0``, which one LU solve with
     m - r right-hand sides gives (a ``Weight`` has ``cond(M) <=
@@ -240,8 +264,9 @@ def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]
     start from.
     """
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
-    n_blocks, r_cond = _factor(n_0, sp.v_r, sp.v_0)
-    mi_blocks, l_cond = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
+    n_blocks = _factor(n_0, sp.v_r, sp.v_0)
+    mi_blocks = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
+    r_cond, l_cond = _factor_cond(*n_blocks), _factor_cond(*mi_blocks)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
     report = ExistenceReport(
@@ -340,11 +365,11 @@ def verify_weighted_penrose(a, m, n, x, tol: ToleranceConfig = DEFAULT_TOL) -> n
     """Operator-norm residuals of the four weighted Penrose identities.
 
     Order: ``AXA - A``, ``XAX - X``, anti-Hermitian part of ``MAX``,
-    anti-Hermitian part of ``NXA``.  Each is the exact 2-norm, computed
-    from Hermitian eigenvalues as :func:`_residual_norm` takes them: those
-    of ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and those of the
-    Gram matrices of the first two residuals, all from one batched
-    ``eigvalsh``.
+    anti-Hermitian part of ``NXA``.  Each is the exact 2-norm, read off
+    Hermitian eigenvalues instead of an SVD: the largest magnitude of those
+    of ``1j (MAX - (MAX)*)`` and ``1j (NXA - (NXA)*)``, and the root of the
+    largest of those of the Gram matrices of the first two residuals, all
+    from one batched ``eigvalsh``.
     """
     am, mw, nw = _problem(a, m, n, tol)
     xm = as_matrix(x)
@@ -365,7 +390,7 @@ def _penrose_residuals(am, m, n, xm) -> np.ndarray:
     all four: padding adds only zero eigenvalues, which move neither a
     Gram's largest eigenvalue once it is clamped at 0 nor a largest
     ``|lambda|``.  A Gram that :func:`_gram_or_norm` finds unsafe is left
-    to the SVD, as :func:`_residual_norm` leaves it.
+    to the SVD, whose norm that helper returns in its place.
     """
     ax = am @ xm
     xa = xm @ am
@@ -415,16 +440,18 @@ class PositiveReduction:
 def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveReduction:
     """Replace (M, N) by positive-definite (S, T) with the same inverse.
 
-    With P the projector onto the row space of A and P' onto its range,
+    ``A+_MN`` reads N only through ``C = N_00^{-1} N_0r`` and M only through
+    ``D = Mi_00^{-1} Mi_0r``, ``Mi = M^{-1}``, in the bases V and U of the
+    split of A, so every positive definite T with the coupling C, and S
+    whose inverse has the coupling D, give ``A+_ST = A+_MN``.  The
+    theorem's pair ``T = R* R``, ``S = (L L*)^{-1}`` has the condition
+    numbers ``r_cond^2`` and ``l_cond^2``; here
 
-        T = P + N (I - P) N,
-        S = (P' + M^{-1} (I - P') M^{-1})^{-1},
+        T = V [[I + eps C* C, eps C*], [eps C, eps I]] V*,   eps = 1 / (1 + ||C||_F^2),
+        S = U [[I, -D*], [-D, D D* + I / eps']] U*,         eps' = 1 / (1 + ||D||_F^2),
 
-    both positive definite whenever ``A+_MN`` exists, and
-    ``A+_ST = A+_MN``.  T equals R* R and S equals the inverse of L L*,
-    so the reduction squares factor condition numbers; weights whose
-    squared condition exceeds ``inv_cond_max`` are rejected by the
-    ``Weight`` constructor.
+    T the :func:`_coupled_weight` of C and S the closed-form inverse of
+    that of D, so ``cond(T) <= 4 / eps`` and ``cond(S) <= 4 / eps'``.
 
     Raises ``NonExistentError`` when ``A+_MN`` does not exist.
     """
@@ -432,13 +459,14 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
 
 
 def _positive_weights(factors: ExistenceReport, tol: ToleranceConfig) -> PositiveReduction:
-    """S and T from the R and L that ``factors`` carries."""
-    r, l = factors.r_factor, factors.l_factor
-    t_mat = r.conj().T @ r
-    t_mat = 0.5 * (t_mat + t_mat.conj().T)
-    s_base = l @ l.conj().T
-    s_mat = np.linalg.inv(0.5 * (s_base + s_base.conj().T))
-    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+    """S and T of :func:`positive_reduction` from the couplings C and D of the blocks ``factors`` was decided on."""
+    sp, n_0, mi_u0 = factors._rows
+    c = _coupling(_factor(n_0, sp.v_r, sp.v_0))
+    d = _coupling(_factor(mi_u0.conj().T, sp.u_r, sp.u_0))
+    (k, r), j = c.shape, d.shape[0]
+    t_mat = _coupled_weight(sp.v_r, sp.v_0, c, np.eye(r), np.eye(k) / (1.0 + _fro(c) ** 2))
+    # S in the order [U_0 U_r], where its blocks are [[D D* + I / eps', -D], [-D*, I]]
+    s_mat = _coupled_weight(sp.u_0, sp.u_r, -d.conj().T, np.eye(j) * (1.0 + _fro(d) ** 2), np.eye(r))
     return PositiveReduction(s=Weight(s_mat, tol), t=Weight(t_mat, tol))
 
 
@@ -448,13 +476,11 @@ class EquivalentWeightFamily:
 
     In the orthonormal basis splitting the domain into row space of A
     (columns of ``range_basis``) and null space of A (columns of
-    ``null_basis``), every member has the block form
-
-        [[ W11,        C* W22 ],
-         [ W22 C,      W22    ]]
-
-    with ``C`` the fixed coupling ``N22^{-1} N21`` of the reference weight
-    and ``W22``, ``W11 - C* W22 C`` freely chosen positive definite.
+    ``null_basis``), every member has the blocks ``[[W11, C* W22], [W22 C,
+    W22]]``, with ``C`` the fixed coupling ``N_00^{-1} N_0r`` of the
+    reference weight and ``W22``, ``W11 - C* W22 C`` freely chosen positive
+    definite: the :func:`_coupled_weight` of C with ``top = W11 - C* W22
+    C`` and ``bottom = W22``.
     ``degenerate`` marks zero or full rank of A, where the family is all
     positive-definite weights and the coupling is empty.
     """
@@ -466,13 +492,7 @@ class EquivalentWeightFamily:
     coupling: np.ndarray | None
 
 
-def equivalent_domain_weights(
-    a,
-    n,
-    samples: int = 3,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    rng=None,
-) -> EquivalentWeightFamily:
+def equivalent_domain_weights(a, n, samples: int = 3, tol: ToleranceConfig = DEFAULT_TOL, rng=None) -> EquivalentWeightFamily:
     """Sample positive-definite domain weights equivalent to ``n``.
 
     Equivalent means ``A+_{M,n} = A+_{M,sample}`` for every codomain
@@ -493,40 +513,19 @@ def equivalent_domain_weights(
     rank = v_range.shape[1]
     if rank == 0 or rank == h:
         ws = [Weight(random_spd(gen, h), tol) for _ in range(samples)]
-        return EquivalentWeightFamily(
-            weights=ws,
-            degenerate=True,
-            range_basis=None,
-            null_basis=None,
-            coupling=None,
-        )
+        return EquivalentWeightFamily(ws, degenerate=True, range_basis=None, null_basis=None, coupling=None)
     # the verdict is R's alone; once it holds, cond(N_00) <= cond(R) makes LU safe
-    blocks, r_cond = _factor(v_null.conj().T @ nw.matrix, v_range, v_null)
+    blocks = _factor(v_null.conj().T @ nw.matrix, v_range, v_null)
+    r_cond = _factor_cond(*blocks)
     if r_cond > tol.inv_cond_max:
         raise NonExistentError("R_{A,N}", r_cond)
     coupling = _coupling(blocks)
-
-    basis = np.hstack([v_range, v_null])
     ws = []
     for _ in range(samples):
         w22 = random_spd(gen, h - rank)
         gap = random_spd(gen, rank)
-        w11 = gap + coupling.conj().T @ w22 @ coupling
-        block = np.block(
-            [
-                [w11, coupling.conj().T @ w22],
-                [w22 @ coupling, w22],
-            ]
-        )
-        full = basis @ block @ basis.conj().T
-        ws.append(Weight(0.5 * (full + full.conj().T), tol))
-    return EquivalentWeightFamily(
-        weights=ws,
-        degenerate=False,
-        range_basis=v_range,
-        null_basis=v_null,
-        coupling=coupling,
-    )
+        ws.append(Weight(_coupled_weight(v_range, v_null, coupling, gap, w22), tol))
+    return EquivalentWeightFamily(ws, degenerate=False, range_basis=v_range, null_basis=v_null, coupling=coupling)
 
 
 def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -539,9 +538,8 @@ def weight_transfer_domain(a, m, n1, n2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     n2w = _problem(am, mw, n2, tol)[2]
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)[1] for nw in (n1w, n2w))
-    eye = np.eye(am.shape[1], dtype=np.complex128)
     x1a = x1 @ am
-    r = x1a + (eye - x1a) @ n1w.inverse @ n2w.matrix
+    r = x1a + (np.eye(am.shape[1]) - x1a) @ np.linalg.solve(n1w.matrix, n2w.matrix)
     _verify("domain weight transfer identity", operator_norm(x1 - r @ x2), 1.0 + operator_norm(x1), tol)
     return r
 
@@ -556,9 +554,8 @@ def weight_transfer_codomain(a, m1, m2, n, tol: ToleranceConfig = DEFAULT_TOL) -
     m2w = _problem(am, m2, nw, tol)[1]
     sp = _split_basis(am, tol)
     x1, x2 = (_required_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)[1] for mw in (m1w, m2w))
-    eye = np.eye(am.shape[0], dtype=np.complex128)
     ax1 = am @ x1
-    l = ax1 + m2w.inverse @ m1w.matrix @ (eye - ax1)
+    l = ax1 + np.linalg.solve(m2w.matrix, m1w.matrix @ (np.eye(am.shape[0]) - ax1))
     _verify("codomain weight transfer identity", operator_norm(x1 - x2 @ l), 1.0 + operator_norm(x1), tol)
     return l
 
@@ -576,9 +573,8 @@ def rho_embed(a, m, n, tol: ToleranceConfig = DEFAULT_TOL):
     rho = np.zeros((k + h, k + h), dtype=np.complex128)
     rho[:k, k:] = am
     rho[k:, :k] = am.conj().T
-    t_mat = np.zeros((k + h, k + h), dtype=np.complex128)
-    t_mat[:k, :k] = mw.matrix
-    t_mat[k:, k:] = nw.inverse
+    t_mat = np.zeros_like(rho)
+    t_mat[:k, :k], t_mat[k:, k:] = mw.matrix, nw.inverse
     return rho, Weight(t_mat, tol)
 
 

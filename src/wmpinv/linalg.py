@@ -271,18 +271,15 @@ def _gram_or_norm(d: np.ndarray) -> tuple[np.ndarray | None, float]:
     return (d @ dh if d.shape[0] <= d.shape[1] else dh @ d), 0.0
 
 
-def _residual_norm(d: np.ndarray, *, anti_hermitian: bool = False) -> float:
+def _residual_norm(d: np.ndarray) -> float:
     """Exact 2-norm of ``d`` from Hermitian eigenvalues instead of an SVD.
 
-    An anti-Hermitian ``d`` makes ``1j * d`` exactly Hermitian, whose
-    largest eigenvalue magnitude is the norm.  Otherwise the norm is the
-    root of the largest eigenvalue of the Gram matrix of the smaller side,
-    or the SVD's where :func:`_gram_or_norm` finds that Gram unsafe.
+    The norm is the root of the largest eigenvalue of the Gram matrix of
+    the smaller side, or the SVD's where :func:`_gram_or_norm` finds that
+    Gram unsafe.
     """
     if d.size == 0:
         return 0.0
-    if anti_hermitian:
-        return float(np.max(np.abs(np.linalg.eigvalsh(1j * d))))
     gram, norm = _gram_or_norm(d)
     if gram is None:
         return norm

@@ -226,12 +226,13 @@ class TestExactAgainstDenseDefinitions:
 
 
 class TestBatchedPenroseNorms:
-    """One batched ``eigvalsh`` gives the four residual norms that ``_residual_norm`` gives one by one."""
+    """One batched ``eigvalsh`` gives the four residual norms that one ``eigvalsh`` per residual gives."""
 
     @staticmethod
     def separate(a, m, n, x):
         d = TestExactAgainstDenseDefinitions.dense_residuals(a, m, n, x)
-        return [_residual_norm(d[0]), _residual_norm(d[1])] + [_residual_norm(e, anti_hermitian=True) for e in d[2:]]
+        # an anti-Hermitian e makes 1j e exactly Hermitian, its norm the largest |eigenvalue|
+        return [_residual_norm(d[0]), _residual_norm(d[1])] + [float(np.max(np.abs(np.linalg.eigvalsh(1j * e)))) for e in d[2:]]
 
     @staticmethod
     def shapes():
@@ -400,6 +401,94 @@ class TestPositiveReduction:
         replaced = require_wmp_inverse(golden["a"], red.s, red.t).inverse
         assert np.allclose(replaced, golden["wmp"], atol=1e-10)
 
+    @staticmethod
+    def kappa_family(kappa, indefinite_m):
+        # a 7 x 6 rank-3 A and an N with the null block diag(1, -1/kappa, 0.5),
+        # coupled across [V_r V_0] by a fixed C: R's condition grows like
+        # kappa while the coupling C = N_00^-1 N_0r stays put
+        gen = np.random.default_rng(0)
+        a = random_matrix_with_rank(gen, 7, 6, 3)
+        sp = _split_basis(as_matrix(a), DEFAULT_TOL)
+        h, c = random_complex(gen, 3, 3), random_complex(gen, 3, 3)
+        n00 = np.diag([1.0, -1.0 / kappa, 0.5])
+        v = np.hstack([sp.v_r, sp.v_0])
+        n = v @ np.block([[h + h.conj().T, c.conj().T @ n00], [n00 @ c, n00]]) @ v.conj().T
+        m = random_weight(gen, 7).matrix if indefinite_m else np.eye(7)
+        return a, m, 0.5 * (n + n.conj().T)
+
+    @staticmethod
+    def couplings(a, m, n):
+        # C = N_00^-1 N_0r and D = Mi_00^-1 Mi_0r, Mi = M^-1, from dense blocks
+        sp = _split_basis(as_matrix(a), DEFAULT_TOL)
+        mi = np.linalg.inv(m)
+        c = np.linalg.solve(sp.v_0.conj().T @ n @ sp.v_0, sp.v_0.conj().T @ n @ sp.v_r)
+        d = np.linalg.solve(sp.u_0.conj().T @ mi @ sp.u_0, sp.u_0.conj().T @ mi @ sp.u_r)
+        return c, d
+
+    @staticmethod
+    def disagreement(a, res, s, t):
+        replaced = require_wmp_inverse(a, s, t).inverse
+        return operator_norm(res.inverse - replaced) / (1.0 + operator_norm(res.inverse))
+
+    @pytest.fixture(scope="class")
+    def suite(self):
+        # the 500 problems of the acceptance suite that have an inverse, with their results
+        from test_acceptance import _suite_instances
+
+        out = [(a, m, n, wmp_inverse(a, m, n)) for a, m, n in _suite_instances()]
+        return [case for case in out if case[3].exists]
+
+    @pytest.mark.parametrize("indefinite_m", [False, True], ids=["m-identity", "m-indefinite"])
+    @pytest.mark.parametrize("kappa", [1e3, 1e5, 1e7, 1e9])
+    def test_kappa_family_is_reproduced(self, kappa, indefinite_m):
+        # R* R would have cond(R)^2, about 4 kappa^2: 5e-7 off at kappa = 1e5
+        # and no weight from 1e7; the closed forms depend on C and D alone
+        a, m, n = self.kappa_family(kappa, indefinite_m)
+        res = require_wmp_inverse(a, m, n)
+        assert res.r_cond > kappa
+        red = positive_reduction(a, m, n)
+        assert red.s.positive_definite and red.t.positive_definite
+        assert self.disagreement(a, res, red.s, red.t) <= 1e-13
+        c, d = self.couplings(a, m, n)
+        assert red.t.cond <= 4.0 * (1.0 + np.linalg.norm(c) ** 2) < 1e3
+        assert red.s.cond <= 4.0 * (1.0 + np.linalg.norm(d) ** 2) < 1e3
+
+    def test_cond_bounds_on_the_acceptance_suite(self, suite):
+        worst = largest = 0.0
+        for a, m, n, res in suite:
+            red = positive_reduction(a, m, n)
+            c, d = self.couplings(a, m.matrix, n.matrix)
+            assert red.t.cond <= 4.0 * (1.0 + np.linalg.norm(c) ** 2)
+            assert red.s.cond <= 4.0 * (1.0 + np.linalg.norm(d) ** 2)
+            largest = max(largest, red.s.cond, red.t.cond)
+            worst = max(worst, self.disagreement(a, res, red.s, red.t))
+        # T = R* R, S = (L L*)^-1 read 1.0e-11 and 9.6e5 on these problems
+        assert worst <= 1e-11
+        assert largest <= 9.6e5
+
+    def test_theorem_pair_where_its_squares_fit(self, suite):
+        # the theorem's T = R* R and S = (L L*)^-1 give A+_MN wherever
+        # r_cond^2 and l_cond^2 are within inv_cond_max, up to the rounding
+        # of weights of those condition numbers
+        cases = list(suite)
+        for kappa in (1e3, 1e5, 1e7, 1e9):
+            a, m, n = self.kappa_family(kappa, True)
+            cases.append((a, m, n, wmp_inverse(a, m, n)))
+        checked = 0
+        for a, m, n, res in cases:
+            squared = max(res.r_cond, res.l_cond) ** 2
+            if squared > DEFAULT_TOL.inv_cond_max:
+                continue
+            r, l = res.r_factor, res.l_factor
+            t = r.conj().T @ r
+            s = np.linalg.inv(l @ l.conj().T)
+            s, t = Weight(0.5 * (s + s.conj().T)), Weight(0.5 * (t + t.conj().T))
+            assert s.positive_definite and t.positive_definite
+            assert self.disagreement(a, res, s, t) <= 1e-13 + np.finfo(float).eps * squared
+            checked += 1
+        # every suite problem and the kappa family at 1e3 and 1e5
+        assert checked == len(suite) + 2
+
 
 class TestEquivalentDomainWeights:
     def test_family_members_share_the_inverse(self, golden, rng):
@@ -473,6 +562,44 @@ def test_rho_embedding_recovers_inverse(golden):
     assert np.allclose(rho[rows:, :rows], golden["a"].conj().T, atol=0)
     emb = require_wmp_inverse(rho, t_weight, Weight(t_weight.inverse)).inverse
     assert np.allclose(emb[rows:, :rows], golden["wmp"], atol=1e-10)
+
+
+def test_weights_are_applied_by_solves(lapack_calls, rng):
+    # N^-1, N1^-1 and M2^-1 come from LU solves on the weights, not from an
+    # eigendecomposition behind Weight.inverse
+    a = random_matrix_with_rank(rng, 5, 4, 3)
+    m1, m2 = random_weight(rng, 5).matrix, random_weight(rng, 5).matrix
+    n1, n2 = random_weight(rng, 4).matrix, random_weight(rng, 4).matrix
+    lapack_calls.clear()
+    weighted_adjoint(a, m1, n1)
+    weight_transfer_domain(a, m1, n1, n2)
+    weight_transfer_codomain(a, m1, m2, n1)
+    assert lapack_calls["eigh"] == lapack_calls["inv"] == 0
+
+
+def test_rho_command_inverts_no_whole_embedded_weight(monkeypatch, tmp_path, capsys):
+    # T^-1 = diag(M^-1, N) is assembled from its blocks: the eigendecompositions
+    # are those of N, for rho_embed's T, and of M, never one of order m + n
+    import json
+
+    from wmpinv.cli import main
+    from wmpinv.io import write_bundle
+
+    gen = np.random.default_rng(9)
+    a, m, n = random_matrix_with_rank(gen, 5, 4, 3), random_weight(gen, 5), random_weight(gen, 4)
+    bundle = tmp_path / "problem.json"
+    write_bundle(bundle, {"A": a, "M": m.matrix, "N": n.matrix})
+    orders = []
+    eigh = np.linalg.eigh
+
+    def recording(w, *args, **kwargs):
+        orders.append(len(w))
+        return eigh(w, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    assert main(["rho", "--bundle", str(bundle), "--json"]) == 0
+    assert sorted(orders) == [4, 5]
+    assert json.loads(capsys.readouterr().out)["block_residual"] <= 1e-12
 
 
 class TestMatchedProjection:
@@ -693,6 +820,33 @@ def test_private_routines_take_checked_arrays():
 
     for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), "", False)
+    assert offenders == []
+
+
+def test_no_explicit_inverse_in_the_package():
+    # weights are applied by solves and positive reductions built in closed
+    # form; an explicit inverse is read only off Weight.inverse's eigh
+    import ast
+    from pathlib import Path
+
+    import wmpinv
+
+    def dotted(f):
+        parts = []
+        while isinstance(f, ast.Attribute):
+            parts.append(f.attr)
+            f = f.value
+        if isinstance(f, ast.Name):
+            parts.append(f.id)
+        return ".".join(reversed(parts))
+
+    offenders = []
+    for path in sorted(Path(wmpinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and dotted(node.func).endswith("linalg.inv"):
+                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                offenders.extend(f"{path.name}:{node.lineno}" for a in node.names if a.name == "inv")
     assert offenders == []
 
 
