@@ -464,10 +464,34 @@ def _positive_weights(factors: ExistenceReport, tol: ToleranceConfig) -> Positiv
     c = _coupling(_factor(n_0, sp.v_r, sp.v_0))
     d = _coupling(_factor(mi_u0.conj().T, sp.u_r, sp.u_0))
     (k, r), j = c.shape, d.shape[0]
-    t_mat = _coupled_weight(sp.v_r, sp.v_0, c, np.eye(r), np.eye(k) / (1.0 + _fro(c) ** 2))
+    c_fro, d_fro = _fro(c), _fro(d)
+    t_mat = _coupled_weight(sp.v_r, sp.v_0, c, np.eye(r), np.eye(k) / (1.0 + c_fro**2))
     # S in the order [U_0 U_r], where its blocks are [[D D* + I / eps', -D], [-D*, I]]
-    s_mat = _coupled_weight(sp.u_0, sp.u_r, -d.conj().T, np.eye(j) * (1.0 + _fro(d) ** 2), np.eye(r))
-    return PositiveReduction(s=Weight(s_mat, tol), t=Weight(t_mat, tol))
+    s_mat = _coupled_weight(sp.u_0, sp.u_r, -d.conj().T, np.eye(j) * (1.0 + d_fro**2), np.eye(r))
+    return PositiveReduction(
+        s=_reduced_weight(s_mat, "S", "D = Mi_00^-1 Mi_0r", d_fro, tol),
+        t=_reduced_weight(t_mat, "T", "C = N_00^-1 N_0r", c_fro, tol),
+    )
+
+
+def _reduced_weight(matrix: np.ndarray, side: str, coupling: str, fro: float, tol: ToleranceConfig) -> Weight:
+    """``Weight(matrix)``, refused in the reduction's terms: the side, its coupling and that one's Frobenius norm.
+
+    No other positive definite weight with the coupling c would do much
+    better: its compression to ``[q; 0]`` and ``[0; p]``, for ``c q = s p``
+    with s = ||c||_2, is ``[[a + s^2 b, s b], [s b, b]]`` with a, b > 0,
+    whose trace squared over determinant, ``rho + 2 + 1 / rho`` for the
+    ratio rho of its eigenvalues, is at least ``4 (1 + s^2)``, so ``cond >=
+    rho >= 4 s^2 + 1``.
+    """
+    try:
+        return Weight(matrix, tol)
+    except WeightError as e:
+        raise WeightError(
+            f"positive reduction: {side}, built for the coupling {coupling} of Frobenius norm {fro:.6e}, "
+            f"has a condition number above inv_cond_max = {tol.inv_cond_max:.1e}; every positive "
+            f"definite weight with this coupling has one of at least 4 ||{coupling[0]}||_2^2"
+        ) from e
 
 
 @dataclass(frozen=True)

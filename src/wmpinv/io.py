@@ -7,6 +7,16 @@ flat row-major entry lists (``im`` optional), plus the reserved keys
 positive floats), and ``seed``.  JSON is written by ``json.dumps``: floats as the
 shortest round-trip repr, one line, so a write/read cycle is bit
 identical.
+
+Bundles and JSON role files are read by ``orjson``, which parses them
+several times faster than ``json`` to the same values.  ``json`` reads a
+document again where ``orjson`` refuses it (``NaN`` and ``Infinity``
+literals, numbers that overflow to infinity, lone surrogates, malformed
+text, whose ``invalid JSON: ...`` message is ``json``'s), where an
+integer field (``seed``, ``rows``, ``cols``) comes back a float, which is
+how ``orjson`` reads integer literals outside the 64-bit range, and where
+the document is too deeply nested for ``orjson`` to parse safely.
+Reports and ``--out`` files are still written by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -99,9 +109,48 @@ def matrix_from_obj(obj) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+# orjson 3.8 has no depth limit: near 55 000 nested objects it overflows an
+# 8 MiB C stack and kills the process, where json raises RecursionError from
+# sys.getrecursionlimit() levels less the caller's depth; a document with
+# this many brackets nests no deeper, and a bundle needs three per matrix
+_ORJSON_MAX_BRACKETS = 128
+
+
+def _loads(text: str):
+    """The value of a JSON document, as ``json.loads`` reads it.
+
+    ``orjson`` parses it, imported here so that importing the package does
+    not load it.  ``json`` parses instead where ``orjson`` raises, where an
+    integer field came back a float (see the module docstring), and where
+    the text opens more than ``_ORJSON_MAX_BRACKETS`` arrays and objects.
+    """
+    import orjson
+
+    if text.count("[") + text.count("{") > _ORJSON_MAX_BRACKETS:
+        return json.loads(text)
+    try:
+        obj = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+    return json.loads(text) if _float_in_integer_field(obj) else obj
+
+
+def _float_in_integer_field(obj) -> bool:
+    """Whether a ``seed``, or a ``rows`` or ``cols`` of a matrix object or of a bundle's role, is a float."""
+    if not isinstance(obj, dict):
+        return False
+    if isinstance(obj.get("seed"), float):
+        return True
+    return any(
+        isinstance(m.get(k), float)
+        for m in (obj, *(v for v in obj.values() if isinstance(v, dict)))
+        for k in ("rows", "cols")
+    )
+
+
 def parse_bundle(text: str) -> ProblemBundle:
     try:
-        raw = json.loads(text)
+        raw = _loads(text)
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"invalid JSON: {e}") from e
     return _bundle_from_obj(raw)
@@ -165,7 +214,7 @@ def load_matrix(path) -> np.ndarray:
     if p.suffix.lower() in {".mtx", ".mm"}:
         return read_matrix_market(p)
     try:
-        obj = json.loads(p.read_text())
+        obj = _loads(p.read_text())
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"{p}: invalid JSON: {e}") from e
     if isinstance(obj, dict) and not {"rows", "cols", "re"} <= set(obj):

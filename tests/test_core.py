@@ -453,6 +453,38 @@ class TestPositiveReduction:
         assert red.t.cond <= 4.0 * (1.0 + np.linalg.norm(c) ** 2) < 1e3
         assert red.s.cond <= 4.0 * (1.0 + np.linalg.norm(d) ** 2) < 1e3
 
+    @pytest.mark.parametrize("side", ["T", "S"])
+    def test_a_coupling_no_weight_fits_is_named(self, side):
+        # the kappa family at kappa = 1e6 with a fixed N_0r in place of a fixed
+        # C, so C = N_00^-1 N_0r grows like kappa: the inverse exists, and
+        # every positive definite T with coupling C has cond >= 4 ||C||_2^2 >
+        # inv_cond_max; the same block structure in M^-1 gives S the same fate
+        gen = np.random.default_rng(0)
+        a = random_matrix_with_rank(gen, 7, 6, 3)
+        sp = _split_basis(as_matrix(a), DEFAULT_TOL)
+        h, n_0r = random_complex(gen, 3, 3), random_complex(gen, 3, 3)
+        null_block = np.diag([1.0, -1e-6, 0.5])
+        if side == "T":
+            basis, fill = np.hstack([sp.v_r, sp.v_0]), null_block
+        else:
+            basis, fill = np.hstack([sp.u_r, sp.u_0]), np.diag([1.0, -1e-6, 0.5, 2.0])
+            h, n_0r = random_complex(gen, 3, 3), random_complex(gen, 4, 3)
+        w = basis @ np.block([[h + h.conj().T, n_0r.conj().T], [n_0r, fill]]) @ basis.conj().T
+        w = 0.5 * (w + w.conj().T)
+        m, n = (np.eye(7), w) if side == "T" else (np.linalg.inv(w), np.eye(6))
+        assert require_wmp_inverse(a, m, n).exists
+        coupling = self.couplings(a, m, n)[side == "S"]
+        assert 4.0 * np.linalg.norm(coupling, 2) ** 2 > DEFAULT_TOL.inv_cond_max
+        with pytest.raises(WeightError) as raised:
+            positive_reduction(a, m, n)
+        message = str(raised.value)
+        name = {"T": "C = N_00^-1 N_0r", "S": "D = Mi_00^-1 Mi_0r"}[side]
+        head = f"positive reduction: {side}, built for the coupling {name} of Frobenius norm "
+        assert message.startswith(head), message
+        fro = float(message[len(head) :].split(",")[0])
+        assert fro == pytest.approx(np.linalg.norm(coupling), rel=1e-5)
+        assert "numerically singular" not in message
+
     def test_cond_bounds_on_the_acceptance_suite(self, suite):
         worst = largest = 0.0
         for a, m, n, res in suite:

@@ -1,6 +1,7 @@
 """Bundle serialization and the command-line front end."""
 
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
@@ -12,8 +13,11 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 import scipy.io
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest as golden_data
 import wmpinv
@@ -22,6 +26,7 @@ from wmpinv import NonExistentError, RankFlipWarning, cli, omega_weight, require
 from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
+    _bundle_from_obj,
     dump_json,
     geometric_schedule,
     load_bundle,
@@ -702,3 +707,259 @@ def test_benchmark_tracer_names_exist():
         assert callable(getattr(importlib.import_module(f"wmpinv.{module}"), attr, None)), (module, attr)
     # the tracer patches cli's own name for the writer, so cli must call that very function
     assert wmpinv.cli.dump_json is wmpinv.io.dump_json
+
+
+def _parse_with_json(text):
+    """``parse_bundle`` with ``json`` alone, as it read bundles before ``orjson``."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise BundleFormatError(f"invalid JSON: {e}") from e
+    return _bundle_from_obj(raw)
+
+
+def _outcome(parse, text):
+    """The parsed bundle as exact bits, or the type and message of what parsing raised."""
+    try:
+        b = parse(text)
+    except Exception as e:
+        return type(e), str(e)
+    schedule = None if b.schedule is None else (b.schedule.dtype, b.schedule.tobytes())
+    return (
+        [(k, v.dtype, v.shape, v.tobytes()) for k, v in b.matrices.items()],
+        [(k, v.hex()) for k, v in b.tolerances.items()],
+        schedule,
+        (type(b.seed), b.seed),
+    )
+
+
+def _role(rows, cols, re_text, im_text=None):
+    im = "" if im_text is None else f', "im": [{im_text}]'
+    return f'{{"rows": {rows}, "cols": {cols}, "re": [{re_text}]{im}}}'
+
+
+# literals at the edges of double rounding: extreme exponents, the least
+# subnormal and its halfway point, the largest double, exact halfway cases
+# that round to even, mantissas longer than 17 digits, and integers on
+# both sides of the 64-bit range (orjson reads the latter as doubles)
+_EDGE_LITERALS = [
+    "1E5", "-0.0", "0e0", "-0e0", "5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1e-400", "2.2250738585072011e-308", "2.2250738585072014e-308", "1.7976931348623157e308",
+    "1.7976931348623158e308", "0.1000000000000000055511151231257827021181583404541015625",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203125000000001",
+    "9007199254740993", "9007199254740993.0", "9007199254740995.0", "-9007199254740993e0",
+    "3.14159265358979323846264338327950288419716939937510582097494459", "1e0000000000000000000000001",
+    "9223372036854775807", "9223372036854775808", "18446744073709551615", "18446744073709553664",
+    "18446744073709553665", "-9223372036854775809", str(2**70 + 2**17), "123456789e-30", "-1.5E+300",
+]
+
+
+def _hand_written():
+    """Hand-written bundles that orjson parses, one idea each."""
+    edge = ", ".join(_EDGE_LITERALS)
+    n = len(_EDGE_LITERALS)
+    return {
+        "whitespace": ' \n\t{ "A" :\r\n { "rows" : 2 ,\t"cols":2, "re" : [ 1E5 ,-0.0 , 5e-324,\n1.7976931348623157e308 ] } }\n ',
+        "edge literals": f'{{"A": {_role(1, n, edge, edge)}}}',
+        "reordered keys": (
+            '{"seed": 7, "schedule": [0.5, 0.25, 1e-3], "N": {"im": [0.5, -0.5], "cols": 1, "re": [1, 2], "rows": 2},'
+            ' "tolerances": {"verify_atol": 1e-7, "inv_cond_max": 1000000000000}, "A": {"re": [3], "cols": 1, "rows": 1}}'
+        ),
+        "duplicate keys": (
+            f'{{"A": {_role(1, 1, "1.0")}, "B": {_role(1, 1, "2.0")}, "A": {{"rows": 1, "rows": 2, "cols": 1, "re": [3, 4]}},'
+            ' "seed": 1, "seed": 2}'
+        ),
+        "integer tolerances and schedule": '{"tolerances": {"verify_atol": 1, "rank_rtol": 0.0001}, "schedule": [4, 2, 1]}',
+        "non-ascii role": f'{{"\\u00c5": {_role(1, 1, "1")}, "\\ud83d\\ude00": {_role(1, 1, "2")}}}',
+    }
+
+
+def _bench_bundle_texts(tmp_path, seeds=(1, 2, 3)):
+    """The texts of the benchmark's ``cli-verdicts`` bundles, 24 x 24, for each seed."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("wmpinv_bench_workloads", bench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        texts = []
+        for seed in seeds:
+            cases = workloads.CliVerdicts(wmpinv, seed, tmp_path / f"seed{seed}").cases
+            texts += [Path(case[0]).read_text() for case in cases]
+    finally:
+        sys.path.remove(str(bench))
+    return texts
+
+
+class TestReader:
+    """The ``orjson`` reader against ``json``, the reader it replaces."""
+
+    def test_write_bundle_output_parses_as_json_parses_it(self, tmp_path, rng):
+        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        extremes = np.array([[5e-324, -0.0, 1.7976931348623157e308], [-2.2250738585072014e-308, 1e-17, 0.1]])
+        path = tmp_path / "b.json"
+        for matrices, scalars in [
+            ({"A": x, "M": np.eye(4), "N": x.conj().T @ x}, None),
+            ({"A": extremes, "B": 1j * extremes}, {"seed": 42, "schedule": [0.1, 0.01], "tolerances": {"verify_atol": 1e-7}}),
+            ({"A": np.zeros((0, 3))}, {"seed": -(2**63)}),
+        ]:
+            write_bundle(path, matrices, scalars)
+            text = path.read_text()
+            orjson.loads(text)  # the fast path reads it
+            assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+            assert _outcome(lambda _: load_bundle(path), None) == _outcome(_parse_with_json, text)
+
+    @pytest.mark.parametrize("name", sorted(_hand_written()))
+    def test_hand_written_bundles_parse_as_json_parses_them(self, name):
+        text = _hand_written()[name]
+        orjson.loads(text)  # the fast path reads it
+        parse_bundle(text)  # and it is a bundle
+        assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+
+    def test_benchmark_bundles_parse_as_json_parses_them(self, tmp_path):
+        texts = _bench_bundle_texts(tmp_path)
+        assert len(texts) == 48
+        for text in texts:
+            orjson.loads(text)  # the fast path reads it
+            assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+
+    def test_single_matrix_files_load_as_json_loads_them(self, tmp_path):
+        path = tmp_path / "a.json"
+        matrix = _role(1, 3, "1E5, -0.0, 5e-324", "0.1, 18446744073709553665, -1")
+        expected = matrix_from_obj(json.loads(matrix))
+        # a matrix object, and a bundle holding one matrix
+        for text in (matrix, f'{{"X": {matrix}}}'):
+            path.write_text(text)
+            got = load_matrix(path)
+            assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.from_regex(r"-?(0|[1-9][0-9]{0,25})", fullmatch=True),
+                st.from_regex(r"(\.[0-9]{1,30})?", fullmatch=True),
+                st.one_of(st.just(""), st.integers(-340, 320).map(lambda e: f"e{e}")),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_random_decimal_literals_read_to_the_same_bits(self, parts):
+        literals = ", ".join("".join(p) for p in parts)
+        text = f'{{"A": {_role(1, len(parts), literals)}}}'
+        assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f'{{"A": {_role(1, 3, "NaN, Infinity, -Infinity")}}}',
+            f'{{"A": {_role(1, 2, "1e400, -1e400")}}}',
+            f'{{"A": {_role(1, 1, "1" + "0" * 400)}}}',
+            f'{{"\\ud800": {_role(1, 1, "1")}}}',
+            f'{{"\ud800": {_role(1, 1, "1")}}}',
+            f'{{"A": {_role(1, 1, "1")}, "schedule": [1, Infinity]}}',
+            '{"tolerances": {"inv_cond_max": NaN}}',
+        ],
+        ids=["nan-infinity", "overflow", "overflowing-integer", "escaped-lone-surrogate", "lone-surrogate", "infinite-schedule", "nan-tolerance"],
+    )
+    def test_what_orjson_refuses_reads_as_json_reads_it(self, text):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+        assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+
+    @pytest.mark.parametrize("field", ["seed", "rows", "cols"])
+    @pytest.mark.parametrize("value", [2**64 + 1, -(2**63) - 1, 10**30])
+    def test_integer_fields_outside_64_bits_read_as_json_reads_them(self, field, value, tmp_path):
+        if field == "seed":
+            text = f'{{"A": {_role(1, 1, "1")}, "seed": {value}}}'
+        else:
+            text = f'{{"A": {_role(value if field == "rows" else 1, value if field == "cols" else 1, "1")}}}'
+        # orjson alone would round the value to a double
+        obj = orjson.loads(text)
+        assert isinstance(obj["seed"] if field == "seed" else obj["A"][field], float)
+        parsed = _outcome(parse_bundle, text)
+        assert parsed == _outcome(_parse_with_json, text)
+        if field == "seed":
+            assert parsed[3] == (int, value)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert _outcome(lambda _: load_bundle(path), None) == parsed
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"   ", b'{"A": {"rows": 1, "cols": 1, "re": [1', b'{"A": ', b"\xef\xbb\xbf{}", b"{} {}", b"[1,]"],
+        ids=["empty", "blank", "truncated-list", "truncated-object", "bom", "extra-data", "trailing-comma"],
+    )
+    def test_malformed_files_keep_the_json_message(self, content, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(json.JSONDecodeError) as parent:
+            json.loads(path.read_text())
+        with pytest.raises(BundleFormatError) as got:
+            load_bundle(path)
+        assert str(got.value) == f"invalid JSON: {parent.value}"
+        with pytest.raises(BundleFormatError) as got:
+            load_matrix(path)
+        assert str(got.value) == f"{path}: invalid JSON: {parent.value}"
+
+    def test_a_deep_document_is_left_to_json(self):
+        # orjson 3.8 parses without a depth limit and overflows the C stack
+        # near 55 000 nested objects; json raises RecursionError instead, in
+        # a child process so that a crash fails this test alone
+        src = str(Path(wmpinv.__file__).resolve().parents[1])
+        code = (
+            "from wmpinv.io import parse_bundle\n"
+            "depth = 200000\n"
+            "try:\n"
+            "    parse_bundle('{\"A\": ' + '{\"x\": ' * depth + '1' + '}' * depth + '}')\n"
+            "except RecursionError:\n"
+            "    print('RecursionError')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "RecursionError")
+        for depth in (2, 200):
+            text = '{"A": ' + "[" * depth + "1" + "]" * depth + "}"
+            assert _outcome(parse_bundle, text) == _outcome(_parse_with_json, text)
+
+
+def test_orjson_is_loaded_by_the_first_read_only(tmp_path):
+    # bench/worker.py imports wmpinv.cli for every workload; orjson costs
+    # about 0.5 MB of resident memory where no JSON is read
+    path = tmp_path / "b.json"
+    write_bundle(path, {"A": np.eye(2)})
+    src = str(Path(wmpinv.__file__).resolve().parents[1])
+    code = (
+        "import sys, wmpinv, wmpinv.cli\n"
+        "print('orjson' in sys.modules)\n"
+        "wmpinv.io.load_bundle(sys.argv[1])\n"
+        "print('orjson' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def _declared_dependencies(pyproject: str) -> set:
+    """Distribution names in ``[project] dependencies``, read without ``tomllib`` (absent before Python 3.11)."""
+    project = re.search(r"^\[project\]$(.*?)(?=^\[)", pyproject, re.M | re.S).group(1)
+    listed = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project, re.M | re.S).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_") for spec in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # every import, at module level or inside a function, of a module that is
+    # neither the standard library's nor the package's own
+    root = Path(wmpinv.__file__).resolve().parent
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"wmpinv"}
+    pyproject = (root.parents[1] / "pyproject.toml").read_text()
+    assert third_party == _declared_dependencies(pyproject) == {"numpy", "scipy", "orjson"}
