@@ -125,10 +125,15 @@ class _Context:
 
 
 def _gather(args) -> _Context:
-    bundle = load_bundle(args.bundle) if args.bundle else ProblemBundle()
-    matrices = dict(bundle.matrices)
-    for name, path in args.role or ():
-        matrices[name] = load_matrix(path)
+    path = args.bundle
+    try:
+        bundle = load_bundle(path) if path else ProblemBundle()
+        matrices = dict(bundle.matrices)
+        for name, path in args.role or ():
+            matrices[name] = load_matrix(path)
+    except RecursionError as e:
+        # json's verdict on a file nested past the recursion limit; path names the file being read
+        raise BundleFormatError(f"{path}: nested too deeply to read") from e
 
     values = asdict(DEFAULT_TOL)
     sources = dict.fromkeys(values, "default")

@@ -72,11 +72,14 @@ def matrix_to_obj(a) -> dict:
     return obj
 
 
+# malformed content, an integer past the float range included, is a format error, not a numerical one
+_BAD_VALUE = (TypeError, ValueError, OverflowError)
+
+
 def _as_float_vector(value, what: str) -> np.ndarray:
-    # malformed content is a format error, not a numerical one
     try:
         out = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise BundleFormatError(f"{what} must be a flat list of numbers") from e
     if out.ndim != 1:
         raise BundleFormatError(f"{what} must be a flat list of numbers")
@@ -91,7 +94,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise BundleFormatError(f"matrix object has unrecognized keys {sorted(unknown)}")
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise BundleFormatError("rows and cols must be integers") from e
     if rows < 0 or cols < 0:
         raise BundleFormatError("matrix dimensions must be nonnegative")
@@ -167,7 +170,7 @@ def _bundle_from_obj(raw) -> ProblemBundle:
                 raise BundleFormatError(f"tolerances must be an object with keys from {names}")
             try:
                 bundle.tolerances = {k: float(v) for k, v in value.items()}
-            except (TypeError, ValueError) as e:
+            except _BAD_VALUE as e:
                 raise BundleFormatError("tolerance values must be numbers") from e
             try:
                 ToleranceConfig(**bundle.tolerances)
@@ -181,7 +184,7 @@ def _bundle_from_obj(raw) -> ProblemBundle:
         elif key == "seed":
             try:
                 bundle.seed = int(value)
-            except (TypeError, ValueError) as e:
+            except _BAD_VALUE as e:
                 raise BundleFormatError("seed must be an integer") from e
         elif isinstance(value, dict):
             bundle.matrices[key] = matrix_from_obj(value)

@@ -46,22 +46,22 @@ iterates.
 The splits are made once per call, and the solvers make none of their
 own.  The four t-routines enter by one door, :func:`_pencil_inputs`,
 which checks that A, B, V and W fit and, but for
-:func:`closed_form_separated`, that V and W are positive definite
-before any decomposition, then splits A once and builds the joint row
-space of ``[A; B]`` on that split with one SVD of ``B V_0``, the part of
-B acting on A's null space.  The pencil solver reads its bases and
-blocks off it, and the default target reads Omega by its null-space row,
-not built in full (:func:`_default_target`).  The separated closed forms
-take their base ``(A* V A)^+ A* V`` off that target as ``P Z``, so A is
-not squared, and are checked against Z; nothing here draws at random.
-``limit_lambda_to_inf`` splits A once and takes one SVD of B's
-compression to the complement of A's range, which decides the target and
-gives the solver the rest of its basis; A's check reads that split and
-H11, so only B's makes an ``eigvalsh`` of order n.  The separation verdict reads
-A's row basis off the split its caller holds, and one SVD of ``2I - P -
-Q`` gives ``||P Q||``, decides invertibility, counts the intersection of
-the row spaces and solves for Pi, so no matrix of the separated pipeline
-is decomposed twice.
+:func:`closed_form_separated`, that V and W are positive definite before
+any decomposition, then splits A once, deciding its rank, and builds the
+joint row space of ``[A; B]`` on that split with one SVD of ``B V_0``,
+the part of B acting on A's null space.  The pencil solver reads its
+bases and blocks off it, and the default target reads Omega by its
+null-space row, not built in full (:func:`_default_target`).  The
+separated closed forms take their base ``(A* V A)^+ A* V`` off that
+target as ``P Z``, so A is not squared, and are checked against Z;
+nothing here draws at random.  ``limit_lambda_to_inf`` splits A once and
+takes one SVD of B's compression to the complement of A's range, which
+decides the target and gives the solver the rest of its basis; A's check
+reads that split and H11, so only B's makes an ``eigvalsh`` of order n.
+The separation verdict reads A's row basis off the split its caller
+holds, and one SVD of ``2I - P - Q`` gives ``||P Q||``, decides
+invertibility, counts the intersection of the row spaces and solves for
+Pi, so no matrix of the separated pipeline is decomposed twice.
 """
 
 from __future__ import annotations
@@ -156,9 +156,8 @@ def _check_columns(am, bm) -> None:
 
 
 class _JointRows(NamedTuple):
-    """The rank d of A's part, ``B V_0``, ``(B V_0) W`` and the row and null bases of :func:`_joint_rows`."""
+    """``B V_0``, ``(B V_0) W`` and the row and null bases of :func:`_joint_rows`."""
 
-    d: int
     b_v0: np.ndarray
     b_w: np.ndarray
     v_r: np.ndarray
@@ -172,22 +171,17 @@ def _joint_rows(split_a: SplitBasis, bm, tol: ToleranceConfig) -> _JointRows:
     space, so ``[V_r, V_0 W]`` spans the row space of ``[A; B]`` and
     ``V_0 W_perp`` its null space, W and W_perp the right singular vectors
     of ``B V_0`` above and below the cutoff; the rank is ``r + rank(B
-    V_0)``.  The cutoff is that of a split of ``[A; B]``, taken on
-    ``s = sqrt(sigma_1(A)^2 + ||B||_F^2)``: ``sigma_max([A; B]) <= s <=
-    sqrt(1 + rank(B)) sigma_max([A; B])``.  It is not anchored to
-    ``sigma_1(B V_0)``, which is rounding noise when the row space of B
-    lies in that of A.  A direction of A whose singular value falls to
-    the cutoff is noise on the scale of ``[A; B]``: it joins V_0, on which
-    B is split, and V_r keeps its first d columns.
+    V_0)``, r that of the split.  The cutoff, which cuts ``B V_0`` alone,
+    is that of a split of ``[A; B]``, taken on ``s = sqrt(sigma_1(A)^2 +
+    ||B||_F^2)``: ``sigma_max([A; B]) <= s <= sqrt(1 + rank(B))
+    sigma_max([A; B])``.  It is not anchored to ``sigma_1(B V_0)``, which
+    is rounding noise when the row space of B lies in that of A.
     """
-    sigma_a = split_a.sigma_r
-    scale = float(np.hypot(sigma_a[0] if sigma_a.size else 0.0, _fro(bm)))
+    scale = float(np.hypot(split_a.sigma_r[0] if split_a.sigma_r.size else 0.0, _fro(bm)))
     cutoff = _rank_cutoff(scale, (split_a.u_r.shape[0] + bm.shape[0], bm.shape[1]), tol)
-    d = int(np.count_nonzero(sigma_a > cutoff))
-    v_0 = split_a.v_0 if d == sigma_a.size else np.hstack([split_a.v_r[:, d:], split_a.v_0])
-    bv0 = bm @ v_0
+    bv0 = bm @ split_a.v_0
     sb = _split_basis(bv0, tol, cutoff)
-    return _JointRows(d, bv0, bv0 @ sb.v_r, np.hstack([split_a.v_r[:, :d], v_0 @ sb.v_r]), v_0 @ sb.v_0)
+    return _JointRows(bv0, bv0 @ sb.v_r, np.hstack([split_a.v_r, split_a.v_0 @ sb.v_r]), split_a.v_0 @ sb.v_0)
 
 
 # the checked t-pencil A* V A + t B* W B: A, B, the split of A, the joint rows of [A; B], V and W
@@ -298,9 +292,8 @@ def _default_target(pen: _Pencil, tol: ToleranceConfig) -> np.ndarray:
     target's verdict, whose R holds ``Omega_00``, decides on the row.
     """
     am, bm, sp, joint, vw, ww = pen
-    b_v0 = joint.b_v0[:, joint.b_v0.shape[1] - sp.v_0.shape[1] :]
     p_row = (sp.v_0.conj().T @ joint.v_0) @ joint.v_0.conj().T
-    row = (am @ sp.v_0).conj().T @ vw.matrix @ am + b_v0.conj().T @ ww.matrix @ bm + p_row
+    row = (am @ sp.v_0).conj().T @ vw.matrix @ am + joint.b_v0.conj().T @ ww.matrix @ bm + p_row
     return _required_on_split(sp, vw, row, tol)[1]
 
 
@@ -393,13 +386,13 @@ class _GradedSolver:
     ``cond(S)`` is known to be small.
     """
 
-    def __init__(self, basis, h11, k11, k12, k22, r1, r2, tol: ToleranceConfig = DEFAULT_TOL, delta=None):
+    def __init__(self, basis, h11, k11, k12, k22, r1, r2, tol: ToleranceConfig, delta: float):
         self.basis = basis
         self.h11, self.k11, self.k12, self.k22 = h11, k11, k12, k22
         self.r1, self.r2 = r1, r2
         self.tol = tol
         *h_floor, self.h_low = _hermitian_floor(h11)
-        self.schur = None if delta is None else self._schur_constants(delta, *h_floor)
+        self.schur = self._schur_constants(delta, *h_floor)
         self.reduced = self._eliminate_k22()
 
     def _eliminate_k22(self):
@@ -534,11 +527,10 @@ class _GradedSolver:
         eigenvalue positive, so by :func:`_hermitian_floor` its PSD defect is
         at most ``d eps ||W||_F``.
         """
-        am, bm, _, joint, vw, ww = pen
+        am, bm, split, joint, vw, ww = pen
         vmat, wmat = vw.matrix, ww.matrix
-        v1 = joint.v_r[:, : joint.d]
-        a1 = am @ v1
-        h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ v1, joint.b_w
+        a1 = am @ split.v_r
+        h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ split.v_r, joint.b_w
         r1 = a1.conj().T @ vmat
         k1w = k1.conj().T @ wmat
         delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, ww.dim * _EPS * _fro(wmat), wmat)
@@ -623,9 +615,8 @@ class _GradedSolver:
     def _eliminated(self, t: float) -> np.ndarray:
         """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated; ``Bq Z(t)^-1 r1(t)`` for zero r2."""
         k_schur, kz, c0, bq = self.reduced
-        if c0 is None:
-            return bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t))
-        return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t) - t * kz)
+        y1 = np.linalg.solve(self.h11 + t * k_schur, self.r1(t) if c0 is None else self.r1(t) - t * kz)
+        return bq @ y1 if c0 is None else c0 + bq @ y1
 
 
 def limit_t_to_zero(

@@ -171,3 +171,25 @@ def test_split_columns_once_per_split(lapack_calls):
         return lapack_calls["svdvals"]
 
     assert svdvals(50) - svdvals(10) == 4 * 40
+
+
+def test_no_term_with_an_inverse_leaves_its_columns_undefined():
+    # every term's N makes the factor singular, so the inverse columns hold
+    # no finite value while the split columns still read A's
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    n_bad = np.array([[0.0, 1.0], [1.0, 0.0]])
+    diag = perturb_weights_only(a, np.eye(2), np.eye(2), [(np.eye(2), n_bad)] * 6)
+    assert not any(diag.exists)
+    assert diag.trends["wmp_diff"] == diag.trends["wmp_norm"] == "undefined"
+    assert diag.trends["mp_norm"] == "bounded"
+
+
+def test_a_tail_that_leaves_zero_is_diverging():
+    # the tail opens on the base weights, a difference of exactly 0, and
+    # ends away from them: no ratio to the first value exists
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    n_far = np.array([[1.0, 1.0], [1.0, 2.0]])
+    diag = perturb_weights_only(a, np.eye(2), np.eye(2), [(np.eye(2), np.eye(2))] * 5 + [(np.eye(2), n_far)])
+    assert diag.columns["wmp_diff"][diag.tail_start] == 0.0
+    assert diag.columns["wmp_diff"][-1] > DEFAULT_TOL.verify_atol
+    assert diag.trends["wmp_diff"] == "diverging"

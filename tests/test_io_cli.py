@@ -517,6 +517,99 @@ class TestCliCommands:
         assert main(["limit-lambda", "--bundle", str(path)]) == 1
 
 
+_BIG = "1" + "0" * 400
+_ONE = '"A": {"rows": 1, "cols": 1, "re": [1]}'
+
+
+class TestBadValues:
+    """Every bad value of a bundle is a format error, exit code 1, with the message of its field."""
+
+    CASES = {
+        # integers past the float range, and floats past the integer one
+        "re_overflows": ('{"A": {"rows": 1, "cols": 1, "re": [%s]}}' % _BIG, "re must be a flat list of numbers"),
+        "im_overflows": (
+            '{"A": {"rows": 1, "cols": 1, "re": [1], "im": [%s]}}' % _BIG,
+            "im must be a flat list of numbers",
+        ),
+        "rows_overflow": ('{"A": {"rows": 1e400, "cols": 1, "re": [1]}}', "rows and cols must be integers"),
+        "seed_overflows": ('{%s, "seed": 1e400}' % _ONE, "seed must be an integer"),
+        "tolerance_overflows": (
+            '{%s, "tolerances": {"verify_atol": %s}}' % (_ONE, _BIG),
+            "tolerance values must be numbers",
+        ),
+        "schedule_overflows": ('{%s, "schedule": [1, %s]}' % (_ONE, _BIG), "schedule must be a flat list of numbers"),
+        # the other messages of each field
+        "re_not_flat": ('{"A": {"rows": 1, "cols": 1, "re": [[1]]}}', "re must be a flat list of numbers"),
+        "re_not_numbers": ('{"A": {"rows": 1, "cols": 1, "re": ["one"]}}', "re must be a flat list of numbers"),
+        "rows_not_integer": ('{"A": {"rows": "one", "cols": 1, "re": [1]}}', "rows and cols must be integers"),
+        "im_wrong_length": ('{"A": {"rows": 1, "cols": 1, "re": [1], "im": [1, 2]}}', "im must match re in length"),
+        "tolerance_unknown_key": (
+            '{%s, "tolerances": {"speed": 1}}' % _ONE,
+            "tolerances must be an object with keys from ['inv_cond_max', 'rank_rtol', 'verify_atol']",
+        ),
+        "tolerance_not_number": ('{%s, "tolerances": {"verify_atol": [1]}}' % _ONE, "tolerance values must be numbers"),
+        "seed_not_integer": ('{%s, "seed": "seven"}' % _ONE, "seed must be an integer"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_field_names_its_bad_value(self, case, tmp_path, capsys):
+        text, message = self.CASES[case]
+        with pytest.raises(BundleFormatError, match=f"^{re.escape(message)}$"):
+            parse_bundle(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["wmp", "--bundle", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("option", ["--bundle", "--role"])
+    def test_a_file_nested_past_the_recursion_limit_is_a_format_error(self, option, tmp_path, capsys):
+        # parse_bundle leaves RecursionError to json (TestReader); the CLI
+        # names the file instead
+        path = tmp_path / "deep.json"
+        path.write_text('{"A": ' + "[" * 5000 + "]" * 5000 + "}")
+        argv = ["--bundle", str(path)] if option == "--bundle" else ["--role", f"A={path}"]
+        assert main(["wmp", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply to read\n"
+
+
+class TestMathematicalFailures:
+    """A raised WmpError or ValueError of a command exits 2 with one error line."""
+
+    BUNDLES = {
+        "limit-lambda": {"A": np.diag([1.0, -1.0]), "B": np.eye(2)},
+        "closed-form": {"A": np.array([[1.0, 0.0, 0.0]]), "B": np.array([[1.0, 0.0, 0.0]]), "V": np.eye(1), "W": np.eye(1)},
+        "verify": {"A": np.ones((2, 3)), "M": np.eye(2), "N": np.eye(3), "X": np.ones((2, 2))},
+    }
+    MESSAGES = {
+        "limit-lambda": "a is not positive semidefinite: smallest eigenvalue -1.000000e+00",
+        "closed-form": "row spaces are not separated: ||P Q|| = 1.000000000 is not below 1",
+        "verify": "candidate inverse must be 3 x 2, got (2, 2)",
+    }
+
+    @pytest.mark.parametrize("command", sorted(BUNDLES))
+    def test_exit_two_with_one_error_line(self, command, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        write_bundle(path, self.BUNDLES[command])
+        assert main([command, "--bundle", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {self.MESSAGES[command]}\n")
+
+
+def test_coordinate_matrix_market_role_is_densified(tmp_path, capsys, golden):
+    # a sparse .mtx file is written in coordinate format and read back dense
+    import scipy.sparse
+
+    path = tmp_path / "a.mtx"
+    scipy.io.mmwrite(path, scipy.sparse.coo_matrix(golden["a"]))
+    assert "coordinate" in path.read_text().splitlines()[0]
+    assert np.array_equal(load_matrix(path), golden["a"])
+    bundle = tmp_path / "weights.json"
+    write_bundle(bundle, {"M": golden["m"], "N": golden["n"]})
+    assert main(["wmp", "--bundle", str(bundle), "--role", f"A={path}", "--json"]) == 0
+    inverse = matrix_from_obj(json.loads(capsys.readouterr().out)["inverse"])
+    assert np.array_equal(inverse, require_wmp_inverse(golden["a"], golden["m"], golden["n"]).inverse)
+
+
 class TestRepeatedMain:
     """``main`` builds its parser once per process; no call leaves state for the next."""
 

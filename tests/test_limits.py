@@ -38,12 +38,13 @@ from wmpinv import (
     require_wmp_inverse,
     separated_pair_check,
 )
-from wmpinv.limits import _GradedSolver, _psd_lower_bound
+from wmpinv.limits import _GradedSolver, _pencil_inputs, _psd_lower_bound
 from wmpinv.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _orthonormality_defect,
     _projected_norm,
+    _rank_cutoff,
     _residual_norm,
     _split_basis,
     _trace_over,
@@ -396,7 +397,10 @@ class TestFlipCertificate:
         eye = np.eye(3, dtype=np.complex128)
         rhs = np.ones((3, 2), dtype=np.complex128)
         zero = np.zeros((1, 1), dtype=np.complex128)
-        solver = _GradedSolver(eye, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)), zero, lambda t: rhs[:2], rhs[2:])
+        solver = _GradedSolver(
+            eye, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)), zero, lambda t: rhs[:2], rhs[2:],
+            DEFAULT_TOL, 0.0,
+        )
         it, cond = solver.iterate(0.5)
         assert np.array_equal(it, np.zeros((3, 2))) and cond == np.inf
         with pytest.warns(RankFlipWarning):
@@ -410,7 +414,7 @@ class TestFlipCertificate:
         eye = np.eye(2, dtype=np.complex128)
         solver = _GradedSolver(
             eye, np.diag([1e100, 1e-100]), np.zeros((2, 2)), np.zeros((2, 0)), np.zeros((0, 0)), lambda t: eye,
-            np.zeros((0, 2)),
+            np.zeros((0, 2)), DEFAULT_TOL, 0.0,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1036,6 +1040,59 @@ class TestSolverBases:
             assert np.abs(v0.conj().T @ v0 - np.eye(width)).max(initial=0.0) <= 4 * n * eps
             assert width == numerical_rank(joint)
 
+    def test_t_pencil_basis_starts_with_the_split_of_a_at_every_scale_of_b(self):
+        # A's rank is that of its split however large B is: the joint basis
+        # is [V_r, V_0 W] with V_r bitwise the split's, and the joint cutoff
+        # cuts B V_0 alone
+        gen = np.random.default_rng(35)
+        problems = [(np.diag([1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]), 1)]
+        for rows, rank_a, rank_b in ((4, 2, 2), (3, 3, 2), (5, 1, 3)):
+            a = random_matrix_with_rank(gen, rows, 6, rank_a)
+            problems.append((a, random_matrix_with_rank(gen, 3, 6, rank_b), rank_a))
+        for a, b, rank_a in problems:
+            v, w = np.eye(a.shape[0]), np.eye(b.shape[0])
+            for k in range(-17, 18):
+                pen = _pencil_inputs(a, 10.0**k * b, v, w, DEFAULT_TOL)
+                r = pen.split.v_r.shape[1]
+                assert r == rank_a
+                scale = np.hypot(pen.split.sigma_r[0], np.linalg.norm(pen.b))
+                cutoff = _rank_cutoff(scale, (a.shape[0] + b.shape[0], a.shape[1]), DEFAULT_TOL)
+                rank_bv0 = np.linalg.matrix_rank(pen.b @ pen.split.v_0, tol=cutoff)
+                basis = _GradedSolver.pencil(pen, DEFAULT_TOL).basis
+                for joint in (pen.joint.v_r, basis):
+                    assert np.array_equal(joint[:, :r], pen.split.v_r)
+                    assert joint.shape[1] == r + rank_bv0
+
+    def test_lambda_basis_starts_with_the_split_of_a_at_every_scale_of_b(self, monkeypatch):
+        # the solver's first r columns are bitwise the u_r of the split the
+        # target was computed on, r = rank(A) = 3 at every scale of B
+        splits, bases = [], []
+        split_basis, pair = wmpinv.limits._split_basis, _GradedSolver.pair.__func__
+
+        def recording_split(m, *args):
+            splits.append(split_basis(m, *args))
+            return splits[-1]
+
+        def recording_pair(cls, *args):
+            solver = pair(cls, *args)
+            bases.append(solver.basis)
+            return solver
+
+        monkeypatch.setattr(wmpinv.limits, "_split_basis", recording_split)
+        monkeypatch.setattr(_GradedSolver, "pair", classmethod(recording_pair))
+        gen = np.random.default_rng(35)
+        a, b = random_psd(gen, 8, 3), random_psd(gen, 8, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for k in range(-17, 18):
+                splits.clear()
+                bases.clear()
+                limit_lambda_to_inf(a, 10.0**k * b)
+                (split,) = splits
+                (basis,) = bases
+                assert split.u_r.shape[1] == 3
+                assert np.array_equal(basis[:, :3], split.u_r)
+
     def test_bench_shaped_traces_make_no_order_n_checks(self, lapack_calls, monkeypatch):
         # the default t-target reads Omega through its null-space row, so the
         # t-trace builds no Weight and takes no eigvalsh of order 80; the
@@ -1650,6 +1707,29 @@ def test_rank_flip_warnings_point_at_the_caller():
             call()
         (flip,) = [c for c in caught if issubclass(c.category, RankFlipWarning)]
         assert (flip.filename, flip.lineno) == (__file__, call.__code__.co_firstlineno)
+
+
+# A = diag(1, 0, 0) keeps its one direction however large B = s e2* is
+DOMINANT_B_SCALES = [1e8, 1e15, 1e17]
+
+
+@pytest.mark.parametrize("s", DOMINANT_B_SCALES)
+def test_a_dominant_b_flags_every_point_of_the_t_trace(s):
+    # the pencil is e1 e1* at every t, which the solver, unbalanced between
+    # the scales of A and B, misses at each of these s: every point is flagged
+    a, b = np.diag([1.0, 0.0, 0.0]), s * np.array([[0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankFlipWarning)
+        trace = limit_t_to_zero(a, b, np.eye(3), np.eye(1), u=np.eye(3))
+    assert trace.rank_flips == ALL
+
+
+@pytest.mark.parametrize("s", DOMINANT_B_SCALES)
+def test_a_dominant_b_keeps_the_direction_of_a_in_omega_weight(s):
+    # the joint row space holds e1, on which A* A + B* B is 1 against s^2 on e2
+    a, b = np.diag([1.0, 0.0, 0.0]), s * np.array([[0.0, 1.0, 0.0]])
+    with pytest.raises(NotPositiveOnRangeError, match="joint row space"):
+        omega_weight(a, b, np.eye(1))
 
 
 def test_omega_weight_takes_w_on_the_rows_of_b(rng):
