@@ -92,10 +92,10 @@ def matrix_from_obj(obj) -> np.ndarray:
     unknown = set(obj) - {"rows", "cols", "re", "im"}
     if unknown:
         raise BundleFormatError(f"matrix object has unrecognized keys {sorted(unknown)}")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except _BAD_VALUE as e:
-        raise BundleFormatError("rows and cols must be integers") from e
+    rows, cols = obj["rows"], obj["cols"]
+    # a JSON integer: a bool is an int to Python, and an integral float is refused too
+    if type(rows) is not int or type(cols) is not int:
+        raise BundleFormatError("rows and cols must be integers")
     if rows < 0 or cols < 0:
         raise BundleFormatError("matrix dimensions must be nonnegative")
     re = _as_float_vector(obj["re"], "re")
@@ -109,7 +109,10 @@ def matrix_from_obj(obj) -> np.ndarray:
         if im.shape != (rows * cols,):
             raise BundleFormatError("im must match re in length")
         out = out + 1j * im
-    return out.reshape(rows, cols)
+    try:
+        return out.reshape(rows, cols)
+    except ValueError as e:
+        raise BundleFormatError(f"a {rows} x {cols} matrix is too large") from e
 
 
 # orjson 3.8 has no depth limit: near 55 000 nested objects it overflows an
@@ -168,6 +171,8 @@ def _bundle_from_obj(raw) -> ProblemBundle:
             names = sorted(f.name for f in fields(ToleranceConfig))
             if not isinstance(value, dict) or not set(value) <= set(names):
                 raise BundleFormatError(f"tolerances must be an object with keys from {names}")
+            if any(isinstance(v, bool) for v in value.values()):
+                raise BundleFormatError("tolerance values must be numbers")
             try:
                 bundle.tolerances = {k: float(v) for k, v in value.items()}
             except _BAD_VALUE as e:
@@ -177,15 +182,17 @@ def _bundle_from_obj(raw) -> ProblemBundle:
             except ValueError as e:
                 raise BundleFormatError(str(e)) from e
         elif key == "schedule":
+            # entries of re and im are not scanned so: they are the bulk of a bundle
+            if isinstance(value, list) and any(isinstance(v, bool) for v in value):
+                raise BundleFormatError("schedule must be a flat list of numbers")
             try:
                 bundle.schedule = _schedule_values(_as_float_vector(value, "schedule"))
             except ValueError as e:
                 raise BundleFormatError(str(e)) from e
         elif key == "seed":
-            try:
-                bundle.seed = int(value)
-            except _BAD_VALUE as e:
-                raise BundleFormatError("seed must be an integer") from e
+            if type(value) is not int:
+                raise BundleFormatError("seed must be an integer")
+            bundle.seed = value
         elif isinstance(value, dict):
             bundle.matrices[key] = matrix_from_obj(value)
         else:

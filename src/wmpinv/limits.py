@@ -17,51 +17,27 @@ part of the joint space where the t-free term acts, divides the
 t-grading out exactly and solves a uniformly well-conditioned system, so
 the iterate error stays at the truncation level down the whole schedule.
 
-A bound on the condition number of that system S decides whether a
-point can be a rank flip.  The solver bounds ``cond_2(S(t))`` for the
-whole schedule at once, through the Schur complement of its K22 block:
-two ``eigvalsh`` per trace, of H11 and K22, and the rounding of the
-computed blocks absorbed by a derived margin.  Where that bound does not
-clear ``inv_cond_max`` with a margin, the singular values of S decide
-instead.  K22 is eliminated once per trace, by one LU solve, so a point
-whose ``cond(S)`` is known to be below the margin solves a system of
-order rank(A) for its right-hand side alone, not one of the joint
-dimension; both pivot blocks are then no worse conditioned than S.  The
-other points make one LU solve of the whole S, or the truncated SVD
-solve where the smallest singular value falls to the ``lstsq`` cutoff
-``eps * n * sigma_max`` or LU fails.
-
-Each error is an exact 2-norm, the root of the largest eigenvalue of a
-Gram matrix.  Every ``x(t) - x(0)`` lies in the span of the r = rank(A)
-columns of ``Bq``, the read-back basis of the eliminated system, and the
-target equals ``x(0)`` up to rounding.  So where 2r is at most the
-smaller side of the iterate, one QR of Bq per trace gives a basis Q, and
-a point's error comes from the Gram of order r of its projection ``Q*
-E``, wherever a certified interval shows that the projection moves
-``||E||^2`` by no more than the rounding the Gram of the whole E carries
-(:func:`linalg._projected_norm`); elsewhere, and on every point of the
-other traces, it comes from that Gram, of order ``min(h, k)`` for h x k
-iterates.
+One ``eigvalsh`` each of H11 and K22 per trace bounds the condition
+number of that system S at every t, with margins from the rounding model
+of :mod:`linalg`; a point the bound clears solves, with K22 eliminated
+once per trace, a system of order rank(A) for its right-hand side alone,
+and only the others decompose S (:class:`_GradedSolver`).  Each error is
+an exact 2-norm, the root of the largest eigenvalue of a Gram matrix: of
+order r = rank(A), that of the projection of the error onto a basis of
+the range every ``x(t) - x(0)`` lies in, where a certified interval allows
+it (:func:`linalg._projected_norm`), and of order ``min(h, k)`` for h x k
+iterates elsewhere.
 
 The splits are made once per call, and the solvers make none of their
 own.  The four t-routines enter by one door, :func:`_pencil_inputs`,
-which checks that A, B, V and W fit and, but for
-:func:`closed_form_separated`, that V and W are positive definite before
-any decomposition, then splits A once, deciding its rank, and builds the
-joint row space of ``[A; B]`` on that split with one SVD of ``B V_0``,
-the part of B acting on A's null space.  The pencil solver reads its
-bases and blocks off it, and the default target reads Omega by its
-null-space row, not built in full (:func:`_default_target`).  The
-separated closed forms take their base ``(A* V A)^+ A* V`` off that
-target as ``P Z``, so A is not squared, and are checked against Z;
-nothing here draws at random.  ``limit_lambda_to_inf`` splits A once and
-takes one SVD of B's compression to the complement of A's range, which
-decides the target and gives the solver the rest of its basis; A's check
-reads that split and H11, so only B's makes an ``eigvalsh`` of order n.
-The separation verdict reads A's row basis off the split its caller
-holds, and one SVD of ``2I - P - Q`` gives ``||P Q||``, decides
-invertibility, counts the intersection of the row spaces and solves for
-Pi, so no matrix of the separated pipeline is decomposed twice.
+which checks the inputs before any decomposition, splits A once and
+builds the joint row space of ``[A; B]`` on that split with one SVD of
+``B V_0``, the part of B acting on A's null space; the solver, the
+default target (:func:`_default_target`) and the separated closed forms
+read their bases off it, and nothing here draws at random.
+``limit_lambda_to_inf`` splits A once and takes one SVD of B's
+compression to the complement of A's range, and one SVD of ``2I - P -
+Q`` decides a separation and solves for Pi.
 """
 
 from __future__ import annotations
@@ -86,18 +62,21 @@ from .linalg import (
     SplitBasis,
     SvdFactorization,
     ToleranceConfig,
-    _EPS,
     _check_atol,
     _check_schedule,
     _clears_positive_floor,
     _cond,
+    _cond_cap,
     _fro,
     _hermitian,
+    _kernel_error,
+    _product_rounding,
     _rank_cutoff,
     _residual_norm,
     _self_adjointness,
     _solve_cutoff,
     _split_basis,
+    _sum_error,
     _trace_over,
     _verify,
     as_matrix,
@@ -300,33 +279,16 @@ def _default_target(pen: _Pencil, tol: ToleranceConfig) -> np.ndarray:
 def _hermitian_floor(x: np.ndarray) -> tuple[float, float, float]:
     """``(h, ||x - x_h||_F, lowest)`` for square ``x`` with Hermitian part ``x_h``, where ``h >= ||x_h^-1||_2``.
 
-    ``eigvalsh`` returns the eigenvalues of ``x_h + E`` with ``||E||_2 <=
-    p(n) eps ||x_h||_2`` (LAPACK's bound, taken with p(n) = n), so the
-    smallest eigenvalue of ``x_h`` is at least the computed one, ``lowest``,
-    less ``n eps ||x_h||_F``.  ``h`` is the reciprocal of that floor, ``inf``
-    when the floor is not positive; the empty matrix gives ``(0, 0, inf)``.
+    ``h`` is the reciprocal of the floor ``lowest`` less the backward error
+    of ``eigvalsh`` (:func:`linalg._kernel_error`), ``inf`` where that is not
+    positive; the empty matrix gives ``(0, 0, inf)``.
     """
     if not x.size:
         return 0.0, 0.0, np.inf
     xh = 0.5 * (x + x.conj().T)
     lowest = float(np.linalg.eigvalsh(xh)[0])
-    floor = lowest - x.shape[0] * _EPS * _fro(xh)
+    floor = lowest - _kernel_error(x.shape[0], _fro(xh))
     return (1.0 / floor if floor > 0.0 else np.inf), _fro(x - xh), lowest
-
-
-def _product_rounding(d: int) -> float:
-    """``2g + g^2``, which bounds ``|fl(fl(X* M) Y) - X* M Y| / (|X|* |M| |Y|)`` entrywise, M of order d.
-
-    Each entry of a complex product of inner dimension d is a pair of real
-    inner products of length 2d, each within ``gamma_2d = 2d u / (1 - 2d
-    u)`` (u = eps / 2) of the sum of the moduli of its terms, whatever the
-    order of summation; the complex modulus adds a factor sqrt(2), so one
-    product errs by ``g = sqrt(2) gamma_2d``.  In Frobenius norm the error
-    is at most ``(2g + g^2) ||X||_F ||M||_F ||Y||_F``.
-    """
-    two_du = d * _EPS
-    g = np.sqrt(2.0) * two_du / (1.0 - two_du)
-    return 2.0 * g + g * g
 
 
 def _psd_shift(kk: float, mid_defect: float, k_mid: np.ndarray) -> float:
@@ -456,13 +418,13 @@ class _GradedSolver:
         ``H_h``, ``K11_h``, ``K22_h`` and from ``K' = K_h + delta I``:
 
         - the PSD defect: ``K_h`` lies within ``gamma ||k_mid||_F ||k||_F^2``
-          of the exact ``k* k_mid k`` (:func:`_product_rounding`), which is
+          of the exact ``k* k_mid k`` (:func:`linalg._product_rounding`), which is
           at least ``-mid_defect ||k||_F^2`` when ``lambda_min(k_mid) >=
           -mid_defect``; so ``delta = ||k||_F^2 (mid_defect + gamma
           ||k_mid||_F)`` (:func:`_psd_shift`, computed by the factory that
           knows k and k_mid) makes K' positive semidefinite, and S0 obeys
           the bound above;
-        - ``||E||_2 <= r0 + t r1 + 2u ||S||_F`` (u = eps / 2), with
+        - ``||E||_2 <= r0 + t r1 + 2u ||S||_F`` (:func:`linalg._sum_error`), with
           ``r0 = ||H11 - H_h||_F + ||K22 - K22_h||_F + delta`` (the
           non-Hermitian parts and the shift), ``r1 = ||K11 - K11_h||_F +
           delta + u (||K11||_F + ||K12||_F)`` (the same for K11, and the
@@ -472,18 +434,17 @@ class _GradedSolver:
           :func:`_hermitian_floor`, and ``K22' >= K22_h``.
 
         The constructor passes h and ``h_skew = ||H11 - H_h||_F``.  Returns
-        ``(h, g, c, r0, r1, ||K22||_F^2)``, or ``None`` when a floor is not
-        positive, so that the bound is infinite at every t.
+        ``(h, g, c, r0, r1, ||K22||_F^2, 2u)``, or ``None`` when a floor is
+        not positive, so that the bound is infinite at every t.
         """
         g, k22_skew, _ = _hermitian_floor(self.k22)
         if not (np.isfinite(h) and np.isfinite(g)):
             return None
         k11_herm = 0.5 * (self.k11 + self.k11.conj().T)
         c = _fro(self.k12)
-        u = 0.5 * _EPS
         r0 = h_skew + k22_skew + delta
-        r1 = _fro(self.k11 - k11_herm) + delta + u * (_fro(self.k11) + c)
-        return h, g, c, r0, r1, _fro(self.k22) ** 2
+        r1 = _fro(self.k11 - k11_herm) + delta + _sum_error(_fro(self.k11) + c)
+        return h, g, c, r0, r1, _fro(self.k22) ** 2, _sum_error(1.0, 2)
 
     def _schur_bound(self, t: float) -> float:
         """``||S||_F beta(t) / (1 - beta(t) r(t))``, an upper bound on ``cond_2(S(t))``.
@@ -493,22 +454,20 @@ class _GradedSolver:
         taken where ``beta r <= 1/2``, and is ``inf`` elsewhere or without
         the constants.  Its own arithmetic is on norms, sums and products
         of nonnegative numbers, and the one difference ``1 - beta r`` at
-        most doubles their relative error, so the computed bound is within
-        a relative ``m eps`` or so of the exact one, m the most entries
-        summed in one norm; the factor-2 margin of the cap in
-        :meth:`iterate` absorbs that.  ``||S||_F`` is read off the blocks,
+        most doubles their relative error; the cap of
+        :func:`linalg._cond_cap` absorbs that.  ``||S||_F`` is read off the blocks,
         ``||H11 + t K11||_F^2 + (1 + t^2) ||K12||_F^2 + ||K22||_F^2``, so S
         is not formed.
         """
         if self.schur is None:
             return np.inf
-        h, g, c, r0, r1, k22_sq = self.schur
+        h, g, c, r0, r1, k22_sq, sum_rel = self.schur
         # overflow only means that the bound does not clear
         with np.errstate(over="ignore", invalid="ignore"):
             s_norm = np.sqrt(_fro(self.h11 + t * self.k11) ** 2 + (1.0 + t * t) * c * c + k22_sq)
             cg = c * g
             beta = h * (1.0 + cg) * (1.0 + t * cg) + g
-            r = r0 + t * r1 + _EPS * s_norm
+            r = r0 + t * r1 + sum_rel * s_norm
             # written so that NaN fails
             if not beta * r <= 0.5:
                 return np.inf
@@ -522,10 +481,9 @@ class _GradedSolver:
         ``[A; B]`` from ``pen.joint`` (:func:`_joint_rows`): V1 is A's row
         basis and V2 lies in A's null space, so that basis is the split
         itself, with ``a1 = A V1``, ``k1 = B V1`` and ``k2 = (B V_0) W`` from
-        the product whose SVD found W; no decomposition is made here.  W's
-        matrix is exactly Hermitian and its ``eigvalsh`` found every
-        eigenvalue positive, so by :func:`_hermitian_floor` its PSD defect is
-        at most ``d eps ||W||_F``.
+        the product whose SVD found W; no decomposition is made here.  W is
+        exactly Hermitian with every computed eigenvalue positive, so its PSD
+        defect is at most :func:`linalg._kernel_error` of it.
         """
         am, bm, split, joint, vw, ww = pen
         vmat, wmat = vw.matrix, ww.matrix
@@ -533,7 +491,7 @@ class _GradedSolver:
         h11, k1, k2 = a1.conj().T @ vmat @ a1, bm @ split.v_r, joint.b_w
         r1 = a1.conj().T @ vmat
         k1w = k1.conj().T @ wmat
-        delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, ww.dim * _EPS * _fro(wmat), wmat)
+        delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, _kernel_error(ww.dim, _fro(wmat)), wmat)
         k22 = k2.conj().T @ wmat @ k2
         # A V2 vanishes, and so does r2
         r2 = np.zeros((k2.shape[1], am.shape[0]))
@@ -551,11 +509,12 @@ class _GradedSolver:
         [u_r, u_w]``, where q1 and q2 are coordinate blocks, so v0 is the
         basis and the K blocks are slices of ``k_mid``, the Hermitian part
         of ``v0* B v0``.  The joint dimension is rank(A) plus the rank of
-        B's compression, and that second rank is the target's own decision:
-        the target and the solver read B's part from one rank decision.
-        By the bounds of :func:`_hermitian_floor` and
-        :func:`_product_rounding` the smallest eigenvalue of ``k_mid`` is at
-        least ``-||v0||_F^2 (max(0, n eps ||B||_F - b_min) + gamma ||B||_F)``.
+        B's compression, the target's own decision, so the target and the
+        solver read B's part from one rank decision.
+        By :func:`linalg._kernel_error` for ``b_min`` and
+        :func:`linalg._product_rounding` for ``v0* B v0`` the smallest
+        eigenvalue of ``k_mid`` is at least ``-||v0||_F^2 (max(0, n eps
+        ||B||_F - b_min) + gamma ||B||_F)``.
         The solver's ``h_low``, of ``H11 = U_r* A U_r``, also serves :func:`_psd_lower_bound`.
         """
         v0 = np.hstack([u_r, u_w])
@@ -567,7 +526,7 @@ class _GradedSolver:
         bt = 0.5 * (bt + bt.conj().T)
         g1, g2 = vb[:r], vb[r:]
         n, b_norm = b_sym.shape[0], _fro(b_sym)
-        defect = _fro(v0) ** 2 * (max(0.0, n * _EPS * b_norm - b_min) + _product_rounding(n) * b_norm)
+        defect = _fro(v0) ** 2 * (max(0.0, _kernel_error(n, b_norm) - b_min) + _product_rounding(n) * b_norm)
         # k = [q1 q2] is the identity, so ||k||_F^2 is the joint dimension
         delta = _psd_shift(float(v0.shape[1]), defect, bt)
         return cls(v0, h11, bt[:r, :r], bt[:r, r:], bt[r:, r:], lambda t: t * g1, g2, tol, delta)
@@ -575,27 +534,23 @@ class _GradedSolver:
     def iterate(self, t: float) -> tuple[np.ndarray, float]:
         """The iterate at ``t`` and the condition number of its system, or a bound on it.
 
-        ``cap = min(inv_cond_max / 2, 1e-3 / (eps d))``.  Where the Schur
-        bound of :meth:`_schur_bound` is at most cap, S is no rank flip, and
-        the bound is returned in place of the condition number; elsewhere
-        the singular values of S give it.  Wherever ``cond(S) <= cap`` is
-        so known, the point solves the order-r system of the eliminated
-        K22 (class docstring); since the same rule reads the bound or the
-        singular values, a trace is bitwise the same with and without the
-        bound.  Both pivot blocks are then no worse conditioned than S, and
-        the smallest singular value of S lies above the cutoff of
-        :meth:`SvdFactorization.solve`.  Where ``cond(S) > cap``, or LU
-        found K22 singular, the point makes one LU solve of the whole S, or,
-        where the smallest singular value falls to that cutoff, the
-        truncated SVD solve, which also replaces the LU iterate where LU
-        meets an exactly singular S.  Only a point the bound does not
-        certify forms S.  The empty system gives a zero iterate and
-        condition number 1.
+        Where the bound of :meth:`_schur_bound` is at most the cap of
+        :func:`linalg._cond_cap`, S is no rank flip and the bound is returned
+        in place of the condition number; elsewhere the singular values of S
+        give it.  Wherever ``cond(S) <= cap`` is so known, the point solves
+        the order-r system of the eliminated K22 (class docstring); the same
+        rule reads the bound or the singular values, so a trace is bitwise
+        the same with and without the bound.  Where ``cond(S) > cap``, or LU
+        found K22 singular, the point makes one LU solve of the whole S, or the
+        truncated SVD solve where sigma_min(S) falls to the cutoff of
+        :meth:`SvdFactorization.solve` or LU meets an exactly singular S.
+        Only a point the bound does not certify forms S.  The empty system
+        gives a zero iterate and condition number 1.
         """
         d = self.h11.shape[0] + self.k22.shape[0]
         if not d:
             return self.basis @ self.rhs(t), 1.0
-        cap = min(self.tol.inv_cond_max / 2.0, 1e-3 / (_EPS * d))
+        cap = _cond_cap(self.tol.inv_cond_max, d)
         bound = self._schur_bound(t)
         if bound <= cap and self.reduced is not None:
             return self._eliminated(t), bound
@@ -661,19 +616,19 @@ def _psd_lower_bound(a_sym, split_a: SplitBasis, h11, h_low: float) -> float:
     for r = 0).  ``||A U_0|| = ||V_0 Sigma_0|| = sigma_{r+1}`` bounds ``X = U_r*
     A U_0`` and ``[X; Y] = U* A U_0``, so Weyl on ``U* A U = diag(H, 0) + [[0,
     X], [X*, Y]]`` gives ``lambda_min(A) >= min(lambda_min(H), 0) - 2
-    sigma_{r+1}``.  Rounding, u = n eps, LAPACK's bounds with p(n) = n: ``U'
+    sigma_{r+1}``.  Rounding, with u = n eps of :func:`linalg._kernel_error`: ``U'
     S V'* = A + E``, ``||E|| <= u ||A||_F``, ``U' = Q P`` with Q unitary and
     ``||P - I|| <= u``, so the bound for ``U'`` loses a factor ``1 + 3u``
     (Ostrowski); ``U'* U'_0`` lies within u of ``[0; I]``, so ``||U'* A U'_0||
     <= (1 + 2u) (sigma_{r+1} + 3u ||A||_F)``; the computed H is within ``gamma
-    ||U_r||_F^2 ||A||_F`` of ``U'_r* A U'_r`` (:func:`_product_rounding`, plus
-    ``eps ||H||_F`` for its Hermitian part) and ``h_low`` within ``r eps
-    ||H||_F`` of its own (:func:`_hermitian_floor`).
+    ||U_r||_F^2 ||A||_F`` of ``U'_r* A U'_r`` (:func:`linalg._product_rounding`,
+    plus ``eps ||H||_F`` for its Hermitian part) and ``h_low`` within ``r eps
+    ||H||_F`` of its own.
     """
     n, r = split_a.u_r.shape
-    u = n * _EPS
+    u = _kernel_error(n)
     a_fro = _fro(a_sym)
-    h_floor = min(h_low, 0.0) - (r + 1) * _EPS * _fro(h11) - _product_rounding(n) * _fro(split_a.u_r) ** 2 * a_fro
+    h_floor = min(h_low, 0.0) - _kernel_error(r + 1, _fro(h11)) - _product_rounding(n) * _fro(split_a.u_r) ** 2 * a_fro
     return (1.0 + 3.0 * u) * (h_floor - 2.0 * (1.0 + 2.0 * u) * (split_a.sigma_next + 3.0 * u * a_fro))
 
 
@@ -733,10 +688,9 @@ def limit_lambda_to_inf(
     a_low = _psd_lower_bound(a_sym, split_a, solver.h11, solver.h_low)
     if a_low < -tol.verify_atol:
         a_low = float(np.linalg.eigvalsh(a_sym)[0])
-    # a computed eigenvalue may lie n eps ||X||_F below the exact one
-    # (_hermitian_floor); the bound already holds its own rounding
+    # eigvalsh may put an eigenvalue _kernel_error below the exact one; the bound holds its own
     for name, low, mat in (("a", a_low, a_sym), ("b", float(b_eigs[0]), b_sym)):
-        if low < -tol.verify_atol - n * _EPS * _fro(mat):
+        if low < -tol.verify_atol - _kernel_error(n, _fro(mat)):
             raise NotPositiveSemidefiniteError(name, low)
     if atol is None:
         # ||U_0 F|| = ||F||, from a Gram of order n - r

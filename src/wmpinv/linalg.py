@@ -4,7 +4,8 @@ Everything in the package funnels through these helpers so that rank
 cutoffs and invertibility thresholds are decided in exactly one place: a
 rank that needs bases is cut by :func:`svd_factor` or :func:`_split_basis`,
 whose one override is the same absolute ``cutoff``.
-All computation is done in complex128.
+All computation is done in complex128.  One section holds the rounding
+model, whose bounds every certificate's margin calls, and the policy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,65 @@ __all__ = [
     "solve_linear",
 ]
 
+# Rounding model: the standard model fl(x op y) = (x op y)(1 + d), |d| <= u,
+# of Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.
 _EPS = float(np.finfo(np.float64).eps)
+_U = 0.5 * _EPS
+
+
+def _gamma(k: int) -> float:
+    """``gamma_k = k u / (1 - k u)``, which bounds the relative error of k roundings in turn (Higham, Lemma 3.1)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _kernel_error(n: int, norm: float = 1.0) -> float:
+    """``n eps norm``, the error of a dense kernel of order n on X with ``||X||_F = norm``; relative by default.
+
+    LAPACK's Hermitian eigensolvers and SVD are exact for X + E, ``||E||_2 <=
+    p(n) eps ||X||_2``; with p(n) = n, by Weyl a computed eigenvalue or
+    singular value errs by at most this, as a product of inner dimension n
+    does at ``norm = ||X||_F ||Y||_F`` (``gamma_n |X| |Y|``, Higham §3.5).
+    """
+    return n * _EPS * norm
+
+
+def _sum_error(norm: float, ops: int = 1) -> float:
+    """``ops u norm``: ``ops`` entrywise sums or scalings, ``fl(x) = x (1 + d)``, move X, ``||X||_F = norm``, by this."""
+    return ops * _U * norm
+
+
+def _product_rounding(d: int) -> float:
+    """``2g + g^2``, which bounds ``|fl(fl(X* M) Y) - X* M Y| / (|X|* |M| |Y|)`` entrywise, M of order d.
+
+    Each entry of a complex product of inner dimension d is a pair of real
+    inner products of length 2d, each within ``gamma_2d`` of the sum of the
+    moduli of its terms, whatever the order of summation; the complex
+    modulus adds a factor sqrt(2), so one product errs by ``g = sqrt(2)
+    gamma_2d``.  In Frobenius norm the error is at most ``(2g + g^2)
+    ||X||_F ||M||_F ||Y||_F``.
+    """
+    g = np.sqrt(2.0) * _gamma(2 * d)
+    return 2.0 * g + g * g
+
+
+# Numerical policy, choices rather than bounds: the default rank cutoff (rank_rtol_for), the
+# solve cutoff, the Gram floor (below it a residual's Gram may underflow) and the cap.
+_GRAM_FLOOR = 1e-280
+
+
+def _solve_cutoff(sigma: np.ndarray, shape: tuple[int, int]) -> float:
+    """``eps max(rows, cols) sigma_max``, as ``lstsq(rcond=None)``: ``solve`` drops singular values at or below it."""
+    return _EPS * max(shape) * (sigma[0] if sigma.size else 0.0)
+
+
+def _cond_cap(inv_cond_max: float, d: int) -> float:
+    """The largest ``cond(S)`` at which a graded solver of order d eliminates K22 (``limits._GradedSolver.iterate``).
+
+    Half ``inv_cond_max`` leaves room for the rounding of a bound on it (``m eps``
+    or so, m entries summed in one norm), and ``1e-3 / (eps d)`` keeps
+    sigma_min(S) above the cutoff of ``solve``.
+    """
+    return min(inv_cond_max / 2.0, 1e-3 / (_EPS * d))
 
 
 @dataclass(frozen=True)
@@ -91,15 +150,6 @@ def _rank_cutoff(sigma_max: float, shape: tuple[int, int], tol: ToleranceConfig)
     return tol.rank_rtol_for(shape) * sigma_max
 
 
-def _solve_cutoff(sigma: np.ndarray, shape: tuple[int, int]) -> float:
-    """Singular values at or below this are dropped by :meth:`SvdFactorization.solve`.
-
-    It is the cutoff of ``numpy.linalg.lstsq(rcond=None)``,
-    ``eps * max(rows, cols) * sigma_max``, for nonincreasing ``sigma``.
-    """
-    return _EPS * max(shape) * (sigma[0] if sigma.size else 0.0)
-
-
 def _cond(sigma: np.ndarray) -> float:
     if sigma.size == 0:
         return 1.0
@@ -119,10 +169,9 @@ class SvdFactorization:
     - ``rank``, ``pinv`` and the bases count the singular values above
       ``cutoff`` (an absolute threshold), which ``tol.rank_rtol`` sets
       unless :func:`svd_factor` is given one;
-    - ``solve`` drops singular values at or below
-      ``eps * max(rows, cols) * sigma_max``, the cutoff of
-      ``numpy.linalg.lstsq(rcond=None)``, whatever ``tol`` says, so a
-      coarse user ``rank_rtol`` never truncates an invertible system.
+    - ``solve`` drops singular values at or below :func:`_solve_cutoff`,
+      whatever ``tol`` says, so a coarse ``rank_rtol`` never truncates an
+      invertible system.
 
     Null-space bases need the full SVD; :func:`_split_basis` makes it.
     """
@@ -252,11 +301,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-# Below this squared Frobenius norm of a residual, products of its entries
-# may lose precision to underflow
-_GRAM_FLOOR = 1e-280
-
-
 def _gram_or_norm(d: np.ndarray) -> tuple[np.ndarray | None, float]:
     """The Gram matrix of nonempty ``d`` on its smaller side, or the 2-norm of ``d`` where that Gram is not safe.
 
@@ -294,7 +338,7 @@ def _fro(x: np.ndarray) -> float:
 def _orthonormality_defect(q: np.ndarray) -> float:
     """An upper bound on ``eta = ||Q* Q - I||_2``, ``inf`` unless every column of ``q`` has norm at most sqrt(2).
 
-    ``fl(Q* Q)`` errs by ``h eps`` in the model of :func:`_projected_norm`,
+    ``fl(Q* Q)`` errs by ``h eps`` (:func:`_kernel_error`),
     as much as the whole budget of the Gram route, so Q is split into
     ``Q_hi + Q_lo`` with the real and imaginary parts of ``Q_hi`` rounded
     to multiples of 2^-20; ``Q_lo`` is exact and at most 2^-21 in each
@@ -305,8 +349,8 @@ def _orthonormality_defect(q: np.ndarray) -> float:
     products of the 3M scheme) is below 16 in modulus.  Multiples of 2^-40
     below 2^13 are doubles, so that entry and its difference with I are
     exact in any order of summation.  The rest, ``Q_hi* Q_lo + Q_lo* Q``, is of order
-    2^-20: its products err by ``h eps ||Q_lo|| (||Q_hi|| + ||Q||)`` and
-    the two sums by a relative u.
+    2^-20: its products err by ``h eps ||Q_lo|| (||Q_hi|| + ||Q||)``, the
+    two sums by a relative u each (:func:`_sum_error`).
     """
     h = q.shape[0]
     if not np.all(np.sum(q.real**2 + q.imag**2, axis=0) <= 2.0):
@@ -316,8 +360,8 @@ def _orthonormality_defect(q: np.ndarray) -> float:
     exact = hi.conj().T @ hi
     exact[np.diag_indices_from(exact)] -= 1.0
     rest = hi.conj().T @ lo + lo.conj().T @ q
-    u = 0.5 * _EPS
-    return (1.0 + _EPS) * (_fro(exact + rest) + u * _fro(rest)) + h * _EPS * _fro(lo) * (_fro(hi) + _fro(q))
+    lo_error = _kernel_error(h, _fro(lo)) * (_fro(hi) + _fro(q))
+    return (1.0 + _sum_error(1.0, 2)) * (_fro(exact + rest) + _sum_error(_fro(rest))) + lo_error
 
 
 def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
@@ -325,12 +369,10 @@ def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
 
     ``q`` (h x r, ``2r <= min(h, k)`` for d of h x k) is a basis whose span
     holds d up to rounding, and ``eta`` bounds ``||Q* Q - I||``
-    (:func:`_orthonormality_defect`).  Rounding follows the normwise bounds
-    of the kernels taken with p(n) = n, as :func:`_hermitian_floor` takes
-    LAPACK's: a product of inner dimension m errs by ``m eps ||X|| ||Y||``,
-    ``eigvalsh`` of order s by ``s eps ||G||``, a sum by a relative u = eps /
-    2.  So the Gram route of :func:`_residual_norm` carries ``(h + k) eps
-    ||d||^2`` in ``||d||^2``.
+    (:func:`_orthonormality_defect`).  A product of inner dimension m and an
+    ``eigvalsh`` of order m err by :func:`_kernel_error`, a sum by
+    :func:`_sum_error`.  So the Gram route of :func:`_residual_norm` carries
+    ``(h + k) eps ||d||^2`` in ``||d||^2``.
 
     With the computed W and R, and ``R_e = d - Q W`` exactly,
     ``d* d = W* (Q* Q) W + W* N + N* W + R_e* R_e``, ``N = Q* R_e``.  At the
@@ -341,9 +383,9 @@ def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
 
     N is measured, not bounded by ``eta w`` plus the rounding of W, which
     would cost ``2 h eps``: ``R = fl(d - fl(Q W))`` is ``R_e`` less the
-    error of ``Q W``, at most ``r eps ||Q|| w``, plus that of the
-    difference, at most ``u ||R||_F / (1 - u)``, and ``fl(Q* R)`` errs by
-    ``h eps ||Q|| ||R||``; ``||Q|| <= sqrt(1 + eta)``.  So ``nu = a + b w``
+    error of ``Q W``, at most ``r eps ||Q|| w``, plus that of the difference,
+    ``gamma_1 ||R||_F``, and ``fl(Q* R)`` errs by ``h eps ||Q|| ||R||``;
+    ``||Q|| <= sqrt(1 + eta)``.  So ``nu = a + b w``
     and ``rho = c + e w`` with ``a = ||fl(Q* R)||_F + sqrt(1 + eta) ||R||_F
     (h eps + u / (1 - u))``, ``b = r eps (1 + eta)``, ``c = ||R||_F / (1 - u)``
     and ``e = r eps sqrt(1 + eta)``.  The interval's relative width, ``2 eta
@@ -363,12 +405,11 @@ def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
         return None
     w = q.conj().T @ d
     rem = d - q @ w
-    u = 0.5 * _EPS
     sq = np.sqrt(1.0 + eta)
     rem_fro = _fro(rem)
-    a = _fro(q.conj().T @ rem) + sq * rem_fro * (h * _EPS + u / (1.0 - u))
-    b, c, e = r * _EPS * (1.0 + eta), rem_fro / (1.0 - u), r * _EPS * sq
-    budget = 2.0 * (h + k) * _EPS
+    a = _fro(q.conj().T @ rem) + sq * rem_fro * (_kernel_error(h) + _gamma(1))
+    b, c, e = _kernel_error(r, 1.0 + eta), rem_fro / (1.0 - _sum_error(1.0)), _kernel_error(r, sq)
+    budget = 2.0 * _kernel_error(h + k)
 
     def certified(w_low: float) -> bool:
         # written so that NaN fails
@@ -377,7 +418,7 @@ def _projected_norm(d: np.ndarray, q: np.ndarray, eta: float) -> float | None:
     if not certified(_fro(w)):
         return None
     mu = float(np.linalg.eigvalsh(w @ w.conj().T)[-1])
-    if not certified(np.sqrt(max(mu, 0.0) / (1.0 + (k + r + 1) * _EPS))):
+    if not certified(np.sqrt(max(mu, 0.0) / (1.0 + _kernel_error(k + r + 1)))):
         return None
     return float(np.sqrt(mu))
 
@@ -540,12 +581,10 @@ def _trace_over(schedule: np.ndarray, step, target, tol: ToleranceConfig, atol=N
     ``RankFlipWarning``.  Each error is an exact 2-norm taken from the
     largest eigenvalue of a Gram matrix.  ``basis``, an optional h x r
     matrix with ``2r <= min(h, k)`` for h x k iterates, spans every error
-    up to rounding; where :func:`_projected_norm` certifies that the
-    interval the projection onto it leaves for ``||error||^2`` is no wider
-    than the one the rounding of the Gram route leaves, the error comes
-    from the Gram of order r of that projection, and elsewhere from the
-    Gram of order ``min(h, k)`` of the whole error (:func:`_residual_norm`).  ``atol`` defaults to
-    :func:`limit_atol_for`.
+    up to rounding; where :func:`_projected_norm` certifies it, the error
+    comes from the Gram of order r of the projection onto it, and elsewhere
+    from the Gram of order ``min(h, k)`` of the whole error
+    (:func:`_residual_norm`).  ``atol`` defaults to :func:`limit_atol_for`.
     """
     iterates = []
     errors = np.empty(schedule.size)

@@ -572,6 +572,50 @@ class TestBadValues:
         assert capsys.readouterr().err == f"error: {path}: nested too deeply to read\n"
 
 
+class TestJsonTypes:
+    """``rows``, ``cols`` and ``seed`` are JSON integers; tolerances and schedule entries are numbers, not bools."""
+
+    CASES = {
+        "seed_float": ('{%s, "seed": 2.7}' % _ONE, "seed must be an integer"),
+        "seed_integral_float": ('{%s, "seed": 2.0}' % _ONE, "seed must be an integer"),
+        "seed_true": ('{%s, "seed": true}' % _ONE, "seed must be an integer"),
+        "rows_true_cols_float": ('{"A": {"rows": true, "cols": 1.9, "re": [5]}}', "rows and cols must be integers"),
+        "cols_integral_float": ('{"A": {"rows": 1, "cols": 1.0, "re": [5]}}', "rows and cols must be integers"),
+        "rows_past_64_bits_empty": (
+            '{"A": {"rows": %d, "cols": 0, "re": []}}' % 10**29,
+            "a %d x 0 matrix is too large" % 10**29,
+        ),
+        "tolerance_true": ('{%s, "tolerances": {"verify_atol": true}}' % _ONE, "tolerance values must be numbers"),
+        "schedule_true": ('{%s, "schedule": [true]}' % _ONE, "schedule must be a flat list of numbers"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_both_readers_and_both_commands_refuse_it(self, case, tmp_path, capsys):
+        text, message = self.CASES[case]
+        for parse in (parse_bundle, _parse_with_json):
+            with pytest.raises(BundleFormatError, match=f"^{re.escape(message)}$"):
+                parse(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for command in ("wmp", "exists"):
+            assert main([command, "--bundle", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_matrix_file_refuses_a_bool_dimension(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"rows": 1, "cols": true, "re": [5]}')
+        with pytest.raises(BundleFormatError, match="^rows and cols must be integers$"):
+            load_matrix(path)
+
+    def test_integers_and_numbers_still_read(self):
+        role = '"A": {"rows": 1, "cols": 2, "re": [1, 2]}'
+        bundle = parse_bundle('{%s, "seed": %d, "tolerances": {"verify_atol": 1}, "schedule": [2, 1.5]}' % (role, 2**70))
+        assert bundle.seed == 2**70 and type(bundle.seed) is int
+        assert bundle.matrices["A"].shape == (1, 2)
+        assert bundle.tolerances == {"verify_atol": 1.0}
+        assert bundle.schedule.tolist() == [2.0, 1.5]
+
+
 class TestMathematicalFailures:
     """A raised WmpError or ValueError of a command exits 2 with one error line."""
 
