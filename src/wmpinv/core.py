@@ -52,7 +52,7 @@ behind ``verify_weighted_penrose``, without that function's checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -311,8 +311,8 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
     sp = _split_basis(am, tol)
     rep, inverse = _inverse_on_split(sp, mw, sp.v_0.conj().T @ nw.matrix, tol)
     residuals = None if inverse is None else _penrose_residuals(am, mw.matrix, nw.matrix, inverse)
-    verdict = {f.name: getattr(rep, f.name) for f in fields(rep)}
-    return WmpResult(**verdict, inverse=inverse, penrose_residuals=residuals)
+    return WmpResult(exists=rep.exists, r_invertible=rep.r_invertible, l_invertible=rep.l_invertible, r_cond=rep.r_cond,
+                     l_cond=rep.l_cond, _rows=rep._rows, inverse=inverse, penrose_residuals=residuals)
 
 
 def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
@@ -385,27 +385,27 @@ def _penrose_residuals(am, m, n, xm) -> np.ndarray:
 
     The four Hermitian matrices whose eigenvalues give the norms, the Grams
     of ``AXA - A`` and ``XAX - X`` on their smaller side and ``1j (MAX -
-    (MAX)*)``, ``1j (NXA - (NXA)*)``, are written into one zero-padded
-    stack of order ``max(rows, cols)``, and one batched ``eigvalsh`` gives
-    all four: padding adds only zero eigenvalues, which move neither a
-    Gram's largest eigenvalue once it is clamped at 0 nor a largest
-    ``|lambda|``.  A Gram that :func:`_gram_or_norm` finds unsafe is left
-    to the SVD, whose norm that helper returns in its place.
+    (MAX)*)``, ``1j (NXA - (NXA)*)``, are written in place, each into its
+    slot of one zero-padded stack of order ``max(rows, cols)`` (one pass
+    scales the last two by ``1j`` and keeps their padding +0), and one
+    batched ``eigvalsh`` gives all four: padding adds only zero eigenvalues,
+    which move neither a Gram's largest eigenvalue once it is clamped at 0
+    nor a largest ``|lambda|``.  A Gram that :func:`_gram_or_norm` finds
+    unsafe is left to the SVD, whose norm that helper returns in its place.
     """
-    ax = am @ xm
-    xa = xm @ am
-    max_ = m @ ax
-    nxa = n @ xa
+    ax, xa = am @ xm, xm @ am
     k, h = am.shape
     j = min(k, h)
     stack = np.zeros((4, max(k, h), max(k, h)), dtype=np.complex128)
     by_svd = np.zeros(2)
-    for i, d in enumerate((ax @ am - am, xa @ xm - xm)):
+    for i, (d, y) in enumerate(((ax @ am, am), (xa @ xm, xm))):
+        d -= y
         gram, by_svd[i] = _gram_or_norm(d)
         if gram is not None:
             stack[i, :j, :j] = gram
-    stack[2, :k, :k] = 1j * (max_ - max_.conj().T)
-    stack[3, :h, :h] = 1j * (nxa - nxa.conj().T)
+    for slot, prod in ((stack[2, :k, :k], m @ ax), (stack[3, :h, :h], n @ xa)):
+        np.subtract(prod, prod.conj().T, out=slot)
+    stack[2:] *= 1j
     w = np.linalg.eigvalsh(stack)
     norms = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
     # a slot left to the SVD stays zero and takes its norm from by_svd;

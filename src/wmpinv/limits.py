@@ -660,12 +660,12 @@ def limit_lambda_to_inf(
     bm = as_matrix(b)
     if am.shape[0] != am.shape[1] or am.shape != bm.shape:
         raise ValueError("a and b must be square with equal shapes")
+    sym = {}
     for name, mat in (("a", am), ("b", bm)):
-        ok, asym = _self_adjointness(mat, tol)
+        ok, asym, sym[name] = _self_adjointness(mat, tol)
         if not ok:
             raise NotPositiveSemidefiniteError(f"{name} (not self-adjoint)", -asym)
-    a_sym = 0.5 * (am + am.conj().T)
-    b_sym = 0.5 * (bm + bm.conj().T)
+    a_sym, b_sym = sym["a"], sym["b"]
     # an empty matrix passes with the one eigenvalue 0
     b_eigs = np.linalg.eigvalsh(b_sym) if b_sym.size else np.zeros(1)
 

@@ -140,7 +140,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -442,22 +442,23 @@ def condition_number(a) -> float:
     return _cond(np.linalg.svd(m, compute_uv=False))
 
 
-def _self_adjointness(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
+def _self_adjointness(m: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float, np.ndarray]:
     """The package's one self-adjointness rule for a square matrix.
 
-    Returns the verdict ``||m - m*|| <= verify_atol`` (operator norm) and
-    the asymmetry itself, which callers quote when they reject ``m``.
-    A Frobenius norm of ``m - m*`` within ``verify_atol`` accepts at once
-    (and is returned in place of the asymmetry): since
-    ``||.||_2 <= ||.||_F``, that cannot change the verdict, and exactly
-    self-adjoint input costs O(n^2) instead of an SVD.
+    Returns the verdict ``||m - m*|| <= verify_atol`` (operator norm), the
+    asymmetry that a rejection quotes and the exactly Hermitian ``0.5 (m +
+    m*)``.  A Frobenius norm of ``m - m*`` within ``verify_atol`` accepts at
+    once (and is returned as the asymmetry): since ``||.||_2 <= ||.||_F``,
+    that cannot change the verdict, and exactly self-adjoint input costs
+    O(n^2), not an SVD.
     """
-    d = m - m.conj().T
+    mh = m.conj().T
+    d, herm = m - mh, 0.5 * (m + mh)
     fro = float(np.sqrt(np.vdot(d, d).real))
     if fro <= tol.verify_atol:
-        return True, fro
+        return True, fro, herm
     asym = operator_norm(d)
-    return asym <= tol.verify_atol, asym
+    return asym <= tol.verify_atol, asym, herm
 
 
 def _hermitian(a, what: str, tol: ToleranceConfig, dim: int | None = None) -> np.ndarray:
@@ -471,10 +472,10 @@ def _hermitian(a, what: str, tol: ToleranceConfig, dim: int | None = None) -> np
     if m.shape[0] != m.shape[1] or (dim is not None and m.shape[0] != dim):
         size = "square" if dim is None else f"{dim} x {dim}"
         raise ValueError(f"{what} must be {size}, got shape {m.shape}")
-    ok, asym = _self_adjointness(m, tol)
+    ok, asym, herm = _self_adjointness(m, tol)
     if not ok:
         raise ValueError(f"{what} must be self-adjoint, asymmetry {asym:.3e}")
-    return 0.5 * (m + m.conj().T)
+    return herm
 
 
 def _clears_positive_floor(w: np.ndarray, tol: ToleranceConfig) -> bool:

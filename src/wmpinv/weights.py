@@ -21,6 +21,7 @@ class Weight:
     Construction symmetrizes inputs whose asymmetry is within
     ``verify_atol`` and rejects anything further from self-adjoint, or
     whose condition number exceeds ``inv_cond_max``.  It makes one
+    conjugate transpose, which both checks and symmetrizes, and one
     ``eigvalsh``: the eigenvalues alone decide singularity, ``cond`` and
     ``positive_definite``.  The inverse is built only when first read,
     through the eigendecomposition (the one place an explicit inverse is
@@ -45,19 +46,17 @@ class Weight:
         w = as_matrix(matrix)
         if w.shape[0] != w.shape[1]:
             raise WeightError(f"weight must be square, got shape {w.shape}")
-        ok, asym = _self_adjointness(w, tol)
+        ok, asym, h = _self_adjointness(w, tol)
         if not ok:
             raise WeightError(
                 f"weight is not self-adjoint: ||W - W*|| = {asym:.6e} "
                 f"exceeds {tol.verify_atol:.1e}"
             )
-        h = 0.5 * (w + w.conj().T)
         if h.size == 0:
             raise WeightError("weight must be nonempty")
         eigvals = np.linalg.eigvalsh(h)
-        absvals = np.abs(eigvals)
-        smax = float(absvals.max())
-        smin = float(absvals.min())
+        smax = float(max(-eigvals[0], eigvals[-1]))  # eigvals ascend
+        smin = float(np.abs(eigvals).min())
         if smin == 0.0 or smax / smin > tol.inv_cond_max:
             cond = float("inf") if smin == 0.0 else smax / smin
             raise WeightError(

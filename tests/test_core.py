@@ -1,5 +1,7 @@
 """Weighted inverse core: factored formula, reductions, embeddings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from wmpinv import (
     wmp_inverse,
     wmp_inverse_positive,
 )
-from wmpinv.core import _penrose_residuals
+from wmpinv.core import ExistenceReport, _penrose_residuals
 from wmpinv.linalg import (
     _GRAM_FLOOR,
     DEFAULT_TOL,
@@ -294,6 +296,34 @@ class TestLazyFactors:
                 got = getattr(report, name)
                 assert np.array_equal(got, want)
                 assert getattr(report, name) is got
+
+    @staticmethod
+    def same(x, y):
+        """Equal values, arrays bitwise, tuples (the split among them) entry by entry."""
+        if isinstance(x, tuple):
+            return type(x) is type(y) and len(x) == len(y) and all(map(TestLazyFactors.same, x, y))
+        if isinstance(x, np.ndarray):
+            return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        return type(x) is type(y) and x == y
+
+    @pytest.mark.parametrize(
+        "rows,cols,rank", [(4, 9, 2), (9, 4, 3), (6, 6, 4), (6, 6, 0), (4, 9, 4), (9, 4, 4), (6, 6, 6)]
+    )
+    def test_inverse_carries_every_field_of_the_verdict(self, rows, cols, rank):
+        # wmp_inverse copies the verdict field by field into its WmpResult, so a
+        # field added to ExistenceReport must reach it with wmp_exists's value
+        gen = np.random.default_rng(rows * 100 + cols * 10 + rank)
+        a = random_matrix_with_rank(gen, rows, cols, rank)
+        self.assert_same_verdict(a, random_weight(gen, rows), random_weight(gen, cols))
+
+    def test_no_inverse_carries_every_field_of_the_verdict(self):
+        self.assert_same_verdict(np.diag([1.0, 0.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def assert_same_verdict(self, a, m, n):
+        res, rep = wmp_inverse(a, m, n), wmp_exists(a, m, n)
+        names = [f.name for f in dataclasses.fields(ExistenceReport)] + ["r_factor", "l_factor"]
+        for name in names:
+            assert self.same(getattr(res, name), getattr(rep, name)), name
 
     def test_mp_is_read_without_an_inverse(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])

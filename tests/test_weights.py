@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from support import is_hermitian, random_weight
-from wmpinv import Weight, WeightError, as_weight
-from wmpinv.linalg import DEFAULT_TOL
+from support import is_hermitian, random_psd, random_weight
+from wmpinv import Weight, WeightError, as_weight, limit_lambda_to_inf
+from wmpinv.limits import _GradedSolver
+from wmpinv.linalg import DEFAULT_TOL, _hermitian
 from wmpinv.sampling import random_spd
 
 
@@ -96,3 +97,57 @@ def test_self_adjointness_boundary():
     assert not is_hermitian(outside)
     with pytest.raises(WeightError, match=f"= {asym:.6e} exceeds"):
         Weight(outside)
+
+
+def _nearly_hermitian(gen, h):
+    """``h`` plus an anti-Hermitian part of Frobenius norm ``verify_atol / 4``, so not exactly Hermitian."""
+    n = h.shape[0]
+    e = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+    e -= e.conj().T
+    return h + (0.25 * DEFAULT_TOL.verify_atol / np.linalg.norm(e)) * e
+
+
+def _bitwise_hermitian_part(got, m):
+    """``got`` is bitwise ``0.5 (m + m*)``, and exactly Hermitian."""
+    want = 0.5 * (m + m.conj().T)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(got, got.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_symmetrized_inputs_are_the_hermitian_part(n, monkeypatch):
+    # every check-then-symmetrize site keeps 0.5 (m + m*) of the input it checked
+    gen = np.random.default_rng(n)
+    m = _nearly_hermitian(gen, random_weight(gen, n).matrix)
+    assert not np.array_equal(m, m.conj().T) and is_hermitian(m)
+    _bitwise_hermitian_part(Weight(m).matrix, m)
+    _bitwise_hermitian_part(_hermitian(m, "m", DEFAULT_TOL), m)
+
+    inputs = []
+    pair = _GradedSolver.pair.__func__
+
+    def recording(cls, a_sym, b_sym, *args):
+        inputs.append((a_sym, b_sym))
+        return pair(cls, a_sym, b_sym, *args)
+
+    monkeypatch.setattr(_GradedSolver, "pair", classmethod(recording))
+    a = _nearly_hermitian(gen, random_psd(gen, n, (n + 1) // 2).astype(np.complex128))
+    b = _nearly_hermitian(gen, random_psd(gen, n, n).astype(np.complex128))
+    limit_lambda_to_inf(a, b)
+    ((a_sym, b_sym),) = inputs
+    _bitwise_hermitian_part(a_sym, a)
+    _bitwise_hermitian_part(b_sym, b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cond_of_weights_led_by_a_negative_eigenvalue(seed):
+    # the largest |lambda| belongs to the most negative eigenvalue, so it is
+    # read from the low end of the ascending spectrum
+    gen = np.random.default_rng(seed)
+    n = 6
+    q = np.linalg.qr(gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)))[0]
+    lam = np.concatenate([-gen.uniform(5.0, 9.0, 1), gen.uniform(-2.0, 2.0, n - 2), gen.uniform(3.0, 4.0, 1)])
+    w = Weight(_nearly_hermitian(gen, (q * lam) @ q.conj().T))
+    eigs = np.linalg.eigvalsh(w.matrix)
+    assert abs(eigs[0]) > abs(eigs[-1]) and not w.positive_definite
+    assert w.cond == np.abs(eigs).max() / np.abs(eigs).min()
