@@ -3,10 +3,11 @@
 A bundle is a JSON object whose top-level keys are role names mapping to
 matrix objects ``{"rows": r, "cols": c, "re": [...], "im": [...]}`` with
 flat row-major entry lists (``im`` optional), plus the reserved keys
-``tolerances`` (numeric overrides), ``schedule`` (list of finite
-positive floats), and ``seed``.  JSON is written by ``json.dumps``: floats as the
-shortest round-trip repr, one line, so a write/read cycle is bit
-identical.
+``tolerances`` (numeric overrides), ``schedule`` (list of finite positive
+floats), and ``seed``.  Bundles, reports and ``--out`` files are the text of
+``json.dumps``: floats as the shortest round-trip repr, one line, so a
+write/read cycle is bit identical.  ``orjson`` writes the entries of float
+lists wherever its token is that text (``dump_json``).
 
 Bundles and JSON role files are read by ``orjson``, which parses them
 several times faster than ``json`` to the same values.  ``json`` reads a
@@ -16,13 +17,13 @@ text, whose ``invalid JSON: ...`` message is ``json``'s), where an
 integer field (``seed``, ``rows``, ``cols``) comes back a float, which is
 how ``orjson`` reads integer literals outside the 64-bit range, and where
 the document is too deeply nested for ``orjson`` to parse safely.
-Reports and ``--out`` files are still written by ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -132,7 +133,13 @@ def _loads(text: str):
     """
     import orjson
 
-    if text.count("[") + text.count("{") > _ORJSON_MAX_BRACKETS:
+    opened = 0  # [ and { found one at a time, up to the first one past the limit
+    for bracket in "[{":
+        i = text.find(bracket)
+        while i >= 0 and opened <= _ORJSON_MAX_BRACKETS:
+            opened += 1
+            i = text.find(bracket, i + 1)
+    if opened > _ORJSON_MAX_BRACKETS:
         return json.loads(text)
     try:
         obj = orjson.loads(text)
@@ -237,28 +244,61 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_obj(obj)
 
 
-def _plain(obj):
+def _plain(obj, lists=None):
     """``obj`` with NumPy values made Python ones, non-finite floats ``None`` and keys ``str``."""
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, lists) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # an entry list of finite floats is plain already; the type set and the
-        # sum run in C (a sum that overflows only sends the list down the walk)
+        # an entry list of finite floats is plain already, or goes to lists as [NaN, its index];
+        # the type set and the sum run in C (a sum that overflows only sends the list down the walk)
         if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            return obj
-        return [_plain(v) for v in obj]
+            if lists is None:
+                return obj
+            lists.append(obj)
+            return [math.nan, len(lists) - 1]
+        return [_plain(v, lists) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
+        return _plain(obj.tolist(), lists)
     return obj
 
 
+def _float_list_text(values) -> str:
+    """``json.dumps(values)`` for finite floats, with ``orjson``'s token wherever ``repr`` writes the same.
+
+    Both write the shortest round-trip digits, and ``repr`` writes them
+    positionally for zero and for ``1e-4 <= |x| < 1e16``: there a positional
+    token (a ``.``, no ``e``) is kept, and ``repr`` writes every other entry, or
+    every entry where the tokens do not pair off with the entries.
+    """
+    import orjson
+
+    tokens = orjson.dumps(values)[1:-1].decode().split(",")
+    if len(tokens) != len(values):
+        tokens = [""] * len(values)
+    entries = [t if "." in t and "e" not in t and (1e-4 <= abs(x) < 1e16 or x == 0.0) else repr(x)
+               for t, x in zip(tokens, values)]
+    return "[" + ", ".join(entries) + "]"
+
+
+# a string of json.dumps, or a placeholder of _plain: _plain leaves no other NaN
+_STRING_OR_PLACEHOLDER = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[NaN, (\d+)\]')
+
+
 def dump_json(obj) -> str:
-    """One line of JSON, non-finite floats as null; ``TypeError`` for anything else JSON lacks."""
-    return json.dumps(_plain(obj), allow_nan=False) + "\n"
+    """One line of JSON, non-finite floats as null; ``TypeError`` for anything else JSON lacks.
+
+    The text is ``json.dumps(_plain(obj), allow_nan=False)``; ``_float_list_text`` writes its lists of finite floats.
+    """
+    lists = []
+    text = json.dumps(_plain(obj, lists))
+    if lists:
+        texts = [_float_list_text(values) for values in lists]
+        text = _STRING_OR_PLACEHOLDER.sub(lambda m: texts[int(m[1])] if m[1] else m[0], text)
+    return text + "\n"
 
 
 def write_bundle(path, matrices: dict, scalars: dict | None = None) -> None:

@@ -27,6 +27,8 @@ from wmpinv.cli import main
 from wmpinv.io import (
     BundleFormatError,
     _bundle_from_obj,
+    _loads,
+    _plain,
     dump_json,
     geometric_schedule,
     load_bundle,
@@ -929,6 +931,97 @@ def _bench_bundle_texts(tmp_path, seeds=(1, 2, 3)):
     return texts
 
 
+def _dumped_with_json(obj):
+    """``dump_json`` as ``json.dumps`` alone wrote it, before ``orjson`` wrote the float lists."""
+    return json.dumps(_plain(obj), allow_nan=False) + "\n"
+
+
+# the edges of the positional range of repr, where orjson's layout differs
+_NEAR_EDGES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-6, 1e-3),
+    st.floats(-1e-3, -1e-6),
+    st.floats(1e14, 1e18),
+    st.floats(-1e18, -1e14),
+)
+
+
+def _edge_floats():
+    """Neighbours of 1e-4 and 1e16, signed zeros, the extreme doubles and integral doubles past 2**53."""
+    edges = []
+    for x in (1e-4, 1e16):
+        for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+            edges += [float(y), -float(y)]
+    return edges + [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    2.0**53 + 2, 2.0**63, 1e-5, 1e15, 1e-7, 0.1]
+
+
+class TestWriter:
+    """``dump_json`` against ``json.dumps``, the writer of every float before ``orjson``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_NEAR_EDGES, min_size=1, max_size=40), st.booleans())
+    def test_finite_float_lists_write_as_json_writes_them(self, values, as_tuple):
+        entries = tuple(values) if as_tuple else values
+        report = {"command": "wmp", "re": entries, "nested": [{"im": entries}, entries, "[NaN, 0]"], "r_cond": 1.5}
+        for obj in (entries, report):
+            assert dump_json(obj) == _dumped_with_json(obj)
+
+    def test_edge_values_write_as_json_writes_them(self):
+        edges = _edge_floats()
+        report = {"entries": edges, "each": [[x] for x in edges], "tuple": tuple(edges), "ints": [2**53 + 1, 2**64, -(2**70)]}
+        assert dump_json(report) == _dumped_with_json(report)
+        assert dump_json(edges) == "[" + ", ".join(map(repr, edges)) + "]\n"
+
+    def test_placeholders_do_not_collide_with_strings(self):
+        # keys and strings that spell the placeholder, with escaped quotes and
+        # backslashes, and two keys that _plain makes one
+        report = {
+            "[NaN, 0]": [1.0, 2.5],
+            "s": '"[NaN, 1]" \\[NaN, 0]\\ \\"',
+            1: [3.0],
+            "1": [4.0],
+            "list": ["[NaN, 0]", [0.5], '"', "\\"],
+        }
+        assert dump_json(report) == _dumped_with_json(report)
+        assert json.loads(dump_json(report))["1"] == [4.0]
+
+    def test_unsupported_values_raise_as_json_raises(self):
+        for obj in ({"x": [1.0, 2.0], "bad": object()}, [[0.5], 1j], {"s": {1, 2}}):
+            with pytest.raises(TypeError) as parent:
+                _dumped_with_json(obj)
+            with pytest.raises(TypeError) as got:
+                dump_json(obj)
+            assert str(got.value) == str(parent.value)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: f"{x:.17e}",
+            lambda x: np.format_float_positional(x, unique=True, trim="0"),
+            lambda x: np.format_float_positional(x, unique=True, trim="-"),
+            lambda x: f"{x:,}",
+        ],
+        ids=["exponent-form", "positional-form", "no-point", "thousands-separators"],
+    )
+    def test_other_layouts_of_orjson_still_write_json_text(self, layout, monkeypatch, rng):
+        # an orjson that wrote every float in exponent form, every float
+        # positionally with its shortest digits (1e16 as 10000000000000000.0,
+        # 5e-324 as 0.000...5), integral floats without a point (1.0 as 1),
+        # or commas inside numbers: the tokens that are not positional or lie
+        # outside the positional range of repr fall back to repr, a list whose
+        # tokens do not match its entries falls back whole, and the text stays
+        # json.dumps's
+        def dumps(values):
+            return ("[" + ",".join(map(layout, values)) + "]").encode()
+
+        values = rng.standard_normal(50).tolist() + _edge_floats()
+        report = {"inverse": matrix_to_obj(np.array(values).reshape(1, -1)), "t": tuple(values)}
+        expected = _dumped_with_json(report)
+        monkeypatch.setattr(orjson, "dumps", dumps)
+        assert dump_json(report) == expected
+
+
 class TestReader:
     """The ``orjson`` reader against ``json``, the reader it replaces."""
 
@@ -1040,6 +1133,26 @@ class TestReader:
         with pytest.raises(BundleFormatError) as got:
             load_matrix(path)
         assert str(got.value) == f"{path}: invalid JSON: {parent.value}"
+
+    @pytest.mark.parametrize("brackets", [128, 129])
+    @pytest.mark.parametrize("in_strings", [0, 1, 40])
+    def test_the_bracket_limit_routes_as_before(self, brackets, in_strings, monkeypatch):
+        # every [ and { counts, those inside strings too: up to 128 go to
+        # orjson, more to json; the roles split them between [ and {
+        roles = [f'"R{i}": {_role(1, 1, "1")}' for i in range(30)]
+        name = "[{" * (in_strings // 2) + "[" * (in_strings % 2)
+        text = "{" + ", ".join(roles) + f', "{name}": ' + _role(1, 1, "1")
+        nested = brackets - text.count("[") - text.count("{")
+        assert 0 <= nested
+        # an "im" of the last role holds the rest, and the document closes
+        text = text[:-1] + ', "im": ' + "[" * nested + "]" * nested + "}}"
+        assert text.count("[") + text.count("{") == brackets
+        ran = []
+        for module in (orjson, json):
+            monkeypatch.setattr(module, "loads", lambda t, _loads=module.loads, _name=module.__name__: ran.append(_name) or _loads(t))
+        obj = _loads(text)
+        assert ran == (["orjson"] if brackets <= 128 else ["json"])
+        assert obj == json.JSONDecoder().decode(text)
 
     def test_a_deep_document_is_left_to_json(self):
         # orjson 3.8 parses without a depth limit and overflows the C stack
