@@ -310,7 +310,9 @@ def cmd_reduce(args, ctx, a, m, n) -> int:
 
 
 def cmd_limit_t0(args, ctx, a, b, v, w, u, x, y) -> int:
-    if u is None and (x is not None or y is not None):
+    if x is not None or y is not None:
+        if u is not None:
+            raise _UsageError("role U excludes roles X and Y: bind U, or X and Y that build it")
         u = omega_weight(a, b, w, x=v.matrix if x is None else x, y=y, tol=ctx.tol)
     trace = limit_t_to_zero(a, b, v, w, u, schedule=ctx.schedule, tol=ctx.tol)
     return _emit_trace(args, ctx, trace, "t")

@@ -6,7 +6,9 @@ flat row-major entry lists (``im`` optional), plus the reserved keys
 ``tolerances`` (numeric overrides), ``schedule`` (list of finite positive
 floats), and ``seed``.  Bundles, reports and ``--out`` files are the text of
 ``json.dumps``: floats as the shortest round-trip repr, one line, so a
-write/read cycle is bit identical.  ``orjson`` writes the entries of float
+write/read cycle is bit identical, but for one case: no ``im`` is written
+where every imaginary entry is +-0, so an imaginary ``-0.0`` reads back
+``+0.0``.  ``orjson`` writes the entries of float
 lists wherever its token is that text (``dump_json``).
 
 Bundles and JSON role files are read by ``orjson``, which parses them

@@ -358,23 +358,14 @@ class _GradedSolver:
         self.reduced = self._eliminate_k22()
 
     def _eliminate_k22(self):
-        """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular.
-
-        Where r2 is zero, so are z, ``K12 z`` and c0: K22 is solved for K21
-        alone and both are ``None``.
-        """
+        """``(Sigma, K12 z, c0, Bq)`` of the class docstring, or ``None`` where LU finds K22 singular."""
         r = self.h11.shape[0]
-        k21 = self.k12.conj().T
-        r2_zero = not self.r2.any()
         try:
-            xz = np.linalg.solve(self.k22, k21 if r2_zero else np.hstack([k21, self.r2]))
+            xz = np.linalg.solve(self.k22, np.hstack([self.k12.conj().T, self.r2]))
         except np.linalg.LinAlgError:
             return None
-        x = xz[:, :r]
+        x, z = xz[:, :r], xz[:, r:]
         v1, v2 = self.basis[:, :r], self.basis[:, r:]
-        if r2_zero:
-            return self.k11 - self.k12 @ x, None, None, v1 - v2 @ x
-        z = xz[:, r:]
         return self.k11 - self.k12 @ x, self.k12 @ z, v2 @ z, v1 - v2 @ x
 
     def rhs(self, t: float) -> np.ndarray:
@@ -493,7 +484,7 @@ class _GradedSolver:
         k1w = k1.conj().T @ wmat
         delta = _psd_shift(_fro(k1) ** 2 + _fro(k2) ** 2, _kernel_error(ww.dim, _fro(wmat)), wmat)
         k22 = k2.conj().T @ wmat @ k2
-        # A V2 vanishes, and so does r2
+        # A V2 vanishes, and so does r2: the elimination's z, K12 z and c0 are exact zeros
         r2 = np.zeros((k2.shape[1], am.shape[0]))
         return cls(joint.v_r, h11, k1w @ k1, k1w @ k2, k22, lambda t: r1, r2, tol, delta)
 
@@ -568,10 +559,9 @@ class _GradedSolver:
         return self.basis @ svd_factor(system).solve(rhs), cond
 
     def _eliminated(self, t: float) -> np.ndarray:
-        """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated; ``Bq Z(t)^-1 r1(t)`` for zero r2."""
+        """``c0 + Bq Z(t)^-1 (r1(t) - t K12 z)``, the iterate with K22 eliminated."""
         k_schur, kz, c0, bq = self.reduced
-        y1 = np.linalg.solve(self.h11 + t * k_schur, self.r1(t) if c0 is None else self.r1(t) - t * kz)
-        return bq @ y1 if c0 is None else c0 + bq @ y1
+        return c0 + bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t) - t * kz)
 
 
 def limit_t_to_zero(

@@ -106,9 +106,10 @@ class ToleranceConfig:
         always relative to the largest singular value.
     inv_cond_max : float
         A square matrix counts as numerically invertible when its
-        2-norm condition number does not exceed this bound.
+        2-norm condition number does not exceed this bound; finite, above 1.
     verify_atol : float
-        Absolute tolerance for identity verification residuals.
+        Absolute tolerance for identity verification residuals; finite and
+        positive.
     """
 
     rank_rtol: float | None = None
@@ -118,11 +119,11 @@ class ToleranceConfig:
     def __post_init__(self):
         if self.rank_rtol is not None and not (0.0 < self.rank_rtol < 1.0):
             raise ValueError("rank_rtol must lie strictly between 0 and 1")
-        # written so that NaN fails each test
-        if not self.inv_cond_max > 1.0:
-            raise ValueError("inv_cond_max must exceed 1")
-        if not self.verify_atol > 0.0:
-            raise ValueError("verification tolerances must be positive")
+        # written so that NaN fails each test; an infinite bound would pass every check
+        if not 1.0 < self.inv_cond_max < np.inf:
+            raise ValueError("inv_cond_max must exceed 1 and be finite")
+        if not 0.0 < self.verify_atol < np.inf:
+            raise ValueError("verification tolerances must be positive and finite")
 
     def rank_rtol_for(self, shape: tuple[int, int]) -> float:
         """Effective relative rank cutoff for a matrix of the given shape."""

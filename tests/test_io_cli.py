@@ -331,6 +331,18 @@ class TestCliCommands:
         assert errors(X=roles["V"]) == default
         assert errors(Y=np.eye(3)) == default
 
+    @pytest.mark.parametrize("extra", ["X", "Y", "XY"])
+    def test_limit_t0_u_with_x_or_y_is_a_usage_error(self, extra, tmp_path, capsys):
+        # U is what X and Y build, so binding both would leave X and Y unread
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        b = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        roles = {"A": a, "B": b, "V": np.eye(2), "W": np.eye(2), "U": np.eye(3)}
+        path = tmp_path / "pencil.json"
+        write_bundle(path, {**roles, **{name: 5.0 * np.eye(2 if name == "X" else 3) for name in extra}})
+        assert main(["limit-t0", "--bundle", str(path), "--json"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: role U excludes roles X and Y: bind U, or X and Y that build it\n"
+
     def test_limit_lambda(self, tmp_path, capsys):
         bundle = tmp_path / "lam.json"
         write_bundle(bundle, {"A": golden_data.LAMBDA_A, "B": golden_data.LAMBDA_B})
@@ -484,11 +496,24 @@ class TestCliCommands:
         assert main(["exists", "--bundle", golden_bundle, "--verify-atol", "0", "--json"]) == 64
         assert main(["verify", "--bundle", golden_bundle, "--verify-atol", "nan"]) == 64
         assert "verification tolerances must be positive" in capsys.readouterr().err
+        # an infinite tolerance would pass every check it makes
+        assert main(["wmp", "--bundle", golden_bundle, "--verify-atol", "inf"]) == 64
+        assert capsys.readouterr().err == "error: verification tolerances must be positive and finite\n"
         # a bundle value is a format error of the bundle
         with pytest.raises(BundleFormatError, match="must be positive"):
             parse_bundle(json.dumps({"tolerances": {"verify_atol": -1}}))
         with pytest.raises(BundleFormatError, match="must exceed 1"):
             parse_bundle('{"tolerances": {"inv_cond_max": NaN}}')
+        with pytest.raises(BundleFormatError, match="must exceed 1"):
+            parse_bundle('{"tolerances": {"inv_cond_max": Infinity}}')
+        infinite = tmp_path / "infinite_tol.json"
+        roles = {"A": np.diag([1.0, 0.0]), "M": np.eye(2), "N": np.array([[0.0, 1.0], [1.0, 0.0]])}
+        text = json.dumps({k: matrix_to_obj(x) for k, x in roles.items()})
+        infinite.write_text(text[:-1] + ', "tolerances": {"inv_cond_max": Infinity}}')
+        for command in ("exists", "wmp"):
+            assert main([command, "--bundle", str(infinite)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: inv_cond_max must exceed 1 and be finite\n"
         path = tmp_path / "bad_tol.json"
         write_bundle(
             path,
@@ -1091,8 +1116,9 @@ class TestReader:
             f'{{"\ud800": {_role(1, 1, "1")}}}',
             f'{{"A": {_role(1, 1, "1")}, "schedule": [1, Infinity]}}',
             '{"tolerances": {"inv_cond_max": NaN}}',
+            '{"tolerances": {"inv_cond_max": Infinity}}',
         ],
-        ids=["nan-infinity", "overflow", "overflowing-integer", "escaped-lone-surrogate", "lone-surrogate", "infinite-schedule", "nan-tolerance"],
+        ids=["nan-infinity", "overflow", "overflowing-integer", "escaped-lone-surrogate", "lone-surrogate", "infinite-schedule", "nan-tolerance", "infinite-tolerance"],
     )
     def test_what_orjson_refuses_reads_as_json_reads_it(self, text):
         with pytest.raises(orjson.JSONDecodeError):

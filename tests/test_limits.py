@@ -828,6 +828,38 @@ class TestSchurCertificate:
             len(x) == len(y) and all(np.array_equal(p, q) for p, q in zip(x, y)) for x, y in zip(with_bound, without)
         )
 
+    def test_pencil_elimination_carries_exact_zeros(self, monkeypatch):
+        # the t-pencil's r2 is zero, so the one elimination path gives zero z,
+        # K12 z and c0, and a certified point equals Bq Z(t)^-1 r1(t) bit for bit
+        solvers, certified = [], []
+        pencil, iterate = _GradedSolver.pencil.__func__, _GradedSolver.iterate
+
+        def recording_pencil(cls, pen, tol):
+            solvers.append(pencil(cls, pen, tol))
+            return solvers[-1]
+
+        def recording(self, t):
+            it, cond = iterate(self, t)
+            d = self.h11.shape[0] + self.k22.shape[0]
+            # the points the order-r system solves, by the rule of iterate
+            if cond <= min(self.tol.inv_cond_max / 2.0, 1e-3 / (np.finfo(float).eps * d)):
+                k_schur, _, _, bq = self.reduced
+                certified.append((it, bq @ np.linalg.solve(self.h11 + t * k_schur, self.r1(t))))
+            return it, cond
+
+        monkeypatch.setattr(_GradedSolver, "pencil", classmethod(recording_pencil))
+        monkeypatch.setattr(_GradedSolver, "iterate", recording)
+        t_calls = certificate_family(DEFAULT_TOL)[0:30:2] + bench_shaped_calls()[::2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankFlipWarning)
+            for call in t_calls:
+                call()
+        assert len(solvers) == len(t_calls) == 17
+        for solver in solvers:
+            _, kz, c0, _ = solver.reduced
+            assert kz.shape == (solver.h11.shape[0], solver.r2.shape[1]) and not kz.any()
+            assert c0.shape == (solver.basis.shape[0], solver.r2.shape[1]) and not c0.any()
+        assert certified and all(x.tobytes() == y.tobytes() for x, y in certified)
 
 
 def reference_iterate(system, rhs, basis, mpmath):
