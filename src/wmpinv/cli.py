@@ -411,6 +411,9 @@ def cmd_perturb(args, ctx, a, m, n, dm, dn, e) -> int:
     if terms < 2:
         raise _UsageError("--terms must be at least 2")
     am = as_matrix(a)
+    for role, x, shape in (("DM", dm, (m.dim, m.dim)), ("DN", dn, (n.dim, n.dim)), ("E", e, am.shape)):
+        if x is not None and x.shape != shape:
+            raise ValueError(f"{role} must be {shape[0]} x {shape[1]}, got shape {x.shape}")
     if args.kind == "weights-only":
         if dm is None:
             dm = 0.1 * operator_norm(m.matrix) * np.eye(m.dim, dtype=np.complex128)

@@ -27,22 +27,24 @@ all of N that they read.
 The verdict compares the 2-norm condition numbers of R and L to
 ``inv_cond_max``.  R differs from the identity only in its n - r
 null-space rows and L in its m - r null-space columns, so one helper,
-``_factor_cond``, decides either factor from the blocks that ``_factor``
-forms, with a values-only SVD of order at most 2(n - r) or 2(m - r).
-``_decide`` calls it for R and L, ``equivalent_domain_weights`` for R
-alone.  No dense R, L or plain Moore-Penrose inverse is formed on the
-way: a report builds them from the split and the null-space rows only
-when they are first read.  The Penrose residuals of a computed inverse
-are exact 2-norms taken from Hermitian eigenvalues, all four from one
-batched ``eigvalsh`` (``_penrose_residuals``).
+``_factor_cond``, decides either factor from its null-space blocks with
+a values-only SVD of order at most 2(n - r) or 2(m - r).  ``_decide``
+calls it for R and L, ``equivalent_domain_weights`` for R alone.  No
+dense R, L or plain Moore-Penrose inverse is formed on the way: a report
+builds them from the split and the null-space rows only when they are
+first read.  The Penrose residuals of a computed inverse are exact
+2-norms taken from Hermitian eigenvalues, all four from one batched
+``eigvalsh`` (``_penrose_residuals``).
 
 The inverse reads N only through ``C = N_00^{-1} N_0r`` and M only
-through ``D = Mi_00^{-1} Mi_0r``, so ``_coupled_weight``, the one routine
-that forms a weight with a given coupling, makes the members of
-``equivalent_domain_weights`` and the S and T of ``positive_reduction``:
-not the theorem's ``T = R* R``, ``S = (L L*)^{-1}``, which square
-``r_cond`` and ``l_cond``, but closed forms of ``cond(T) <= 4 (1 +
-||C||_F^2)`` and ``cond(S) <= 4 (1 + ||D||_F^2)``.
+through ``D = Mi_00^{-1} Mi_0r``, which a report solves from the blocks
+of its verdict once, on first read, for the inverse and for the S and T
+of ``positive_reduction``.  ``_coupled_weight``, the one routine that
+forms a weight with a given coupling, makes the members of
+``equivalent_domain_weights`` and that S and T: not the theorem's ``T =
+R* R``, ``S = (L L*)^{-1}``, which square ``r_cond`` and ``l_cond``, but
+closed forms of ``cond(T) <= 4 (1 + ||C||_F^2)`` and ``cond(S) <= 4 (1 +
+||D||_F^2)``.
 
 Public functions coerce and check; ``_``-prefixed routines take checked
 complex128 arrays.  So ``_problem`` checks A and the weights once, and
@@ -142,9 +144,11 @@ class ExistenceReport:
     ``r_factor`` and ``l_factor``, each decided by :func:`_factor_cond` from the
     null-space blocks of its factor through values-only SVDs of order at
     most 2(n - r) and 2(m - r); ``r_invertible`` and ``l_invertible``
-    compare them to ``inv_cond_max``.  The dense factors are built from the
-    split of A and the null-space rows ``V_0* N`` and ``M^{-1} U_0`` on
-    first read, then cached, as ``Weight.inverse`` is.
+    compare them to ``inv_cond_max``.  ``_rows`` holds the split of A, the
+    null-space rows ``V_0* N`` and ``M^{-1} U_0`` and the blocks ``(N_0r,
+    N_00)`` and ``(Mi_0r, Mi_00)`` of the verdict.  The dense factors and
+    the couplings C and D are built from them on first read, then cached,
+    as ``Weight.inverse`` is.
     """
 
     exists: bool
@@ -152,20 +156,31 @@ class ExistenceReport:
     l_invertible: bool
     r_cond: float
     l_cond: float
-    # the split of A, V_0* N and M^-1 U_0, all the factors are built from
     _rows: tuple = field(repr=False, compare=False)
 
     @cached_property
     def r_factor(self) -> np.ndarray:
         """``R = I + V_0 (V_0* N - V_0*)``, the dense form of ``[[I, 0], [N_0r, N_00]]``."""
-        sp, n_0, _ = self._rows
+        sp, n_0 = self._rows[:2]
         return np.eye(n_0.shape[1], dtype=np.complex128) + sp.v_0 @ (n_0 - sp.v_0.conj().T)
 
     @cached_property
     def l_factor(self) -> np.ndarray:
         """``L = I + (M^{-1} U_0 - U_0) U_0*``, the dense form of ``[[I, Mi_r0], [0, Mi_00]]``."""
-        sp, _, mi_u0 = self._rows
+        sp, mi_u0 = self._rows[0], self._rows[2]
         return np.eye(sp.u_r.shape[0], dtype=np.complex128) + (mi_u0 - sp.u_0) @ sp.u_0.conj().T
+
+    @cached_property
+    def _couplings(self) -> tuple[np.ndarray, np.ndarray]:
+        """``C = N_00^{-1} N_0r`` and ``D = Mi_00^{-1} Mi_0r``, each by one LU solve.
+
+        Read only once the verdict holds, where LU is safe: in the V basis
+        ``N_00`` is a diagonal block of R and ``N_00^{-1}`` one of ``R^{-1}``,
+        so ``cond(N_00) <= cond(R) <= inv_cond_max``, and L bounds
+        ``cond(Mi_00)`` the same way.  An empty block, where A has full rank
+        on that side or is zero, is its own coupling and needs no solve.
+        """
+        return tuple(np.linalg.solve(c, b) if b.size else b for b, c in self._rows[3:])
 
 
 @dataclass(frozen=True)
@@ -215,20 +230,6 @@ def _factor_cond(b: np.ndarray, c: np.ndarray) -> float:
     return float("inf") if lo == 0.0 else float(hi / lo)
 
 
-def _factor(w_0: np.ndarray, b_r: np.ndarray, b_0: np.ndarray) -> tuple:
-    """Null-space blocks ``(w_0 b_r, w_0 b_0)`` of the factor ``[[I, 0], [w_0 b_r, w_0 b_0]]``.
-
-    R for ``w_0 = V_0* N`` and ``[b_r b_0] = V``, L* for ``w_0 = (M^{-1} U_0)*`` and U.
-    """
-    return w_0 @ b_r, w_0 @ b_0
-
-
-def _coupling(blocks) -> np.ndarray:
-    """``C^{-1} B`` for the null-space blocks ``(B, C)`` of a factor, by LU."""
-    b, c = blocks
-    return np.linalg.solve(c, b)
-
-
 def _coupled_weight(b_1: np.ndarray, b_2: np.ndarray, c: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """``B E* diag(top, bottom) E B*``, Hermitian, for ``B = [b_1 b_2]`` unitary and ``E = [[I, 0], [c, I]]``.
 
@@ -247,7 +248,7 @@ def _coupled_weight(b_1: np.ndarray, b_2: np.ndarray, c: np.ndarray, top: np.nda
     return 0.5 * (w + w.conj().T)
 
 
-def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]:
+def _decide(sp: SplitBasis, m, n_0, tol) -> ExistenceReport:
     """Decide existence from R and L in the bases of the split ``sp`` of A.
 
     N is given by its null-space row ``n_0 = V_0* N``, M in full.  In
@@ -255,36 +256,35 @@ def _decide(sp: SplitBasis, m, n_0, tol) -> tuple[ExistenceReport, tuple, tuple]
     Mi_00]]``.  The verdict compares their 2-norm condition numbers to
     ``inv_cond_max``; :func:`_factor_cond` reads both off the blocks, L
     through its adjoint ``[[I, 0], [Mi_0r, Mi_00]]`` with ``Mi_0 = (M^{-1}
-    U_0)*``.  M enters only through ``M^{-1} U_0``, which one LU solve with
-    m - r right-hand sides gives (a ``Weight`` has ``cond(M) <=
-    inv_cond_max``), so no inverse of M is formed, and neither are the
-    dense R and L: the report builds them from ``n_0`` and ``M^{-1} U_0``
-    when they are read.  Returns the report and the block pairs ``(N_0r,
-    N_00)`` and ``(Mi_0r, Mi_00)``, which the block solves of the inverse
-    start from.
+    U_0)*``, which is ``U_0* M^{-1}`` as ``M^{-1}`` is Hermitian.  M enters
+    only through ``M^{-1} U_0``, which one LU solve with m - r right-hand
+    sides gives (a ``Weight`` has ``cond(M) <= inv_cond_max``), so no
+    inverse of M is formed, and neither are the dense R and L: the report
+    builds them from ``n_0`` and ``M^{-1} U_0`` when they are read, and
+    keeps the blocks for the couplings of the inverse.
     """
     mi_u0 = np.linalg.solve(m, sp.u_0) if sp.u_0.size else sp.u_0
-    n_blocks = _factor(n_0, sp.v_r, sp.v_0)
-    mi_blocks = _factor(mi_u0.conj().T, sp.u_r, sp.u_0)
+    mi_0 = mi_u0.conj().T
+    n_blocks = n_0 @ sp.v_r, n_0 @ sp.v_0
+    mi_blocks = mi_0 @ sp.u_r, mi_0 @ sp.u_0
     r_cond, l_cond = _factor_cond(*n_blocks), _factor_cond(*mi_blocks)
     r_ok = r_cond <= tol.inv_cond_max
     l_ok = l_cond <= tol.inv_cond_max
-    report = ExistenceReport(
+    return ExistenceReport(
         exists=r_ok and l_ok,
         r_invertible=r_ok,
         l_invertible=l_ok,
         r_cond=r_cond,
         l_cond=l_cond,
-        _rows=(sp, n_0, mi_u0),
+        _rows=(sp, n_0, mi_u0, n_blocks, mi_blocks),
     )
-    return report, n_blocks, mi_blocks
 
 
 def wmp_exists(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> ExistenceReport:
     """Decide existence of ``A+_MN`` from the two factor condition numbers."""
     am, mw, nw = _problem(a, m, n, tol)
     sp = _split_basis(am, tol)
-    return _decide(sp, mw.matrix, sp.v_0.conj().T @ nw.matrix, tol)[0]
+    return _decide(sp, mw.matrix, sp.v_0.conj().T @ nw.matrix, tol)
 
 
 def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
@@ -315,28 +315,17 @@ def wmp_inverse(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> WmpResult:
                      l_cond=rep.l_cond, _rows=rep._rows, inverse=inverse, penrose_residuals=residuals)
 
 
-def _eliminate(b_r: np.ndarray, b_0: np.ndarray, blocks) -> np.ndarray:
-    """``b_r - b_0 C^{-1} B`` for the blocks ``(B, C)``, or ``b_r`` when ``b_0`` has no columns."""
-    if not b_0.shape[1]:
-        return b_r
-    return b_r - b_0 @ _coupling(blocks)
-
-
 def _inverse_on_split(sp: SplitBasis, mw: Weight, n_0, tol) -> tuple[ExistenceReport, np.ndarray | None]:
     """The verdict on a checked problem whose A has the split ``sp``, and ``A+_MN`` (``None`` when it does not exist).
 
-    N comes as ``n_0 = V_0* N``.  The block solves of the module docstring run
-    by LU, safe once the verdict holds: in the V basis ``N_00`` is a diagonal
-    block of R and ``N_00^{-1}`` one of ``R^{-1}``, so ``cond(N_00) <= cond(R)
-    <= inv_cond_max``, and L bounds ``cond(Mi_00)`` the same way.
+    N comes as ``n_0 = V_0* N``; C and D of the formula are the report's.
     """
-    rep, n_blocks, mi_blocks = _decide(sp, mw.matrix, n_0, tol)
+    rep = _decide(sp, mw.matrix, n_0, tol)
     if not rep.exists:
         return rep, None
-    # M^{-1} is Hermitian, so (M^{-1} U_0)* = U_0* M^{-1} and the blocks
-    # _decide formed from it are the Mi_0r and Mi_00 of the formula
-    right = _eliminate(sp.v_r, sp.v_0, n_blocks)
-    left = _eliminate(sp.u_r, sp.u_0, mi_blocks)
+    c, d = rep._couplings
+    right = sp.v_r - sp.v_0 @ c
+    left = sp.u_r - sp.u_0 @ d
     return rep, (right / sp.sigma_r) @ left.conj().T
 
 
@@ -459,10 +448,9 @@ def positive_reduction(a, m, n, tol: ToleranceConfig = DEFAULT_TOL) -> PositiveR
 
 
 def _positive_weights(factors: ExistenceReport, tol: ToleranceConfig) -> PositiveReduction:
-    """S and T of :func:`positive_reduction` from the couplings C and D of the blocks ``factors`` was decided on."""
-    sp, n_0, mi_u0 = factors._rows
-    c = _coupling(_factor(n_0, sp.v_r, sp.v_0))
-    d = _coupling(_factor(mi_u0.conj().T, sp.u_r, sp.u_0))
+    """S and T of :func:`positive_reduction` from the couplings C and D of the verdict ``factors``."""
+    sp = factors._rows[0]
+    c, d = factors._couplings
     (k, r), j = c.shape, d.shape[0]
     c_fro, d_fro = _fro(c), _fro(d)
     t_mat = _coupled_weight(sp.v_r, sp.v_0, c, np.eye(r), np.eye(k) / (1.0 + c_fro**2))
@@ -539,11 +527,12 @@ def equivalent_domain_weights(a, n, samples: int = 3, tol: ToleranceConfig = DEF
         ws = [Weight(random_spd(gen, h), tol) for _ in range(samples)]
         return EquivalentWeightFamily(ws, degenerate=True, range_basis=None, null_basis=None, coupling=None)
     # the verdict is R's alone; once it holds, cond(N_00) <= cond(R) makes LU safe
-    blocks = _factor(v_null.conj().T @ nw.matrix, v_range, v_null)
-    r_cond = _factor_cond(*blocks)
+    n_0 = v_null.conj().T @ nw.matrix
+    n_0r, n_00 = n_0 @ v_range, n_0 @ v_null
+    r_cond = _factor_cond(n_0r, n_00)
     if r_cond > tol.inv_cond_max:
         raise NonExistentError("R_{A,N}", r_cond)
-    coupling = _coupling(blocks)
+    coupling = np.linalg.solve(n_00, n_0r)
     ws = []
     for _ in range(samples):
         w22 = random_spd(gen, h - rank)

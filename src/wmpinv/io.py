@@ -89,6 +89,13 @@ def _as_float_vector(value, what: str) -> np.ndarray:
     return out
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, refused unless every entry is finite: an entry past the float range is a format error."""
+    if not np.isfinite(values).all():
+        raise BundleFormatError(f"{what} entries must be finite")
+    return values
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "re"} <= set(obj):
         raise BundleFormatError("matrix object needs keys rows, cols, re")
@@ -106,12 +113,12 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise BundleFormatError(
             f"re has {re.size} entries, expected rows*cols = {rows * cols} (flat row-major)"
         )
-    out = re.astype(np.complex128)
+    out = _finite(re, "re").astype(np.complex128)
     if "im" in obj:
         im = _as_float_vector(obj["im"], "im")
         if im.shape != (rows * cols,):
             raise BundleFormatError("im must match re in length")
-        out = out + 1j * im
+        out = out + 1j * _finite(im, "im")
     try:
         return out.reshape(rows, cols)
     except ValueError as e:
@@ -220,7 +227,7 @@ def read_matrix_market(path) -> np.ndarray:
     data = mmread(str(path))
     if hasattr(data, "todense"):
         data = np.asarray(data.todense())
-    return as_matrix(np.atleast_2d(data))
+    return as_matrix(np.atleast_2d(_finite(data, f"{path}: Matrix Market")))
 
 
 def load_matrix(path) -> np.ndarray:

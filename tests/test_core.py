@@ -838,6 +838,49 @@ def test_raw_weights_make_no_eigendecomposition(lapack_calls, rng):
     assert lapack_calls["inv"] == lapack_calls["lstsq"] == lapack_calls["norm2"] == 0
 
 
+def test_couplings_are_solved_once_per_verdict(lapack_calls, monkeypatch, tmp_path, capsys):
+    # a report solves C and D from the blocks it was decided on, and the
+    # inverse and the positive reduction both read that one pair
+    from wmpinv import core
+    from wmpinv.cli import main
+    from wmpinv.io import write_bundle
+
+    gen = np.random.default_rng(4)
+    a, m, n = random_matrix_with_rank(gen, 7, 6, 4), random_weight(gen, 7).matrix, random_weight(gen, 6).matrix
+    bundle = tmp_path / "problem.json"
+    write_bundle(bundle, {"A": a, "M": m, "N": n})
+
+    def counts(call, *args):
+        lapack_calls.clear()
+        call(*args)
+        return {k: v for k, v in lapack_calls.items() if v}
+
+    # the split of A, then cond(R) and cond(L) from QR-compressed blocks
+    verdict = {"svd": 1, "qr": 2, "svdvals": 2}
+    assert counts(wmp_exists, a, m, n) == {**verdict, "eigvalsh": 2, "solve": 1}
+    # M^-1 U_0, C and D; the four Penrose residuals from one batched eigvalsh
+    assert counts(wmp_inverse, a, m, n) == {**verdict, "eigvalsh": 3, "solve": 3}
+    # the weights M, N, S and T
+    assert counts(positive_reduction, a, m, n) == {**verdict, "eigvalsh": 4, "solve": 3}
+    # one split of A for both inverses, M^-1 U_0, C and D for each of (M, N)
+    # and (S, T), where the reduction solved C and D of (M, N) again, and the
+    # operator norm of their difference
+    assert counts(main, ["reduce", "--bundle", str(bundle), "--json"]) == {
+        "svd": 1, "qr": 4, "svdvals": 5, "eigvalsh": 4, "solve": 6}
+    capsys.readouterr()
+
+    sp = _split_basis(as_matrix(a), DEFAULT_TOL)
+    rep, inverse = core._inverse_on_split(sp, Weight(m), sp.v_0.conj().T @ n, DEFAULT_TOL)
+    assert inverse is not None
+    read = []
+    monkeypatch.setattr(core, "_fro", lambda x: read.append(x) or np.linalg.norm(x))
+    lapack_calls.clear()
+    c, d = rep._couplings
+    core._positive_weights(rep, DEFAULT_TOL)
+    assert lapack_calls["solve"] == 0
+    assert read[0] is c and read[1] is d
+
+
 def test_private_routines_take_checked_arrays():
     # public functions coerce and check; a _-prefixed routine takes checked
     # complex128 arrays, so it calls no coercion and no public entry point

@@ -437,6 +437,16 @@ class TestCliCommands:
         assert "missing role(s) M, N" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "role, kind, shape", [("DM", "weights-only", "3 x 3"), ("DN", "weights-only", "4 x 4"), ("E", "full", "3 x 4")]
+    )
+    def test_perturb_direction_of_the_wrong_shape_names_its_role(self, role, kind, shape, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        a = np.hstack([np.diag([2.0, 1.0, 0.0]), np.zeros((3, 1))])
+        write_bundle(path, {"A": a, "M": np.eye(3), "N": np.eye(4), role: np.eye(2)})
+        assert main(["perturb", "--bundle", str(path), "--kind", kind, "--terms", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {role} must be {shape}, got shape (2, 2)\n"
+
+    @pytest.mark.parametrize(
         "endpoints, message", [("1-2", "expected A:B"), ("a:b", "schedule endpoints must be numbers")]
     )
     def test_malformed_schedule_is_usage_error(self, endpoints, message, capsys, golden_bundle):
@@ -576,6 +586,10 @@ class TestBadValues:
         ),
         "tolerance_not_number": ('{%s, "tolerances": {"verify_atol": [1]}}' % _ONE, "tolerance values must be numbers"),
         "seed_not_integer": ('{%s, "seed": "seven"}' % _ONE, "seed must be an integer"),
+        # entries that read as floats but are not finite
+        "re_overflows_to_infinity": ('{"A": {"rows": 1, "cols": 1, "re": [1e400]}}', "re entries must be finite"),
+        "re_nan": ('{"A": {"rows": 1, "cols": 1, "re": [NaN]}}', "re entries must be finite"),
+        "im_infinity": ('{"A": {"rows": 1, "cols": 1, "re": [1], "im": [Infinity]}}', "im entries must be finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -587,6 +601,35 @@ class TestBadValues:
         path.write_text(text)
         assert main(["wmp", "--bundle", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN", "Infinity"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_a_non_finite_entry_is_a_format_error_on_every_reader(self, entry, part, tmp_path, capsys, golden_bundle):
+        role = _role(1, 1, entry) if part == "re" else _role(1, 1, "1", entry)
+        message = f"{part} entries must be finite"
+        # orjson refuses the literal and json reads it; past the bracket limit json reads it alone
+        texts = [f'{{"A": {role}}}', f'{{"A": {role}, "{"[" * 129}": {_role(1, 1, "1")}}}']
+        for text in texts:
+            for parse in (parse_bundle, _parse_with_json):
+                with pytest.raises(BundleFormatError, match=f"^{message}$"):
+                    parse(text)
+        bundle, role_file = tmp_path / "bundle.json", tmp_path / "a.json"
+        bundle.write_text(texts[1])
+        role_file.write_text(role)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["--bundle", str(bundle)], ["--bundle", golden_bundle, "--role", f"A={role_file}"]):
+                assert main(["wmp", *argv]) == 1
+                assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_non_finite_matrix_market_entry_is_a_format_error(self, entry, tmp_path, capsys, golden_bundle):
+        path = tmp_path / "a.mtx"
+        scipy.io.mmwrite(path, np.array([[1.0, entry], [0.0, 1.0]]))
+        with pytest.raises(BundleFormatError, match="Matrix Market entries must be finite"):
+            read_matrix_market(path)
+        assert main(["wmp", "--bundle", golden_bundle, "--role", f"A={path}"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: Matrix Market entries must be finite\n"
 
     @pytest.mark.parametrize("option", ["--bundle", "--role"])
     def test_a_file_nested_past_the_recursion_limit_is_a_format_error(self, option, tmp_path, capsys):
