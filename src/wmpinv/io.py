@@ -90,7 +90,7 @@ def _as_float_vector(value, what: str) -> np.ndarray:
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, refused unless every entry is finite: an entry past the float range is a format error."""
+    """``values``, refused as a format error unless every entry is finite."""
     if not np.isfinite(values).all():
         raise BundleFormatError(f"{what} entries must be finite")
     return values

@@ -863,8 +863,8 @@ def test_couplings_are_solved_once_per_verdict(lapack_calls, monkeypatch, tmp_pa
     # the weights M, N, S and T
     assert counts(positive_reduction, a, m, n) == {**verdict, "eigvalsh": 4, "solve": 3}
     # one split of A for both inverses, M^-1 U_0, C and D for each of (M, N)
-    # and (S, T), where the reduction solved C and D of (M, N) again, and the
-    # operator norm of their difference
+    # and (S, T), the reduction reading the C and D of (M, N) that the
+    # inverse solved, and the operator norm of the two inverses' difference
     assert counts(main, ["reduce", "--bundle", str(bundle), "--json"]) == {
         "svd": 1, "qr": 4, "svdvals": 5, "eigvalsh": 4, "solve": 6}
     capsys.readouterr()
