@@ -20,7 +20,7 @@ import argparse
 import functools
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .io import (
     geometric_schedule,
     load_bundle,
     load_matrix,
-    matrix_to_obj,
+    matrix_to_arrays,
     write_bundle,
 )
 from .limits import (
@@ -115,6 +115,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="seed for the random direction of perturb --kind full")
 
 
+# ToleranceConfig is flat: a shallow read of its fields is asdict's dict, without its deep copies
+_TOL_FIELDS = tuple(f.name for f in fields(ToleranceConfig))
+
+
+def _tol_values(tol: ToleranceConfig) -> dict:
+    return {k: getattr(tol, k) for k in _TOL_FIELDS}
+
+
 @dataclass
 class _Context:
     matrices: dict
@@ -135,7 +143,7 @@ def _gather(args) -> _Context:
         # json's verdict on a file nested past the recursion limit; path names the file being read
         raise BundleFormatError(f"{path}: nested too deeply to read") from e
 
-    values = asdict(DEFAULT_TOL)
+    values = _tol_values(DEFAULT_TOL)
     sources = dict.fromkeys(values, "default")
     flags = {"rank_rtol": args.rank_rtol, "verify_atol": args.verify_atol}
     for source, given in (("bundle", bundle.tolerances), ("flag", flags)):
@@ -187,7 +195,7 @@ def _matrix_lines(name: str, a: np.ndarray) -> list:
 def _tol_line(ctx: _Context) -> str:
     parts = [
         f"{k}={'adaptive' if v is None else f'{v:g}'} ({ctx.tol_sources[k]})"
-        for k, v in asdict(ctx.tol).items()
+        for k, v in _tol_values(ctx.tol).items()
     ]
     return "tolerances: " + ", ".join(parts)
 
@@ -201,8 +209,8 @@ def _emit(args, ctx: _Context, report: dict, lines: list, matrices: dict | None 
     """
     matrices = matrices or {}
     if args.json:
-        head = {"command": args.command, "tolerances": {**asdict(ctx.tol), "sources": ctx.tol_sources}}
-        body = {name: matrix_to_obj(mat) for name, mat in matrices.items()}
+        head = {"command": args.command, "tolerances": {**_tol_values(ctx.tol), "sources": ctx.tol_sources}}
+        body = {name: matrix_to_arrays(mat) for name, mat in matrices.items()}
         sys.stdout.write(dump_json({**head, **report, **body}))
     else:
         lines = [_tol_line(ctx), *lines]

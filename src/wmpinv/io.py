@@ -8,8 +8,10 @@ floats), and ``seed``.  Bundles, reports and ``--out`` files are the text of
 ``json.dumps``: floats as the shortest round-trip repr, one line, so a
 write/read cycle is bit identical, but for one case: no ``im`` is written
 where every imaginary entry is +-0, so an imaginary ``-0.0`` reads back
-``+0.0``.  ``orjson`` writes the entries of float
-lists wherever its token is that text (``dump_json``).
+``+0.0``.  The writer takes each entry list of finite floats as one
+float64 array, a matrix's ``re`` and ``im`` straight from the matrix:
+one ``orjson`` call writes the array, and its token stands wherever it is
+the text of ``json.dumps`` (``_float_array_text``).
 
 Bundles and JSON role files are read by ``orjson``, which parses them
 several times faster than ``json`` to the same values.  ``json`` reads a
@@ -18,7 +20,11 @@ literals, numbers that overflow to infinity, lone surrogates, malformed
 text, whose ``invalid JSON: ...`` message is ``json``'s), where an
 integer field (``seed``, ``rows``, ``cols``) comes back a float, which is
 how ``orjson`` reads integer literals outside the 64-bit range, and where
-the document is too deeply nested for ``orjson`` to parse safely.
+the document is too deeply nested for ``orjson`` to parse safely.  A
+non-finite entry is a format error.  Only a document that ``json`` alone
+parsed is scanned for one: ``orjson`` refuses every literal that is not a
+finite double, and the library's own check of each matrix it is given is
+then the one scan of the entries.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ __all__ = [
     "BundleFormatError",
     "ProblemBundle",
     "matrix_to_obj",
+    "matrix_to_arrays",
     "matrix_from_obj",
     "load_bundle",
     "parse_bundle",
@@ -62,17 +69,18 @@ class ProblemBundle:
     seed: int | None = None
 
 
+def matrix_to_arrays(a) -> dict:
+    """``matrix_to_obj`` with float64 arrays for entry lists, which ``dump_json`` writes as they are."""
+    m = as_matrix(a)
+    obj = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "re": m.real.ravel()}
+    if np.any(m.imag != 0.0):
+        obj["im"] = m.imag.ravel()
+    return obj
+
+
 def matrix_to_obj(a) -> dict:
     """Matrix object with flat row-major entry lists."""
-    m = as_matrix(a)
-    obj = {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": m.real.ravel().tolist(),
-    }
-    if np.any(m.imag != 0.0):
-        obj["im"] = m.imag.ravel().tolist()
-    return obj
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in matrix_to_arrays(a).items()}
 
 
 # malformed content, an integer past the float range included, is a format error, not a numerical one
@@ -97,6 +105,11 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
+    return _matrix_from_obj(obj, finite=False)
+
+
+def _matrix_from_obj(obj, finite: bool) -> np.ndarray:
+    """The matrix of ``obj``, its entries scanned for non-finite values unless ``finite``."""
     if not isinstance(obj, dict) or not {"rows", "cols", "re"} <= set(obj):
         raise BundleFormatError("matrix object needs keys rows, cols, re")
     unknown = set(obj) - {"rows", "cols", "re", "im"}
@@ -113,12 +126,12 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise BundleFormatError(
             f"re has {re.size} entries, expected rows*cols = {rows * cols} (flat row-major)"
         )
-    out = _finite(re, "re").astype(np.complex128)
+    out = (re if finite else _finite(re, "re")).astype(np.complex128)
     if "im" in obj:
         im = _as_float_vector(obj["im"], "im")
         if im.shape != (rows * cols,):
             raise BundleFormatError("im must match re in length")
-        out = out + 1j * _finite(im, "im")
+        out = out + 1j * (im if finite else _finite(im, "im"))
     try:
         return out.reshape(rows, cols)
     except ValueError as e:
@@ -133,12 +146,19 @@ _ORJSON_MAX_BRACKETS = 128
 
 
 def _loads(text: str):
-    """The value of a JSON document, as ``json.loads`` reads it.
+    """The value of a JSON document, as ``json.loads`` reads it."""
+    return _read(text)[0]
+
+
+def _read(text: str) -> tuple:
+    """The value of a JSON document, as ``json.loads`` reads it, and whether ``orjson`` parsed it.
 
     ``orjson`` parses it, imported here so that importing the package does
     not load it.  ``json`` parses instead where ``orjson`` raises, where an
     integer field came back a float (see the module docstring), and where
     the text opens more than ``_ORJSON_MAX_BRACKETS`` arrays and objects.
+    Every float of a document that ``orjson`` parsed is finite, whichever
+    parser's value is returned.
     """
     import orjson
 
@@ -149,12 +169,12 @@ def _loads(text: str):
             opened += 1
             i = text.find(bracket, i + 1)
     if opened > _ORJSON_MAX_BRACKETS:
-        return json.loads(text)
+        return json.loads(text), False
     try:
         obj = orjson.loads(text)
     except orjson.JSONDecodeError:
-        return json.loads(text)
-    return json.loads(text) if _float_in_integer_field(obj) else obj
+        return json.loads(text), False
+    return (json.loads(text) if _float_in_integer_field(obj) else obj), True
 
 
 def _float_in_integer_field(obj) -> bool:
@@ -172,13 +192,14 @@ def _float_in_integer_field(obj) -> bool:
 
 def parse_bundle(text: str) -> ProblemBundle:
     try:
-        raw = _loads(text)
+        raw, finite = _read(text)
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"invalid JSON: {e}") from e
-    return _bundle_from_obj(raw)
+    return _bundle_from_obj(raw, finite)
 
 
-def _bundle_from_obj(raw) -> ProblemBundle:
+def _bundle_from_obj(raw, finite: bool = False) -> ProblemBundle:
+    """The bundle of a parsed document; ``finite`` skips the scan of the matrix entries (see ``_read``)."""
     if not isinstance(raw, dict):
         raise BundleFormatError("bundle must be a JSON object")
     bundle = ProblemBundle()
@@ -210,7 +231,7 @@ def _bundle_from_obj(raw) -> ProblemBundle:
                 raise BundleFormatError("seed must be an integer")
             bundle.seed = value
         elif isinstance(value, dict):
-            bundle.matrices[key] = matrix_from_obj(value)
+            bundle.matrices[key] = _matrix_from_obj(value, finite)
         else:
             raise BundleFormatError(f"unrecognized bundle key {key!r}")
     return bundle
@@ -227,7 +248,8 @@ def read_matrix_market(path) -> np.ndarray:
     data = mmread(str(path))
     if hasattr(data, "todense"):
         data = np.asarray(data.todense())
-    return as_matrix(np.atleast_2d(_finite(data, f"{path}: Matrix Market")))
+    data = np.atleast_2d(_finite(data, f"{path}: Matrix Market"))
+    return np.ascontiguousarray(data, dtype=np.complex128)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -240,57 +262,92 @@ def load_matrix(path) -> np.ndarray:
     if p.suffix.lower() in {".mtx", ".mm"}:
         return read_matrix_market(p)
     try:
-        obj = _loads(p.read_text())
+        obj, finite = _read(p.read_text())
     except json.JSONDecodeError as e:
         raise BundleFormatError(f"{p}: invalid JSON: {e}") from e
     if isinstance(obj, dict) and not {"rows", "cols", "re"} <= set(obj):
-        bundle = _bundle_from_obj(obj)
+        bundle = _bundle_from_obj(obj, finite)
         if len(bundle.matrices) == 1:
             return next(iter(bundle.matrices.values()))
         raise BundleFormatError(
             f"{p}: expected one matrix, found roles {sorted(bundle.matrices)}"
         )
-    return matrix_from_obj(obj)
+    return _matrix_from_obj(obj, finite)
 
 
-def _plain(obj, lists=None):
-    """``obj`` with NumPy values made Python ones, non-finite floats ``None`` and keys ``str``."""
+def _plain(obj, arrays=None):
+    """``obj`` with NumPy values made Python ones, non-finite floats ``None`` and keys ``str``.
+
+    Given ``arrays``, each entry list of finite floats goes there as a float64
+    array, a list or tuple turned into one, and leaves ``[NaN, its index]``.
+    """
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {str(k): _plain(v, lists) for k, v in obj.items()}
+        return {str(k): _plain(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # an entry list of finite floats is plain already, or goes to lists as [NaN, its index];
         # the type set and the sum run in C (a sum that overflows only sends the list down the walk)
         if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            if lists is None:
+            if arrays is None:
                 return obj
-            lists.append(obj)
-            return [math.nan, len(lists) - 1]
-        return [_plain(v, lists) for v in obj]
+            arrays.append(np.array(obj, dtype=np.float64))
+            return [math.nan, len(arrays) - 1]
+        return [_plain(v, arrays) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist(), lists)
+        if arrays is not None and obj.dtype == np.float64 and obj.ndim == 1 and np.isfinite(obj).all():
+            arrays.append(obj)
+            return [math.nan, len(arrays) - 1]
+        return _plain(obj.tolist(), arrays)
     return obj
 
 
-def _float_list_text(values) -> str:
-    """``json.dumps(values)`` for finite floats, with ``orjson``'s token wherever ``repr`` writes the same.
+def _float_array_text(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` for a float64 vector of finite entries, from one ``orjson`` call.
 
     Both write the shortest round-trip digits, and ``repr`` writes them
-    positionally for zero and for ``1e-4 <= |x| < 1e16``: there a positional
-    token (a ``.``, no ``e``) is kept, and ``repr`` writes every other entry, or
-    every entry where the tokens do not pair off with the entries.
+    positionally for zero and for ``1e-4 <= |x| < 1e16``.  There ``orjson``'s
+    token stands where it is positional (digits, a ``-`` and one ``.``), and
+    ``repr`` writes every other entry, or every entry where the tokens do not
+    pair off with the entries.  An ``orjson`` that refuses the array raises
+    ``TypeError``, as its ``JSONEncodeError`` is, and writes no token.
     """
     import orjson
 
-    tokens = orjson.dumps(values)[1:-1].decode().split(",")
-    if len(tokens) != len(values):
-        tokens = [""] * len(values)
-    entries = [t if "." in t and "e" not in t and (1e-4 <= abs(x) < 1e16 or x == 0.0) else repr(x)
-               for t, x in zip(tokens, values)]
-    return "[" + ", ".join(entries) + "]"
+    n = values.size
+    values = np.ascontiguousarray(values)
+    mag = np.abs(values)
+    keep = (mag < 1e16) & ((mag >= 1e-4) | (mag == 0.0))
+    body = b""
+    if keep.any():
+        try:
+            body = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        except TypeError:
+            pass  # no tokens: repr writes every entry
+        # what a token holds besides digits and "-": a "." alone where it is positional
+        marks = body.translate(None, b"-0123456789")
+        if marks != b".," * (n - 1) + b".":
+            keep &= _positional_tokens(marks, n)
+    if keep.all():
+        return "[" + body.decode().replace(",", ", ") + "]"
+    # a kept token is one of n tokens
+    tokens = body.decode().split(",") if keep.any() else [""] * n
+    for i, x in zip(np.flatnonzero(~keep).tolist(), values[~keep].tolist()):
+        tokens[i] = repr(x)
+    return "[" + ", ".join(tokens) + "]"
+
+
+def _positional_tokens(marks: bytes, n: int) -> np.ndarray:
+    """Per token, whether its marks (see ``_float_array_text``) are one ``.``; none where the tokens are not ``n``."""
+    marks = np.frombuffer(marks, np.uint8)
+    comma = marks == ord(",")
+    if np.count_nonzero(comma) != n - 1:
+        return np.zeros(n, dtype=bool)
+    token = np.cumsum(comma)  # the token of each mark, a comma counted to the token it opens
+    dots = np.bincount(token[marks == ord(".")], minlength=n)
+    others = np.bincount(token[~comma & (marks != ord("."))], minlength=n)
+    return (dots == 1) & (others == 0)
 
 
 # a string of json.dumps, or a placeholder of _plain: _plain leaves no other NaN
@@ -300,19 +357,19 @@ _STRING_OR_PLACEHOLDER = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[NaN, (\d+)\]')
 def dump_json(obj) -> str:
     """One line of JSON, non-finite floats as null; ``TypeError`` for anything else JSON lacks.
 
-    The text is ``json.dumps(_plain(obj), allow_nan=False)``; ``_float_list_text`` writes its lists of finite floats.
+    The text is ``json.dumps(_plain(obj), allow_nan=False)``; ``_float_array_text`` writes its lists of finite floats.
     """
-    lists = []
-    text = json.dumps(_plain(obj, lists))
-    if lists:
-        texts = [_float_list_text(values) for values in lists]
+    arrays = []
+    text = json.dumps(_plain(obj, arrays))
+    if arrays:
+        texts = [_float_array_text(values) for values in arrays]
         text = _STRING_OR_PLACEHOLDER.sub(lambda m: texts[int(m[1])] if m[1] else m[0], text)
     return text + "\n"
 
 
 def write_bundle(path, matrices: dict, scalars: dict | None = None) -> None:
     """Write named matrices (plus optional scalar entries) as a bundle."""
-    out: dict = {name: matrix_to_obj(mat) for name, mat in matrices.items()}
+    out: dict = {name: matrix_to_arrays(mat) for name, mat in matrices.items()}
     for key, value in (scalars or {}).items():
         if key in out:
             raise ValueError(f"scalar key {key!r} collides with a matrix role")

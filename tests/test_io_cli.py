@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import builtins
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import conftest as golden_data
 import wmpinv
-from support import nearly_nested_pair
+from support import nearly_nested_pair, random_matrix_with_rank, random_weight
 from wmpinv import NonExistentError, RankFlipWarning, cli, omega_weight, require_wmp_inverse, wmp_exists
 from wmpinv.cli import main
 from wmpinv.io import (
@@ -34,11 +36,13 @@ from wmpinv.io import (
     load_bundle,
     load_matrix,
     matrix_from_obj,
+    matrix_to_arrays,
     matrix_to_obj,
     parse_bundle,
     read_matrix_market,
     write_bundle,
 )
+from wmpinv.linalg import DEFAULT_TOL, ToleranceConfig
 from wmpinv.sampling import random_complex
 
 
@@ -1014,6 +1018,19 @@ _NEAR_EDGES = st.one_of(
 )
 
 
+# float64 entries weighted to the edges of the writer's array path: the
+# band [1e-5, 1e-4), where orjson is positional and repr is not, the
+# neighbours of 1e-4 and 1e16, signed zeros, the least subnormal and the
+# largest double
+_ARRAY_ENTRIES = st.one_of(
+    _NEAR_EDGES,
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(-1e-4, -1e-5, exclude_min=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-5, -1e-5]),
+    st.deferred(lambda: st.sampled_from(_edge_floats())),
+)
+
+
 def _edge_floats():
     """Neighbours of 1e-4 and 1e16, signed zeros, the extreme doubles and integral doubles past 2**53."""
     edges = []
@@ -1088,6 +1105,109 @@ class TestWriter:
         expected = _dumped_with_json(report)
         monkeypatch.setattr(orjson, "dumps", dumps)
         assert dump_json(report) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ARRAY_ENTRIES, max_size=40), st.integers(0, 2))
+    def test_float64_arrays_write_as_json_writes_them(self, values, step):
+        # arrays, empty and one-entry ones included, strided views, and the
+        # same entries as a list and a tuple, side by side in one report
+        entries = np.array(values, dtype=np.float64)
+        report = {
+            "re": entries,
+            "list": values,
+            "nested": [{"im": entries[::step + 1]}, entries[:1], tuple(values)],
+            "matrix": matrix_to_arrays(entries.reshape(1, -1)),
+        }
+        for obj in (entries, report):
+            assert dump_json(obj) == _dumped_with_json(obj)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: f"{x:.17e}",
+            lambda x: np.format_float_positional(x, unique=True, trim="0"),
+            lambda x: np.format_float_positional(x, unique=True, trim="-"),
+            lambda x: f"{x:,}",
+            None,
+        ],
+        ids=["exponent-form", "positional-form", "no-point", "thousands-separators", "refuses-arrays"],
+    )
+    def test_other_layouts_of_orjson_for_arrays_still_write_json_text(self, layout, monkeypatch, rng):
+        # the layouts of test_other_layouts_of_orjson_still_write_json_text,
+        # now of an orjson that takes the arrays with OPT_SERIALIZE_NUMPY, and
+        # an orjson that refuses them as orjson refuses what it cannot write
+        def dumps(values, option=None):
+            assert option == orjson.OPT_SERIALIZE_NUMPY and values.dtype == np.float64
+            if layout is None:
+                raise orjson.JSONEncodeError("Type is not JSON serializable: numpy.ndarray")
+            return ("[" + ",".join(map(layout, values)) + "]").encode()
+
+        values = rng.standard_normal(50).tolist() + _edge_floats()
+        entries = np.array(values)
+        report = {"inverse": matrix_to_arrays((entries + 1j * entries[::-1]).reshape(2, -1)), "re": entries, "t": tuple(values), "one": entries[:1]}
+        expected = _dumped_with_json(report)
+        monkeypatch.setattr(orjson, "dumps", dumps)
+        assert dump_json(report) == expected
+
+    def test_repr_writes_only_the_entries_outside_the_positional_range(self, monkeypatch, rng):
+        # signed zeros and 1e-4 <= |x| < 1e16 keep orjson's token; repr writes
+        # each other entry, once, and nothing else
+        inside = [0.0, -0.0, 1e-4, -1e-4, 0.5, -123.25, float(np.nextafter(1e16, 0.0)), 9.5e15]
+        outside = [1e-5, -3e-5, float(np.nextafter(1e-4, 0.0)), 1e16, -2e17, 5e-324, -1.7976931348623157e308]
+        written = []
+        monkeypatch.setattr(wmpinv.io, "repr", lambda x: written.append(x) or builtins.repr(x), raising=False)
+        for values in (inside, outside, inside + outside):
+            entries = rng.permutation(np.array(values))
+            written.clear()
+            assert dump_json({"re": entries}) == _dumped_with_json({"re": entries})
+            assert sorted(written) == sorted(x for x in values if x in outside)
+
+    def test_matrix_to_arrays_holds_the_entries_of_matrix_to_obj(self, rng):
+        for x in (rng.standard_normal((3, 4)), rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), np.zeros((0, 3))):
+            arrays, lists = matrix_to_arrays(x), matrix_to_obj(x)
+            assert {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in arrays.items()} == lists
+            assert all(v.dtype == np.float64 and v.ndim == 1 for v in arrays.values() if isinstance(v, np.ndarray))
+            assert dump_json(arrays) == _dumped_with_json(lists)
+
+
+@pytest.mark.parametrize("command", ["exists", "wmp"])
+def test_each_cli_matrix_is_scanned_once(command, monkeypatch, tmp_path, rng, capsys):
+    # a matrix orjson read is finite: the library's check of each input is
+    # its one scan, and only a document json alone parsed is scanned on read
+    a = random_matrix_with_rank(rng, 6, 5, 3)
+    m, n = random_weight(rng, 6).matrix, random_weight(rng, 5).matrix
+    bundle, weights, role = tmp_path / "bundle.json", tmp_path / "weights.json", tmp_path / "a.json"
+    write_bundle(bundle, {"A": a, "M": m, "N": n})
+    write_bundle(weights, {"M": m, "N": n})
+    role.write_text(json.dumps(matrix_to_obj(a)))
+    past_limit = tmp_path / "past_limit.json"
+    past_limit.write_text(bundle.read_text().rstrip()[:-1] + f', "{"[" * 129}": {_role(1, 1, "1")}}}')
+    scans = []
+    isfinite = np.isfinite
+
+    def counting(x, *args, **kwargs):
+        scans.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting)
+    # the weights are coerced first, then A; wmp writes the inverse and its two parts
+    inputs = [(6, 6), (5, 5), (6, 5)]
+    written = [(5, 6), (30,), (30,)] if command == "wmp" else []
+    for argv in (["--bundle", str(bundle)], ["--bundle", str(weights), "--role", f"A={role}"]):
+        scans.clear()
+        assert main([command, *argv, "--json"]) == 0
+        assert scans == inputs + written
+    # json reads the document past the bracket limit: its re and im lists are scanned as read
+    scans.clear()
+    assert main([command, "--bundle", str(past_limit), "--json"]) == 0
+    assert scans == [(30,), (30,), (36,), (36,), (25,), (25,), (1,)] + inputs + written
+    capsys.readouterr()
+
+
+def test_tolerance_fields_are_read_as_asdict_reads_them():
+    for tol in (DEFAULT_TOL, ToleranceConfig(rank_rtol=1e-8, inv_cond_max=1e6, verify_atol=1e-7)):
+        values = cli._tol_values(tol)
+        assert values == dataclasses.asdict(tol) and list(values) == list(dataclasses.asdict(tol))
 
 
 class TestReader:
